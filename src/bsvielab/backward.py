@@ -16,10 +16,10 @@ Z(t_i, s_j).  The solver sweeps a backward recursion per grid time t_i; drift
 evaluations at inner times s_j > t_i read the already-solved diagonal values
 Y(t_j), so one pass over i = N..0 solves the equation exactly on the lattice.
 For M-solutions the part of Z below the diagonal is pinned down by the exact
-martingale representation of Y, and the coupled system is solved by
-alternating representation and re-solve sweeps; the dependency is strictly
-triangular in time, so the alternation reaches a bitwise fixed point in at
-most N + 1 sweeps.
+martingale representation of Y.  Row t_i reads Z(t_j, t_i) only for j > i,
+and those rows are final before row i is swept, so the same single pass
+attaches the representation of Y(t_i) as soon as row i finishes: later rows
+read it as their sub-diagonal argument and no re-solve is needed.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .lattice import (
     TwoParamProcess,
     conditional_expectation,
     martingale_representation,
+    reconstruct_from_representation,
 )
 
 FP_TOL = 1e-13
@@ -335,6 +336,7 @@ def solve_bsvie_family(
     fp_max_iter: int = FP_MAX_ITER,
     zeta: TwoParamProcess | None = None,
     frozen_y: Sequence[np.ndarray] | None = None,
+    _msolution: bool = False,
 ) -> BsvieSolution:
     """One backward sweep per grid time; exact on the lattice.
 
@@ -342,16 +344,21 @@ def solve_bsvie_family(
     level i with terminal psi(t_i); drift evaluations at inner times t_j > t_i
     read the already-solved values Y(t_j), and the diagonal step is implicit
     in y.  ``frozen_y`` replaces the y-argument everywhere (used by the
-    monotone successive scheme); ``zeta`` supplies the sub-diagonal Z slices
-    for M-solution sweeps.
+    monotone successive scheme); ``zeta`` supplies given sub-diagonal Z
+    slices.  ``_msolution`` (set by :func:`solve_bsvie_msolution`) attaches
+    the martingale representation of each finished row Y(t_i) as the slices
+    Z(t_i, s_j), j < i, which later rows read as their ``zeta``.
     """
-    if spec.uses_zeta and zeta is None:
-        raise ValueError("generator depends on Z(s,t): solve as an M-solution")
     n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
     y_levels: list[np.ndarray | None] = [None] * (N + 1)
     z = TwoParamProcess(lattice, n)
+    residuals: list[float] = []
+    if _msolution:
+        zeta = z
+    if spec.uses_zeta and zeta is None:
+        raise ValueError("generator depends on Z(s,t): solve as an M-solution")
     for i in range(N, -1, -1):
         lam = spec.psi.slice(i).copy()
         t_i = lattice.times[i]
@@ -396,70 +403,37 @@ def solve_bsvie_family(
                     )
                 lam = cur
         y_levels[i] = lam
+        if _msolution and i > 0:
+            mean, zs = martingale_representation(lattice, lam, i)
+            for j in range(i):
+                z.set(i, j, zs[j])
+            recon = reconstruct_from_representation(lattice, mean, zs, i)
+            residuals.append(float(np.max(np.abs(recon - lam))))
     y = AdaptedProcess(lattice, n, y_levels)
-    return BsvieSolution(y, z, None)
+    # np.max, unlike the builtin, propagates a NaN residual
+    return BsvieSolution(y, z, float(np.max(residuals)) if _msolution else None)
 
 
 def solve_bsvie_msolution(
     spec: BsvieSpec,
     lattice: BinaryLattice,
-    max_iter: int = 60,
-    tol: float = 1e-13,
     fp_tol: float = FP_TOL,
     fp_max_iter: int = FP_MAX_ITER,
 ) -> BsvieSolution:
-    """Adapted M-solution by alternating representation and re-solve sweeps.
+    """Adapted M-solution in one backward sweep.
 
-    (a) the sub-diagonal slices Z(t_i, s_j), j < i, are read off the exact
-    martingale representation of the current Y(t_i); (b) the family of
-    backward recursions is re-solved feeding Z(s,t) from (a).  The coupling is
-    strictly lower-triangular in time, so the alternation becomes stationary
-    after at most N + 1 sweeps; it stops early once the sweep no longer
-    changes Y by more than ``tol``.
+    The sub-diagonal slices Z(t_i, s_j), j < i, are the exact martingale
+    representation of Y(t_i).  The coupling is strictly triangular in time:
+    row t_i reads Z(s, t_i) only at s = t_j > t_i, whose rows the sweep has
+    already finished and represented, so one family sweep that attaches each
+    row's representation as soon as the row is solved is the exact fixed
+    point; ``solve_bsvie_family(spec, lattice, zeta=sol.z)`` reproduces
+    ``sol.y`` bitwise.  ``msolution_residual`` is the largest pathwise error
+    of the reconstruction  Y(t_i) = E Y(t_i) + sum_{j<i} Z(t_i,s_j) dW_j.
     """
     if spec.uses_z:
         raise ValueError("M-solution form must not depend on Z(t,s) in the drift")
-    N = lattice.depth
-    sol = solve_bsvie_family(
-        spec, lattice, fp_tol, fp_max_iter,
-        zeta=TwoParamProcess(lattice, spec.dim) if spec.uses_zeta else None,
-    )
-    if not spec.uses_zeta:
-        sol.msolution_residual = _attach_mpart(spec, lattice, sol)
-        return sol
-    for _ in range(max_iter):
-        _attach_mpart(spec, lattice, sol)
-        new_sol = solve_bsvie_family(spec, lattice, fp_tol, fp_max_iter, zeta=sol.z)
-        delta = max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(new_sol.y.levels, sol.y.levels)
-        )
-        # carry the representation slices forward for the convergence test
-        for (i, j) in sol.z.pairs():
-            if j < i:
-                new_sol.z.set(i, j, sol.z.get(i, j))
-        sol = new_sol
-        if delta < tol:
-            sol.msolution_residual = _attach_mpart(spec, lattice, sol)
-            return sol
-    raise NonConvergenceError(f"M-solution alternation not below {tol} after {max_iter} sweeps")
-
-
-def _attach_mpart(spec: BsvieSpec, lattice: BinaryLattice, sol: BsvieSolution) -> float:
-    """Populate Z(t_i, s_j) for j < i from Y's representation; return the residual."""
-    worst = 0.0
-    for i in range(1, lattice.depth + 1):
-        yi = sol.y.at(i)
-        mean, zs = martingale_representation(lattice, yi, i)
-        recon = np.tile(mean, (1, 1))
-        for j in range(i):
-            sol.z.set(i, j, zs[j])
-            nxt = np.empty((2 ** (j + 1), spec.dim))
-            nxt[0::2] = recon + zs[j] * lattice.sqrt_h
-            nxt[1::2] = recon - zs[j] * lattice.sqrt_h
-            recon = nxt
-        worst = max(worst, float(np.max(np.abs(recon - yi))))
-    return worst
+    return solve_bsvie_family(spec, lattice, fp_tol, fp_max_iter, _msolution=True)
 
 
 def solve_bsvie_family_deterministic(

@@ -59,7 +59,11 @@ class ScenarioOutcome:
 
     @property
     def worst_violation(self) -> float:
-        return max((c.violation for c in self.checks), default=float("-inf"))
+        """Largest check violation; a non-finite one counts as +inf, so it always fails."""
+        return max(
+            (c.violation if math.isfinite(c.violation) else math.inf for c in self.checks),
+            default=float("-inf"),
+        )
 
     @property
     def conclusion_held(self) -> bool:

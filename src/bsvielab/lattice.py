@@ -86,9 +86,6 @@ class BinaryLattice:
         self.h = self.horizon / self.depth
         self.sqrt_h = float(np.sqrt(self.h))
         self.times = np.linspace(0.0, self.horizon, self.depth + 1)
-        # increment sign taken at step j by a node of level k > j:
-        # +1 for an up move, -1 for a down move (bit j of the path).
-        self._signs: list[list[np.ndarray]] = []
         self._w_levels: list[np.ndarray] = [np.zeros(1)]
         for k in range(self.depth):
             w = self._w_levels[k]
@@ -394,8 +391,8 @@ class SignViolation:
     """Where a process goes negative: exact dyadic mass and one witness node.
 
     ``probability`` is the largest per-level mass of nodes with a negative
-    component; ``fraction`` is the same number as an exact dyadic rational.
-    ``per_level`` holds the exact mass per level.
+    (or non-finite) component; ``fraction`` is the same number as an exact
+    dyadic rational.  ``per_level`` holds the exact mass per level.
     """
 
     probability: float
@@ -405,15 +402,17 @@ class SignViolation:
 
 
 def sign_violation(x: AdaptedProcess, component: int | None = None) -> SignViolation:
-    """Scan a process for strictly negative values, level by level."""
+    """Scan a process for strictly negative values, level by level.
+
+    A non-finite entry (NaN or +/-inf) counts as a violation: a value that
+    cannot be shown nonnegative never passes.
+    """
     per_level: list[Fraction] = []
     witness: NodeId | None = None
     best = Fraction(0)
     for k, lv in enumerate(x.levels):
-        if component is None:
-            neg = np.any(lv < 0.0, axis=1)
-        else:
-            neg = lv[:, component] < 0.0
+        bad = ~(np.isfinite(lv) & (lv >= 0.0))
+        neg = np.any(bad, axis=1) if component is None else bad[:, component]
         count = int(np.count_nonzero(neg))
         frac = Fraction(count, 2**k)
         per_level.append(frac)

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsvielab import backward, forward
 from bsvielab.errors import NonConvergenceError
+from bsvielab.harness.scenarios import _structured_pair
 from bsvielab.lattice import (
     AdaptedProcess,
     BinaryLattice,
     TerminalField,
+    TwoParamProcess,
     condition_to,
     martingale_representation,
+    reconstruct_from_representation,
 )
 
 
@@ -278,6 +282,69 @@ def test_msolution_residual_small_for_zeta_coupled_equation():
     for i in range(1, 9):
         for j in range(i):
             assert sol.z.has(i, j)
+
+
+def msolution_by_alternation(spec, lat):
+    """Reference M-solution: N + 1 rounds of re-solve and representation.
+
+    Round r re-solves the family with the sub-diagonal slices of round r - 1
+    (zero in round 1) and then attaches the martingale representation of
+    every Y(t_i).  Rows N..N-r+1 are exact after round r, so N + 1 rounds
+    reach the fixed point.
+    """
+    N = lat.depth
+    zeta = TwoParamProcess(lat, spec.dim)
+    for _ in range(N + 1):
+        sol = backward.solve_bsvie_family(spec, lat, zeta=zeta)
+        residual = 0.0
+        for i in range(1, N + 1):
+            yi = sol.y.at(i)
+            mean, zs = martingale_representation(lat, yi, i)
+            for j in range(i):
+                sol.z.set(i, j, zs[j])
+            recon = reconstruct_from_representation(lat, mean, zs, i)
+            residual = max(residual, float(np.max(np.abs(recon - yi))))
+        zeta = sol.z
+    return sol, residual
+
+
+def zeta_coupled_spec(rng, form, N):
+    """A zeta-coupled M-solution spec: structured (scenario sampler) or generator form."""
+    n = int(rng.integers(1, 3))
+    lat = BinaryLattice(1.0, N)
+    if form == "structured":
+        lo, hi = _structured_pair(rng, n, lat, coupling="zeta")
+        return (lo if rng.integers(2) else hi), lat
+    psi = TerminalField(lat, n, rng.standard_normal((N + 1, 2**N, n)))
+    c0 = rng.uniform(-1.0, 1.0, n)
+    c1 = rng.uniform(-2.0, 2.0, n)
+
+    def gen(t, s, y, z, zeta, nd):
+        return 0.3 * np.tanh(y) + zeta * (c0 + c1 * t) / (1.0 + s)
+
+    spec = backward.BsvieSpec(
+        n, psi, generator=gen, uses_z=False, uses_zeta=True, lip_y=0.3, lip_zeta=3.0,
+    )
+    return spec, lat
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["structured", "generator"]), st.integers(4, 9),
+       st.integers(0, 2**32 - 1))
+def test_one_pass_msolution_equals_alternation_bitwise(form, N, seed):
+    spec, lat = zeta_coupled_spec(np.random.default_rng(seed), form, N)
+    msol = backward.solve_bsvie_msolution(spec, lat)
+    ref, ref_residual = msolution_by_alternation(spec, lat)
+    for a, b in zip(msol.y.levels, ref.y.levels):
+        assert np.array_equal(a, b)
+    assert msol.z.pairs() == ref.z.pairs()
+    for p in ref.z.pairs():
+        assert np.array_equal(msol.z.get(*p), ref.z.get(*p))
+    assert msol.msolution_residual == ref_residual
+    # fixed point: re-solving against the solution's own Z(s,t) changes nothing
+    again = backward.solve_bsvie_family(spec, lat, zeta=msol.z)
+    for a, b in zip(again.y.levels, msol.y.levels):
+        assert np.array_equal(a, b)
 
 
 def test_msolution_rejects_z_dependent_drift():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -6,7 +7,7 @@ from bsvielab.harness import cli
 from bsvielab.harness.hypotheses import CONDITION_ORDER, HypothesisReport
 from bsvielab.harness.report import emit_report, render_report
 from bsvielab.harness.runner import ComparisonVerdict, ScenarioConfig, run_experiment
-from bsvielab.harness.scenarios import REGISTRY, scenario_names
+from bsvielab.harness.scenarios import REGISTRY, Check, ScenarioOutcome, scenario_names
 
 
 def test_registry_contains_gallery_and_theorem_families():
@@ -52,6 +53,20 @@ def test_counterexamples_fail_and_families_hold():
         assert v.conclusion_held is holds
         assert v.agrees_with_expectation
         assert v.conclusion_held == (v.worst_violation <= v.tolerance)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_non_finite_check_never_passes(bad, size):
+    passing = [Check(f"c{k}", 0.0, 1.0) for k in range(size - 1)]
+    for pos in range(size):
+        checks = passing[:pos] + [Check("bad", bad, 1.0)] + passing[pos:]
+        outcome = ScenarioOutcome("t", HypothesisReport.not_applicable(), checks)
+        assert outcome.worst_violation == math.inf
+        assert outcome.conclusion_held is False
+    checks = passing + [Check("x", 0.5, 1.0)]
+    finite = ScenarioOutcome("t", HypothesisReport.not_applicable(), checks)
+    assert finite.worst_violation == -0.5 and finite.conclusion_held
 
 
 def test_bsde_comparison_family_holds_at_pinned_seed():

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsvielab.lattice import (
     AdaptedProcess,
@@ -141,6 +144,18 @@ def test_martingale_representation_reconstructs_exactly(lat):
         assert np.max(np.abs(recon - xi)) <= 1e-13
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 3), st.floats(1e-3, 1e3),
+       st.integers(0, 2**32 - 1))
+def test_martingale_representation_round_trip(level, dim, scale, seed):
+    lattice = BinaryLattice(1.0, 10)
+    xi = scale * np.random.default_rng(seed).standard_normal((2**level, dim))
+    mean, zs = martingale_representation(lattice, xi, level)
+    assert [z.shape for z in zs] == [(2**j, dim) for j in range(level)]
+    recon = reconstruct_from_representation(lattice, mean, zs, level)
+    assert np.max(np.abs(recon - xi)) <= 1e-13 * np.max(np.abs(xi))
+
+
 def test_sign_violation_cases(lat):
     nonneg = AdaptedProcess.from_function(lat, 1, lambda t, w: np.abs(w) + 1.0)
     sv = sign_violation(nonneg)
@@ -149,6 +164,23 @@ def test_sign_violation_cases(lat):
     sv = sign_violation(w)
     assert sv.per_level[1] == 0.5 and sv.probability == 0.5
     assert sv.witness == NodeId(1, 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.sampled_from([None, 0, 1]))
+def test_sign_violation_counts_non_finite_entries(level, seed, bad, component):
+    lat = BinaryLattice(1.0, 6)
+    rng = np.random.default_rng(seed)
+    levels = [rng.uniform(0.0, 1.0, (2**k, 2)) for k in range(7)]
+    clean = sign_violation(AdaptedProcess(lat, 2, levels), component)
+    assert clean.probability == 0.0 and clean.witness is None
+    idx = int(rng.integers(2**level))
+    col = int(rng.integers(2)) if component is None else component
+    levels[level][idx, col] = bad
+    sv = sign_violation(AdaptedProcess(lat, 2, levels), component)
+    assert sv.per_level[level] == Fraction(1, 2**level)
+    assert sv.witness == NodeId(level, idx)
 
 
 def test_adaptedness_is_structural(lat):
