@@ -9,6 +9,9 @@ The one-step scheme is implicit in y and explicit in z:
 For linear drifts the inner solve is a Jacobi splitting that maps nonnegative
 data to nonnegative iterates exactly, which is what turns the positivity and
 comparison statements into exact inequalities instead of tolerance checks.
+Every implicit step goes through ``_linear_step`` (linear data) or
+``_fixed_point`` (generator data), so that argument and the one stopping rule
+(FP_TOL within FP_MAX_ITER iterations) live in one place.
 
 Backward Volterra equations carry a time-indexed free term psi(t_i) (known at
 the horizon, not necessarily adapted) and a two-time-parameter integrand
@@ -30,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonConvergenceError
+from .errors import DivergenceError, NonConvergenceError
 from .lattice import (
     AdaptedProcess,
     BinaryLattice,
@@ -49,8 +52,15 @@ FP_MAX_ITER = 50
 # -- implicit one-step helpers ------------------------------------------------
 
 
-def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float,
-                 tol: float = FP_TOL, max_iter: int = FP_MAX_ITER) -> np.ndarray:
+def _check_finite(y: np.ndarray, what: str) -> None:
+    """Raise DivergenceError naming the level (from the 2**level rows) and node."""
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
+    if bad.size:
+        level = y.shape[0].bit_length() - 1
+        raise DivergenceError(f"{what}: non-finite value at level {level}, node {int(bad[0])}")
+
+
+def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float) -> np.ndarray:
     """Solve (I - sign*h*mat) y = rhs for every row of ``rhs`` by Jacobi iteration.
 
     Starting from y = 0, every iterate is a sum of products of the inputs with
@@ -63,13 +73,14 @@ def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float,
     p = sign * h * np.asarray(mat, dtype=float).copy()
     np.fill_diagonal(p, 0.0)
     y = np.zeros_like(rhs)
-    for _ in range(max_iter):
+    for _ in range(FP_MAX_ITER):
         y_new = (rhs + y @ p.T) / d
-        if float(np.max(np.abs(y_new - y))) < tol:
+        if float(np.max(np.abs(y_new - y))) < FP_TOL:
             return y_new
         y = y_new
+    _check_finite(y, "Jacobi inner solve")
     raise NonConvergenceError(
-        f"Jacobi inner solve not below {tol} in {max_iter} iterations; reduce the step"
+        f"Jacobi inner solve not below {FP_TOL} in {FP_MAX_ITER} iterations; reduce the step"
     )
 
 
@@ -88,6 +99,31 @@ def _blend(up: np.ndarray, down: np.ndarray, b: np.ndarray | None, sqrt_h: float
     wu = 0.5 * (np.eye(b.shape[0]) + m)
     wd = 0.5 * (np.eye(b.shape[0]) - m)
     return up @ wu.T + down @ wd.T
+
+
+def _linear_step(up: np.ndarray, down: np.ndarray, a: np.ndarray, b: np.ndarray | None,
+                 h: float, sq: float, sign: float, extra: np.ndarray | None = None) -> np.ndarray:
+    """Implicit linear step: solve (I - sign*h*A) y = blend(up, down) + extra."""
+    rhs = _blend(up, down, b, sq, sign)
+    if extra is not None:
+        rhs = rhs + extra
+    return _jacobi_step(a, rhs, h, sign)
+
+
+def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray, what: str,
+                 h_lip: float) -> np.ndarray:
+    """Iterate y <- step(y) until two iterates agree within FP_TOL (NaN never does)."""
+    cur = start
+    for _ in range(FP_MAX_ITER):
+        new = step(cur)
+        if float(np.max(np.abs(new - cur))) < FP_TOL:
+            return new
+        cur = new
+    _check_finite(cur, what)
+    raise NonConvergenceError(
+        f"{what} not below {FP_TOL} in {FP_MAX_ITER} iterations; "
+        f"h*L_y = {h_lip:.3g} -- reduce the step"
+    )
 
 
 # -- BSDEs ---------------------------------------------------------------------
@@ -142,13 +178,7 @@ class BsdeSolution:
     z: list[np.ndarray | None]
 
 
-def solve_bsde(
-    spec: BsdeSpec,
-    lattice: BinaryLattice,
-    from_index: int = 0,
-    fp_tol: float = FP_TOL,
-    fp_max_iter: int = FP_MAX_ITER,
-) -> BsdeSolution:
+def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> BsdeSolution:
     """Backward induction with the implicit-in-y, explicit-in-z one-step scheme."""
     n = spec.dim
     N = lattice.depth
@@ -165,36 +195,21 @@ def solve_bsde(
         if spec.is_linear:
             a_k = np.asarray(spec.a(t), dtype=float) if spec.a is not None else np.zeros((n, n))
             b_k = np.asarray(spec.b(t), dtype=float) if spec.b is not None else None
-            rhs = _blend(up, down, b_k, sq, z_sign=-1.0)
-            if spec.forcing is not None:
-                rhs = rhs + h * np.asarray(spec.forcing(t), dtype=float)
+            f_k = h * np.asarray(spec.forcing(t), dtype=float) if spec.forcing is not None else None
             # (I + h A) y = E[next] - h B Z + h f
-            y[k] = _jacobi_step(a_k, rhs, h, sign=-1.0, tol=fp_tol, max_iter=fp_max_iter)
+            y[k] = _linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
         else:
             e = 0.5 * (up + down)
             nodes = LevelNodes(lattice, k)
-            cur = e
-            for it in range(fp_max_iter):
-                new = e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float)
-                if float(np.max(np.abs(new - cur))) < fp_tol:
-                    cur = new
-                    break
-                cur = new
-            else:
-                raise NonConvergenceError(
-                    f"implicit y-step not below {fp_tol} in {fp_max_iter} iterations; "
-                    f"h*L_y = {h * spec.lip_y:.3g} -- reduce the step"
-                )
-            y[k] = cur
+            y[k] = _fixed_point(
+                lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
+                e, "implicit y-step", h * spec.lip_y,
+            )
     return BsdeSolution(from_index, y, z)
 
 
 def bsde_duality_check(
-    spec: BsdeSpec,
-    x: np.ndarray,
-    s_index: int,
-    lattice: BinaryLattice,
-    fp_tol: float = FP_TOL,
+    spec: BsdeSpec, x: np.ndarray, s_index: int, lattice: BinaryLattice
 ) -> float:
     """Pairing error of the backward solution against its adjoint forward flow.
 
@@ -211,7 +226,7 @@ def bsde_duality_check(
     n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
-    sol = solve_bsde(spec, lattice, from_index=s_index, fp_tol=fp_tol)
+    sol = solve_bsde(spec, lattice, from_index=s_index)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     X = np.tile(xv, (2**s_index, 1))
     pair = np.zeros((2**s_index, 1))
@@ -332,8 +347,6 @@ def _zeta_slice(z: TwoParamProcess | None, lattice: BinaryLattice, i: int, j: in
 def solve_bsvie_family(
     spec: BsvieSpec,
     lattice: BinaryLattice,
-    fp_tol: float = FP_TOL,
-    fp_max_iter: int = FP_MAX_ITER,
     zeta: TwoParamProcess | None = None,
     frozen_y: Sequence[np.ndarray] | None = None,
     _msolution: bool = False,
@@ -381,27 +394,16 @@ def solve_bsvie_family(
                     if spec.a_kernel is not None
                     else np.zeros((n, n))
                 )
-                rhs = e.copy()
-                if spec.b_coef is not None:
-                    rhs = _blend(up, down, np.asarray(spec.b_coef(t_j), dtype=float), sq, 1.0)
-                if spec.c_coef is not None:
-                    rhs = rhs + h * (zeta_ij @ np.asarray(spec.c_coef(t_i), dtype=float).T)
+                b_jj = None if spec.b_coef is None else np.asarray(spec.b_coef(t_j), dtype=float)
+                c_ti = None if spec.c_coef is None else np.asarray(spec.c_coef(t_i), dtype=float)
                 # (I - h A(t_i,t_i)) y = E[next] + h B Z + h C zeta
-                lam = _jacobi_step(a_jj, rhs, h, sign=1.0, tol=fp_tol, max_iter=fp_max_iter)
+                lam = _linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
+                                   None if c_ti is None else h * (zeta_ij @ c_ti.T))
             else:
-                cur = e
-                for _ in range(fp_max_iter):
-                    new = e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes)
-                    if float(np.max(np.abs(new - cur))) < fp_tol:
-                        cur = new
-                        break
-                    cur = new
-                else:
-                    raise NonConvergenceError(
-                        f"diagonal y-step not below {fp_tol} in {fp_max_iter} iterations; "
-                        f"h*L_y = {h * spec.lip_y:.3g} -- reduce the step"
-                    )
-                lam = cur
+                lam = _fixed_point(
+                    lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),
+                    e, "diagonal y-step", h * spec.lip_y,
+                )
         y_levels[i] = lam
         if _msolution and i > 0:
             mean, zs = martingale_representation(lattice, lam, i)
@@ -414,12 +416,7 @@ def solve_bsvie_family(
     return BsvieSolution(y, z, float(np.max(residuals)) if _msolution else None)
 
 
-def solve_bsvie_msolution(
-    spec: BsvieSpec,
-    lattice: BinaryLattice,
-    fp_tol: float = FP_TOL,
-    fp_max_iter: int = FP_MAX_ITER,
-) -> BsvieSolution:
+def solve_bsvie_msolution(spec: BsvieSpec, lattice: BinaryLattice) -> BsvieSolution:
     """Adapted M-solution in one backward sweep.
 
     The sub-diagonal slices Z(t_i, s_j), j < i, are the exact martingale
@@ -433,7 +430,7 @@ def solve_bsvie_msolution(
     """
     if spec.uses_z:
         raise ValueError("M-solution form must not depend on Z(t,s) in the drift")
-    return solve_bsvie_family(spec, lattice, fp_tol, fp_max_iter, _msolution=True)
+    return solve_bsvie_family(spec, lattice, _msolution=True)
 
 
 def solve_bsvie_family_deterministic(
@@ -441,8 +438,6 @@ def solve_bsvie_family_deterministic(
     g: Callable[[float, np.ndarray, np.ndarray], np.ndarray],
     horizon: float,
     steps: int,
-    fp_tol: float = FP_TOL,
-    fp_max_iter: int = FP_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar deterministic reduction on a fine grid (Z = 0 throughout).
 
@@ -461,13 +456,16 @@ def solve_bsvie_family_deterministic(
             np.sum(np.asarray(g(times[i], times[i + 1: steps], y[i + 1: steps]), dtype=float))
         )
         cur = y[i + 1]
-        for _ in range(fp_max_iter):
+        # scalar twin of _fixed_point: abs() on a float is ~70x cheaper than np.max(np.abs())
+        for _ in range(FP_MAX_ITER):
             new = tail + h * float(g(times[i], np.asarray([times[i]]), np.asarray([cur]))[0])
-            if abs(new - cur) < fp_tol:
+            if abs(new - cur) < FP_TOL:
                 cur = new
                 break
             cur = new
         else:
+            if not math.isfinite(cur):
+                raise DivergenceError(f"diagonal step: non-finite value at grid step {i}")
             raise NonConvergenceError("diagonal step did not converge; reduce the step")
         y[i] = cur
     return times, y
@@ -710,12 +708,7 @@ class StepFnSolution:
     hypotheses: StepFnHypotheses
 
 
-def solve_linear_bsvie_stepfn(
-    data: StepFnBsvieData,
-    lattice: BinaryLattice,
-    fp_tol: float = FP_TOL,
-    fp_max_iter: int = FP_MAX_ITER,
-) -> StepFnSolution:
+def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> StepFnSolution:
     """Interval-by-interval nested backward induction for step-function data.
 
     The last interval is a plain linear backward recursion.  Each earlier
@@ -741,15 +734,6 @@ def solve_linear_bsvie_stepfn(
     # lam[j] holds the current interval's sweep value at level j (j >= lower end)
     lam: list[np.ndarray | None] = [None] * (N + 1)
     z_rows: list[np.ndarray | None] = [None] * N
-
-    def implicit_step(a_fn, j, nxt):
-        up, down = nxt[0::2], nxt[1::2]
-        mu = (up - down) / (2.0 * sq)
-        rhs = _blend(up, down, np.asarray(b(times[j]), dtype=float), sq, 1.0)
-        val = _jacobi_step(
-            np.asarray(a_fn(times[j]), dtype=float), rhs, h, 1.0, fp_tol, fp_max_iter
-        )
-        return val, mu
 
     for k in range(M - 1, -1, -1):
         hi = data.partition[k + 1]
@@ -780,9 +764,12 @@ def solve_linear_bsvie_stepfn(
             lam, z_rows = new_lam, new_rows
             sweep_from = hi
         for j in range(sweep_from, lo - 1, -1):
-            val, mu = implicit_step(data.a_pieces[k], j, lam[j + 1])
-            lam[j] = val
-            z_rows[j] = mu
+            up, down = lam[j + 1][0::2], lam[j + 1][1::2]
+            z_rows[j] = (up - down) / (2.0 * sq)
+            lam[j] = _linear_step(
+                up, down, np.asarray(data.a_pieces[k](times[j]), dtype=float),
+                np.asarray(b(times[j]), dtype=float), h, sq, 1.0,
+            )
         for i in range(lo, hi + 1):
             y_levels[i] = lam[i]
             for j in range(i, N):

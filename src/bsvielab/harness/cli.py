@@ -95,7 +95,6 @@ def main(argv: list[str] | None = None) -> int:
     p_suite = sub.add_parser("suite", help="run the full scenario suite")
     p_suite.add_argument("--out")
     p_suite.add_argument("--format", choices=("json", "csv"), default="csv")
-    p_suite.add_argument("--jobs", type=int, default=1)
     p_suite.add_argument("--seed-offset", type=int, default=0)
 
     p_hyp = sub.add_parser("hypotheses", help="print the hypothesis slate of one scenario")
@@ -114,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "suite":
-        verdicts = run_suite(seed_offset=args.seed_offset, jobs=args.jobs)
+        verdicts = run_suite(seed_offset=args.seed_offset)
         for v in verdicts:
             print(_verdict_line(v), file=sys.stderr)
         out = _resolve_out(args.out)

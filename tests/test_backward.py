@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsvielab import backward, forward
-from bsvielab.errors import NonConvergenceError
+from bsvielab.errors import DivergenceError, NonConvergenceError
 from bsvielab.harness.scenarios import _structured_pair
 from bsvielab.lattice import (
     AdaptedProcess,
@@ -82,6 +82,48 @@ def test_bsde_nonconvergence_reports_step_hint():
     )
     with pytest.raises(NonConvergenceError, match="h\\*L_y"):
         backward.solve_bsde(spec, lat)
+
+
+def _nan_at_last_node(y):
+    out = np.zeros_like(y)
+    out[-1] = np.nan
+    return out
+
+
+def _nan_bsde_generator(lat):
+    gen = lambda t, y, z, nd: _nan_at_last_node(y)
+    backward.solve_bsde(backward.BsdeSpec(1, np.ones((16, 1)), generator=gen), lat)
+
+
+def _nan_family_generator(lat):
+    gen = lambda t, s, y, z, zeta, nd: _nan_at_last_node(y)
+    psi = deterministic_psi(lat, lambda t: 1.0)
+    backward.solve_bsvie_family(backward.BsvieSpec(1, psi, generator=gen, uses_z=False), lat)
+
+
+def _nan_linear_bsde_coefficient(lat):
+    spec = backward.BsdeSpec(1, np.ones((16, 1)), a=lambda t: np.array([[np.nan]]))
+    backward.solve_bsde(spec, lat)
+
+
+def _nan_deterministic_generator(lat):
+    g = lambda t, s, yv: np.full_like(yv, np.nan)
+    backward.solve_bsvie_family_deterministic(lambda t: 1.0, g, lat.horizon, 8)
+
+
+@pytest.mark.parametrize(
+    "solve, where",
+    [
+        pytest.param(_nan_bsde_generator, "level 3, node 7", id="bsde-generator"),
+        pytest.param(_nan_family_generator, "level 3, node 7", id="family-generator"),
+        pytest.param(_nan_linear_bsde_coefficient, "level 3, node 0", id="bsde-linear-a"),
+        pytest.param(_nan_deterministic_generator, "grid step 7", id="deterministic-g"),
+    ],
+)
+def test_non_finite_implicit_step_raises_divergence_naming_the_node(solve, where):
+    # a NaN never meets the stopping rule; it must not read as "reduce the step"
+    with pytest.raises(DivergenceError, match=f"non-finite value at {where}$"):
+        solve(BinaryLattice(1.0, 4))
 
 
 # -- BSDE duality -------------------------------------------------------------------
