@@ -404,6 +404,9 @@ def solve_bsvie_family(
                     lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),
                     e, "diagonal y-step", h * spec.lip_y,
                 )
+        if frozen_y is not None:
+            # only explicit steps ran, so nothing else has looked at this row
+            _check_finite(lam, "frozen-y sweep")
         y_levels[i] = lam
         if _msolution and i > 0:
             mean, zs = martingale_representation(lattice, lam, i)

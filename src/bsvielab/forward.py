@@ -484,8 +484,13 @@ def euler_monte_carlo(
 
     Paths are processed in fixed-size chunks; chunk ``c`` draws from a
     counter-based generator keyed by ``(seed, c)``, so results do not depend
-    on how chunks are scheduled.  Volterra specs cost ``paths * steps**2``
-    work units, SDE specs ``paths * steps``; exceeding ``budget`` raises.
+    on how chunks are scheduled.  Each chunk streams: it reduces every time
+    slice to the per-time path sums and the count of paths with a negative or
+    non-finite component (a NaN never passes as nonnegative), and the chunks'
+    statistics are added up.  An SDE chunk holds only the current slice; a
+    Volterra chunk keeps the path history its kernels read, with the kernel
+    rows built once per call.  Volterra specs cost ``paths * steps**2`` work
+    units, SDE specs ``paths * steps``; exceeding ``budget`` raises.
     """
     if steps < 1 or paths < 1:
         raise ValueError("steps and paths must be positive")
@@ -494,8 +499,12 @@ def euler_monte_carlo(
     if work > budget:
         raise ResourceBudgetError(f"requested work {work} exceeds budget {budget}")
     n = spec.dim
-    sum_x = np.zeros((steps + 1, n))
-    neg_counts = np.zeros(steps + 1, dtype=np.int64)
+    times = np.linspace(0.0, horizon, steps + 1)
+    if is_volterra:
+        if isinstance(spec.phi, AdaptedProcess):
+            raise ValueError("Monte Carlo needs a deterministic free term")
+        kernels = _volterra_kernel_rows(spec, times)
+    stats = np.zeros((steps + 1, n + 1))
     done = 0
     chunk_idx = 0
     while done < paths:
@@ -504,67 +513,100 @@ def euler_monte_carlo(
             np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_idx], dtype=np.uint64))
         )
         if is_volterra:
-            xs = _mc_volterra_chunk(spec, horizon, steps, m, rng)
+            stats += _mc_volterra_chunk(spec, kernels, times, m, rng)
         else:
-            xs = _mc_sde_chunk(spec, horizon, steps, m, rng)
-        sum_x += xs.sum(axis=1)
-        neg_counts += (xs < 0.0).any(axis=2).sum(axis=1)
+            stats += _mc_sde_chunk(spec, times, m, rng)
         done += m
         chunk_idx += 1
-    freq = neg_counts / paths
+    freq = stats[:, n] / paths
     se = np.sqrt(np.clip(freq * (1.0 - freq), 0.0, None) / paths)
-    times = np.linspace(0.0, horizon, steps + 1)
-    return McResult(times, sum_x / paths, freq, se, paths)
+    return McResult(times, stats[:, :n] / paths, freq, se, paths)
 
 
-def _mc_sde_chunk(spec: FsdeSpec, horizon: float, steps: int, m: int, rng) -> np.ndarray:
-    h = horizon / steps
+def _path_stats(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the column sums of ``x`` (paths, n) and its count of paths with a
+    negative or non-finite component into ``out`` (n + 1,).
+
+    Reduced column by column: a reduction over the short inner axis of a
+    path-major array is several times slower.
+    """
+    ok = np.ones(x.shape[0], dtype=bool)
+    for c in range(x.shape[1]):
+        col = x[:, c]
+        out[c] = col.sum()
+        ok &= col >= 0.0  # false for NaN and -inf
+        if not math.isfinite(out[c]):  # only then can the column hold +inf
+            ok &= col < math.inf
+    out[-1] = x.shape[0] - np.count_nonzero(ok)
+
+
+def _mc_sde_chunk(spec: FsdeSpec, times: np.ndarray, m: int, rng) -> np.ndarray:
+    """Per-time statistics ``(steps + 1, n + 1)`` of ``m`` Euler paths (see ``_path_stats``)."""
+    steps = len(times) - 1
+    h = times[-1] / steps
     sq = math.sqrt(h)
-    times = np.linspace(0.0, horizon, steps + 1)
     x = np.tile(spec.x0, (m, 1))
-    out = np.empty((steps + 1, m, spec.dim))
-    out[0] = x
+    stats = np.empty((steps + 1, spec.dim + 1))
+    _path_stats(x, stats[0])
     for k in range(steps):
         dw = sq * rng.standard_normal(m)
         x = x + h * spec.drift_at(times[k], x) + spec.diffusion_at(times[k], x) * dw[:, None]
-        out[k + 1] = x
-    return out
+        _path_stats(x, stats[k + 1])
+    return stats
 
 
-def _mc_volterra_chunk(spec: FsvieSpec, horizon: float, steps: int, m: int, rng) -> np.ndarray:
-    if isinstance(spec.phi, AdaptedProcess):
-        raise ValueError("Monte Carlo needs a deterministic free term")
-    h = horizon / steps
-    sq = math.sqrt(h)
-    times = np.linspace(0.0, horizon, steps + 1)
+def _volterra_kernel_rows(
+    spec: FsvieSpec, times: np.ndarray
+) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Kernel rows of the steps i = 1..steps, each stacked as an ``(i*n, n)`` matrix.
+
+    Block j of row i is ``h * A0(t_i, t_j).T`` (drift) or ``A1(t_i, t_j).T``
+    (diffusion), so each Volterra sum over the past is one matmul against
+    the path-major history.  ``None`` marks an absent kernel.
+    """
+    steps = len(times) - 1
+    h = times[-1] / steps
     n = spec.dim
-    dw = sq * rng.standard_normal((steps, m))
-    out = np.empty((steps + 1, m, n))
-    out[0] = np.tile(np.atleast_1d(spec.phi(0.0)), (m, 1))
+    has_a1 = spec.a1 is not None or spec.a1_full is not None
+    rows = []
     for i in range(1, steps + 1):
-        acc = np.tile(np.atleast_1d(spec.phi(times[i])).astype(float), (m, 1))
-        if n == 1:
-            if spec.a0 is not None:
-                row = np.array(
-                    [np.asarray(spec.a0(times[i], times[j])).reshape(()) for j in range(i)]
-                )
-                acc[:, 0] += h * (row @ out[:i, :, 0])
-            row1 = np.array(
-                [
-                    0.0 if (m1 := spec.a1_at(times[i], times[j])) is None
-                    else np.asarray(m1).reshape(())
-                    for j in range(i)
-                ]
-            )
-            if np.any(row1):
-                acc[:, 0] += np.einsum("j,jm->m", row1, out[:i, :, 0] * dw[:i])
-        else:
-            for j in range(i):
-                if spec.a0 is not None:
-                    m0 = np.asarray(spec.a0(times[i], times[j]), dtype=float)
-                    acc += h * out[j] @ m0.T
-                m1 = spec.a1_at(times[i], times[j])
-                if m1 is not None:
-                    acc += (out[j] @ np.asarray(m1, dtype=float).T) * dw[j][:, None]
-        out[i] = acc
-    return out
+        k0 = k1 = None
+        if spec.a0 is not None:
+            k0 = h * np.concatenate([
+                np.asarray(spec.a0(times[i], times[j]), dtype=float).reshape(n, n).T
+                for j in range(i)
+            ])
+        if has_a1:
+            k1 = np.concatenate([spec.a1_at(times[i], times[j]).reshape(n, n).T for j in range(i)])
+        rows.append((k0, k1))
+    return rows
+
+
+def _mc_volterra_chunk(
+    spec: FsvieSpec, kernels: list, times: np.ndarray, m: int, rng
+) -> np.ndarray:
+    """Per-time statistics ``(steps + 1, n + 1)`` of ``m`` Euler paths (see ``_path_stats``).
+
+    X(t_j) and X(t_j) dW_j are stored path-major as ``(m, steps*n)``, so step
+    i is one matmul per kernel against the prefix ``[:, :i*n]``.
+    """
+    steps = len(times) - 1
+    n = spec.dim
+    dw = math.sqrt(times[-1] / steps) * rng.standard_normal((steps, m))
+    xs = np.empty((m, steps * n))
+    xdw = np.empty((m, steps * n))
+    stats = np.empty((steps + 1, n + 1))
+    x = np.tile(np.atleast_1d(spec.phi(0.0)).astype(float), (m, 1))
+    _path_stats(x, stats[0])
+    for i in range(1, steps + 1):
+        slot = slice((i - 1) * n, i * n)
+        xs[:, slot] = x
+        np.multiply(x, dw[i - 1][:, None], out=xdw[:, slot])
+        k0, k1 = kernels[i - 1]
+        x = np.tile(np.atleast_1d(spec.phi(times[i])).astype(float), (m, 1))
+        if k0 is not None:
+            x += xs[:, : i * n] @ k0
+        if k1 is not None:
+            x += xdw[:, : i * n] @ k1
+        _path_stats(x, stats[i])
+    return stats

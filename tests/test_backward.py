@@ -126,6 +126,17 @@ def test_non_finite_implicit_step_raises_divergence_naming_the_node(solve, where
         solve(BinaryLattice(1.0, 4))
 
 
+def test_frozen_y_sweep_raises_divergence_naming_the_node():
+    # the Picard sweep takes only explicit steps; a NaN drift must not reach the result
+    lat = BinaryLattice(1.0, 4)
+    gen = lambda t, s, y, z, zeta, nd: _nan_at_last_node(y)
+    spec = backward.BsvieSpec(1, deterministic_psi(lat, lambda t: 1.0), generator=gen,
+                              uses_z=False)
+    frozen = [np.ones((2**k, 1)) for k in range(lat.depth + 1)]
+    with pytest.raises(DivergenceError, match="non-finite value at level 3, node 7$"):
+        backward.solve_bsvie_family(spec, lat, frozen_y=frozen)
+
+
 # -- BSDE duality -------------------------------------------------------------------
 
 

@@ -306,6 +306,135 @@ def test_mc_deterministic_for_fixed_seed():
     assert np.array_equal(a.violation_freq, b.violation_freq)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mc_non_finite_paths_count_as_violations(bad):
+    # the drift turns non-finite after t = 0.5, so every later state is non-finite
+    spec = forward.FsdeSpec(
+        1, [1.0], drift=lambda t, x, nd: np.full_like(x, bad if t > 0.5 else 0.0)
+    )
+    mc = forward.euler_monte_carlo(spec, 1.0, 16, 100, seed=3)
+    late = mc.times > 0.5 + 1.0 / 16
+    assert not np.any(np.isfinite(mc.mean[late]))
+    assert np.all(mc.violation_freq[late] == 1.0)
+    assert np.all(mc.violation_freq[~late] == 0.0)
+
+
+# Reference: the path-returning chunk code the streaming helpers replaced.
+# Each returns the full (steps + 1, m, n) path array; the reference driver
+# reduces it with the same chunking and generator keys.
+
+
+def _reference_sde_chunk(spec, horizon, steps, m, rng):
+    h = horizon / steps
+    sq = math.sqrt(h)
+    times = np.linspace(0.0, horizon, steps + 1)
+    x = np.tile(spec.x0, (m, 1))
+    out = np.empty((steps + 1, m, spec.dim))
+    out[0] = x
+    for k in range(steps):
+        dw = sq * rng.standard_normal(m)
+        x = x + h * spec.drift_at(times[k], x) + spec.diffusion_at(times[k], x) * dw[:, None]
+        out[k + 1] = x
+    return out
+
+
+def _reference_volterra_chunk(spec, horizon, steps, m, rng):
+    h = horizon / steps
+    sq = math.sqrt(h)
+    times = np.linspace(0.0, horizon, steps + 1)
+    n = spec.dim
+    dw = sq * rng.standard_normal((steps, m))
+    out = np.empty((steps + 1, m, n))
+    out[0] = np.tile(np.atleast_1d(spec.phi(0.0)), (m, 1))
+    for i in range(1, steps + 1):
+        acc = np.tile(np.atleast_1d(spec.phi(times[i])).astype(float), (m, 1))
+        if n == 1:
+            if spec.a0 is not None:
+                row = np.array(
+                    [np.asarray(spec.a0(times[i], times[j])).reshape(()) for j in range(i)]
+                )
+                acc[:, 0] += h * (row @ out[:i, :, 0])
+            row1 = np.array(
+                [
+                    0.0 if (m1 := spec.a1_at(times[i], times[j])) is None
+                    else np.asarray(m1).reshape(())
+                    for j in range(i)
+                ]
+            )
+            if np.any(row1):
+                acc[:, 0] += np.einsum("j,jm->m", row1, out[:i, :, 0] * dw[:i])
+        else:
+            for j in range(i):
+                if spec.a0 is not None:
+                    m0 = np.asarray(spec.a0(times[i], times[j]), dtype=float)
+                    acc += h * out[j] @ m0.T
+                m1 = spec.a1_at(times[i], times[j])
+                if m1 is not None:
+                    acc += (out[j] @ np.asarray(m1, dtype=float).T) * dw[j][:, None]
+        out[i] = acc
+    return out
+
+
+def _reference_mc(spec, horizon, steps, paths, seed, chunk):
+    sum_x = np.zeros((steps + 1, spec.dim))
+    counts = np.zeros(steps + 1, dtype=np.int64)
+    done = chunk_idx = 0
+    while done < paths:
+        m = min(chunk, paths - done)
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, chunk_idx], dtype=np.uint64))
+        )
+        run = (_reference_volterra_chunk if isinstance(spec, forward.FsvieSpec)
+               else _reference_sde_chunk)
+        xs = run(spec, horizon, steps, m, rng)
+        sum_x += xs.sum(axis=1)
+        counts += (~(np.isfinite(xs) & (xs >= 0.0))).any(axis=2).sum(axis=1)
+        done += m
+        chunk_idx += 1
+    return sum_x / paths, counts / paths
+
+
+def _mc_cases():
+    tau = 0.5
+    sde1 = forward.FsdeSpec(1, [2.0], drift=lambda t, x, nd: -np.ones_like(x),
+                            diffusion=lambda t, x, nd: x)
+    sde2 = forward.FsdeSpec(
+        2, [0.3, 1.2], a0=lambda t: np.array([[-1.0, 0.5], [0.2, -0.3 - t]]),
+        a1=lambda t: np.array([[1.5, 0.0], [0.4, 0.8]]), b=lambda t: np.array([0.1, -0.2]),
+    )
+    volterra1 = forward.FsvieSpec(
+        1, lambda t: np.array([1.0]),
+        a0=lambda t, s: np.array([[1.0 if t <= tau else 0.0]]),
+        a1=lambda s: np.eye(1),
+    )
+    volterra2 = forward.FsvieSpec(
+        2, lambda t: np.array([1.0 - t, 0.5]),
+        a0=lambda t, s: np.array([[-1.0 + t, 0.3], [0.5 * s, -0.5]]),
+        a1_full=lambda t, s: np.array([[1.0 + t - s, 0.2], [0.0, 0.7 * math.cos(t)]]),
+    )
+    return [
+        pytest.param(sde1, 40, id="sde-n1"),
+        pytest.param(sde2, 40, id="sde-n2"),
+        pytest.param(volterra1, 32, id="volterra-n1-separated"),
+        pytest.param(volterra2, 24, id="volterra-n2-full"),
+    ]
+
+
+@pytest.mark.parametrize("spec, steps", _mc_cases())
+def test_mc_streaming_equals_materialised_paths(spec, steps, monkeypatch):
+    chunk, paths, seed = 700, 2000, 12  # chunks of 700, 700 and a ragged 600
+    monkeypatch.setattr(forward, "_MC_CHUNK", chunk)
+    mc = forward.euler_monte_carlo(spec, 1.0, steps, paths, seed)
+    mean, freq = _reference_mc(spec, 1.0, steps, paths, seed, chunk)
+    assert np.any(freq > 0.0), "the case must exercise the violation count"
+    diff = np.flatnonzero(mc.violation_freq != freq)
+    assert diff.size == 0, (
+        f"violation counts differ at steps {diff.tolist()}: "
+        f"{(mc.violation_freq[diff] * paths).tolist()} vs {(freq[diff] * paths).tolist()}"
+    )
+    np.testing.assert_allclose(mc.mean, mean, rtol=1e-12, atol=0.0)
+
+
 # -- discrete positivity and comparison ------------------------------------------------
 
 
