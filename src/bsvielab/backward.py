@@ -43,6 +43,7 @@ from .lattice import (
     conditional_expectation,
     martingale_representation,
     reconstruct_from_representation,
+    volterra_sum,
 )
 
 FP_TOL = 1e-13
@@ -613,7 +614,7 @@ def bsvie_duality_check(
         raise ValueError("duality check needs the linear form A(t,s) y + C(t) zeta")
     n = spec.dim
     N = lattice.depth
-    h, sq = lattice.h, lattice.sqrt_h
+    h = lattice.h
     times = lattice.times
     if msol is None:
         msol = solve_bsvie_msolution(spec, lattice)
@@ -630,12 +631,11 @@ def bsvie_duality_check(
             phi_acc[0::2] = phi_acc[1::2] = prev
         phis.append(phi_acc.copy())
         rhs = phi_acc.copy()
-        for i in range(j):
-            term = xs[i] @ np.asarray(a(times[i], times[j]), dtype=float)
-            rhs += h * lattice.lift(term, i, j)
-            if c is not None:
-                cterm = xs[i] @ np.asarray(c(times[i]), dtype=float)
-                rhs += lattice.lift(cterm, i, j) * (sq * lattice.step_signs(j, i))[:, None]
+        volterra_sum(
+            lattice, rhs, xs, j,
+            lambda i: np.asarray(a(times[i], times[j]), dtype=float).T,
+            None if c is None else lambda i: np.asarray(c(times[i]), dtype=float).T,
+        )
         a_jj = np.asarray(a(times[j], times[j]), dtype=float)
         xs.append(np.linalg.solve(eye - h * a_jj.T, rhs.T).T)
     lhs = 0.0

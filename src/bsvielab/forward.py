@@ -21,6 +21,7 @@ cross-check of lattice results.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, NonConvergenceError, ResourceBudgetError
-from .lattice import AdaptedProcess, BinaryLattice, LevelNodes
+from .lattice import AdaptedProcess, BinaryLattice, LevelNodes, volterra_sum
 
 DEFAULT_MC_BUDGET = 2**31  # work units: paths * steps (SDE) or paths * steps^2 (Volterra)
 _MC_CHUNK = 1 << 14
@@ -113,12 +114,6 @@ class FsvieSpec:
         if self.a1 is not None and self.a1_full is not None:
             raise ValueError("give the diffusion kernel in one form only")
 
-    def phi_level(self, lattice: BinaryLattice, level: int) -> np.ndarray:
-        if isinstance(self.phi, AdaptedProcess):
-            return self.phi.at(level)
-        v = np.atleast_1d(np.asarray(self.phi(lattice.times[level]), dtype=float))
-        return np.tile(v.reshape(1, self.dim), (2**level, 1))
-
     def a1_at(self, t: float, s: float) -> np.ndarray | None:
         if self.a1 is not None:
             return np.asarray(self.a1(s), dtype=float)
@@ -170,6 +165,13 @@ def worst_case_step_bound(a0_bound: float, a1_bound: float) -> float:
 # -- SDE solvers -------------------------------------------------------------
 
 
+def _check_state(x: np.ndarray, level: int) -> None:
+    """Raise DivergenceError naming ``level`` and the first node with a non-finite entry."""
+    if not np.all(np.isfinite(x)):
+        bad = int(np.argmax(~np.isfinite(x).all(axis=1)))
+        raise DivergenceError(f"non-finite state at level {level}, node {bad}")
+
+
 def solve_fsde(spec: FsdeSpec, lattice: BinaryLattice) -> AdaptedProcess:
     """Explicit Euler on the lattice from ``spec.start_index`` to the horizon.
 
@@ -190,9 +192,7 @@ def solve_fsde(spec: FsdeSpec, lattice: BinaryLattice) -> AdaptedProcess:
         nxt = np.empty((2 ** (k + 1), n))
         nxt[0::2] = x + mu * h + sg * sq
         nxt[1::2] = x + mu * h - sg * sq
-        if not np.all(np.isfinite(nxt)):
-            bad = int(np.argmax(~np.isfinite(nxt).all(axis=1)))
-            raise DivergenceError(f"non-finite state at level {k + 1}, node {bad}")
+        _check_state(nxt, k + 1)
         levels.append(nxt)
     return AdaptedProcess(lattice, n, levels)
 
@@ -261,49 +261,40 @@ def solve_ode_euler(
 
 
 def _solve_fsvie_on_lattice(
-    lattice: BinaryLattice,
-    dim: int,
-    phi_level: Callable[[int], np.ndarray],
-    a0_pair: Callable[[int, int], np.ndarray | None],
-    a1_pair: Callable[[int, int], np.ndarray | None],
+    spec: FsvieSpec, lattice: BinaryLattice, frozen: Sequence[int]
 ) -> AdaptedProcess:
-    """Explicit Volterra recursion; coefficient lookups are by grid indices."""
-    h, sq = lattice.h, lattice.sqrt_h
-    levels = [phi_level(0)]
-    for k in range(1, lattice.depth + 1):
-        acc = phi_level(k).copy()
-        for j in range(k):
-            xj = levels[j]
-            m0 = a0_pair(k, j)
-            if m0 is not None:
-                acc += h * lattice.lift(xj @ m0.T, j, k)
-            m1 = a1_pair(k, j)
-            if m1 is not None:
-                incr = sq * lattice.step_signs(k, j)
-                acc += lattice.lift(xj @ m1.T, j, k) * incr[:, None]
-        if not np.all(np.isfinite(acc)):
-            bad = int(np.argmax(~np.isfinite(acc).all(axis=1)))
-            raise DivergenceError(f"non-finite state at level {k}, node {bad}")
+    """Explicit Volterra recursion with the outer time frozen along ``frozen``.
+
+    Level k reads the free term and the kernels' outer time t at grid time
+    ``t_{frozen[k]}`` (``frozen[k] <= k``); the inner time s = t_j is never
+    frozen.  The identity ``range(N + 1)`` gives the plain recursion.
+    """
+    n = spec.dim
+    times = lattice.times
+    has_a1 = spec.a1 is not None or spec.a1_full is not None
+    levels: list[np.ndarray] = []
+    for k in range(lattice.depth + 1):
+        t = times[frozen[k]]
+
+        def drift(j):
+            return np.asarray(spec.a0(t, times[j]), dtype=float).reshape(n, n)
+
+        def diffusion(j):
+            return spec.a1_at(t, times[j]).reshape(n, n)
+
+        acc = _phi_frozen(spec, lattice, k, frozen[k])
+        volterra_sum(
+            lattice, acc, levels, k,
+            drift if spec.a0 is not None else None, diffusion if has_a1 else None,
+        )
+        _check_state(acc, k)
         levels.append(acc)
-    return AdaptedProcess(lattice, dim, levels)
+    return AdaptedProcess(lattice, n, levels)
 
 
 def solve_linear_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> AdaptedProcess:
     """Exact lattice recursion for the linear Volterra equation."""
-    times = lattice.times
-
-    def a0_pair(k, j):
-        if spec.a0 is None:
-            return None
-        return np.asarray(spec.a0(times[k], times[j]), dtype=float).reshape(spec.dim, spec.dim)
-
-    def a1_pair(k, j):
-        m = spec.a1_at(times[k], times[j])
-        return None if m is None else m.reshape(spec.dim, spec.dim)
-
-    return _solve_fsvie_on_lattice(
-        lattice, spec.dim, lambda k: spec.phi_level(lattice, k), a0_pair, a1_pair
-    )
+    return _solve_fsvie_on_lattice(spec, lattice, range(lattice.depth + 1))
 
 
 def partition_approximation(
@@ -325,29 +316,12 @@ def partition_approximation(
         or any(not 0 <= p <= lattice.depth for p in part)
     ):
         raise ValueError("partition must be increasing grid indices containing 0 and N")
-    anchors = np.asarray(part)
-    frozen = np.empty(lattice.depth + 1, dtype=int)
-    for i in range(lattice.depth + 1):
-        frozen[i] = anchors[np.searchsorted(anchors, i, side="right") - 1]
-    times = lattice.times
-
-    def a0_pair(k, j):
-        if spec.a0 is None:
-            return None
-        tk = times[frozen[k]]
-        return np.asarray(spec.a0(tk, times[j]), dtype=float).reshape(spec.dim, spec.dim)
-
-    def a1_pair(k, j):
-        m = spec.a1_at(times[frozen[k]], times[j])
-        return None if m is None else m.reshape(spec.dim, spec.dim)
-
-    def phi_level(k):
-        return _phi_frozen(spec, lattice, k, int(frozen[k]))
-
-    return _solve_fsvie_on_lattice(lattice, spec.dim, phi_level, a0_pair, a1_pair)
+    frozen = [part[bisect.bisect_right(part, i) - 1] for i in range(lattice.depth + 1)]
+    return _solve_fsvie_on_lattice(spec, lattice, frozen)
 
 
 def _phi_frozen(spec: FsvieSpec, lattice: BinaryLattice, level: int, anchor: int) -> np.ndarray:
+    """A fresh level-``level`` slice of the free term read at grid time ``t_anchor``."""
     if isinstance(spec.phi, AdaptedProcess):
         # freeze in time, keep measurability: the anchor-time slice lifted
         return lattice.lift(spec.phi.at(anchor), anchor, level)
@@ -367,37 +341,42 @@ def picard_fsvie(
     nonnegative and phi >= 0, every iterate (and therefore the limit) is
     built from sums and products of nonnegative numbers, so X >= phi >= 0
     holds exactly.  Returns the limit together with the successive difference
-    norms in the discrete L^2 grid norm.
+    norms in the discrete L^2 grid norm.  A sweep with a non-finite
+    difference norm raises DivergenceError naming the first non-finite node.
     """
     if spec.a1 is not None or spec.a1_full is not None:
         raise ValueError("successive substitution requires a zero diffusion kernel")
+    n = spec.dim
     times = lattice.times
     h = lattice.h
-    kern: dict[tuple[int, int], np.ndarray] = {}
+    grid = range(lattice.depth + 1)
+    blocks = None
     if spec.a0 is not None:
-        for k in range(1, lattice.depth + 1):
-            for j in range(k):
-                kern[(k, j)] = np.asarray(spec.a0(times[k], times[j]), dtype=float).reshape(
-                    spec.dim, spec.dim
-                )
-    phi_levels = [spec.phi_level(lattice, k) for k in range(lattice.depth + 1)]
-    cur = [p.copy() for p in phi_levels]
+        blocks = [
+            [np.asarray(spec.a0(times[k], times[j]), dtype=float).reshape(n, n) for j in range(k)]
+            for k in grid
+        ]
+    phi_levels = [_phi_frozen(spec, lattice, k, k) for k in grid]
+    cur = phi_levels
     norms: list[float] = []
     for _ in range(max_iter):
-        nxt = [phi_levels[0].copy()]
-        for k in range(1, lattice.depth + 1):
+        nxt = []
+        for k in grid:
             acc = phi_levels[k].copy()
-            for j in range(k):
-                if (k, j) in kern:
-                    acc += h * lattice.lift(cur[j] @ kern[(k, j)].T, j, k)
+            drift = None if blocks is None else blocks[k].__getitem__
+            volterra_sum(lattice, acc, cur, k, drift, None)
             nxt.append(acc)
         diff = math.sqrt(
             sum(h * float(np.mean(np.sum((a - b) ** 2, axis=1))) for a, b in zip(nxt, cur))
         )
         norms.append(diff)
+        if not math.isfinite(diff):
+            for k in grid:
+                _check_state(nxt[k], k)
+            raise DivergenceError(f"difference norm overflowed at sweep {len(norms)}")
         cur = nxt
         if diff < tol:
-            return AdaptedProcess(lattice, spec.dim, cur), norms
+            return AdaptedProcess(lattice, n, cur), norms
     ratio = norms[-1] / norms[-2] if len(norms) > 1 and norms[-2] > 0 else float("nan")
     raise NonConvergenceError(
         f"successive substitution not below {tol} after {max_iter} sweeps (last ratio {ratio:.3g})"
@@ -439,7 +418,11 @@ def picard_fsvie_deterministic(
     max_iter: int = 80,
     tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Successive substitution on the deterministic grid; returns (t, x, norms)."""
+    """Successive substitution on the deterministic grid; returns (t, x, norms).
+
+    A sweep with a non-finite difference norm raises DivergenceError naming
+    the first non-finite grid step.
+    """
     times = np.linspace(0.0, horizon, steps + 1)
     h = horizon / steps
     phi_vals = np.array([phi(t) for t in times])
@@ -452,6 +435,12 @@ def picard_fsvie_deterministic(
             nxt[i] = phi_vals[i] + h * float(rows[i] @ cur[:i])
         diff = math.sqrt(h * float(np.sum((nxt - cur) ** 2)))
         norms.append(diff)
+        if not math.isfinite(diff):
+            bad = np.flatnonzero(~np.isfinite(nxt))
+            raise DivergenceError(
+                f"non-finite state at step {bad[0]}" if bad.size
+                else f"difference norm overflowed at sweep {len(norms)}"
+            )
         cur = nxt
         if diff < tol:
             return times, cur, norms
@@ -567,7 +556,11 @@ def _volterra_kernel_rows(
     steps = len(times) - 1
     h = times[-1] / steps
     n = spec.dim
-    has_a1 = spec.a1 is not None or spec.a1_full is not None
+    separated = None
+    if spec.a1 is not None:  # A1(s) does not depend on t_i: one stack, row i is a prefix
+        separated = np.concatenate([
+            np.asarray(spec.a1(times[j]), dtype=float).reshape(n, n).T for j in range(steps)
+        ])
     rows = []
     for i in range(1, steps + 1):
         k0 = k1 = None
@@ -576,7 +569,9 @@ def _volterra_kernel_rows(
                 np.asarray(spec.a0(times[i], times[j]), dtype=float).reshape(n, n).T
                 for j in range(i)
             ])
-        if has_a1:
+        if separated is not None:
+            k1 = separated[: i * n]
+        elif spec.a1_full is not None:
             k1 = np.concatenate([spec.a1_at(times[i], times[j]).reshape(n, n).T for j in range(i)])
         rows.append((k0, k1))
     return rows

@@ -15,9 +15,14 @@ from typing import Callable
 import numpy as np
 
 from .. import cones
-from ..backward import BsvieSpec, StepFnBsvieData
+from ..backward import BsvieSpec
 from ..forward import FsvieSpec
 from ..lattice import AdaptedProcess, BinaryLattice, TerminalField
+
+# finite-difference probes of nonlinear drifts: sampled y points, their seed, the tolerance
+SAMPLE_COUNT = 8
+SEED = 0
+FD_TOL = 1e-7
 
 SATISFIED = "satisfied"
 VIOLATED = "violated"
@@ -54,9 +59,6 @@ class HypothesisReport:
         self.conditions[name] = ConditionReport(
             SATISFIED if ok else VIOLATED, None if ok else witness
         )
-
-    def set_na(self, name: str) -> None:
-        self.conditions[name] = ConditionReport(NOT_APPLICABLE)
 
     def finalize(self) -> "HypothesisReport":
         for name in CONDITION_ORDER:
@@ -113,34 +115,14 @@ def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
     return jac
 
 
-def check_hypotheses(
-    spec,
-    lattice: BinaryLattice,
-    sample_count: int = 8,
-    seed: int = 0,
-    companion=None,
-    monotone_selection: bool | None = None,
-    fd_tol: float = 1e-7,
-) -> HypothesisReport:
-    """Evaluate the condition slate for a forward or backward Volterra spec.
-
-    ``companion`` supplies the lower spec of a pair for the difference
-    monotonicity condition.  ``monotone_selection`` is a declared (not
-    searched) flag for the availability of a y-nondecreasing selection between
-    the pair.
-    """
+def check_hypotheses(spec, lattice: BinaryLattice) -> HypothesisReport:
+    """Evaluate the condition slate for a forward or backward Volterra spec."""
     if isinstance(spec, FsvieSpec):
         rep = _check_fsvie(spec, lattice)
     elif isinstance(spec, BsvieSpec):
-        rep = _check_bsvie(spec, lattice, sample_count, seed, fd_tol)
-    elif isinstance(spec, StepFnBsvieData):
-        rep = _check_stepfn(spec, lattice)
+        rep = _check_bsvie(spec, lattice)
     else:
         raise TypeError(f"no hypothesis slate for {type(spec).__name__}")
-    if companion is not None:
-        _check_difference(rep, spec, companion, lattice, sample_count, seed)
-    if monotone_selection is not None:
-        rep.set("monotone_selection", bool(monotone_selection), "declared absent")
     return rep.finalize()
 
 
@@ -266,14 +248,13 @@ def _psi_monotone(psi: TerminalField, lattice: BinaryLattice) -> tuple[bool, str
     return True, None
 
 
-def _check_bsvie(spec: BsvieSpec, lattice: BinaryLattice, sample_count: int,
-                 seed: int, fd_tol: float) -> HypothesisReport:
+def _check_bsvie(spec: BsvieSpec, lattice: BinaryLattice) -> HypothesisReport:
     rep = HypothesisReport()
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     times = lattice.times
     N = lattice.depth
     n = spec.dim
-    ys = rng.uniform(-2.0, 2.0, (max(sample_count, 1), n))
+    ys = rng.uniform(-2.0, 2.0, (SAMPLE_COUNT, n))
 
     def y_jacobian(t, s, y):
         if spec.a_kernel is not None and spec.h_fn is None and spec.generator is None:
@@ -290,12 +271,12 @@ def _check_bsvie(spec: BsvieSpec, lattice: BinaryLattice, sample_count: int,
         for i in range(0, j + 1):
             for y in ys:
                 jac = y_jacobian(times[i], times[j], y)
-                if ok_mz and not cones.is_metzler(jac, tol=fd_tol):
+                if ok_mz and not cones.is_metzler(jac, tol=FD_TOL):
                     e, v = _worst_entry(jac, mask_diag=True)
                     ok_mz, wit_mz = False, _fmt_pair(times[i], times[j], e, v)
                 if ok_mono and i + 1 <= j:
                     d = jac - y_jacobian(times[i + 1], times[j], y)
-                    if not cones.is_nonneg(d, tol=fd_tol):
+                    if not cones.is_nonneg(d, tol=FD_TOL):
                         e, v = _worst_entry(d)
                         ok_mono, wit_mono = False, _fmt_pair(times[i], times[j], e, v)
                 if spec.a_kernel is not None and spec.h_fn is None and spec.generator is None:
@@ -335,7 +316,7 @@ def _check_bsvie(spec: BsvieSpec, lattice: BinaryLattice, sample_count: int,
                     bump = spec.drift(times[i], times[j], ys[:1], None, col, None)
                     probes.append(np.asarray(bump - base, dtype=float).ravel())
                 for j0, p in enumerate(probes[1:], start=1):
-                    if np.max(np.abs(p - probes[0])) > fd_tol:
+                    if np.max(np.abs(p - probes[0])) > FD_TOL:
                         ok_s, wit_s = False, (
                             f"t={times[i]:g},s={times[i + j0]:g} vs s={times[i]:g}"
                         )
@@ -346,65 +327,3 @@ def _check_bsvie(spec: BsvieSpec, lattice: BinaryLattice, sample_count: int,
     ok_p, wit_p = _psi_monotone(spec.psi, lattice)
     rep.set("free_term_monotone", ok_p, wit_p)
     return rep
-
-
-def _check_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> HypothesisReport:
-    from ..backward import _stepfn_hypotheses
-
-    rep = HypothesisReport()
-    hyp = _stepfn_hypotheses(data, lattice)
-    rep.set("metzler_y", hyp.kernel_metzler)
-    rep.set("kernel_t_monotone", hyp.kernel_monotone)
-    rep.set("free_term_monotone", hyp.free_term_monotone)
-    rep.set("diagonal_z", hyp.z_coef_diagonal)
-    return rep
-
-
-def _check_difference(rep: HypothesisReport, upper, lower, lattice: BinaryLattice,
-                      sample_count: int, seed: int) -> None:
-    """h1 - h0 nonnegative and nonincreasing in t, on grid pairs and sampled y."""
-    rng = np.random.default_rng(seed + 1)
-    n = upper.dim
-    ys = rng.uniform(-2.0, 2.0, (max(sample_count, 1), n))
-    times = lattice.times
-    N = lattice.depth
-    ok, wit = True, None
-
-    def diff(t, s, y):
-        z = np.zeros((1, n)) if upper.uses_z else None
-        zeta = np.zeros((1, n)) if upper.uses_zeta else None
-        du = upper.drift(t, s, y.reshape(1, n), z, zeta, None)
-        dl = lower.drift(t, s, y.reshape(1, n), z, zeta, None)
-        return np.asarray(du - dl, dtype=float).ravel()
-
-    for j in range(N + 1):
-        for i in range(0, j + 1):
-            for y in ys:
-                d = diff(times[i], times[j], y)
-                if np.min(d) < -1e-12:
-                    ok, wit = False, f"t={times[i]:g},s={times[j]:g},value={float(np.min(d)):g}"
-                    break
-                if i + 1 <= j:
-                    dn = diff(times[i + 1], times[j], y)
-                    if np.min(d - dn) < -1e-12:
-                        ok, wit = False, f"t={times[i]:g},s={times[j]:g},increase"
-                        break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.set("difference_monotone", ok, wit)
-    # for a pair the free-term condition is the ordering of the difference
-    # (nonnegative and nonincreasing in t), which replaces the single-term check
-    okp, witp = True, None
-    for i in range(N):
-        d = (upper.psi.slice(i) - lower.psi.slice(i)) - (
-            upper.psi.slice(i + 1) - lower.psi.slice(i + 1)
-        )
-        if np.min(d) < -1e-12:
-            okp, witp = False, f"t={times[i]:g}"
-            break
-    last = upper.psi.slice(N) - lower.psi.slice(N)
-    if okp and np.min(last) < -1e-12:
-        okp, witp = False, "t=T"
-    rep.set("free_term_monotone", okp, witp)

@@ -47,7 +47,6 @@ class ComparisonVerdict:
     hypotheses: HypothesisReport
     conclusion_held: bool
     worst_violation: float
-    tolerance: float
     witness: str
     depth: int
     seed: int
@@ -83,11 +82,10 @@ def run_experiment(config: ScenarioConfig) -> ComparisonVerdict:
     elapsed_ms = 1e3 * (time.perf_counter() - t0)
     return ComparisonVerdict(
         scenario=entry.name,
-        theorem=outcome.theorem,
+        theorem=entry.theorem,
         hypotheses=outcome.hypotheses,
         conclusion_held=outcome.conclusion_held,
         worst_violation=outcome.worst_violation,
-        tolerance=0.0,
         witness=outcome.witness,
         depth=depth,
         seed=seed,

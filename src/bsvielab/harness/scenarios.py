@@ -51,7 +51,6 @@ class Check:
 
 @dataclass
 class ScenarioOutcome:
-    theorem: str
     hypotheses: HypothesisReport
     checks: list[Check]
     witness: str = ""
@@ -124,7 +123,6 @@ def _build_cone_equivalence(depth: int, seed: int, trials: int) -> ScenarioOutco
             mismatches += 1
             witness = witness or f"trial={k}"
     return ScenarioOutcome(
-        theorem="cone-preservation-equivalence",
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("equivalence_mismatches", float(mismatches), 0.0)],
         witness=witness,
@@ -185,7 +183,6 @@ def _build_forward_positivity(depth: int, seed: int, trials: int) -> ScenarioOut
         if min(float(np.min(x.at(1))), float(np.min(x.at(2)))) >= 0.0:
             necessity_misses += 1
     return ScenarioOutcome(
-        theorem="forward-positivity",
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[
             Check("min_component_below_zero", -worst_min, 0.0),
@@ -232,7 +229,6 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
             worst = slack
             witness = f"trial={k}"
     return ScenarioOutcome(
-        theorem="forward-comparison",
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 0.0)],
         witness=witness,
@@ -274,7 +270,6 @@ def _build_bsde_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
             worst = d
             witness = f"trial={k},s_index={s_idx}"
     return ScenarioOutcome(
-        theorem="bsde-duality",
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("max_discrepancy", worst, 1e-10)],
         witness=witness,
@@ -320,7 +315,6 @@ def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
         if slack < worst:
             worst, witness = slack, f"trial={k}"
     return ScenarioOutcome(
-        theorem="bsde-comparison",
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
         witness=witness,
@@ -369,7 +363,6 @@ def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutco
     hyp = HypothesisReport.by_construction("metzler_y", "diagonal_z")
     hyp.set("monotone_selection", True)
     return ScenarioOutcome(
-        theorem="bsvie-comparison",
         hypotheses=hyp.finalize(),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
         witness=witness,
@@ -440,7 +433,6 @@ def _build_stepfn_positivity(depth: int, seed: int, trials: int) -> ScenarioOutc
         "metzler_y", "diagonal_z", "kernel_t_monotone", "free_term_monotone"
     )
     return ScenarioOutcome(
-        theorem="bsvie-stepfn-positivity",
         hypotheses=hyp,
         checks=[
             Check("min_y_below_zero", -worst_min, 0.0),
@@ -518,7 +510,6 @@ def _build_structured_comparison(depth: int, seed: int, trials: int) -> Scenario
         if slack < worst:
             worst, witness = slack, f"trial={k}"
     return ScenarioOutcome(
-        theorem="bsvie-structured-comparison",
         hypotheses=HypothesisReport.by_construction(
             "metzler_y", "diagonal_z", "kernel_t_monotone",
             "difference_monotone", "free_term_monotone",
@@ -556,7 +547,6 @@ def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcom
         if m < worst:
             worst, witness = m, f"trial={k}"
     return ScenarioOutcome(
-        theorem="bsvie-weak-positivity",
         hypotheses=HypothesisReport.by_construction(
             "metzler_y", "diagonal_z", "kernel_t_monotone",
             "free_term_monotone", "zeta_coeff_s_free",
@@ -594,7 +584,6 @@ def _build_weak_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
             pointwise_failures += 1
             worst_pointwise = min(worst_pointwise, pw)
     return ScenarioOutcome(
-        theorem="bsvie-weak-comparison",
         hypotheses=HypothesisReport.by_construction(
             "metzler_y", "diagonal_z", "kernel_t_monotone",
             "difference_monotone", "free_term_monotone", "zeta_coeff_s_free",
@@ -636,7 +625,6 @@ def _build_bsvie_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         if d > worst:
             worst, witness = d, f"trial={k}"
     return ScenarioOutcome(
-        theorem="bsvie-duality",
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("max_discrepancy", worst, 1e-8)],
         witness=witness,
@@ -677,7 +665,6 @@ def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOut
                 worst_ratio, witness = r, f"trial={k}"
         worst_increase = max(worst_increase, max(hist.max_increase))
     return ScenarioOutcome(
-        theorem="picard-contraction",
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),
         checks=[
             Check("weighted_norm_ratio", worst_ratio, 1.0 - 1e-9),
@@ -712,7 +699,6 @@ def _build_msolution_structural(depth: int, seed: int, trials: int) -> ScenarioO
         if sol.msolution_residual > worst:
             worst, witness = sol.msolution_residual, f"trial={k}"
     return ScenarioOutcome(
-        theorem="msolution-structural",
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("reconstruction_residual", worst, 1e-12)],
         witness=witness,
@@ -742,7 +728,6 @@ def _build_ex26(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     hyp = check_hypotheses(spec, _aux_lattice(T))
     return ScenarioOutcome(
-        theorem="forward-volterra-positivity",
         hypotheses=hyp,
         checks=[Check("min_x_below_zero", -float(np.min(x)), 0.0)],
         witness=f"t={times[int(np.argmin(x))]:g}",
@@ -758,7 +743,6 @@ def _build_ex27(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     sv = sign_violation(x)
     hyp = check_hypotheses(spec, lat if depth <= 10 else _aux_lattice(T))
     return ScenarioOutcome(
-        theorem="forward-volterra-positivity",
         hypotheses=hyp,
         checks=[Check("min_x_below_zero", -x.min(), 0.0)],
         witness=str(sv.witness) if sv.witness else "",
@@ -789,7 +773,6 @@ def _build_ex28(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     sv = sign_violation(x)
     hyp = check_hypotheses(spec, lat if depth <= 10 else _aux_lattice(T))
     return ScenarioOutcome(
-        theorem="forward-volterra-positivity",
         hypotheses=hyp,
         checks=[Check("min_x_below_zero", -x.min(), 0.0)],
         witness=str(sv.witness) if sv.witness else "",
@@ -826,7 +809,6 @@ def _build_ex210(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     solver_min = forward.solve_linear_fsvie(spec, lat).min()
     hyp = check_hypotheses(spec, lat if depth <= 10 else _aux_lattice(T))
     return ScenarioOutcome(
-        theorem="forward-volterra-positivity",
         hypotheses=hyp,
         checks=[Check("min_x_below_zero", -min_val, 0.0)],
         witness=witness,
@@ -858,7 +840,6 @@ def _build_ex33(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     hyp = check_hypotheses(spec, lat)
     return ScenarioOutcome(
-        theorem="bsvie-comparison",
         hypotheses=hyp,
         checks=[Check("ordering_slack_below_zero", -float(np.min(y)), 0.0)],
         witness="t=0",
@@ -882,7 +863,6 @@ def _build_ex34(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     hyp = check_hypotheses(spec, lat)
     return ScenarioOutcome(
-        theorem="bsvie-comparison",
         hypotheses=hyp,
         checks=[Check("ordering_slack_below_zero", -float(np.min(y)), 0.0)],
         witness="t=0",
@@ -908,7 +888,6 @@ def _build_ex35(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     hyp = check_hypotheses(spec, lat)
     return ScenarioOutcome(
-        theorem="bsvie-stepfn-positivity",
         hypotheses=hyp,
         checks=[Check("min_y_below_zero", -float(np.min(y)), h)],
         witness=f"t={times[int(np.argmin(y))]:g}",
@@ -946,7 +925,6 @@ def _build_ex38(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         raise ScenarioValidityError(f"duality pairing mismatch: {pairing_err:.2e}")
     hyp = check_hypotheses(spec, lat if depth <= 10 else _aux_lattice(T))
     return ScenarioOutcome(
-        theorem="bsvie-weak-positivity",
         hypotheses=hyp,
         checks=[Check("neg_expected_time_integral", -e_int_y, 0.0)],
         witness="t=0",

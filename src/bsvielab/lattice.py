@@ -343,6 +343,35 @@ def ito_integral(integrand: AdaptedProcess) -> AdaptedProcess:
     return AdaptedProcess(lat, n, levels)
 
 
+def volterra_sum(
+    lattice: BinaryLattice,
+    acc: np.ndarray,
+    xs: Sequence[np.ndarray],
+    level: int,
+    drift: Callable[[int], np.ndarray] | None,
+    diffusion: Callable[[int], np.ndarray] | None,
+) -> None:
+    """Add the Volterra sum over the past to the level-``level`` slice ``acc``, in place:
+
+        acc += sum_{j < level} [h X_j A0_j^T + X_j A1_j^T dW_j]   (lifted to ``level``),
+
+    where ``X_j = xs[j]`` has shape ``(2**j, n)``, ``A0_j = drift(j)`` and
+    ``A1_j = diffusion(j)`` are the ``(n, n)`` blocks at inner time t_j, and
+    dW_j is the step-j increment along each level-``level`` path.  A kernel
+    given as ``None`` is absent.  Terms are added for j = 0, 1, ... with the
+    drift term before the diffusion term, and the kernels are called in that
+    order; every caller relies on this order for bitwise-reproducible results.
+    """
+    h, sq = lattice.h, lattice.sqrt_h
+    for j in range(level):
+        xj = xs[j]
+        if drift is not None:
+            acc += h * lattice.lift(xj @ drift(j).T, j, level)
+        if diffusion is not None:
+            incr = sq * lattice.step_signs(level, j)
+            acc += lattice.lift(xj @ diffusion(j).T, j, level) * incr[:, None]
+
+
 def martingale_representation(
     lattice: BinaryLattice, xi: np.ndarray, level: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:

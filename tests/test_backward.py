@@ -494,6 +494,65 @@ def test_bsvie_duality_random_diagonal_specs():
         assert backward.bsvie_duality_check(spec, eta, lat) <= 1e-8
 
 
+# Reference: the adjoint loop of bsvie_duality_check before lattice.volterra_sum.
+
+
+def _reference_bsvie_duality(spec, eta, lat, msol):
+    n, N = spec.dim, lat.depth
+    h, sq = lat.h, lat.sqrt_h
+    times = lat.times
+    a = spec.a_kernel if spec.a_kernel is not None else (lambda t, s: np.zeros((n, n)))
+    c = spec.c_coef
+    eye = np.eye(n)
+    xs, phis = [], []
+    phi_acc = np.zeros((1, n))
+    for j in range(N):
+        if j > 0:
+            prev = phi_acc + h * eta.at(j - 1)
+            phi_acc = np.empty((2**j, n))
+            phi_acc[0::2] = phi_acc[1::2] = prev
+        phis.append(phi_acc.copy())
+        rhs = phi_acc.copy()
+        for i in range(j):
+            term = xs[i] @ np.asarray(a(times[i], times[j]), dtype=float)
+            rhs += h * lat.lift(term, i, j)
+            if c is not None:
+                cterm = xs[i] @ np.asarray(c(times[i]), dtype=float)
+                rhs += lat.lift(cterm, i, j) * (sq * lat.step_signs(j, i))[:, None]
+        a_jj = np.asarray(a(times[j], times[j]), dtype=float)
+        xs.append(np.linalg.solve(eye - h * a_jj.T, rhs.T).T)
+    lhs = rhs_pair = 0.0
+    for j in range(N):
+        x_leaf = lat.lift(xs[j], j, N)
+        lhs += h * float(np.mean(np.sum(spec.psi.slice(j) * x_leaf, axis=1)))
+        rhs_pair += h * float(np.mean(np.sum(phis[j] * msol.y.at(j), axis=1)))
+    return abs(lhs - rhs_pair)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 9), st.booleans(),
+       st.booleans())
+def test_bsvie_duality_is_bitwise_equal_to_the_reference(seed, n, depth, a_on, c_on):
+    rng = np.random.default_rng(seed)
+    lat = BinaryLattice(1.0, depth)
+    m0, m1 = rng.uniform(-0.6, 0.6, (n, n)), rng.uniform(-0.6, 0.6, (n, n))
+    c0, c1 = np.diag(rng.uniform(-1.0, 1.0, n)), np.diag(rng.uniform(-1.0, 1.0, n))
+    psi = TerminalField(lat, n, rng.standard_normal((depth + 1, 2**depth, n)))
+    spec = backward.BsvieSpec(
+        n, psi,
+        a_kernel=(lambda t, s: m0 + t * s * m1) if a_on else None,
+        c_coef=(lambda t: c0 + t * c1) if c_on else None,
+        uses_z=False, uses_zeta=c_on, lip_y=1.2, lip_zeta=2.0,
+    )
+    eta = AdaptedProcess.from_function(
+        lat, n, lambda t, w: np.cos(np.outer(w + t, np.arange(1, n + 1)))
+    )
+    msol = backward.solve_bsvie_msolution(spec, lat)
+    assert backward.bsvie_duality_check(spec, eta, lat, msol) == _reference_bsvie_duality(
+        spec, eta, lat, msol
+    )
+
+
 # -- weak comparison functional --------------------------------------------------------------
 
 

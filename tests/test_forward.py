@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bsvielab import forward
-from bsvielab.errors import ResourceBudgetError
+from bsvielab.errors import DivergenceError, ResourceBudgetError
 from bsvielab.lattice import AdaptedProcess, BinaryLattice, sign_violation
 
 
@@ -220,7 +221,7 @@ def test_partition_full_grid_is_identity():
     ref = forward.solve_linear_fsvie(spec, lat)
     part = forward.partition_approximation(spec, list(range(9)), lat)
     worst = max(float(np.max(np.abs(part.at(k) - ref.at(k)))) for k in range(9))
-    assert worst <= 1e-14
+    assert worst == 0.0
 
 
 def test_partition_constant_kernel_is_partition_independent():
@@ -256,6 +257,162 @@ def test_partition_rejects_bad_input():
         forward.partition_approximation(spec, [0, 3], lat)
     with pytest.raises(ValueError):
         forward.partition_approximation(spec, [1, 6], lat)
+
+
+# -- one Volterra sum: bitwise equal to the per-(k, j) loops it replaced ------------
+
+
+# Reference: the recursion, free-term reads and kernel closures of
+# partition_approximation before lattice.volterra_sum (solve_linear_fsvie is
+# the identity freeze), and the Picard sweep with its (k, j) kernel dict.
+
+
+def _reference_phi(spec, lat, level, anchor):
+    if isinstance(spec.phi, AdaptedProcess):
+        return lat.lift(spec.phi.at(anchor), anchor, level)
+    v = np.atleast_1d(np.asarray(spec.phi(lat.times[anchor]), dtype=float))
+    return np.tile(v.reshape(1, spec.dim), (2**level, 1))
+
+
+def _reference_fsvie(spec, lat, frozen):
+    times = lat.times
+    h, sq = lat.h, lat.sqrt_h
+    n = spec.dim
+
+    def a0_pair(k, j):
+        if spec.a0 is None:
+            return None
+        return np.asarray(spec.a0(times[frozen[k]], times[j]), dtype=float).reshape(n, n)
+
+    def a1_pair(k, j):
+        m = spec.a1_at(times[frozen[k]], times[j])
+        return None if m is None else m.reshape(n, n)
+
+    levels = [_reference_phi(spec, lat, 0, frozen[0])]
+    for k in range(1, lat.depth + 1):
+        acc = _reference_phi(spec, lat, k, frozen[k]).copy()
+        for j in range(k):
+            xj = levels[j]
+            m0 = a0_pair(k, j)
+            if m0 is not None:
+                acc += h * lat.lift(xj @ m0.T, j, k)
+            m1 = a1_pair(k, j)
+            if m1 is not None:
+                incr = sq * lat.step_signs(k, j)
+                acc += lat.lift(xj @ m1.T, j, k) * incr[:, None]
+        levels.append(acc)
+    return levels
+
+
+def _reference_picard(spec, lat, max_iter=50, tol=1e-12):
+    times, h = lat.times, lat.h
+    kern = {}
+    if spec.a0 is not None:
+        for k in range(1, lat.depth + 1):
+            for j in range(k):
+                kern[(k, j)] = np.asarray(spec.a0(times[k], times[j]), dtype=float).reshape(
+                    spec.dim, spec.dim
+                )
+    phi_levels = [_reference_phi(spec, lat, k, k) for k in range(lat.depth + 1)]
+    cur = [p.copy() for p in phi_levels]
+    norms = []
+    for _ in range(max_iter):
+        nxt = [phi_levels[0].copy()]
+        for k in range(1, lat.depth + 1):
+            acc = phi_levels[k].copy()
+            for j in range(k):
+                if (k, j) in kern:
+                    acc += h * lat.lift(cur[j] @ kern[(k, j)].T, j, k)
+            nxt.append(acc)
+        diff = math.sqrt(
+            sum(h * float(np.mean(np.sum((a - b) ** 2, axis=1))) for a, b in zip(nxt, cur))
+        )
+        norms.append(diff)
+        cur = nxt
+        if diff < tol:
+            return cur, norms
+    raise AssertionError("reference sweep did not converge")
+
+
+def _random_fsvie(seed, n, lat, phi_kind, a0_on, a1_kind):
+    rng = np.random.default_rng(seed)
+    m0, m1, m2 = (rng.uniform(-0.8, 0.8, (n, n)) for _ in range(3))
+    d0, d1, d2 = (rng.uniform(-0.8, 0.8, (n, n)) for _ in range(3))
+    v0, v1 = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    phi = (
+        AdaptedProcess.from_function(lat, n, lambda t, w: v0 + np.outer(np.sin(w + t), v1))
+        if phi_kind == "adapted" else (lambda t: v0 + t * v1)
+    )
+    kernels = {}
+    if a0_on:
+        kernels["a0"] = lambda t, s: m0 + np.cos(3.0 * t) * m1 - s * m2
+    if a1_kind == "separated":
+        kernels["a1"] = lambda s: d0 + s * d1
+    elif a1_kind == "full":
+        kernels["a1_full"] = lambda t, s: d0 + t * d1 + np.sin(2.0 * s) * d2
+    return forward.FsvieSpec(n, phi, **kernels)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 9),
+    st.sampled_from(["callable", "adapted"]), st.booleans(),
+    st.sampled_from([None, "separated", "full"]), st.data(),
+)
+def test_unified_recursion_is_bitwise_equal_to_the_reference(
+    seed, n, depth, phi_kind, a0_on, a1_kind, data
+):
+    lat = BinaryLattice(1.0, depth)
+    spec = _random_fsvie(seed, n, lat, phi_kind, a0_on, a1_kind)
+    inner = data.draw(st.sets(st.integers(1, depth - 1)))
+    part = [0, *sorted(inner), depth]
+    frozen = [max(p for p in part if p <= i) for i in range(depth + 1)]
+    cases = [
+        (forward.solve_linear_fsvie(spec, lat), list(range(depth + 1))),
+        (forward.partition_approximation(spec, part, lat), frozen),
+    ]
+    for x, freeze in cases:
+        ref = _reference_fsvie(spec, lat, freeze)
+        for k in range(depth + 1):
+            assert np.array_equal(x.at(k), ref[k]), (freeze, k)
+    if a1_kind is None:
+        x, norms = forward.picard_fsvie(spec, lat)
+        ref, ref_norms = _reference_picard(spec, lat)
+        assert norms == ref_norms
+        for k in range(depth + 1):
+            assert np.array_equal(x.at(k), ref[k]), k
+
+
+def test_picard_names_the_non_finite_node_like_the_direct_solve():
+    lat = BinaryLattice(1.0, 5)
+    spec = forward.FsvieSpec(
+        1, lambda t: np.array([1.0]), a0=lambda t, s: np.array([[0.3 if s <= 0.4 else math.nan]])
+    )
+    with pytest.raises(DivergenceError) as direct:
+        forward.solve_linear_fsvie(spec, lat)
+    with pytest.raises(DivergenceError) as picard:
+        forward.picard_fsvie(spec, lat)
+    assert str(direct.value) == str(picard.value) == "non-finite state at level 4, node 0"
+
+
+def test_picard_deterministic_names_the_non_finite_step_like_the_direct_solve():
+    def kernel(t, s):
+        return np.where(s <= 0.4, 0.3, math.nan)
+
+    with pytest.raises(DivergenceError) as direct:
+        forward.solve_linear_fsvie_deterministic(lambda t: 1.0, kernel, 1.0, 64)
+    with pytest.raises(DivergenceError) as picard:
+        forward.picard_fsvie_deterministic(lambda t: 1.0, kernel, 1.0, 64)
+    assert str(direct.value) == str(picard.value) == "non-finite state at step 27"
+
+
+def test_non_finite_free_term_at_time_zero_is_named_at_level_zero():
+    lat = BinaryLattice(1.0, 4)
+    spec = forward.FsvieSpec(1, lambda t: np.array([math.nan if t == 0.0 else 1.0]))
+    with pytest.raises(DivergenceError, match="non-finite state at level 0, node 0$"):
+        forward.solve_linear_fsvie(spec, lat)
+    with pytest.raises(DivergenceError, match="non-finite state at level 0, node 0$"):
+        forward.picard_fsvie(spec, lat)
 
 
 # -- Monte Carlo --------------------------------------------------------------------
@@ -433,6 +590,15 @@ def test_mc_streaming_equals_materialised_paths(spec, steps, monkeypatch):
         f"{(mc.violation_freq[diff] * paths).tolist()} vs {(freq[diff] * paths).tolist()}"
     )
     np.testing.assert_allclose(mc.mean, mean, rtol=1e-12, atol=0.0)
+
+
+def test_mc_reads_a_separated_diffusion_kernel_once_per_inner_time():
+    seen = []
+    spec = forward.FsvieSpec(
+        1, lambda t: np.array([1.0]), a1=lambda s: seen.append(s) or np.eye(1)
+    )
+    forward.euler_monte_carlo(spec, 1.0, 16, 10, seed=0)
+    assert seen == list(np.linspace(0.0, 1.0, 17)[:16])
 
 
 # -- discrete positivity and comparison ------------------------------------------------

@@ -52,7 +52,7 @@ def test_counterexamples_fail_and_families_hold():
         v = run_experiment(ScenarioConfig(scenario=name))
         assert v.conclusion_held is holds
         assert v.agrees_with_expectation
-        assert v.conclusion_held == (v.worst_violation <= v.tolerance)
+        assert v.conclusion_held == (v.worst_violation <= 0.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -61,11 +61,11 @@ def test_non_finite_check_never_passes(bad, size):
     passing = [Check(f"c{k}", 0.0, 1.0) for k in range(size - 1)]
     for pos in range(size):
         checks = passing[:pos] + [Check("bad", bad, 1.0)] + passing[pos:]
-        outcome = ScenarioOutcome("t", HypothesisReport.not_applicable(), checks)
+        outcome = ScenarioOutcome(HypothesisReport.not_applicable(), checks)
         assert outcome.worst_violation == math.inf
         assert outcome.conclusion_held is False
     checks = passing + [Check("x", 0.5, 1.0)]
-    finite = ScenarioOutcome("t", HypothesisReport.not_applicable(), checks)
+    finite = ScenarioOutcome(HypothesisReport.not_applicable(), checks)
     assert finite.worst_violation == -0.5 and finite.conclusion_held
 
 
@@ -102,7 +102,7 @@ def _dummy_verdict(name="demo", held=True) -> ComparisonVerdict:
     return ComparisonVerdict(
         scenario=name, theorem="bsde-comparison",
         hypotheses=HypothesisReport.not_applicable(),
-        conclusion_held=held, worst_violation=-1.5e-13, tolerance=0.0,
+        conclusion_held=held, worst_violation=-1.5e-13,
         witness="trial=0", depth=8, seed=1, runtime_ms=12.5, expected_holds=held,
     )
 
