@@ -289,7 +289,6 @@ class BsvieSpec:
     uses_zeta: bool = False
     lip_y: float = 0.0
     lip_z: float = 0.0
-    lip_zeta: float = 0.0
 
     def __post_init__(self):
         structured = any(

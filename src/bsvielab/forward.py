@@ -57,8 +57,6 @@ class FsdeSpec:
     a0: Callable | None = None
     a1: Callable | None = None
     b: Callable | None = None
-    lip_drift: float = 0.0
-    lip_diffusion: float = 0.0
 
     def __post_init__(self):
         self.x0 = np.atleast_1d(np.asarray(self.x0, dtype=float))

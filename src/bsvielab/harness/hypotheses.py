@@ -103,6 +103,18 @@ def _worst_entry(m: np.ndarray, mask_diag: bool = False):
     return (int(r), int(c)), float(m[r, c])
 
 
+def _first_non_diagonal(coef: Callable | None, times) -> str | None:
+    """Witness at the first grid time where ``coef(t)`` is not diagonal; None if none is."""
+    if coef is None:
+        return None
+    for t in times:
+        m = np.asarray(coef(t), dtype=float)
+        if not cones.is_diagonal(m):
+            e, v = _worst_entry(np.abs(m), mask_diag=True)
+            return _fmt_pair(t, t, e, v)
+    return None
+
+
 def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
                  eps: float = 1e-6) -> np.ndarray:
     n = y.size
@@ -179,14 +191,8 @@ def _check_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> HypothesisReport:
         rep.set("kernel_continuity", ok_c, wit_c)
     # diffusion: diagonal, and independent of the outer time
     if spec.a1 is not None:
-        ok_d, wit_d = True, None
-        for j in range(N + 1):
-            m = np.asarray(spec.a1(times[j]), dtype=float)
-            if not cones.is_diagonal(m):
-                e, v = _worst_entry(np.abs(m), mask_diag=True)
-                ok_d, wit_d = False, _fmt_pair(times[j], times[j], e, v)
-                break
-        rep.set("diagonal_z", ok_d, wit_d)
+        wit_d = _first_non_diagonal(spec.a1, times)
+        rep.set("diagonal_z", wit_d is None, wit_d)
         rep.set("diffusion_t_free", True)
     elif spec.a1_full is not None:
         ok_d, wit_d = True, None
@@ -284,22 +290,8 @@ def _check_bsvie(spec: BsvieSpec, lattice: BinaryLattice) -> HypothesisReport:
     rep.set("metzler_y", ok_mz, wit_mz)
     rep.set("kernel_t_monotone", ok_mono, wit_mono)
 
-    ok_d, wit_d = True, None
-    if spec.b_coef is not None:
-        for j in range(N + 1):
-            m = np.asarray(spec.b_coef(times[j]), dtype=float)
-            if not cones.is_diagonal(m):
-                e, v = _worst_entry(np.abs(m), mask_diag=True)
-                ok_d, wit_d = False, _fmt_pair(times[j], times[j], e, v)
-                break
-    if spec.c_coef is not None and ok_d:
-        for i in range(N + 1):
-            m = np.asarray(spec.c_coef(times[i]), dtype=float)
-            if not cones.is_diagonal(m):
-                e, v = _worst_entry(np.abs(m), mask_diag=True)
-                ok_d, wit_d = False, _fmt_pair(times[i], times[i], e, v)
-                break
-    rep.set("diagonal_z", ok_d, wit_d)
+    wit_d = _first_non_diagonal(spec.b_coef, times) or _first_non_diagonal(spec.c_coef, times)
+    rep.set("diagonal_z", wit_d is None, wit_d)
 
     if spec.uses_zeta:
         if spec.c_coef is not None:

@@ -24,6 +24,8 @@ CSV_COLUMNS = [
     "seed",
     "runtime_ms",
 ]
+# JSON numbers and booleans, emitted unquoted
+_RAW_JSON = {"conclusion_held", "worst_violation", "depth", "seed", "runtime_ms"}
 
 
 def _fmt_float(x: float) -> str:
@@ -67,11 +69,7 @@ def render_report(verdicts: list[ComparisonVerdict], fmt: str) -> str:
         for row in _rows(verdicts):
             parts = []
             for col in CSV_COLUMNS:
-                if col in ("worst_violation", "runtime_ms"):
-                    parts.append(f'"{col}": {row[col]}')
-                elif col == "conclusion_held":
-                    parts.append(f'"{col}": {row[col]}')
-                elif col == "depth" or col == "seed":
+                if col in _RAW_JSON:
                     parts.append(f'"{col}": {row[col]}')
                 else:
                     parts.append(f'"{col}": {json.dumps(row[col])}')

@@ -85,6 +85,32 @@ class ScenarioValidityError(RuntimeError):
     """A gallery scenario strayed from its closed-form oracle."""
 
 
+def _worst_trial(
+    trials: int, trial: Callable[[int], tuple], label=lambda k, res: f"trial={k}"
+) -> tuple[float, str, list[tuple]]:
+    """Run ``trial(k)`` for k = 0..trials-1 in order and pick the worst trial.
+
+    Each trial returns a tuple whose first entry is its slack: smaller is
+    worse, and a non-finite slack is worse than any finite one.  The worst
+    slack starts at 0.0 and only a strictly worse trial replaces it, so the
+    earlier trial wins a tie and the first non-finite slack is kept.  Returns
+    the worst slack, its witness (``label(k, result)``, "" if no trial went
+    below 0.0) and every trial's tuple, for the builder's other columns.
+    """
+    worst, witness, results = 0.0, "", []
+    for k in range(trials):
+        res = trial(k)
+        results.append(res)
+        if math.isfinite(worst) and (res[0] < worst or not math.isfinite(res[0])):
+            worst, witness = res[0], label(k, res)
+    return worst, witness, results
+
+
+def _ordering_slack(hi_levels, lo_levels) -> float:
+    """Smallest entry of ``hi - lo`` over all levels; NaN if any difference is NaN."""
+    return float(np.min([np.min(hi - lo) for hi, lo in zip(hi_levels, lo_levels)]))
+
+
 # -- samplers ---------------------------------------------------------------------
 
 
@@ -111,17 +137,16 @@ def _scaled(m: np.ndarray, cap: float, weight: float) -> np.ndarray:
 
 def _build_cone_equivalence(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    mismatches = 0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 5))
         m = int(rng.integers(1, 5))
         a = rng.uniform(-1.0, 1.0, (n, m))
         lhs = cones.cone_preservation_check(a, sample_count=8, rng_seed=seed + k)
-        rhs = cones.is_nonneg(a, 0.0)
-        if lhs != rhs:
-            mismatches += 1
-            witness = witness or f"trial={k}"
+        return (-1.0 if lhs != cones.is_nonneg(a, 0.0) else 0.0,)
+
+    _, witness, results = _worst_trial(trials, trial)
+    mismatches = sum(r[0] < 0.0 for r in results)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("equivalence_mismatches", float(mismatches), 0.0)],
@@ -141,12 +166,26 @@ def _piecewise(values: list[np.ndarray], lattice: BinaryLattice):
     return fn
 
 
+def _injected_violation_missed(seed: int) -> bool:
+    """Break a Metzler drift or diagonal diffusion in one entry and see whether the
+    flow stays nonnegative for two levels (a NaN counts as staying, i.e. a miss)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 4))
+    a0 = _random_metzler(rng, n, 0.5)
+    a1 = np.diag(rng.uniform(-0.5, 0.5, n))
+    if rng.integers(0, 2) == 0:
+        a0[1, 0] = -1.0
+    else:
+        a1[1, 0] = 1.0
+    spec = forward.FsdeSpec(n, np.eye(n)[0], a0=lambda t: a0, a1=lambda t: a1)
+    x = forward.solve_fsde(spec, BinaryLattice(0.5, 8))
+    return not (x.at(1).min() < 0.0 or x.at(2).min() < 0.0)
+
+
 def _build_forward_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst_min = 0.0
-    witness = ""
-    necessity_misses = 0
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 4))
         N = int(rng.integers(4, min(depth, 12) + 1))
         a0b = float(rng.uniform(0.2, 2.0))
@@ -160,32 +199,14 @@ def _build_forward_positivity(depth: int, seed: int, trials: int) -> ScenarioOut
             n, rng.uniform(0.0, 1.0, n),
             a0=_piecewise(a0s, lat), a1=_piecewise(a1s, lat), b=_piecewise(bs, lat),
         )
-        x = forward.solve_fsde(spec, lat)
-        m = x.min()
-        if m < worst_min:
-            worst_min = m
-            witness = f"trial={k}"
-    for k in range(trials):
-        rng2 = np.random.default_rng(seed + 10_000 + k)
-        n = int(rng2.integers(2, 4))
-        N = 8
-        lat = BinaryLattice(0.5, N)
-        a0 = _random_metzler(rng2, n, 0.5)
-        a1 = np.diag(rng2.uniform(-0.5, 0.5, n))
-        if rng2.integers(0, 2) == 0:
-            a0 = a0.copy()
-            a0[1, 0] = -1.0
-        else:
-            a1 = a1.copy()
-            a1[1, 0] = 1.0
-        spec = forward.FsdeSpec(n, np.eye(n)[0], a0=lambda t, m=a0: m, a1=lambda t, m=a1: m)
-        x = forward.solve_fsde(spec, lat)
-        if min(float(np.min(x.at(1))), float(np.min(x.at(2)))) >= 0.0:
-            necessity_misses += 1
+        return forward.solve_fsde(spec, lat).min(), _injected_violation_missed(seed + 10_000 + k)
+
+    worst, witness, results = _worst_trial(trials, trial)
+    necessity_misses = sum(r[1] for r in results)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[
-            Check("min_component_below_zero", -worst_min, 0.0),
+            Check("min_component_below_zero", -worst, 0.0),
             Check("necessity_misses", float(necessity_misses), 0.0),
         ],
         witness=witness,
@@ -195,9 +216,8 @@ def _build_forward_positivity(depth: int, seed: int, trials: int) -> ScenarioOut
 
 def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 4))
         N = int(rng.integers(4, min(depth, 10) + 1))
         L = _random_metzler(rng, n, 0.6)
@@ -224,10 +244,9 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
         hi = forward.solve_fsde(
             forward.FsdeSpec(n, x_hi, drift=lambda t, x, nd: bbar(x) + eps, diffusion=sigma), lat
         )
-        slack = min(float(np.min(hi.at(j) - lo.at(j))) for j in range(N + 1))
-        if slack < worst:
-            worst = slack
-            witness = f"trial={k}"
+        return (_ordering_slack(hi.levels, lo.levels),)
+
+    worst, witness, _ = _worst_trial(trials, trial)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 0.0)],
@@ -243,9 +262,8 @@ def _build_bsde_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
     n = 2
     lat = BinaryLattice(1.0, min(depth, 8))
-    worst = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         kind = k % 3
         if kind == 0:
             a = _random_diagonal(rng, n, 1.0)
@@ -265,13 +283,12 @@ def _build_bsde_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         )
         x = rng.uniform(0.0, 1.0, n)
         s_idx = int(rng.integers(0, 4))
-        d = backward.bsde_duality_check(spec, x, s_idx, lat)
-        if d > worst:
-            worst = d
-            witness = f"trial={k},s_index={s_idx}"
+        return -backward.bsde_duality_check(spec, x, s_idx, lat), s_idx
+
+    worst, witness, _ = _worst_trial(trials, trial, lambda k, res: f"trial={k},s_index={res[1]}")
     return ScenarioOutcome(
         hypotheses=HypothesisReport.not_applicable(),
-        checks=[Check("max_discrepancy", worst, 1e-10)],
+        checks=[Check("max_discrepancy", -worst, 1e-10)],
         witness=witness,
         details={"trials": trials},
     )
@@ -302,18 +319,17 @@ def _comparison_pair_bsde(rng, n: int, lat: BinaryLattice):
 
 def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 4))
         N = int(rng.integers(4, min(depth, 10) + 1))
         lat = BinaryLattice(1.0, N)
         lo_spec, hi_spec = _comparison_pair_bsde(rng, n, lat)
         lo = backward.solve_bsde(lo_spec, lat)
         hi = backward.solve_bsde(hi_spec, lat)
-        slack = min(float(np.min(hi.y[j] - lo.y[j])) for j in range(N + 1))
-        if slack < worst:
-            worst, witness = slack, f"trial={k}"
+        return (_ordering_slack(hi.y, lo.y),)
+
+    worst, witness, _ = _worst_trial(trials, trial)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
@@ -327,9 +343,8 @@ def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
 
 def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 4))
         N = int(rng.integers(4, min(depth, 9) + 1))
         lat = BinaryLattice(1.0, N)
@@ -357,13 +372,11 @@ def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutco
         )
         f_lo = backward.solve_bsvie_family(lo, lat)
         f_hi = backward.solve_bsvie_family(hi, lat)
-        slack = min(float(np.min(f_hi.y.at(j) - f_lo.y.at(j))) for j in range(N + 1))
-        if slack < worst:
-            worst, witness = slack, f"trial={k}"
-    hyp = HypothesisReport.by_construction("metzler_y", "diagonal_z")
-    hyp.set("monotone_selection", True)
+        return (_ordering_slack(f_hi.y.levels, f_lo.y.levels),)
+
+    worst, witness, _ = _worst_trial(trials, trial)
     return ScenarioOutcome(
-        hypotheses=hyp.finalize(),
+        hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
         witness=witness,
         details={"trials": trials},
@@ -411,31 +424,27 @@ def _stepfn_family_reference(data, mats, psis, b, lat: BinaryLattice):
 
 def _build_stepfn_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst_min = 0.0
-    worst_agree = 0.0
-    witness = ""
-    hyp_all = True
-    for k in range(trials):
+
+    def trial(k):
         N = int(rng.integers(5, min(depth, 10) + 1))
         lat = BinaryLattice(1.0, N)
         data, mats, psis, b = _stepfn_trial(rng, lat)
         res = backward.solve_linear_bsvie_stepfn(data, lat)
-        hyp_all &= res.hypotheses.all_met()
-        m = res.solution.y.min()
-        if m < worst_min:
-            worst_min, witness = m, f"trial={k}"
+        y = res.solution.y
         fam = _stepfn_family_reference(data, mats, psis, b, lat)
-        agree = max(
-            float(np.max(np.abs(fam.y.at(i) - res.solution.y.at(i)))) for i in range(N + 1)
-        )
-        worst_agree = max(worst_agree, agree)
+        agree = np.max([np.max(np.abs(f - r)) for f, r in zip(fam.y.levels, y.levels)])
+        return y.min(), agree, res.hypotheses.all_met()
+
+    worst, witness, results = _worst_trial(trials, trial)
+    worst_agree = float(np.max([0.0, *(r[1] for r in results)]))
+    hyp_all = all(r[2] for r in results)
     hyp = HypothesisReport.by_construction(
         "metzler_y", "diagonal_z", "kernel_t_monotone", "free_term_monotone"
     )
     return ScenarioOutcome(
         hypotheses=hyp,
         checks=[
-            Check("min_y_below_zero", -worst_min, 0.0),
+            Check("min_y_below_zero", -worst, 0.0),
             Check("family_disagreement", worst_agree, 1e-10),
             Check("hypothesis_flags_false", 0.0 if hyp_all else 1.0, 0.0),
         ],
@@ -488,7 +497,7 @@ def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
         c1 = rng.uniform(-3.0, 3.0, n)
         kw = dict(
             c_coef=lambda t, c0=c0, c1=c1: np.diag(c0 + c1 * t),
-            uses_z=False, uses_zeta=True, lip_zeta=5.0,
+            uses_z=False, uses_zeta=True,
         )
     lo = backward.BsvieSpec(n, TerminalField(lat, n, psi0), h_fn=h_lo, lip_y=1.0, **kw)
     hi = backward.BsvieSpec(n, TerminalField(lat, n, psi1), h_fn=h_hi, lip_y=1.0, **kw)
@@ -497,18 +506,17 @@ def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
 
 def _build_structured_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 3))
         N = int(rng.integers(4, min(depth, 9) + 1))
         lat = BinaryLattice(1.0, N)
         lo, hi = _structured_pair(rng, n, lat, coupling="z")
         f_lo = backward.solve_bsvie_family(lo, lat)
         f_hi = backward.solve_bsvie_family(hi, lat)
-        slack = min(float(np.min(f_hi.y.at(j) - f_lo.y.at(j))) for j in range(N + 1))
-        if slack < worst:
-            worst, witness = slack, f"trial={k}"
+        return (_ordering_slack(f_hi.y.levels, f_lo.y.levels),)
+
+    worst, witness, _ = _worst_trial(trials, trial)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction(
             "metzler_y", "diagonal_z", "kernel_t_monotone",
@@ -522,10 +530,8 @@ def _build_structured_comparison(depth: int, seed: int, trials: int) -> Scenario
 
 def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_res = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 3))
         N = int(rng.integers(4, min(depth, 8) + 1))
         lat = BinaryLattice(1.0, N)
@@ -538,14 +544,13 @@ def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcom
             n, TerminalField(lat, n, psi),
             a_kernel=lambda t, s, m0=m0, m1=m1: m0 + s * m1,
             c_coef=lambda t, m=c: m,
-            uses_z=False, uses_zeta=True, lip_y=1.0, lip_zeta=1.0,
+            uses_z=False, uses_zeta=True, lip_y=1.0,
         )
         sol = backward.solve_bsvie_msolution(spec, lat)
-        worst_res = max(worst_res, sol.msolution_residual)
-        w = backward.weak_comparison_functional(sol.y, lat)
-        m = w.min()
-        if m < worst:
-            worst, witness = m, f"trial={k}"
+        return backward.weak_comparison_functional(sol.y, lat).min(), sol.msolution_residual
+
+    worst, witness, results = _worst_trial(trials, trial)
+    worst_res = float(np.max([0.0, *(r[1] for r in results)]))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction(
             "metzler_y", "diagonal_z", "kernel_t_monotone",
@@ -562,27 +567,27 @@ def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcom
 
 def _build_weak_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst_weak = 0.0
-    worst_res = 0.0
-    pointwise_failures = 0
-    worst_pointwise = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         N = int(rng.integers(5, min(depth, 9) + 1))
         lat = BinaryLattice(1.0, N)
         lo, hi = _structured_pair(rng, 1, lat, coupling="zeta")
         m_lo = backward.solve_bsvie_msolution(lo, lat)
         m_hi = backward.solve_bsvie_msolution(hi, lat)
-        worst_res = max(worst_res, m_lo.msolution_residual, m_hi.msolution_residual)
         w_lo = backward.weak_comparison_functional(m_lo.y, lat)
         w_hi = backward.weak_comparison_functional(m_hi.y, lat)
-        weak = min(float(np.min(w_hi.at(j) - w_lo.at(j))) for j in range(N + 1))
-        if weak < worst_weak:
-            worst_weak, witness = weak, f"trial={k}"
-        pw = min(float(np.min(m_hi.y.at(j) - m_lo.y.at(j))) for j in range(N + 1))
-        if pw < -1e-9:
-            pointwise_failures += 1
-            worst_pointwise = min(worst_pointwise, pw)
+        return (
+            _ordering_slack(w_hi.levels, w_lo.levels),
+            _ordering_slack(m_hi.y.levels, m_lo.y.levels),
+            m_lo.msolution_residual, m_hi.msolution_residual,
+        )
+
+    worst_weak, witness, results = _worst_trial(trials, trial)
+    worst_res = float(np.max([0.0, *(v for r in results for v in r[2:])]))
+    # a NaN pointwise slack is no failure: it must not satisfy the check below
+    pointwise = [r[1] for r in results if r[1] < -1e-9]
+    pointwise_failures = len(pointwise)
+    worst_pointwise = float(np.min([0.0, *pointwise]))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction(
             "metzler_y", "diagonal_z", "kernel_t_monotone",
@@ -606,27 +611,26 @@ def _build_bsvie_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
     n = 2
     lat = BinaryLattice(1.0, min(depth, 8))
-    worst = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         m0 = _scaled(_random_diagonal(rng, n, 0.6), 0.4, lat.h)
         c = _scaled(_random_diagonal(rng, n, 1.0), 0.9, lat.sqrt_h)
         psi = rng.standard_normal((lat.depth + 1, 2**lat.depth, n))
         spec = backward.BsvieSpec(
             n, TerminalField(lat, n, psi),
             a_kernel=lambda t, s, m=m0: m, c_coef=lambda t, m=c: m,
-            uses_z=False, uses_zeta=True, lip_y=0.6, lip_zeta=1.0,
+            uses_z=False, uses_zeta=True, lip_y=0.6,
         )
         eta = AdaptedProcess.from_function(
             lat, n,
             lambda t, w: np.stack([np.abs(np.sin(w)) + 0.1, 0.5 * np.ones_like(w)], axis=1),
         )
-        d = backward.bsvie_duality_check(spec, eta, lat)
-        if d > worst:
-            worst, witness = d, f"trial={k}"
+        return (-backward.bsvie_duality_check(spec, eta, lat),)
+
+    worst, witness, _ = _worst_trial(trials, trial)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.not_applicable(),
-        checks=[Check("max_discrepancy", worst, 1e-8)],
+        checks=[Check("max_discrepancy", -worst, 1e-8)],
         witness=witness,
         details={"trials": trials},
     )
@@ -634,10 +638,8 @@ def _build_bsvie_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
 
 def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst_ratio = 0.0
-    worst_increase = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 3))
         N = int(rng.integers(5, min(depth, 8) + 1))
         lat = BinaryLattice(1.0, N)
@@ -659,15 +661,15 @@ def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOut
             lip_y=1.0, lip_z=0.6,
         )
         _, hist = backward.picard_bsvie(upper, comp, lat)
-        if hist.ratios:
-            r = max(hist.ratios)
-            if r > worst_ratio:
-                worst_ratio, witness = r, f"trial={k}"
-        worst_increase = max(worst_increase, max(hist.max_increase))
+        ratio = float(np.max(hist.ratios)) if hist.ratios else 0.0
+        return -ratio, float(np.max(hist.max_increase))
+
+    worst, witness, results = _worst_trial(trials, trial)
+    worst_increase = float(np.max([0.0, *(r[1] for r in results)]))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),
         checks=[
-            Check("weighted_norm_ratio", worst_ratio, 1.0 - 1e-9),
+            Check("weighted_norm_ratio", -worst, 1.0 - 1e-9),
             Check("iterate_increase", worst_increase, 1e-12),
         ],
         witness=witness,
@@ -677,9 +679,8 @@ def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOut
 
 def _build_msolution_structural(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    witness = ""
-    for k in range(trials):
+
+    def trial(k):
         n = int(rng.integers(1, 3))
         N = int(rng.integers(4, min(depth, 8) + 1))
         lat = BinaryLattice(1.0, N)
@@ -693,14 +694,14 @@ def _build_msolution_structural(depth: int, seed: int, trials: int) -> ScenarioO
 
         spec = backward.BsvieSpec(
             n, TerminalField(lat, n, psi), generator=gen,
-            uses_z=False, uses_zeta=True, lip_y=0.3, lip_zeta=3.0,
+            uses_z=False, uses_zeta=True, lip_y=0.3,
         )
-        sol = backward.solve_bsvie_msolution(spec, lat)
-        if sol.msolution_residual > worst:
-            worst, witness = sol.msolution_residual, f"trial={k}"
+        return (-backward.solve_bsvie_msolution(spec, lat).msolution_residual,)
+
+    worst, witness, _ = _worst_trial(trials, trial)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.not_applicable(),
-        checks=[Check("reconstruction_residual", worst, 1e-12)],
+        checks=[Check("reconstruction_residual", -worst, 1e-12)],
         witness=witness,
         details={"trials": trials},
     )
@@ -913,7 +914,7 @@ def _build_ex38(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     spec = backward.BsvieSpec(
         1, psi,
         generator=lambda t, s, y, z, zeta, nd: ((2.0 * T - t) / (2.0 * T - s)) * zeta,
-        uses_z=False, uses_zeta=True, lip_zeta=2.0,
+        uses_z=False, uses_zeta=True,
     )
     sol = backward.solve_bsvie_msolution(spec, lat)
     e_int_y = sum(lat.h * float(np.mean(sol.y.at(i))) for i in range(N))

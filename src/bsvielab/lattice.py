@@ -96,9 +96,6 @@ class BinaryLattice:
 
     # -- basic structure ---------------------------------------------------
 
-    def nodes_at(self, level: int) -> int:
-        return 2**level
-
     def increment(self, node: NodeId, branch: str) -> float:
         """The Brownian increment +/- sqrt(h) taken from ``node`` along ``branch``."""
         if node.level >= self.depth:
@@ -240,10 +237,12 @@ class AdaptedProcess:
         return self.levels[node.level][node.index]
 
     def min(self) -> float:
-        return min(float(lv.min()) for lv in self.levels)
+        """Smallest entry over all levels; NaN if any entry is NaN."""
+        return float(np.min([lv.min() for lv in self.levels]))
 
     def max_abs(self) -> float:
-        return max(float(np.abs(lv).max()) for lv in self.levels)
+        """Largest absolute entry over all levels; NaN if any entry is NaN."""
+        return float(np.max([np.abs(lv).max() for lv in self.levels]))
 
     def __sub__(self, other: "AdaptedProcess") -> "AdaptedProcess":
         return AdaptedProcess(
@@ -251,11 +250,6 @@ class AdaptedProcess:
             self.dim,
             [a - b for a, b in zip(self.levels, other.levels)],
         )
-
-    def grid_sq_norm(self) -> float:
-        """Discrete L^2 norm:  sum_k h * E|X(t_k)|^2  over the full grid."""
-        h = self.lattice.h
-        return float(sum(h * np.mean(np.sum(lv * lv, axis=1)) for lv in self.levels))
 
 
 class TerminalField:

@@ -327,7 +327,7 @@ def test_msolution_residual_small_for_zeta_coupled_equation():
     spec = backward.BsvieSpec(
         1, psi,
         generator=lambda t, s, y, z, zeta, nd: 0.2 * np.tanh(y) + (1.5 - t) * zeta / (1 + s),
-        uses_z=False, uses_zeta=True, lip_y=0.2, lip_zeta=2.0,
+        uses_z=False, uses_zeta=True, lip_y=0.2,
     )
     sol = backward.solve_bsvie_msolution(spec, lat)
     assert sol.msolution_residual <= 1e-12
@@ -376,7 +376,7 @@ def zeta_coupled_spec(rng, form, N):
         return 0.3 * np.tanh(y) + zeta * (c0 + c1 * t) / (1.0 + s)
 
     spec = backward.BsvieSpec(
-        n, psi, generator=gen, uses_z=False, uses_zeta=True, lip_y=0.3, lip_zeta=3.0,
+        n, psi, generator=gen, uses_z=False, uses_zeta=True, lip_y=0.3,
     )
     return spec, lat
 
@@ -435,7 +435,7 @@ def test_indicator_free_term_negative_time_integral():
     spec = backward.BsvieSpec(
         1, TerminalField(lat, 1, ind),
         generator=lambda t, s, y, z, zeta, nd: ((2 * T - t) / (2 * T - s)) * zeta,
-        uses_z=False, uses_zeta=True, lip_zeta=2.0,
+        uses_z=False, uses_zeta=True,
     )
     sol = backward.solve_bsvie_msolution(spec, lat)
     e_int_y = sum(lat.h * float(np.mean(sol.y.at(i))) for i in range(depth))
@@ -457,7 +457,7 @@ def test_bsvie_duality_zero_weight():
     spec = backward.BsvieSpec(
         1, psi, a_kernel=lambda t, s: np.array([[0.3]]),
         c_coef=lambda t: np.array([[0.2]]),
-        uses_z=False, uses_zeta=True, lip_y=0.3, lip_zeta=0.2,
+        uses_z=False, uses_zeta=True, lip_y=0.3,
     )
     eta = AdaptedProcess.constant(lat, [0.0])
     assert backward.bsvie_duality_check(spec, eta, lat) == 0.0
@@ -486,7 +486,7 @@ def test_bsvie_duality_random_diagonal_specs():
         psi = TerminalField(lat, n, rng.standard_normal((9, 256, n)))
         spec = backward.BsvieSpec(
             n, psi, a_kernel=lambda t, s, m=a: m, c_coef=lambda t, m=c: m,
-            uses_z=False, uses_zeta=True, lip_y=0.6, lip_zeta=1.0,
+            uses_z=False, uses_zeta=True, lip_y=0.6,
         )
         eta = AdaptedProcess.from_function(
             lat, n, lambda t, w: np.stack([np.abs(np.sin(w)), np.ones_like(w)], axis=1)
@@ -542,7 +542,7 @@ def test_bsvie_duality_is_bitwise_equal_to_the_reference(seed, n, depth, a_on, c
         n, psi,
         a_kernel=(lambda t, s: m0 + t * s * m1) if a_on else None,
         c_coef=(lambda t: c0 + t * c1) if c_on else None,
-        uses_z=False, uses_zeta=c_on, lip_y=1.2, lip_zeta=2.0,
+        uses_z=False, uses_zeta=c_on, lip_y=1.2,
     )
     eta = AdaptedProcess.from_function(
         lat, n, lambda t, w: np.cos(np.outer(w + t, np.arange(1, n + 1)))

@@ -1,9 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
-from bsvielab.harness import cli
+from bsvielab import backward
+from bsvielab.harness import cli, scenarios
 from bsvielab.harness.hypotheses import CONDITION_ORDER, HypothesisReport
 from bsvielab.harness.report import emit_report, render_report
 from bsvielab.harness.runner import ComparisonVerdict, ScenarioConfig, run_experiment
@@ -69,6 +71,47 @@ def test_non_finite_check_never_passes(bad, size):
     assert finite.worst_violation == -0.5 and finite.conclusion_held
 
 
+def test_nan_trial_fails_its_family(monkeypatch):
+    # a NaN discrepancy on trial 1 must be the worst trial, not be skipped
+    real = backward.bsde_duality_check
+    calls = []
+
+    def nan_on_second_trial(*args):
+        calls.append(None)
+        d = real(*args)
+        return math.nan if len(calls) == 2 else d
+
+    monkeypatch.setattr(backward, "bsde_duality_check", nan_on_second_trial)
+    outcome = scenarios._build_bsde_duality(8, 20243, 3)
+    assert outcome.conclusion_held is False
+    assert outcome.worst_violation == math.inf
+    assert outcome.witness.startswith("trial=1,s_index=")
+
+
+@pytest.mark.parametrize("family", ["bsde", "bsvie"])
+def test_nan_below_the_root_fails_the_ordering_slack(monkeypatch, family):
+    # NaN at level 1 of the upper solution of trial 0; level 0 stays finite
+    name = "solve_bsde" if family == "bsde" else "solve_bsvie_family"
+    real = getattr(backward, name)
+    calls = []
+
+    def nan_in_first_upper_solution(*args, **kwargs):
+        calls.append(None)
+        sol = real(*args, **kwargs)
+        if len(calls) == 2:
+            levels = sol.y if family == "bsde" else sol.y.levels
+            levels[1] = levels[1].copy()
+            levels[1][0, 0] = math.nan
+        return sol
+
+    monkeypatch.setattr(backward, name, nan_in_first_upper_solution)
+    build = scenarios._build_bsde_comparison if family == "bsde" else scenarios._build_bsvie_comparison
+    outcome = build(6, 20244, 3)
+    assert outcome.conclusion_held is False
+    assert outcome.worst_violation == math.inf
+    assert outcome.witness == "trial=0"
+
+
 def test_bsde_comparison_family_holds_at_pinned_seed():
     v = run_experiment(ScenarioConfig(scenario="thm2.5-random", seed=7, trials=50))
     assert v.conclusion_held
@@ -83,6 +126,17 @@ def test_every_registry_scenario_agrees_with_its_expected_verdict():
     # scenario-level parallelism is a pure fan-out: identical results
     parallel = run_suite(jobs=4)
     assert render_report(verdicts, "csv") == render_report(parallel, "csv")
+
+
+def test_suite_report_bytes_match_the_golden_files():
+    # CSV and JSON of one suite run, byte for byte; refactors keep these bytes
+    from bsvielab.harness.runner import run_suite
+
+    verdicts = run_suite(seed_offset=311)
+    data = Path(__file__).parent / "data"
+    for fmt in ("csv", "json"):
+        golden = (data / f"suite_seed_offset_311.{fmt}").read_bytes()
+        assert render_report(verdicts, fmt).encode("utf-8") == golden, fmt
 
 
 def test_run_experiment_is_deterministic():

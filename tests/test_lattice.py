@@ -183,6 +183,15 @@ def test_sign_violation_counts_non_finite_entries(level, seed, bad, component):
     assert sv.witness == NodeId(level, idx)
 
 
+def test_min_and_max_abs_propagate_nan_below_the_root():
+    lat = BinaryLattice(1.0, 2)
+    x = AdaptedProcess(lat, 1, [[1.0], [1.0, np.nan], [2.0, 2.0, 2.0, 2.0]])
+    assert np.isnan(x.min())
+    assert np.isnan(x.max_abs())
+    y = AdaptedProcess(lat, 1, [[1.0], [-3.0, 0.5], [2.0, 2.0, 2.0, 2.5]])
+    assert y.min() == -3.0 and y.max_abs() == 3.0
+
+
 def test_adaptedness_is_structural(lat):
     with pytest.raises(IncompleteProcessError):
         AdaptedProcess(lat, 1, [np.zeros((2**k, 1)) for k in range(6)])  # missing level
