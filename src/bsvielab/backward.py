@@ -10,8 +10,9 @@ For linear drifts the inner solve is a Jacobi splitting that maps nonnegative
 data to nonnegative iterates exactly, which is what turns the positivity and
 comparison statements into exact inequalities instead of tolerance checks.
 Every implicit step goes through ``_linear_step`` (linear data) or
-``_fixed_point`` (generator data), so that argument and the one stopping rule
-(FP_TOL within FP_MAX_ITER iterations) live in one place.
+``_fixed_point`` (generator data), and the Jacobi solve of ``_linear_step``
+iterates through ``_fixed_point`` too, so that argument and the one stopping
+rule (FP_TOL within FP_MAX_ITER iterations) live in one place.
 
 Backward Volterra equations carry a time-indexed free term psi(t_i) (known at
 the horizon, not necessarily adapted) and a two-time-parameter integrand
@@ -48,6 +49,8 @@ from .lattice import (
 
 FP_TOL = 1e-13
 FP_MAX_ITER = 50
+PICARD_TOL = 1e-10  # frozen-y scheme: weighted difference norm that ends it
+PICARD_MAX_ITER = 50
 
 
 # -- implicit one-step helpers ------------------------------------------------
@@ -67,21 +70,17 @@ def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float) -> np.
     Starting from y = 0, every iterate is a sum of products of the inputs with
     the nonnegative weights 1/d and sign*h*offdiag(mat); when those weights and
     ``rhs`` are nonnegative the result is exactly nonnegative in floating point.
+    The iteration runs through ``_fixed_point``, so it shares its stopping rule.
     """
-    d = 1.0 - sign * h * np.diag(mat)
+    a = np.asarray(mat, dtype=float)
+    d = 1.0 - sign * h * np.diag(a)
     if np.any(d <= 0.0):
         raise NonConvergenceError("implicit step requires h*|diag coefficient| < 1")
-    p = sign * h * np.asarray(mat, dtype=float).copy()
+    p = sign * h * a
     np.fill_diagonal(p, 0.0)
-    y = np.zeros_like(rhs)
-    for _ in range(FP_MAX_ITER):
-        y_new = (rhs + y @ p.T) / d
-        if float(np.max(np.abs(y_new - y))) < FP_TOL:
-            return y_new
-        y = y_new
-    _check_finite(y, "Jacobi inner solve")
-    raise NonConvergenceError(
-        f"Jacobi inner solve not below {FP_TOL} in {FP_MAX_ITER} iterations; reduce the step"
+    return _fixed_point(
+        lambda y: (rhs + y @ p.T) / d, np.zeros_like(rhs), "Jacobi inner solve",
+        h * float(np.abs(a).sum(axis=1).max()),
     )
 
 
@@ -506,7 +505,7 @@ def _weighted_diff_norm(
     y_new: Sequence[np.ndarray],
     y_old: Sequence[np.ndarray],
     z_new: TwoParamProcess,
-    z_old: TwoParamProcess | None,
+    z_old: TwoParamProcess,
     beta: float,
 ) -> float:
     h = lattice.h
@@ -515,20 +514,14 @@ def _weighted_diff_norm(
         w = h * math.exp(beta * lattice.times[i])
         dy = y_new[i] - y_old[i]
         total += w * float(np.mean(np.sum(dy * dy, axis=1)))
-        if z_old is not None:
-            for j in range(i, lattice.depth):
-                dz = z_new.get(i, j) - z_old.get(i, j)
-                total += w * h * float(np.mean(np.sum(dz * dz, axis=1)))
+        for j in range(i, lattice.depth):
+            dz = z_new.get(i, j) - z_old.get(i, j)
+            total += w * h * float(np.mean(np.sum(dz * dz, axis=1)))
     return math.sqrt(total)
 
 
 def picard_bsvie(
-    upper: BsvieSpec,
-    comparator: BsvieSpec,
-    lattice: BinaryLattice,
-    beta: float | None = None,
-    max_iter: int = 50,
-    tol: float = 1e-10,
+    upper: BsvieSpec, comparator: BsvieSpec, lattice: BinaryLattice
 ) -> tuple[BsvieSolution, PicardHistory]:
     """Frozen-y successive scheme started from the upper solution.
 
@@ -537,35 +530,33 @@ def picard_bsvie(
     nondecreasing in y with a diagonal z-coefficient and is dominated by the
     upper drift (and the comparator free term by the upper one), the iterates
     decrease nodewise and converge to the comparator solution; the weighted
-    norm of successive differences contracts.  Convergence is declared at the
-    first self-consistent pair of map outputs, so a y-independent comparator
-    converges after one effective iteration.
+    norm of successive differences, with the rate ``default_beta`` of the
+    comparator's Lipschitz constants, contracts.  Convergence is declared at
+    the first self-consistent pair of map outputs (norm below PICARD_TOL), so
+    a y-independent comparator converges after one effective iteration;
+    PICARD_MAX_ITER iterations without it raise NonConvergenceError.
     """
-    if beta is None:
-        beta = default_beta(max(comparator.lip_y, comparator.lip_z), lattice.horizon)
+    beta = default_beta(max(comparator.lip_y, comparator.lip_z), lattice.horizon)
     hist = PicardHistory(beta=beta)
     sol = solve_bsvie_family(upper, lattice)
-    prev_y = [lv.copy() for lv in sol.y.levels]
-    prev_z: TwoParamProcess | None = sol.z
-    for k in range(1, max_iter + 1):
-        new_sol = solve_bsvie_family(comparator, lattice, frozen_y=prev_y)
-        new_y = new_sol.y.levels
-        norm = _weighted_diff_norm(lattice, new_y, prev_y, new_sol.z, prev_z, beta)
+    for k in range(1, PICARD_MAX_ITER + 1):
+        # the frozen-y sweep only reads the previous levels, so they are not copied
+        new_sol = solve_bsvie_family(comparator, lattice, frozen_y=sol.y.levels)
+        new_y, prev_y = new_sol.y.levels, sol.y.levels
+        norm = _weighted_diff_norm(lattice, new_y, prev_y, new_sol.z, sol.z, beta)
         hist.diff_norms.append(norm)
         if len(hist.diff_norms) > 1 and hist.diff_norms[-2] > 0:
             hist.ratios.append(norm / hist.diff_norms[-2])
         hist.max_increase.append(
             max(float(np.max(n_lv - p_lv)) for n_lv, p_lv in zip(new_y, prev_y))
         )
-        prev_y = [lv.copy() for lv in new_y]
-        prev_z = new_sol.z
         sol = new_sol
-        if k >= 2 and norm < tol:
+        if k >= 2 and norm < PICARD_TOL:
             hist.iterations = k - 1
             hist.converged = True
             return sol, hist
     raise NonConvergenceError(
-        f"successive scheme not below {tol} after {max_iter} iterations "
+        f"successive scheme not below {PICARD_TOL} after {PICARD_MAX_ITER} iterations "
         f"(last ratio {hist.ratios[-1] if hist.ratios else float('nan'):.3g})"
     )
 

@@ -33,6 +33,8 @@ from .lattice import AdaptedProcess, BinaryLattice, LevelNodes, volterra_sum
 
 DEFAULT_MC_BUDGET = 2**31  # work units: paths * steps (SDE) or paths * steps^2 (Volterra)
 _MC_CHUNK = 1 << 14
+SUBSTITUTION_TOL = 1e-12  # successive substitution stops below this difference norm
+GRID_MAX_SWEEPS = 80  # the fine grid's steps + 1 sweep bound is too far to wait for
 
 
 @dataclass
@@ -327,20 +329,23 @@ def _phi_frozen(spec: FsvieSpec, lattice: BinaryLattice, level: int, anchor: int
     return np.tile(v.reshape(1, spec.dim), (2**level, 1))
 
 
-def picard_fsvie(
-    spec: FsvieSpec,
-    lattice: BinaryLattice,
-    max_iter: int = 50,
-    tol: float = 1e-12,
-) -> tuple[AdaptedProcess, list[float]]:
+def picard_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> tuple[AdaptedProcess, list[float]]:
     """Successive substitution X^k = phi + K X^{k-1} for the pure-drift equation.
 
     Requires a zero diffusion kernel.  When the drift kernel is entrywise
     nonnegative and phi >= 0, every iterate (and therefore the limit) is
     built from sums and products of nonnegative numbers, so X >= phi >= 0
     holds exactly.  Returns the limit together with the successive difference
-    norms in the discrete L^2 grid norm.  A sweep with a non-finite
-    difference norm raises DivergenceError naming the first non-finite node.
+    norms in the discrete L^2 grid norm; the sweeps stop once a norm is below
+    SUBSTITUTION_TOL.  A sweep with a non-finite difference norm raises
+    DivergenceError naming the first non-finite node.
+
+    The lattice operator is strictly lower-triangular in time: level k reads
+    levels j < k only, so level k is final after sweep k.  Sweep s therefore
+    recomputes levels s..N alone; the levels below s would be recomputed
+    bitwise unchanged and add exactly 0.0 to the norm.  Sweep N + 1
+    recomputes nothing and returns the norm 0.0, so the substitution ends by
+    sweep N + 1 on a depth-N lattice.
     """
     if spec.a1 is not None or spec.a1_full is not None:
         raise ValueError("successive substitution requires a zero diffusion kernel")
@@ -355,30 +360,28 @@ def picard_fsvie(
             for k in grid
         ]
     phi_levels = [_phi_frozen(spec, lattice, k, k) for k in grid]
-    cur = phi_levels
+    _check_state(phi_levels[0], 0)  # level 0 is final from the start and never recomputed
+    cur = list(phi_levels)
     norms: list[float] = []
-    for _ in range(max_iter):
+    for s in range(1, lattice.depth + 2):
         nxt = []
-        for k in grid:
+        for k in grid[s:]:
             acc = phi_levels[k].copy()
             drift = None if blocks is None else blocks[k].__getitem__
             volterra_sum(lattice, acc, cur, k, drift, None)
             nxt.append(acc)
         diff = math.sqrt(
-            sum(h * float(np.mean(np.sum((a - b) ** 2, axis=1))) for a, b in zip(nxt, cur))
+            sum(h * float(np.mean(np.sum((a - b) ** 2, axis=1))) for a, b in zip(nxt, cur[s:]))
         )
         norms.append(diff)
+        cur[s:] = nxt
         if not math.isfinite(diff):
             for k in grid:
-                _check_state(nxt[k], k)
-            raise DivergenceError(f"difference norm overflowed at sweep {len(norms)}")
-        cur = nxt
-        if diff < tol:
-            return AdaptedProcess(lattice, n, cur), norms
-    ratio = norms[-1] / norms[-2] if len(norms) > 1 and norms[-2] > 0 else float("nan")
-    raise NonConvergenceError(
-        f"successive substitution not below {tol} after {max_iter} sweeps (last ratio {ratio:.3g})"
-    )
+                _check_state(cur[k], k)
+            raise DivergenceError(f"difference norm overflowed at sweep {s}")
+        if diff < SUBSTITUTION_TOL:
+            break
+    return AdaptedProcess(lattice, n, cur), norms
 
 
 # -- deterministic scalar grid solvers ---------------------------------------
@@ -413,10 +416,11 @@ def picard_fsvie_deterministic(
     a0: Callable[[float, np.ndarray], np.ndarray],
     horizon: float,
     steps: int,
-    max_iter: int = 80,
-    tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Successive substitution on the deterministic grid; returns (t, x, norms).
+
+    Stops once a difference norm is below SUBSTITUTION_TOL and raises
+    NonConvergenceError after GRID_MAX_SWEEPS sweeps.
 
     A sweep with a non-finite difference norm raises DivergenceError naming
     the first non-finite grid step.
@@ -427,7 +431,7 @@ def picard_fsvie_deterministic(
     rows = [np.asarray(a0(times[i], times[:i]), dtype=float) for i in range(steps + 1)]
     cur = phi_vals.copy()
     norms: list[float] = []
-    for _ in range(max_iter):
+    for _ in range(GRID_MAX_SWEEPS):
         nxt = np.empty_like(cur)
         for i in range(steps + 1):
             nxt[i] = phi_vals[i] + h * float(rows[i] @ cur[:i])
@@ -440,9 +444,9 @@ def picard_fsvie_deterministic(
                 else f"difference norm overflowed at sweep {len(norms)}"
             )
         cur = nxt
-        if diff < tol:
+        if diff < SUBSTITUTION_TOL:
             return times, cur, norms
-    raise NonConvergenceError(f"not below {tol} after {max_iter} sweeps")
+    raise NonConvergenceError(f"not below {SUBSTITUTION_TOL} after {GRID_MAX_SWEEPS} sweeps")
 
 
 # -- Monte Carlo -------------------------------------------------------------
@@ -465,7 +469,6 @@ def euler_monte_carlo(
     steps: int,
     paths: int,
     seed: int,
-    budget: int = DEFAULT_MC_BUDGET,
 ) -> McResult:
     """Gaussian-increment Euler simulation, reproducible for a fixed seed.
 
@@ -477,14 +480,14 @@ def euler_monte_carlo(
     statistics are added up.  An SDE chunk holds only the current slice; a
     Volterra chunk keeps the path history its kernels read, with the kernel
     rows built once per call.  Volterra specs cost ``paths * steps**2`` work
-    units, SDE specs ``paths * steps``; exceeding ``budget`` raises.
+    units, SDE specs ``paths * steps``; exceeding ``DEFAULT_MC_BUDGET`` raises.
     """
     if steps < 1 or paths < 1:
         raise ValueError("steps and paths must be positive")
     is_volterra = isinstance(spec, FsvieSpec)
     work = paths * steps * (steps if is_volterra else 1)
-    if work > budget:
-        raise ResourceBudgetError(f"requested work {work} exceeds budget {budget}")
+    if work > DEFAULT_MC_BUDGET:
+        raise ResourceBudgetError(f"requested work {work} exceeds budget {DEFAULT_MC_BUDGET}")
     n = spec.dim
     times = np.linspace(0.0, horizon, steps + 1)
     if is_volterra:

@@ -91,7 +91,7 @@ def run_experiment(config: ScenarioConfig) -> ComparisonVerdict:
         seed=seed,
         runtime_ms=elapsed_ms,
         expected_holds=entry.expected_holds,
-        details=dict(outcome.details),
+        details={"trials": trials, **outcome.details},
     )
 
 

@@ -82,7 +82,10 @@ class RegistryEntry:
 
 
 class ScenarioValidityError(RuntimeError):
-    """A gallery scenario strayed from its closed-form oracle."""
+    """A gallery scenario strayed from its closed-form oracle.
+
+    The gates read ``not err <= tol``, so a NaN oracle error raises too.
+    """
 
 
 def _worst_trial(
@@ -151,7 +154,6 @@ def _build_cone_equivalence(depth: int, seed: int, trials: int) -> ScenarioOutco
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("equivalence_mismatches", float(mismatches), 0.0)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -210,7 +212,6 @@ def _build_forward_positivity(depth: int, seed: int, trials: int) -> ScenarioOut
             Check("necessity_misses", float(necessity_misses), 0.0),
         ],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -251,7 +252,6 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 0.0)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -290,7 +290,6 @@ def _build_bsde_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("max_discrepancy", -worst, 1e-10)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -334,7 +333,6 @@ def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -379,7 +377,6 @@ def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutco
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -449,7 +446,6 @@ def _build_stepfn_positivity(depth: int, seed: int, trials: int) -> ScenarioOutc
             Check("hypothesis_flags_false", 0.0 if hyp_all else 1.0, 0.0),
         ],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -524,7 +520,6 @@ def _build_structured_comparison(depth: int, seed: int, trials: int) -> Scenario
         ),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -561,7 +556,6 @@ def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcom
             Check("msolution_residual", worst_res, 1e-12),
         ],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -600,7 +594,6 @@ def _build_weak_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
         ],
         witness=witness,
         details={
-            "trials": trials,
             "pointwise_failures": pointwise_failures,
             "worst_pointwise_slack": worst_pointwise,
         },
@@ -632,7 +625,6 @@ def _build_bsvie_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("max_discrepancy", -worst, 1e-8)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -673,7 +665,6 @@ def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOut
             Check("iterate_increase", worst_increase, 1e-12),
         ],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -703,7 +694,6 @@ def _build_msolution_structural(depth: int, seed: int, trials: int) -> ScenarioO
         hypotheses=HypothesisReport.not_applicable(),
         checks=[Check("reconstruction_residual", -worst, 1e-12)],
         witness=witness,
-        details={"trials": trials},
     )
 
 
@@ -722,7 +712,7 @@ def _build_ex26(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     oracle = np.array([oracles.ex26(t, T) for t in times])
     err = float(np.max(np.abs(x - oracle)))
-    if err > 5e-3:
+    if not err <= 5e-3:
         raise ScenarioValidityError(f"fine-grid solution strayed from the closed form: {err:.2e}")
     spec = forward.FsvieSpec(
         1, lambda t: np.array([1.0]), a0=lambda t, s: np.array([[-2.0 * np.exp(t - s)]])
@@ -765,11 +755,10 @@ def _build_ex28(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     ref = forward.solve_linear_fsvie(
         forward.FsvieSpec(1, lambda t: np.array([2.0 * T - t]), a1=lambda s: np.eye(1)), lat
     )
-    transform_err = max(
-        float(np.max(np.abs((2.0 * T - lat.times[k]) * x.at(k) - ref.at(k))))
-        for k in range(depth + 1)
-    )
-    if transform_err > 1e-12:
+    transform_err = float(np.max([
+        np.max(np.abs((2.0 * T - lat.times[k]) * x.at(k) - ref.at(k))) for k in range(depth + 1)
+    ]))
+    if not transform_err <= 1e-12:
         raise ScenarioValidityError(f"scaling transform mismatch: {transform_err:.2e}")
     sv = sign_violation(x)
     hyp = check_hypotheses(spec, lat if depth <= 10 else _aux_lattice(T))
@@ -832,7 +821,7 @@ def _build_ex33(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     exact0 = oracles.ex33(0.0, T)
     err0 = abs(float(y[0]) - exact0)
-    if err0 > 5e-3:
+    if not err0 <= 5e-3:
         raise ScenarioValidityError(f"value at 0 strayed from the closed form: {err0:.2e}")
     lat = _aux_lattice(T)
     spec = backward.BsvieSpec(
@@ -855,7 +844,7 @@ def _build_ex34(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     exact0, _ = oracles.ex34(0.0, T)
     err0 = abs(float(y[0]) - exact0)
-    if err0 > 1e-2:
+    if not err0 <= 1e-2:
         raise ScenarioValidityError(f"value at 0 strayed from the quadrature oracle: {err0:.2e}")
     lat = _aux_lattice(T)
     spec = backward.BsvieSpec(
@@ -879,7 +868,7 @@ def _build_ex35(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
     oracle = np.array([oracles.ex35(s, T) for s in times])
     err = float(np.max(np.abs(y - oracle)))
-    if err > 2.0 * h:
+    if not err <= 2.0 * h:
         raise ScenarioValidityError(f"solution strayed from the closed form: {err:.2e}")
     # equivalent form with the inner time moved into the free term
     lat = _aux_lattice(T)
@@ -922,7 +911,7 @@ def _build_ex38(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         lat.h * float(np.mean(np.where(fw.at(i) < 0.0, fw.at(i), 0.0))) for i in range(N)
     )
     pairing_err = abs(e_int_y - e_int_dual)
-    if pairing_err > 1e-10:
+    if not pairing_err <= 1e-10:
         raise ScenarioValidityError(f"duality pairing mismatch: {pairing_err:.2e}")
     hyp = check_hypotheses(spec, lat if depth <= 10 else _aux_lattice(T))
     return ScenarioOutcome(

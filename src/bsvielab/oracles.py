@@ -86,7 +86,7 @@ def ex35(s: float, horizon: float) -> float:
     return math.exp(s - horizon) + horizon - s - 1.0
 
 
-def ex34(t: float, horizon: float, quad_tol: float = 1e-10) -> tuple[float, float]:
+def ex34(t: float, horizon: float) -> tuple[float, float]:
     """Solution 1 + (t-1) int_t^T e^{(tau^2 - t^2)/2 - (tau - t)} dtau of
 
         Y(t) = 1 + int_t^T (t - 1) Y(s) ds       (Z = 0).
@@ -100,7 +100,7 @@ def ex34(t: float, horizon: float, quad_tol: float = 1e-10) -> tuple[float, floa
     if t == horizon:
         return 1.0, 0.0
     val, err = adaptive_simpson(
-        lambda tau: math.exp(0.5 * (tau * tau - t * t) - (tau - t)), t, horizon, quad_tol
+        lambda tau: math.exp(0.5 * (tau * tau - t * t) - (tau - t)), t, horizon, 1e-10
     )
     return 1.0 + (t - 1.0) * val, abs(t - 1.0) * err
 

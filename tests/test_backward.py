@@ -84,6 +84,12 @@ def test_bsde_nonconvergence_reports_step_hint():
         backward.solve_bsde(spec, lat)
 
 
+def test_jacobi_nonconvergence_is_named():
+    # d = 1 > 0 passes the guard, but the splitting's spectral radius is 5
+    with pytest.raises(NonConvergenceError, match="Jacobi inner solve"):
+        backward._jacobi_step([[0.0, 10.0], [10.0, 0.0]], np.ones((2, 2)), 0.5, 1.0)
+
+
 def _nan_at_last_node(y):
     out = np.zeros_like(y)
     out[-1] = np.nan

@@ -383,6 +383,24 @@ def test_unified_recursion_is_bitwise_equal_to_the_reference(
             assert np.array_equal(x.at(k), ref[k]), k
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 10),
+    st.sampled_from(["callable", "adapted"]), st.floats(0.01, 20.0),
+)
+def test_picard_ends_by_sweep_n_plus_one(seed, n, depth, phi_kind, scale):
+    lat = BinaryLattice(1.0, depth)
+    base = _random_fsvie(seed, n, lat, phi_kind, True, None)
+    spec = forward.FsvieSpec(n, base.phi, a0=lambda t, s: scale * base.a0(t, s))
+    x, norms = forward.picard_fsvie(spec, lat)
+    assert len(norms) <= depth + 1
+    if len(norms) == depth + 1:
+        assert norms[-1] == 0.0
+        direct = forward.solve_linear_fsvie(spec, lat)
+        for k in range(depth + 1):
+            assert np.array_equal(x.at(k), direct.at(k)), k
+
+
 def test_picard_names_the_non_finite_node_like_the_direct_solve():
     lat = BinaryLattice(1.0, 5)
     spec = forward.FsvieSpec(
