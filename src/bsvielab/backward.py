@@ -12,7 +12,9 @@ comparison statements into exact inequalities instead of tolerance checks.
 Every implicit step goes through ``_linear_step`` (linear data) or
 ``_fixed_point`` (generator data), and the Jacobi solve of ``_linear_step``
 iterates through ``_fixed_point`` too, so that argument and the one stopping
-rule (FP_TOL within FP_MAX_ITER iterations) live in one place.
+rule live in one place: stop at the first iterate whose largest entrywise
+change is below FP_TOL, within FP_MAX_ITER iterations.  A NaN change is never
+below FP_TOL, so a NaN never converges; it ends in DivergenceError instead.
 
 Backward Volterra equations carry a time-indexed free term psi(t_i) (known at
 the horizon, not necessarily adapted) and a two-time-parameter integrand
@@ -80,7 +82,7 @@ def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float) -> np.
     np.fill_diagonal(p, 0.0)
     return _fixed_point(
         lambda y: (rhs + y @ p.T) / d, np.zeros_like(rhs), "Jacobi inner solve",
-        h * float(np.abs(a).sum(axis=1).max()),
+        lambda: h * float(np.abs(a).sum(axis=1).max()),
     )
 
 
@@ -111,18 +113,26 @@ def _linear_step(up: np.ndarray, down: np.ndarray, a: np.ndarray, b: np.ndarray 
 
 
 def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray, what: str,
-                 h_lip: float) -> np.ndarray:
-    """Iterate y <- step(y) until two iterates agree within FP_TOL (NaN never does)."""
+                 h_lip: Callable[[], float]) -> np.ndarray:
+    """Iterate y <- step(y) from ``start``; return the first iterate within FP_TOL of the last.
+
+    The stopping rule is ``max |new - cur| < FP_TOL`` over every entry, tested
+    after each of at most FP_MAX_ITER steps.  A NaN anywhere in the difference
+    makes the maximum NaN, and NaN < FP_TOL is false, so a NaN never converges:
+    the cap is reached and a non-finite iterate raises DivergenceError naming
+    its node.  Otherwise NonConvergenceError quotes ``h_lip()``, the step times
+    the Lipschitz constant in y, which is evaluated only on that failure path.
+    """
     cur = start
     for _ in range(FP_MAX_ITER):
         new = step(cur)
-        if float(np.max(np.abs(new - cur))) < FP_TOL:
+        if np.maximum.reduce(np.abs(new - cur), axis=None) < FP_TOL:
             return new
         cur = new
     _check_finite(cur, what)
     raise NonConvergenceError(
         f"{what} not below {FP_TOL} in {FP_MAX_ITER} iterations; "
-        f"h*L_y = {h_lip:.3g} -- reduce the step"
+        f"h*L_y = {h_lip():.3g} -- reduce the step"
     )
 
 
@@ -203,7 +213,7 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> B
             nodes = LevelNodes(lattice, k)
             y[k] = _fixed_point(
                 lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
-                e, "implicit y-step", h * spec.lip_y,
+                e, "implicit y-step", lambda: h * spec.lip_y,
             )
     return BsdeSolution(from_index, y, z)
 
@@ -307,18 +317,34 @@ class BsvieSpec:
 
     def drift(self, t: float, s: float, y: np.ndarray, z: np.ndarray | None,
               zeta: np.ndarray | None, nodes: LevelNodes) -> np.ndarray:
+        """Sum of the present pieces, in the order A y, h_fn, B z, C zeta.
+
+        The sum is the one accumulated from ``np.zeros_like(y)``: the first
+        piece goes through ``_from_zero``, so a -0.0 in it becomes +0.0 and a
+        piece of another shape is broadcast to y's.
+        """
         if self.generator is not None:
             return np.asarray(self.generator(t, s, y, z, zeta, nodes), dtype=float)
-        out = np.zeros_like(y)
+        out = None
         if self.a_kernel is not None:
-            out = out + y @ np.asarray(self.a_kernel(t, s), dtype=float).T
+            out = _from_zero(y, y @ np.asarray(self.a_kernel(t, s), dtype=float).T)
         if self.h_fn is not None:
-            out = out + np.asarray(self.h_fn(t, s, y, nodes), dtype=float)
+            term = np.asarray(self.h_fn(t, s, y, nodes), dtype=float)
+            out = _from_zero(y, term) if out is None else out + term
         if self.b_coef is not None and z is not None:
-            out = out + z @ np.asarray(self.b_coef(s), dtype=float).T
+            term = z @ np.asarray(self.b_coef(s), dtype=float).T
+            out = _from_zero(y, term) if out is None else out + term
         if self.c_coef is not None and zeta is not None:
-            out = out + zeta @ np.asarray(self.c_coef(t), dtype=float).T
-        return out
+            term = zeta @ np.asarray(self.c_coef(t), dtype=float).T
+            out = _from_zero(y, term) if out is None else out + term
+        return np.zeros_like(y) if out is None else out
+
+
+def _from_zero(y: np.ndarray, term: np.ndarray) -> np.ndarray:
+    """``np.zeros_like(y) + term`` without the zeros when shape and dtype agree."""
+    if term.shape == y.shape and term.dtype == y.dtype:
+        return term + 0.0
+    return np.zeros_like(y) + term
 
 
 @dataclass
@@ -371,6 +397,7 @@ def solve_bsvie_family(
         zeta = z
     if spec.uses_zeta and zeta is None:
         raise ValueError("generator depends on Z(s,t): solve as an M-solution")
+    level_nodes = [LevelNodes(lattice, j) for j in range(N)]
     for i in range(N, -1, -1):
         lam = spec.psi.slice(i).copy()
         t_i = lattice.times[i]
@@ -380,7 +407,7 @@ def solve_bsvie_family(
             mu = (up - down) / (2.0 * sq)
             z.set(i, j, mu)
             t_j = lattice.times[j]
-            nodes = LevelNodes(lattice, j)
+            nodes = level_nodes[j]
             zeta_ij = _zeta_slice(zeta, lattice, i, j, n) if spec.uses_zeta else None
             z_arg = mu if spec.uses_z else None
             if frozen_y is not None:
@@ -401,7 +428,7 @@ def solve_bsvie_family(
             else:
                 lam = _fixed_point(
                     lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),
-                    e, "diagonal y-step", h * spec.lip_y,
+                    e, "diagonal y-step", lambda: h * spec.lip_y,
                 )
         if frozen_y is not None:
             # only explicit steps ran, so nothing else has looked at this row
@@ -508,15 +535,24 @@ def _weighted_diff_norm(
     z_old: TwoParamProcess,
     beta: float,
 ) -> float:
+    """sqrt(sum_i w_i (E|dY_i|^2 + h sum_{j >= i} E|dZ_ij|^2)), w_i = h exp(beta t_i).
+
+    Each expectation is ``float(np.add.reduce(q)) / q.shape[0]`` with q the
+    per-node squared norms: the pairwise sum and the division of ``np.mean``,
+    so the value is bitwise the one of ``np.mean`` without its wrapper.
+    """
     h = lattice.h
+    zn, zo = z_new._slices, z_old._slices
     total = 0.0
     for i in range(lattice.depth + 1):
         w = h * math.exp(beta * lattice.times[i])
         dy = y_new[i] - y_old[i]
-        total += w * float(np.mean(np.sum(dy * dy, axis=1)))
+        q = (dy * dy).sum(axis=1)
+        total += w * (float(np.add.reduce(q)) / q.shape[0])
         for j in range(i, lattice.depth):
-            dz = z_new.get(i, j) - z_old.get(i, j)
-            total += w * h * float(np.mean(np.sum(dz * dz, axis=1)))
+            dz = zn[(i, j)] - zo[(i, j)]
+            q = (dz * dz).sum(axis=1)
+            total += w * h * (float(np.add.reduce(q)) / q.shape[0])
     return math.sqrt(total)
 
 
@@ -548,7 +584,7 @@ def picard_bsvie(
         if len(hist.diff_norms) > 1 and hist.diff_norms[-2] > 0:
             hist.ratios.append(norm / hist.diff_norms[-2])
         hist.max_increase.append(
-            max(float(np.max(n_lv - p_lv)) for n_lv, p_lv in zip(new_y, prev_y))
+            float(np.max([(n_lv - p_lv).max() for n_lv, p_lv in zip(new_y, prev_y)]))
         )
         sol = new_sol
         if k >= 2 and norm < PICARD_TOL:

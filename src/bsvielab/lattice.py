@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 DEFAULT_MAX_DEPTH = 16
+_FLOAT = np.dtype(float)
 
 
 class OutOfHorizonError(ValueError):
@@ -299,8 +300,11 @@ class TwoParamProcess:
         self._slices: dict[tuple[int, int], np.ndarray] = {}
 
     def set(self, i: int, j: int, values: np.ndarray) -> None:
-        arr = np.asarray(values, dtype=float).reshape(2**j, self.dim)
-        self._slices[(i, j)] = arr
+        """Store slice (i, j); anything but a float64 ``(2**j, dim)`` ndarray is converted."""
+        shape = (2**j, self.dim)
+        if type(values) is not np.ndarray or values.dtype != _FLOAT or values.shape != shape:
+            values = np.asarray(values, dtype=float).reshape(shape)
+        self._slices[(i, j)] = values
 
     def get(self, i: int, j: int) -> np.ndarray:
         try:

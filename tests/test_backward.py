@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from bsvielab.harness.scenarios import _structured_pair
 from bsvielab.lattice import (
     AdaptedProcess,
     BinaryLattice,
+    LevelNodes,
     TerminalField,
     TwoParamProcess,
     condition_to,
@@ -87,6 +89,9 @@ def test_bsde_nonconvergence_reports_step_hint():
 def test_jacobi_nonconvergence_is_named():
     # d = 1 > 0 passes the guard, but the splitting's spectral radius is 5
     with pytest.raises(NonConvergenceError, match="Jacobi inner solve"):
+        backward._jacobi_step([[0.0, 10.0], [10.0, 0.0]], np.ones((2, 2)), 0.5, 1.0)
+    # the h*L_y figure, computed only on this failure path, is h * max row sum of |A|
+    with pytest.raises(NonConvergenceError, match=r"h\*L_y = 5 "):
         backward._jacobi_step([[0.0, 10.0], [10.0, 0.0]], np.ones((2, 2)), 0.5, 1.0)
 
 
@@ -267,6 +272,75 @@ def make_picard_pair(rng, n, lat):
     return comp, upper
 
 
+# Reference: the weighted norm and the Picard loop of picard_bsvie before their
+# reductions skipped the np.mean / np.max wrappers.
+
+
+def _reference_weighted_diff_norm(lattice, y_new, y_old, z_new, z_old, beta):
+    h = lattice.h
+    total = 0.0
+    for i in range(lattice.depth + 1):
+        w = h * math.exp(beta * lattice.times[i])
+        dy = y_new[i] - y_old[i]
+        total += w * float(np.mean(np.sum(dy * dy, axis=1)))
+        for j in range(i, lattice.depth):
+            dz = z_new.get(i, j) - z_old.get(i, j)
+            total += w * h * float(np.mean(np.sum(dz * dz, axis=1)))
+    return math.sqrt(total)
+
+
+def _reference_picard_bsvie(upper, comparator, lat):
+    beta = backward.default_beta(max(comparator.lip_y, comparator.lip_z), lat.horizon)
+    norms, ratios, increases = [], [], []
+    sol = backward.solve_bsvie_family(upper, lat)
+    for k in range(1, backward.PICARD_MAX_ITER + 1):
+        new_sol = backward.solve_bsvie_family(comparator, lat, frozen_y=sol.y.levels)
+        new_y, prev_y = new_sol.y.levels, sol.y.levels
+        norm = _reference_weighted_diff_norm(lat, new_y, prev_y, new_sol.z, sol.z, beta)
+        norms.append(norm)
+        if len(norms) > 1 and norms[-2] > 0:
+            ratios.append(norm / norms[-2])
+        increases.append(max(float(np.max(n_lv - p_lv)) for n_lv, p_lv in zip(new_y, prev_y)))
+        sol = new_sol
+        if k >= 2 and norm < backward.PICARD_TOL:
+            return norms, ratios, increases, k - 1
+    raise AssertionError("reference successive scheme did not converge")
+
+
+def _random_two_param(rng, lat, n):
+    z = TwoParamProcess(lat, n)
+    for i in range(lat.depth + 1):
+        for j in range(i, lat.depth):
+            z.set(i, j, rng.standard_normal((2**j, n)) * rng.uniform(0.0, 3.0))
+    return z
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 3), st.booleans())
+def test_weighted_diff_norm_is_bitwise_equal_to_the_reference(seed, depth, n, same_y):
+    rng = np.random.default_rng(seed)
+    lat = BinaryLattice(rng.uniform(0.5, 2.0), depth)
+    y_old = [rng.standard_normal((2**k, n)) for k in range(depth + 1)]
+    y_new = y_old if same_y else [lv + rng.standard_normal(lv.shape) * 1e-3 for lv in y_old]
+    z_old, z_new = _random_two_param(rng, lat, n), _random_two_param(rng, lat, n)
+    beta = backward.default_beta(rng.uniform(0.0, 2.0), lat.horizon)
+    args = (lat, y_new, y_old, z_new, z_old, beta)
+    assert backward._weighted_diff_norm(*args) == _reference_weighted_diff_norm(*args)
+
+
+@pytest.mark.parametrize("seed, depth", [(11, 5), (12, 6), (13, 7), (14, 8)])
+def test_picard_history_is_bitwise_equal_to_the_reference(seed, depth):
+    rng = np.random.default_rng(seed)
+    lat = BinaryLattice(1.0, depth)
+    comp, upper = make_picard_pair(rng, int(rng.integers(1, 3)), lat)
+    _, hist = backward.picard_bsvie(upper, comp, lat)
+    norms, ratios, increases, iterations = _reference_picard_bsvie(upper, comp, lat)
+    assert hist.diff_norms == norms
+    assert hist.ratios == ratios
+    assert hist.max_increase == increases
+    assert hist.iterations == iterations
+
+
 def test_picard_y_free_comparator_converges_in_one_iteration():
     lat = BinaryLattice(1.0, 7)
     rng = np.random.default_rng(4)
@@ -404,6 +478,92 @@ def test_one_pass_msolution_equals_alternation_bitwise(form, N, seed):
     again = backward.solve_bsvie_family(spec, lat, zeta=msol.z)
     for a, b in zip(again.y.levels, msol.y.levels):
         assert np.array_equal(a, b)
+
+
+# Reference: BsvieSpec.drift when it accumulated from np.zeros_like(y).
+
+
+def _reference_drift(spec, t, s, y, z, zeta, nodes):
+    if spec.generator is not None:
+        return np.asarray(spec.generator(t, s, y, z, zeta, nodes), dtype=float)
+    out = np.zeros_like(y)
+    if spec.a_kernel is not None:
+        out = out + y @ np.asarray(spec.a_kernel(t, s), dtype=float).T
+    if spec.h_fn is not None:
+        out = out + np.asarray(spec.h_fn(t, s, y, nodes), dtype=float)
+    if spec.b_coef is not None and z is not None:
+        out = out + z @ np.asarray(spec.b_coef(s), dtype=float).T
+    if spec.c_coef is not None and zeta is not None:
+        out = out + zeta @ np.asarray(spec.c_coef(t), dtype=float).T
+    return out
+
+
+def _assert_same_bytes(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("mask", range(16))
+def test_structured_drift_is_byte_equal_to_the_reference(mask):
+    """Every subset of A y, h_fn, B z, C zeta, on zero and random y.
+
+    With y = 0 and negative coefficients a piece can carry -0.0 (h_fn returns
+    -y, or h0 * 0.0 with h0 < 0); accumulating from zeros turns it into +0.0.
+    The ``flat`` h_fn returns shape (n,) and is broadcast to y's shape.
+    """
+    has_a, has_h, has_b, has_c = (bool(mask >> k & 1) for k in range(4))
+    lat = BinaryLattice(1.0, 4)
+    nodes = LevelNodes(lat, 3)
+    seen_negative_zero = False
+    for seed, n, zero_y, flat_h, pass_z, pass_zeta in itertools.product(
+        range(3), (1, 2, 3), (False, True), (False, True), (False, True), (False, True)
+    ):
+        rng = np.random.default_rng(seed)
+        a0 = -rng.uniform(0.1, 1.0, (n, n)) if zero_y else rng.standard_normal((n, n))
+        b0 = np.diag(-rng.uniform(0.1, 1.0, n)) if zero_y else rng.standard_normal((n, n))
+        c0 = -rng.uniform(0.1, 1.0, (n, n)) if zero_y else rng.standard_normal((n, n))
+        h0 = rng.standard_normal(n)
+        spec = backward.BsvieSpec(
+            n, TerminalField(lat, n, np.zeros((5, 16, n))),
+            a_kernel=(lambda t, s: a0 * (1.0 + t * s)) if has_a else None,
+            h_fn=(
+                (lambda t, s, y, nd: h0 * t - 0.0) if flat_h else (lambda t, s, y, nd: -y)
+            ) if has_h else None,
+            b_coef=(lambda s: b0 * (1.0 + s)) if has_b else None,
+            c_coef=(lambda t: c0 * (2.0 - t)) if has_c else None,
+            uses_z=has_b, uses_zeta=has_c,
+        )
+        shape = (8, n)
+        y = np.zeros(shape) if zero_y else rng.standard_normal(shape)
+        z = (np.zeros(shape) if zero_y else rng.standard_normal(shape)) if pass_z else None
+        zeta = (np.zeros(shape) if zero_y else rng.standard_normal(shape)) if pass_zeta else None
+        for t, s in ((0.0, 0.0), (0.25, 0.75)):
+            got = spec.drift(t, s, y, z, zeta, nodes)
+            ref = _reference_drift(spec, t, s, y, z, zeta, nodes)
+            _assert_same_bytes(got, ref)
+            assert got.shape == y.shape
+            if has_h and not has_a:
+                first = np.asarray(spec.h_fn(t, s, y, nodes), dtype=float)
+                seen_negative_zero |= bool(np.any((first == 0.0) & np.signbit(first)))
+    # h_fn as the first piece carries -0.0 for zero y (matmul here yields +0.0 only)
+    assert seen_negative_zero == (has_h and not has_a)
+
+
+def test_generator_drift_is_byte_equal_to_the_reference():
+    lat = BinaryLattice(1.0, 4)
+    nodes = LevelNodes(lat, 2)
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3):
+        spec, _ = zeta_coupled_spec(np.random.default_rng(n), "generator", 4)
+        comp, upper = make_picard_pair(rng, n, lat)
+        for sp in (spec, comp, upper):
+            m = sp.dim
+            for y in (np.zeros((4, m)), -np.zeros((4, m)), rng.standard_normal((4, m))):
+                z, zeta = rng.standard_normal((4, m)), rng.standard_normal((4, m))
+                _assert_same_bytes(
+                    sp.drift(0.25, 0.5, y, z, zeta, nodes),
+                    _reference_drift(sp, 0.25, 0.5, y, z, zeta, nodes),
+                )
 
 
 def test_msolution_rejects_z_dependent_drift():

@@ -11,6 +11,7 @@ from bsvielab.lattice import (
     NodeId,
     OutOfHorizonError,
     TerminalField,
+    TwoParamProcess,
     condition_to,
     conditional_expectation,
     expectation,
@@ -207,3 +208,48 @@ def test_node_paths():
     assert node.parent().index == 0b01
     assert node.ancestor(1).index == 0
     assert str(node) == "L3:udu"
+
+
+# -- two-parameter slices ----------------------------------------------------------
+
+
+def test_two_param_slice_reads_back_bit_for_bit(lat):
+    z = TwoParamProcess(lat, 2)
+    vals = np.array([[-0.0, np.nan], [np.inf, 1e-310], [-1.5, 0.0], [3.0, -np.inf]])
+    z.set(4, 2, vals)
+    got = z.get(4, 2)
+    assert got.dtype == np.float64 and got.shape == (4, 2)
+    assert got.tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    np.arange(8.0),                      # flat (2**j * dim,)
+    np.arange(8, dtype=np.int64),        # integer dtype
+    np.arange(8.0, dtype=np.float32),    # narrower float
+    list(range(8)),                      # not an ndarray
+])
+def test_two_param_converts_other_inputs(lat, values):
+    z = TwoParamProcess(lat, 2)
+    z.set(0, 2, values)
+    got = z.get(0, 2)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.arange(8.0).reshape(4, 2))
+
+
+@pytest.mark.parametrize("values", [np.zeros(6), np.zeros((4, 3)), np.zeros((2, 2))])
+def test_two_param_rejects_a_wrongly_sized_slice(lat, values):
+    z = TwoParamProcess(lat, 2)
+    with pytest.raises(ValueError):
+        z.set(0, 2, values)
+    assert not z.has(0, 2)
+
+
+def test_two_param_missing_slice_has_and_pairs(lat):
+    z = TwoParamProcess(lat, 1)
+    with pytest.raises(IncompleteProcessError, match=r"Z\(1,3\)"):
+        z.get(1, 3)
+    z.set(2, 3, np.ones((8, 1)))
+    z.set(0, 1, np.ones((2, 1)))
+    z.set(2, 0, np.ones((1, 1)))
+    assert z.has(2, 3) and z.has(0, 1) and not z.has(3, 2)
+    assert z.pairs() == [(0, 1), (2, 0), (2, 3)]
