@@ -386,6 +386,12 @@ def solve_bsvie_family(
     slices.  ``_msolution`` (set by :func:`solve_bsvie_msolution`) attaches
     the martingale representation of each finished row Y(t_i) as the slices
     Z(t_i, s_j), j < i, which later rows read as their ``zeta``.
+
+    A non-finite value raises DivergenceError naming the level and node where
+    it arose.  Explicit steps are not checked as they run; when a row fails
+    (at its diagonal step, or at the end of a frozen-y row) it is replayed
+    with a finiteness check after each explicit step, so converging runs do
+    no extra work.
     """
     n = spec.dim
     N = lattice.depth
@@ -398,7 +404,12 @@ def solve_bsvie_family(
     if spec.uses_zeta and zeta is None:
         raise ValueError("generator depends on Z(s,t): solve as an M-solution")
     level_nodes = [LevelNodes(lattice, j) for j in range(N)]
-    for i in range(N, -1, -1):
+    y_args = y_levels if frozen_y is None else frozen_y
+    what = "explicit step" if frozen_y is None else "frozen-y sweep"
+
+    def sweep_row(i: int, checked: bool) -> np.ndarray:
+        # ``checked`` is the failure path only: raise at the first explicit step
+        # with a non-finite value, and stop before the implicit diagonal step
         lam = spec.psi.slice(i).copy()
         t_i = lattice.times[i]
         for j in range(N - 1, i - 1, -1):
@@ -410,10 +421,12 @@ def solve_bsvie_family(
             nodes = level_nodes[j]
             zeta_ij = _zeta_slice(zeta, lattice, i, j, n) if spec.uses_zeta else None
             z_arg = mu if spec.uses_z else None
-            if frozen_y is not None:
-                lam = e + h * spec.drift(t_i, t_j, frozen_y[j], z_arg, zeta_ij, nodes)
-            elif j > i:
-                lam = e + h * spec.drift(t_i, t_j, y_levels[j], z_arg, zeta_ij, nodes)
+            if j > i or frozen_y is not None:
+                lam = e + h * spec.drift(t_i, t_j, y_args[j], z_arg, zeta_ij, nodes)
+                if checked:
+                    _check_finite(lam, f"{what} of row {i}")
+            elif checked:
+                break
             elif spec.is_linear_y:
                 a_jj = (
                     np.asarray(spec.a_kernel(t_i, t_j), dtype=float)
@@ -430,9 +443,19 @@ def solve_bsvie_family(
                     lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),
                     e, "diagonal y-step", lambda: h * spec.lip_y,
                 )
-        if frozen_y is not None:
-            # only explicit steps ran, so nothing else has looked at this row
-            _check_finite(lam, "frozen-y sweep")
+        return lam
+
+    for i in range(N, -1, -1):
+        try:
+            lam = sweep_row(i, False)
+            if frozen_y is not None:
+                # only explicit steps ran, so nothing else has looked at this row
+                _check_finite(lam, what)
+        except DivergenceError:
+            # a NaN from an explicit step surfaces only at the row's end: replay
+            # the row checked, which names the level where it arose
+            sweep_row(i, True)
+            raise
         y_levels[i] = lam
         if _msolution and i > 0:
             mean, zs = martingale_representation(lattice, lam, i)
@@ -655,10 +678,9 @@ def bsvie_duality_check(
             prev = phi_acc + h * eta.at(j - 1)
             phi_acc = np.empty((2**j, n))
             phi_acc[0::2] = phi_acc[1::2] = prev
-        phis.append(phi_acc.copy())
-        rhs = phi_acc.copy()
-        volterra_sum(
-            lattice, rhs, xs, j,
+        phis.append(phi_acc)
+        rhs = volterra_sum(
+            lattice, phi_acc, xs, j,
             lambda i: np.asarray(a(times[i], times[j]), dtype=float).T,
             None if c is None else lambda i: np.asarray(c(times[i]), dtype=float).T,
         )

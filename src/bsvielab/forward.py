@@ -282,9 +282,8 @@ def _solve_fsvie_on_lattice(
         def diffusion(j):
             return spec.a1_at(t, times[j]).reshape(n, n)
 
-        acc = _phi_frozen(spec, lattice, k, frozen[k])
-        volterra_sum(
-            lattice, acc, levels, k,
+        acc = volterra_sum(
+            lattice, _phi_frozen(spec, lattice, k, frozen[k]), levels, k,
             drift if spec.a0 is not None else None, diffusion if has_a1 else None,
         )
         _check_state(acc, k)
@@ -321,12 +320,16 @@ def partition_approximation(
 
 
 def _phi_frozen(spec: FsvieSpec, lattice: BinaryLattice, level: int, anchor: int) -> np.ndarray:
-    """A fresh level-``level`` slice of the free term read at grid time ``t_anchor``."""
+    """The free term read at grid time ``t_anchor``, as a ``volterra_sum`` start.
+
+    A callable phi gives one ``(1, n)`` row for every node, so the sum is
+    built out from the root; an adapted phi gives its level-``level`` slice.
+    """
     if isinstance(spec.phi, AdaptedProcess):
         # freeze in time, keep measurability: the anchor-time slice lifted
         return lattice.lift(spec.phi.at(anchor), anchor, level)
     v = np.atleast_1d(np.asarray(spec.phi(lattice.times[anchor]), dtype=float))
-    return np.tile(v.reshape(1, spec.dim), (2**level, 1))
+    return v.reshape(1, spec.dim)
 
 
 def picard_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> tuple[AdaptedProcess, list[float]]:
@@ -361,15 +364,14 @@ def picard_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> tuple[AdaptedProces
         ]
     phi_levels = [_phi_frozen(spec, lattice, k, k) for k in grid]
     _check_state(phi_levels[0], 0)  # level 0 is final from the start and never recomputed
-    cur = list(phi_levels)
+    # the initial iterate is phi at every node; later sweeps start from phi_levels
+    cur = [np.repeat(p, 2**k // p.shape[0], axis=0) for k, p in enumerate(phi_levels)]
     norms: list[float] = []
     for s in range(1, lattice.depth + 2):
         nxt = []
         for k in grid[s:]:
-            acc = phi_levels[k].copy()
             drift = None if blocks is None else blocks[k].__getitem__
-            volterra_sum(lattice, acc, cur, k, drift, None)
-            nxt.append(acc)
+            nxt.append(volterra_sum(lattice, phi_levels[k], cur, k, drift, None))
         diff = math.sqrt(
             sum(h * float(np.mean(np.sum((a - b) ** 2, axis=1))) for a, b in zip(nxt, cur[s:]))
         )

@@ -343,24 +343,60 @@ def ito_integral(integrand: AdaptedProcess) -> AdaptedProcess:
 
 def volterra_sum(
     lattice: BinaryLattice,
-    acc: np.ndarray,
+    start: np.ndarray,
     xs: Sequence[np.ndarray],
     level: int,
     drift: Callable[[int], np.ndarray] | None,
     diffusion: Callable[[int], np.ndarray] | None,
-) -> None:
-    """Add the Volterra sum over the past to the level-``level`` slice ``acc``, in place:
+) -> np.ndarray:
+    """The level-``level`` slice of ``start`` plus the Volterra sum over the past:
 
-        acc += sum_{j < level} [h X_j A0_j^T + X_j A1_j^T dW_j]   (lifted to ``level``),
+        start + sum_{j < level} [h X_j A0_j^T + X_j A1_j^T dW_j]   (at ``level``),
 
     where ``X_j = xs[j]`` has shape ``(2**j, n)``, ``A0_j = drift(j)`` and
     ``A1_j = diffusion(j)`` are the ``(n, n)`` blocks at inner time t_j, and
     dW_j is the step-j increment along each level-``level`` path.  A kernel
-    given as ``None`` is absent.  Terms are added for j = 0, 1, ... with the
-    drift term before the diffusion term, and the kernels are called in that
-    order; every caller relies on this order for bitwise-reproducible results.
+    given as ``None`` is absent.  ``start`` is not changed.  At every node
+    the terms are added for j = 0, 1, ... with the drift term before the
+    diffusion term, and the kernels are called in that order (``drift(j)``
+    before ``diffusion(j)``, j ascending); every caller relies on this order
+    for bitwise-reproducible results.
+
+    The shape of ``start`` picks the path:
+
+    - one row ``(1, n)``, the same value at every node: the sum is built out
+      from the root.  Level j gets its drift term, then goes to level j + 1
+      as ``acc +/- (X_j A1_j^T) sqrt(h)`` into the up/down children (or an
+      ``np.repeat`` when there is no diffusion kernel).  O(2**level) work.
+    - ``2**level`` rows, a value per node: every term j is lifted to
+      ``level`` and added there.  O(level * 2**level) work.
+
+    Both give the same bits.  Each node receives the same addends in the
+    same order, ``repeat`` is exact, and ``v * (-sqrt(h)) == -(v * sqrt(h))``
+    and ``a + (-b) == a - b`` hold exactly in IEEE arithmetic.  A per-node
+    start cannot be built from the root: it would have to be added last,
+    which changes the rounding.
     """
     h, sq = lattice.h, lattice.sqrt_h
+    acc = start.copy()
+    if acc.shape[0] == 1:
+        for j in range(level):
+            xj = xs[j]
+            if drift is not None:
+                acc = acc + h * (xj @ drift(j).T)
+            if diffusion is None:
+                acc = np.repeat(acc, 2, axis=0)
+                continue
+            v = (xj @ diffusion(j).T) * sq
+            nxt = np.empty((2 * acc.shape[0], acc.shape[1]))
+            nxt[0::2] = acc + v
+            nxt[1::2] = acc - v
+            acc = nxt
+        return acc
+    if acc.shape[0] != 2**level:
+        raise IncompleteProcessError(
+            f"start has {acc.shape[0]} rows, expected 1 or {2**level}"
+        )
     for j in range(level):
         xj = xs[j]
         if drift is not None:
@@ -368,6 +404,7 @@ def volterra_sum(
         if diffusion is not None:
             incr = sq * lattice.step_signs(level, j)
             acc += lattice.lift(xj @ diffusion(j).T, j, level) * incr[:, None]
+    return acc
 
 
 def martingale_representation(

@@ -148,6 +148,23 @@ def test_frozen_y_sweep_raises_divergence_naming_the_node():
         backward.solve_bsvie_family(spec, lat, frozen_y=frozen)
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["plain", "frozen-y"])
+def test_family_names_the_level_where_an_explicit_step_made_a_nan(frozen):
+    # row t_1 takes explicit steps j = 5..2 before its diagonal step; the NaN
+    # arises at j = 4 and used to be reported at level 1, the row's end
+    lat = BinaryLattice(1.0, 6)
+    t = lat.times
+
+    def a_kernel(ti, sj):
+        return np.array([[math.nan if (ti, sj) == (t[1], t[4]) else 0.3]])
+
+    spec = backward.BsvieSpec(1, deterministic_psi(lat, lambda s: 1.0), a_kernel=a_kernel,
+                              uses_z=False)
+    kw = {"frozen_y": [np.ones((2**k, 1)) for k in range(7)]} if frozen else {}
+    with pytest.raises(DivergenceError, match="of row 1: non-finite value at level 4, node 0$"):
+        backward.solve_bsvie_family(spec, lat, **kw)
+
+
 # -- BSDE duality -------------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bsvielab import forward
 from bsvielab.errors import DivergenceError, ResourceBudgetError
-from bsvielab.lattice import AdaptedProcess, BinaryLattice, sign_violation
+from bsvielab.lattice import AdaptedProcess, BinaryLattice, sign_violation, volterra_sum
 
 
 def piecewise(values, lat):
@@ -399,6 +399,64 @@ def test_picard_ends_by_sweep_n_plus_one(seed, n, depth, phi_kind, scale):
         direct = forward.solve_linear_fsvie(spec, lat)
         for k in range(depth + 1):
             assert np.array_equal(x.at(k), direct.at(k)), k
+
+
+def test_deep_recursion_is_bitwise_equal_to_the_reference():
+    # the hypothesis test above stops at depth 9; a one-row start is built out
+    # from the root, so check its bits at the depth cap
+    depth = 16
+    lat = BinaryLattice(1.0, depth)
+    part = [0, 5, 11, depth]
+    frozen = [max(p for p in part if p <= i) for i in range(depth + 1)]
+    for phi_kind in ("callable", "adapted"):
+        spec = _random_fsvie(1601, 2, lat, phi_kind, True, "separated")
+        cases = [
+            (forward.solve_linear_fsvie(spec, lat), list(range(depth + 1))),
+            (forward.partition_approximation(spec, part, lat), frozen),
+        ]
+        for x, freeze in cases:
+            ref = _reference_fsvie(spec, lat, freeze)
+            for k in range(depth + 1):
+                assert np.array_equal(x.at(k), ref[k]), (phi_kind, freeze, k)
+    picard_spec = _random_fsvie(1602, 2, lat, "callable", True, None)
+    x, norms = forward.picard_fsvie(picard_spec, lat)
+    ref, ref_norms = _reference_picard(picard_spec, lat)
+    assert norms == ref_norms
+    for k in range(depth + 1):
+        assert np.array_equal(x.at(k), ref[k]), k
+
+
+@pytest.mark.parametrize("diffusion_on", [True, False])
+def test_one_row_start_equals_the_repeated_start_bitwise(diffusion_on):
+    depth = 14
+    lat = BinaryLattice(1.0, depth)
+    spec = _random_fsvie(7, 2, lat, "callable", True, "separated")
+    xs = forward.solve_linear_fsvie(spec, lat).levels
+    t = lat.times[depth]
+    calls = []
+
+    def drift(j):
+        calls.append(("drift", j))
+        return spec.a0(t, lat.times[j])
+
+    def diffusion(j):
+        calls.append(("diffusion", j))
+        return spec.a1(lat.times[j])
+
+    a1 = diffusion if diffusion_on else None
+    row = np.array([[0.3, -1.7]])
+    for level in (0, 1, 7, depth):
+        full = np.repeat(row, 2**level, axis=0)
+        starts = (row.tobytes(), full.tobytes())
+        calls.clear()
+        from_row = volterra_sum(lat, row, xs, level, drift, a1)
+        row_calls = calls[:]
+        calls.clear()
+        lifted = volterra_sum(lat, full, xs, level, drift, a1)
+        assert from_row.shape == lifted.shape == (2**level, 2)
+        assert from_row.tobytes() == lifted.tobytes(), level
+        assert row_calls == calls  # same kernels, same order
+        assert (row.tobytes(), full.tobytes()) == starts  # neither start is changed
 
 
 def test_picard_names_the_non_finite_node_like_the_direct_solve():
