@@ -43,9 +43,13 @@ from .lattice import (
     LevelNodes,
     TerminalField,
     TwoParamProcess,
+    _check_finite,
+    branch,
+    condition_to,
     conditional_expectation,
     martingale_representation,
     reconstruct_from_representation,
+    split_children,
     volterra_sum,
 )
 
@@ -56,14 +60,6 @@ PICARD_MAX_ITER = 50
 
 
 # -- implicit one-step helpers ------------------------------------------------
-
-
-def _check_finite(y: np.ndarray, what: str) -> None:
-    """Raise DivergenceError naming the level (from the 2**level rows) and node."""
-    bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
-    if bad.size:
-        level = y.shape[0].bit_length() - 1
-        raise DivergenceError(f"{what}: non-finite value at level {level}, node {int(bad[0])}")
 
 
 def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float) -> np.ndarray:
@@ -197,8 +193,7 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> B
     z: list[np.ndarray | None] = [None] * N
     y[N] = spec.terminal_field(lattice)
     for k in range(N - 1, from_index - 1, -1):
-        nxt = y[k + 1]
-        up, down = nxt[0::2], nxt[1::2]
+        up, down = split_children(y[k + 1])
         zk = (up - down) / (2.0 * sq)
         z[k] = zk
         t = lattice.times[k]
@@ -249,18 +244,11 @@ def bsde_duality_check(
         if spec.forcing is not None:
             f_k = np.asarray(spec.forcing(t), dtype=float)
             pair = pair + h * (x_hat @ f_k)[:, None]
-        up = x_hat - sq * (x_hat @ b_k)  # (-B^T X) dW with dW = +sqrt(h)
-        down = x_hat + sq * (x_hat @ b_k)
-        X_next = np.empty((2 ** (k + 1), n))
-        X_next[0::2], X_next[1::2] = up, down
-        p_next = np.empty((2 ** (k + 1), 1))
-        p_next[0::2] = p_next[1::2] = pair
-        X, pair = X_next, p_next
+        X = branch(x_hat, -(sq * (x_hat @ b_k)))  # (-B^T X) dW, dW = +/-sqrt(h)
+        pair = lattice.lift(pair, k, k + 1)
     xi = spec.terminal_field(lattice)
     leaf_val = np.sum(X * xi, axis=1, keepdims=True) + pair
-    cond = leaf_val
-    for _ in range(N - s_index):
-        cond = conditional_expectation(cond)
+    cond = condition_to(leaf_val, N, s_index)
     lhs = sol.y[s_index] @ xv
     return float(np.max(np.abs(lhs - cond[:, 0])))
 
@@ -413,7 +401,7 @@ def solve_bsvie_family(
         lam = spec.psi.slice(i).copy()
         t_i = lattice.times[i]
         for j in range(N - 1, i - 1, -1):
-            up, down = lam[0::2], lam[1::2]
+            up, down = split_children(lam)
             e = 0.5 * (up + down)
             mu = (up - down) / (2.0 * sq)
             z.set(i, j, mu)
@@ -635,6 +623,7 @@ def weak_comparison_functional(y: AdaptedProcess, lattice: BinaryLattice) -> Ada
     levels[lattice.depth] = np.zeros_like(y.at(lattice.depth))
     for k in range(lattice.depth - 1, -1, -1):
         levels[k] = h * y.at(k) + conditional_expectation(levels[k + 1])
+        _check_finite(levels[k], "weak comparison functional")
     return AdaptedProcess(lattice, y.dim, levels)
 
 
@@ -675,9 +664,7 @@ def bsvie_duality_check(
     phi_acc = np.zeros((1, n))
     for j in range(N):
         if j > 0:
-            prev = phi_acc + h * eta.at(j - 1)
-            phi_acc = np.empty((2**j, n))
-            phi_acc[0::2] = phi_acc[1::2] = prev
+            phi_acc = lattice.lift(phi_acc + h * eta.at(j - 1), j - 1, j)
         phis.append(phi_acc)
         rhs = volterra_sum(
             lattice, phi_acc, xs, j,
@@ -803,7 +790,7 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
             new_lam[N] = lam[N] + d_cur
             new_rows: list[np.ndarray | None] = [None] * N
             for j in range(N - 1, hi, -1):
-                up, down = d_cur[0::2], d_cur[1::2]
+                up, down = split_children(d_cur)
                 dz = (up - down) / (2.0 * sq)
                 da = np.asarray(data.a_pieces[k](times[j]), dtype=float) - np.asarray(
                     data.a_pieces[k + 1](times[j]), dtype=float
@@ -815,7 +802,7 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
             lam, z_rows = new_lam, new_rows
             sweep_from = hi
         for j in range(sweep_from, lo - 1, -1):
-            up, down = lam[j + 1][0::2], lam[j + 1][1::2]
+            up, down = split_children(lam[j + 1])
             z_rows[j] = (up - down) / (2.0 * sq)
             lam[j] = _linear_step(
                 up, down, np.asarray(data.a_pieces[k](times[j]), dtype=float),

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, NonConvergenceError, ResourceBudgetError
-from .lattice import AdaptedProcess, BinaryLattice, LevelNodes, volterra_sum
+from .lattice import AdaptedProcess, BinaryLattice, LevelNodes, branch, split_children, volterra_sum
 
 DEFAULT_MC_BUDGET = 2**31  # work units: paths * steps (SDE) or paths * steps^2 (Volterra)
 _MC_CHUNK = 1 << 14
@@ -189,9 +189,7 @@ def solve_fsde(spec: FsdeSpec, lattice: BinaryLattice) -> AdaptedProcess:
         nodes = LevelNodes(lattice, k)
         mu = spec.drift_at(t, x, nodes)
         sg = spec.diffusion_at(t, x, nodes)
-        nxt = np.empty((2 ** (k + 1), n))
-        nxt[0::2] = x + mu * h + sg * sq
-        nxt[1::2] = x + mu * h - sg * sq
+        nxt = branch(x + mu * h, sg * sq)
         _check_state(nxt, k + 1)
         levels.append(nxt)
     return AdaptedProcess(lattice, n, levels)
@@ -232,8 +230,8 @@ def fundamental_matrix(
         dn = eye + h * m0 - sq * m1
         cur = levels[-1]
         nxt = np.empty((2 * cur.shape[0], dim, dim))
-        nxt[0::2] = up @ cur
-        nxt[1::2] = dn @ cur
+        for step, child in zip((up, dn), split_children(nxt)):
+            np.matmul(step, cur, out=child)
         if not np.all(np.isfinite(nxt)):
             raise DivergenceError(f"non-finite fundamental matrix at level {k + 1}")
         levels.append(nxt)

@@ -11,8 +11,10 @@ Storage convention: level ``k`` holds ``2**k`` nodes in a dense array indexed
 by the path bitmask.  The children of node ``i`` at level ``k`` are ``2*i``
 (up move, ``+sqrt(h)``) and ``2*i + 1`` (down move, ``-sqrt(h)``) at level
 ``k + 1``; the ancestor of node ``i`` at level ``j <= k`` is ``i >> (k - j)``.
-Adaptedness is structural: a value stored at level ``k`` can only depend on
-the path to that node.
+Only :func:`split_children`, :func:`branch`, ``lift``, ``step_signs``,
+``brownian_path`` and :class:`NodeId` read this layout; all other code goes
+through them.  Adaptedness is structural: a value stored at level ``k`` can
+only depend on the path to that node.
 
 All node probabilities are dyadic rationals and are reported as exact
 :class:`fractions.Fraction` objects alongside floating approximations.
@@ -26,8 +28,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import DivergenceError
+
 DEFAULT_MAX_DEPTH = 16
 _FLOAT = np.dtype(float)
+
+
+def _check_finite(y: np.ndarray, what: str) -> None:
+    """Raise DivergenceError naming the level (from the 2**level rows) and node."""
+    if np.isfinite(y).all():  # the per-row reduction below is ~30x slower on two columns
+        return
+    bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
+    level = y.shape[0].bit_length() - 1
+    raise DivergenceError(f"{what}: non-finite value at level {level}, node {int(bad[0])}")
 
 
 class OutOfHorizonError(ValueError):
@@ -89,11 +102,7 @@ class BinaryLattice:
         self.times = np.linspace(0.0, self.horizon, self.depth + 1)
         self._w_levels: list[np.ndarray] = [np.zeros(1)]
         for k in range(self.depth):
-            w = self._w_levels[k]
-            nxt = np.empty(2 ** (k + 1))
-            nxt[0::2] = w + self.sqrt_h
-            nxt[1::2] = w - self.sqrt_h
-            self._w_levels.append(nxt)
+            self._w_levels.append(branch(self._w_levels[k], self.sqrt_h))
 
     # -- basic structure ---------------------------------------------------
 
@@ -118,6 +127,12 @@ class BinaryLattice:
     def brownian_level(self, level: int) -> np.ndarray:
         """W(t_level) at every node of ``level`` (shape ``(2**level,)``)."""
         return self._w_levels[level]
+
+    def brownian_path(self, node: NodeId) -> np.ndarray:
+        """W(t_0..t_level) along the ancestors of ``node`` (shape ``(level + 1,)``)."""
+        return np.array(
+            [self._w_levels[j][node.index >> (node.level - j)] for j in range(node.level + 1)]
+        )
 
     def brownian(self) -> "AdaptedProcess":
         """The discrete Brownian path itself as a scalar adapted process."""
@@ -150,6 +165,27 @@ class LevelNodes:
         return self.lattice.brownian_level(self.level)
 
 
+# -- one level to the next -------------------------------------------------
+
+
+def split_children(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The up and down children of a level-(k+1) slice, as writable views."""
+    return values[0::2], values[1::2]
+
+
+def branch(acc: np.ndarray, v: np.ndarray | float) -> np.ndarray:
+    """The level-(k+1) slice with ``acc + v`` at each up child and ``acc - v`` at each down.
+
+    ``v`` is a scalar or has the shape of the level-k slice ``acc``; the
+    halves are written in place, so no full-size temporary is kept.
+    """
+    out = np.empty((2 * acc.shape[0],) + acc.shape[1:])
+    up, down = split_children(out)
+    np.add(acc, v, out=up)
+    np.subtract(acc, v, out=down)
+    return out
+
+
 # -- conditional expectation / expectation ---------------------------------
 
 
@@ -162,7 +198,8 @@ def conditional_expectation(child_values: np.ndarray) -> np.ndarray:
     v = np.asarray(child_values, dtype=float)
     if v.shape[0] % 2 != 0:
         raise IncompleteProcessError("child slice must pair up/down values")
-    return 0.5 * (v[0::2] + v[1::2])
+    up, down = split_children(v)
+    return 0.5 * (up + down)
 
 
 def condition_to(values: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
@@ -224,11 +261,18 @@ class AdaptedProcess:
     def from_function(
         cls, lattice: BinaryLattice, dim: int, fn: Callable[[float, np.ndarray], np.ndarray]
     ) -> "AdaptedProcess":
-        """Build from ``fn(t, w) -> (m, n)`` evaluated on every level (w is the path value)."""
+        """Build from ``fn(t, w) -> (m, n)`` evaluated on every level (w is the path value).
+
+        A non-finite value raises ValueError naming its level and node.
+        """
         levels = []
         for k in range(lattice.depth + 1):
             vals = np.asarray(fn(lattice.times[k], lattice.brownian_level(k)), dtype=float)
-            levels.append(vals.reshape(2**k, dim))
+            vals = vals.reshape(2**k, dim)
+            bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+            if bad.size:
+                raise ValueError(f"non-finite value at level {k}, node {int(bad[0])}")
+            levels.append(vals)
         return cls(lattice, dim, levels)
 
     def at(self, level: int) -> np.ndarray:
@@ -326,18 +370,15 @@ def ito_integral(integrand: AdaptedProcess) -> AdaptedProcess:
     """Pathwise stochastic integral: I(0) = 0, I(child) = I(node) + f(node) * dW.
 
     The integrand is read on levels 0..N-1; the result is adapted and a
-    martingale by construction.
+    martingale by construction.  A non-finite value raises DivergenceError
+    naming the first level and node where it appears.
     """
     lat = integrand.lattice
     n = integrand.dim
     levels = [np.zeros((1, n))]
     for k in range(lat.depth):
-        cur = levels[k]
-        f = integrand.levels[k]
-        nxt = np.empty((2 ** (k + 1), n))
-        nxt[0::2] = cur + f * lat.sqrt_h
-        nxt[1::2] = cur - f * lat.sqrt_h
-        levels.append(nxt)
+        levels.append(branch(levels[k], integrand.levels[k] * lat.sqrt_h))
+        _check_finite(levels[-1], "ito_integral")
     return AdaptedProcess(lat, n, levels)
 
 
@@ -366,13 +407,13 @@ def volterra_sum(
 
     - one row ``(1, n)``, the same value at every node: the sum is built out
       from the root.  Level j gets its drift term, then goes to level j + 1
-      as ``acc +/- (X_j A1_j^T) sqrt(h)`` into the up/down children (or an
-      ``np.repeat`` when there is no diffusion kernel).  O(2**level) work.
+      as ``acc +/- (X_j A1_j^T) sqrt(h)`` into the up/down children (or a
+      one-level ``lift`` when there is no diffusion kernel).  O(2**level) work.
     - ``2**level`` rows, a value per node: every term j is lifted to
       ``level`` and added there.  O(level * 2**level) work.
 
     Both give the same bits.  Each node receives the same addends in the
-    same order, ``repeat`` is exact, and ``v * (-sqrt(h)) == -(v * sqrt(h))``
+    same order, ``lift`` is exact, and ``v * (-sqrt(h)) == -(v * sqrt(h))``
     and ``a + (-b) == a - b`` hold exactly in IEEE arithmetic.  A per-node
     start cannot be built from the root: it would have to be added last,
     which changes the rounding.
@@ -385,13 +426,9 @@ def volterra_sum(
             if drift is not None:
                 acc = acc + h * (xj @ drift(j).T)
             if diffusion is None:
-                acc = np.repeat(acc, 2, axis=0)
+                acc = lattice.lift(acc, j, j + 1)
                 continue
-            v = (xj @ diffusion(j).T) * sq
-            nxt = np.empty((2 * acc.shape[0], acc.shape[1]))
-            nxt[0::2] = acc + v
-            nxt[1::2] = acc - v
-            acc = nxt
+            acc = branch(acc, (xj @ diffusion(j).T) * sq)
         return acc
     if acc.shape[0] != 2**level:
         raise IncompleteProcessError(
@@ -428,8 +465,9 @@ def martingale_representation(
         raise IncompleteProcessError(f"field has {v.shape[0]} nodes, expected {2 ** level}")
     z: list[np.ndarray] = [np.empty(0)] * level
     for j in range(level - 1, -1, -1):
-        z[j] = (v[0::2] - v[1::2]) / (2.0 * lattice.sqrt_h)
-        v = 0.5 * (v[0::2] + v[1::2])
+        up, down = split_children(v)
+        z[j] = (up - down) / (2.0 * lattice.sqrt_h)
+        v = 0.5 * (up + down)
     return v[0], z
 
 
@@ -437,13 +475,9 @@ def reconstruct_from_representation(
     lattice: BinaryLattice, mean: np.ndarray, z: list[np.ndarray], level: int
 ) -> np.ndarray:
     """Evaluate mean + sum_j z[j] dW_j at every level-``level`` node."""
-    n = mean.shape[-1] if np.ndim(mean) else 1
-    acc = np.tile(np.asarray(mean, dtype=float).reshape(1, -1), (1, 1))
+    acc = np.array(mean, dtype=float).reshape(1, -1)
     for j in range(level):
-        nxt = np.empty((2 ** (j + 1), acc.shape[1]))
-        nxt[0::2] = acc + z[j] * lattice.sqrt_h
-        nxt[1::2] = acc - z[j] * lattice.sqrt_h
-        acc = nxt
+        acc = branch(acc, z[j] * lattice.sqrt_h)
     return acc
 
 

@@ -108,13 +108,6 @@ def ex34(t: float, horizon: float) -> tuple[float, float]:
 # -- pathwise gallery formulas ----------------------------------------------------
 
 
-def _path_w(lattice: BinaryLattice, node: NodeId) -> np.ndarray:
-    """W(t_0..t_level) along the ancestors of ``node``."""
-    return np.array(
-        [lattice.brownian_level(j)[node.index >> (node.level - j)] for j in range(node.level + 1)]
-    )
-
-
 def ex27(node: NodeId, horizon: float, lattice: BinaryLattice) -> tuple[float, float]:
     """Pathwise solution of  X(t) = 2T - t + int_0^t X dW  at a lattice node.
 
@@ -123,7 +116,7 @@ def ex27(node: NodeId, horizon: float, lattice: BinaryLattice) -> tuple[float, f
     Returns (value, quadrature error bound).  At t = 0 this is 2T; paths with
     deeply negative W blow the integral past 2T and push the value negative.
     """
-    w = _path_w(lattice, node)
+    w = lattice.brownian_path(node)
     t = lattice.times[node.level]
     integral, bound = _frozen_w_trapezoid(lattice, w, node.level, sign=-1.0)
     pref = math.exp(-0.5 * t + w[-1])
@@ -166,7 +159,7 @@ def ex210(node: NodeId, tau: float, horizon: float, lattice: BinaryLattice) -> E
     """
     if not 0.0 < tau < horizon:
         raise ValueError("need 0 < tau < horizon")
-    w = _path_w(lattice, node)
+    w = lattice.brownian_path(node)
     t = lattice.times[node.level]
     k_tau = int(round(tau / lattice.h))
     if abs(lattice.times[min(k_tau, lattice.depth)] - tau) > 1e-12:

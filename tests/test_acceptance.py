@@ -143,9 +143,10 @@ def test_criterion_09_picard_contraction():
             time.perf_counter() - t0, 60.0)
 
 
-def test_criterion_10_suite_determinism():
+def test_criterion_10_suite_determinism(suite_verdicts):
+    # the first run is the session's shared offset-0 suite; the second is this test's own
     t0 = time.perf_counter()
-    first_verdicts = run_suite()
+    first_verdicts = suite_verdicts
     first = render_report(first_verdicts, "csv")
     second = render_report(run_suite(), "csv")
     ok = first == second and first.encode() == second.encode()

@@ -201,6 +201,112 @@ def test_bsde_duality_random_specs(kind):
         assert backward.bsde_duality_check(spec, x, s_idx, lat) <= 1e-10
 
 
+# The two functions below are solve_bsde and bsde_duality_check as they were written
+# before the node layout moved behind lattice.branch/split_children; the library
+# must keep their bits.
+
+
+def _reference_solve_bsde(spec, lattice, from_index=0):
+    n = spec.dim
+    N = lattice.depth
+    h, sq = lattice.h, lattice.sqrt_h
+    y = [None] * (N + 1)
+    z = [None] * N
+    y[N] = spec.terminal_field(lattice)
+    for k in range(N - 1, from_index - 1, -1):
+        nxt = y[k + 1]
+        up, down = nxt[0::2], nxt[1::2]
+        zk = (up - down) / (2.0 * sq)
+        z[k] = zk
+        t = lattice.times[k]
+        if spec.is_linear:
+            a_k = np.asarray(spec.a(t), dtype=float) if spec.a is not None else np.zeros((n, n))
+            b_k = np.asarray(spec.b(t), dtype=float) if spec.b is not None else None
+            f_k = h * np.asarray(spec.forcing(t), dtype=float) if spec.forcing is not None else None
+            y[k] = backward._linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
+        else:
+            e = 0.5 * (up + down)
+            nodes = LevelNodes(lattice, k)
+            y[k] = backward._fixed_point(
+                lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
+                e, "implicit y-step", lambda: h * spec.lip_y,
+            )
+    return y, z
+
+
+def _reference_bsde_duality(spec, x, s_index, lattice):
+    n = spec.dim
+    N = lattice.depth
+    h, sq = lattice.h, lattice.sqrt_h
+    y, _ = _reference_solve_bsde(spec, lattice, from_index=s_index)
+    xv = np.atleast_1d(np.asarray(x, dtype=float))
+    X = np.tile(xv, (2**s_index, 1))
+    pair = np.zeros((2**s_index, 1))
+    eye = np.eye(n)
+    for k in range(s_index, N):
+        t = lattice.times[k]
+        a_k = np.asarray(spec.a(t), dtype=float) if spec.a is not None else np.zeros((n, n))
+        b_k = np.asarray(spec.b(t), dtype=float) if spec.b is not None else np.zeros((n, n))
+        x_hat = np.linalg.solve(eye + h * a_k.T, X.T).T
+        if spec.forcing is not None:
+            f_k = np.asarray(spec.forcing(t), dtype=float)
+            pair = pair + h * (x_hat @ f_k)[:, None]
+        up = x_hat - sq * (x_hat @ b_k)
+        down = x_hat + sq * (x_hat @ b_k)
+        X_next = np.empty((2 ** (k + 1), n))
+        X_next[0::2], X_next[1::2] = up, down
+        p_next = np.empty((2 ** (k + 1), 1))
+        p_next[0::2] = p_next[1::2] = pair
+        X, pair = X_next, p_next
+    xi = spec.terminal_field(lattice)
+    leaf_val = np.sum(X * xi, axis=1, keepdims=True) + pair
+    cond = leaf_val
+    for _ in range(N - s_index):
+        cond = 0.5 * (cond[0::2] + cond[1::2])
+    lhs = y[s_index] @ xv
+    return float(np.max(np.abs(lhs - cond[:, 0])))
+
+
+def _assert_bsde_matches_the_reference(depth, n, seed, linear):
+    rng = np.random.default_rng(seed)
+    lat = BinaryLattice(1.0, depth)
+    xi = rng.standard_normal((2**depth, n))
+    if linear:
+        scale = min(1.0, 0.5 / (n * lat.h))  # keeps the Jacobi solve contracting
+        pieces = [(scale * rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (n, n)),
+                   rng.uniform(-1.0, 1.0, n)) for _ in range(depth)]
+        at = lambda t: pieces[min(int(round(t / lat.h)), depth - 1)]
+        spec = backward.BsdeSpec(n, xi, a=lambda t: at(t)[0], b=lambda t: at(t)[1],
+                                 forcing=lambda t: at(t)[2])
+    else:
+        c = rng.uniform(-1.0, 1.0, n)
+        spec = backward.BsdeSpec(
+            n, xi, lip_y=0.5, lip_z=0.5,
+            generator=lambda t, y, z, nd: 0.5 * np.tanh(y) * c + 0.5 * np.sin(z)
+            + t * nd.w[:, None],
+        )
+    sol = backward.solve_bsde(spec, lat)
+    ref_y, ref_z = _reference_solve_bsde(spec, lat)
+    assert [v.tobytes() for v in sol.y] == [v.tobytes() for v in ref_y]
+    assert [v.tobytes() for v in sol.z] == [v.tobytes() for v in ref_z]
+    if linear:
+        x = rng.uniform(-1.0, 1.0, n)
+        for s_index in sorted({0, depth // 2, depth - 1}):
+            got = backward.bsde_duality_check(spec, x, s_index, lat)
+            assert got == _reference_bsde_duality(spec, x, s_index, lat), s_index
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_bsde_and_its_duality_are_bitwise_equal_to_the_reference(depth, n, seed, linear):
+    _assert_bsde_matches_the_reference(depth, n, seed, linear)
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_deep_bsde_and_its_duality_are_bitwise_equal_to_the_reference(linear):
+    _assert_bsde_matches_the_reference(16, 2, 16, linear)
+
+
 # -- backward Volterra: family solver ---------------------------------------------------
 
 
@@ -764,6 +870,18 @@ def test_weak_functional_matches_exhaustive_sum():
             acc += lat.h * lat.lift(y.at(j), j, 6)
         per_node = acc.reshape(2**k, 2 ** (6 - k)).mean(axis=1)
         assert np.max(np.abs(f.at(k)[:, 0] - per_node)) <= 1e-13
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weak_functional_names_the_first_non_finite_node(bad):
+    lat = BinaryLattice(1.0, 5)
+    levels = [np.ones((2**k, 2)) for k in range(6)]
+    levels[3][5, 1] = bad
+    with pytest.raises(DivergenceError, match=r"weak comparison functional: .* level 3, node 5$"):
+        backward.weak_comparison_functional(AdaptedProcess(lat, 2, levels), lat)
+    levels[3][5, 1] = 1.0
+    levels[5][0, 0] = bad  # the horizon slice carries no time mass
+    backward.weak_comparison_functional(AdaptedProcess(lat, 2, levels), lat)
 
 
 # -- step-function solver ---------------------------------------------------------------------

@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from bsvielab import forward
 from bsvielab.errors import DivergenceError, ResourceBudgetError
-from bsvielab.lattice import AdaptedProcess, BinaryLattice, sign_violation, volterra_sum
+from bsvielab.lattice import (
+    AdaptedProcess,
+    BinaryLattice,
+    LevelNodes,
+    sign_violation,
+    volterra_sum,
+)
 
 
 def piecewise(values, lat):
@@ -92,6 +98,86 @@ def test_variation_of_constants_telescopes():
                 contrib = np.einsum("mij,j->mi", phis[j + 1].at(k), bs[j])
             acc = acc + lat.h * contrib
         assert np.max(np.abs(x.at(k) - acc)) <= 1e-10
+
+
+# The two loops below are solve_fsde and fundamental_matrix as they were written
+# before the node layout moved behind lattice.branch/split_children; the library
+# must keep their bits.
+
+
+def _reference_solve_fsde(spec, lattice):
+    n = spec.dim
+    s = spec.start_index
+    h, sq = lattice.h, lattice.sqrt_h
+    levels = [np.tile(spec.x0, (2**k, 1)) for k in range(s + 1)]
+    for k in range(s, lattice.depth):
+        x = levels[k]
+        t = lattice.times[k]
+        nodes = LevelNodes(lattice, k)
+        mu = spec.drift_at(t, x, nodes)
+        sg = spec.diffusion_at(t, x, nodes)
+        nxt = np.empty((2 ** (k + 1), n))
+        nxt[0::2] = x + mu * h + sg * sq
+        nxt[1::2] = x + mu * h - sg * sq
+        levels.append(nxt)
+    return levels
+
+
+def _reference_fundamental_matrix(a0, a1, start_index, lattice, dim):
+    h, sq = lattice.h, lattice.sqrt_h
+    eye = np.eye(dim)
+    levels = [np.tile(eye, (2**start_index, 1, 1))]
+    for k in range(start_index, lattice.depth):
+        t = lattice.times[k]
+        m0 = np.asarray(a0(t), dtype=float) if a0 is not None else np.zeros((dim, dim))
+        m1 = np.asarray(a1(t), dtype=float) if a1 is not None else np.zeros((dim, dim))
+        up = eye + h * m0 + sq * m1
+        dn = eye + h * m0 - sq * m1
+        cur = levels[-1]
+        nxt = np.empty((2 * cur.shape[0], dim, dim))
+        nxt[0::2] = up @ cur
+        nxt[1::2] = dn @ cur
+        levels.append(nxt)
+    return levels
+
+
+def _assert_forward_recursions_match_the_reference(depth, n, seed, linear):
+    rng = np.random.default_rng(seed)
+    lat = BinaryLattice(1.0, depth)
+    start = int(rng.integers(0, depth))
+    a0 = piecewise([rng.uniform(-2.0, 2.0, (n, n)) for _ in range(depth)], lat)
+    a1 = piecewise([rng.uniform(-1.0, 1.0, (n, n)) for _ in range(depth)], lat)
+    x0 = rng.uniform(-1.0, 1.0, n)
+    if linear:
+        b = piecewise([rng.uniform(-1.0, 1.0, n) for _ in range(depth)], lat)
+        spec = forward.FsdeSpec(n, x0, start_index=start, a0=a0, a1=a1, b=b)
+    else:
+        c = rng.uniform(-1.0, 1.0, n)
+        spec = forward.FsdeSpec(
+            n, x0, start_index=start,
+            drift=lambda t, x, nd: np.sin(x) * c - t * x,
+            diffusion=lambda t, x, nd: np.cos(x + nd.w[:, None]) * c,
+        )
+    got = forward.solve_fsde(spec, lat)
+    ref = _reference_solve_fsde(spec, lat)
+    assert [lv.tobytes() for lv in got.levels] == [lv.tobytes() for lv in ref]
+    for a0_k, a1_k in ((a0, a1), (a0, None), (None, a1)):
+        fm = forward.fundamental_matrix(a0_k, a1_k, start, lat, n)
+        ref = _reference_fundamental_matrix(a0_k, a1_k, start, lat, n)
+        assert [fm.at(k).tobytes() for k in range(start, depth + 1)] == [
+            lv.tobytes() for lv in ref
+        ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
+def test_forward_recursions_are_bitwise_equal_to_the_reference(depth, n, seed, linear):
+    _assert_forward_recursions_match_the_reference(depth, n, seed, linear)
+
+
+@pytest.mark.parametrize("linear", [True, False])
+def test_deep_forward_recursions_are_bitwise_equal_to_the_reference(linear):
+    _assert_forward_recursions_match_the_reference(16, 2, 16, linear)
 
 
 # -- step bounds ---------------------------------------------------------------

@@ -120,10 +120,10 @@ def test_bsde_comparison_family_holds_at_pinned_seed():
     assert v.conclusion_held
 
 
-def test_every_registry_scenario_agrees_with_its_expected_verdict():
+def test_every_registry_scenario_agrees_with_its_expected_verdict(suite_verdicts):
     from bsvielab.harness.runner import run_suite
 
-    verdicts = run_suite()
+    verdicts = suite_verdicts
     for v in verdicts:
         assert v.agrees_with_expectation, v.scenario
     # scenario-level parallelism is a pure fan-out: identical results
@@ -132,11 +132,11 @@ def test_every_registry_scenario_agrees_with_its_expected_verdict():
 
 
 @pytest.mark.parametrize("offset", [0, 311])
-def test_suite_report_bytes_match_the_golden_files(offset):
+def test_suite_report_bytes_match_the_golden_files(offset, suite_verdicts):
     # CSV and JSON of one suite run, byte for byte; refactors keep these bytes
     from bsvielab.harness.runner import run_suite
 
-    verdicts = run_suite(seed_offset=offset)
+    verdicts = suite_verdicts if offset == 0 else run_suite(seed_offset=offset)
     data = Path(__file__).parent / "data"
     for fmt in ("csv", "json"):
         golden = (data / f"suite_seed_offset_{offset}.{fmt}").read_bytes()

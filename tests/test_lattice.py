@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bsvielab.errors import DivergenceError
 from bsvielab.lattice import (
     AdaptedProcess,
     BinaryLattice,
@@ -12,6 +13,7 @@ from bsvielab.lattice import (
     OutOfHorizonError,
     TerminalField,
     TwoParamProcess,
+    branch,
     condition_to,
     conditional_expectation,
     expectation,
@@ -19,6 +21,7 @@ from bsvielab.lattice import (
     martingale_representation,
     reconstruct_from_representation,
     sign_violation,
+    split_children,
 )
 
 
@@ -253,3 +256,191 @@ def test_two_param_missing_slice_has_and_pairs(lat):
     z.set(2, 0, np.ones((1, 1)))
     assert z.has(2, 3) and z.has(0, 1) and not z.has(3, 2)
     assert z.pairs() == [(0, 1), (2, 0), (2, 3)]
+
+
+# -- one level to the next: split_children and branch --------------------------------
+
+
+def test_split_children_puts_the_up_child_at_twice_the_index():
+    for level in range(4):
+        values = np.arange(2.0 ** (level + 1))
+        up, down = split_children(values)
+        for i in range(2**level):
+            node = NodeId(level, i)
+            assert up[i] == node.child("up").index and down[i] == node.child("down").index
+            assert NodeId(level + 1, int(up[i])).parent() == node
+            assert NodeId(level + 1, int(down[i])).parent() == node
+
+
+def test_split_children_views_write_into_the_array():
+    values = np.zeros((8, 2))
+    up, down = split_children(values)
+    up[:] = 1.0
+    down[1] = [5.0, 6.0]
+    assert values[0::2].tolist() == [[1.0, 1.0]] * 4
+    assert values[3].tolist() == [5.0, 6.0]
+    assert values[[1, 5, 7]].tolist() == [[0.0, 0.0]] * 3
+
+
+def test_branch_writes_acc_plus_v_up_and_acc_minus_v_down():
+    rng = np.random.default_rng(3)
+    acc = rng.standard_normal((4, 3))
+    v = rng.standard_normal((4, 3))
+    out = branch(acc, v)
+    assert out.shape == (8, 3)
+    for i in range(4):
+        node = NodeId(2, i)
+        assert out[node.child("up").index].tobytes() == (acc[i] + v[i]).tobytes()
+        assert out[node.child("down").index].tobytes() == (acc[i] - v[i]).tobytes()
+
+
+def test_branch_keeps_ieee_special_values():
+    specials = [0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0]
+    acc = np.array([a for a in specials for _ in specials])
+    v = np.array([b for _ in specials for b in specials])
+    with np.errstate(invalid="ignore"):
+        up, down = split_children(branch(acc, v))
+        assert up.tobytes() == (acc + v).tobytes()
+        assert down.tobytes() == (acc - v).tobytes()
+        for scalar in (-0.0, np.nan, np.inf):
+            up, down = split_children(branch(acc, scalar))
+            assert up.tobytes() == (acc + scalar).tobytes()
+            assert down.tobytes() == (acc - scalar).tobytes()
+    assert np.signbit(branch(np.array([-0.0]), -0.0)[0])  # -0.0 + -0.0 stays -0.0
+
+
+def test_branch_takes_a_scalar_on_a_one_dimensional_slice():
+    out = branch(np.array([1.0, -3.0]), 0.25)
+    assert out.tolist() == [1.25, 0.75, -2.75, -3.25]
+    lat = BinaryLattice(1.0, 3)
+    assert branch(lat.brownian_level(1), lat.sqrt_h).tobytes() == lat.brownian_level(2).tobytes()
+
+
+def test_brownian_path_follows_the_ancestors():
+    lat = BinaryLattice(1.0, 5)
+    node = NodeId(5, 0b01101)
+    path = lat.brownian_path(node)
+    assert path.shape == (6,)
+    for j in range(6):
+        assert path[j] == lat.brownian_level(j)[node.ancestor(j).index]
+    for j, move in enumerate(node.path):
+        assert path[j + 1] == (path[j] + lat.sqrt_h if move == "u" else path[j] - lat.sqrt_h)
+
+
+# -- bitwise references for the rewired lattice recursions --------------------------------
+# The loops below are these recursions as they were written before the node layout moved
+# behind split_children and branch; the library must keep their bits.
+
+
+def _reference_w_levels(lat):
+    w_levels = [np.zeros(1)]
+    for k in range(lat.depth):
+        w = w_levels[k]
+        nxt = np.empty(2 ** (k + 1))
+        nxt[0::2] = w + lat.sqrt_h
+        nxt[1::2] = w - lat.sqrt_h
+        w_levels.append(nxt)
+    return w_levels
+
+
+def _reference_condition_to(values, from_level, to_level):
+    v = np.asarray(values, dtype=float)
+    for _ in range(from_level - to_level):
+        v = 0.5 * (v[0::2] + v[1::2])
+    return v
+
+
+def _reference_ito_integral(integrand):
+    lat = integrand.lattice
+    n = integrand.dim
+    levels = [np.zeros((1, n))]
+    for k in range(lat.depth):
+        cur = levels[k]
+        f = integrand.levels[k]
+        nxt = np.empty((2 ** (k + 1), n))
+        nxt[0::2] = cur + f * lat.sqrt_h
+        nxt[1::2] = cur - f * lat.sqrt_h
+        levels.append(nxt)
+    return levels
+
+
+def _reference_representation(lattice, xi, level):
+    v = np.asarray(xi, dtype=float)
+    z = [np.empty(0)] * level
+    for j in range(level - 1, -1, -1):
+        z[j] = (v[0::2] - v[1::2]) / (2.0 * lattice.sqrt_h)
+        v = 0.5 * (v[0::2] + v[1::2])
+    return v[0], z
+
+
+def _reference_reconstruct(lattice, mean, z, level):
+    acc = np.tile(np.asarray(mean, dtype=float).reshape(1, -1), (1, 1))
+    for j in range(level):
+        nxt = np.empty((2 ** (j + 1), acc.shape[1]))
+        nxt[0::2] = acc + z[j] * lattice.sqrt_h
+        nxt[1::2] = acc - z[j] * lattice.sqrt_h
+        acc = nxt
+    return acc
+
+
+def _assert_lattice_recursions_match_the_reference(depth, n, seed):
+    lat = BinaryLattice(1.0, depth)
+    rng = np.random.default_rng(seed)
+    for k, ref in enumerate(_reference_w_levels(lat)):
+        assert lat.brownian_level(k).tobytes() == ref.tobytes(), k
+    xi = rng.standard_normal((2**depth, n)) * rng.uniform(0.1, 10.0)
+    for to_level in range(depth + 1):
+        got = condition_to(xi, depth, to_level)
+        assert got.tobytes() == _reference_condition_to(xi, depth, to_level).tobytes()
+    mean, zs = martingale_representation(lat, xi, depth)
+    ref_mean, ref_zs = _reference_representation(lat, xi, depth)
+    assert mean.tobytes() == ref_mean.tobytes()
+    assert [z.tobytes() for z in zs] == [z.tobytes() for z in ref_zs]
+    for level in (0, depth // 2, depth):
+        m, zl = martingale_representation(lat, condition_to(xi, depth, level), level)
+        got = reconstruct_from_representation(lat, m, zl, level)
+        assert got.tobytes() == _reference_reconstruct(lat, m, zl, level).tobytes(), level
+    integrand = AdaptedProcess(lat, n, [rng.standard_normal((2**k, n)) for k in range(depth + 1)])
+    got = ito_integral(integrand)
+    assert [lv.tobytes() for lv in got.levels] == [
+        lv.tobytes() for lv in _reference_ito_integral(integrand)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_lattice_recursions_are_bitwise_equal_to_the_reference(depth, n, seed):
+    _assert_lattice_recursions_match_the_reference(depth, n, seed)
+
+
+def test_deep_lattice_recursions_are_bitwise_equal_to_the_reference():
+    _assert_lattice_recursions_match_the_reference(16, 2, 16)
+
+
+# -- non-finite producers ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ito_integral_names_the_first_non_finite_node(bad):
+    lat = BinaryLattice(1.0, 4)
+    levels = [np.ones((2**k, 2)) for k in range(5)]
+    levels[2][3, 1] = bad
+    with pytest.raises(DivergenceError, match=r"ito_integral: .* level 3, node 6$"):
+        ito_integral(AdaptedProcess(lat, 2, levels))
+    levels[2][3, 1] = 1.0
+    levels[4][0, 0] = bad  # the horizon slice is never read
+    ito_integral(AdaptedProcess(lat, 2, levels))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_function_rejects_a_non_finite_value(bad):
+    lat = BinaryLattice(1.0, 4)
+
+    def fn(t, w):
+        out = np.ones((w.size, 2))
+        if w.size == 8:
+            out[5, 0] = bad
+        return out
+
+    with pytest.raises(ValueError, match=r"level 3, node 5$"):
+        AdaptedProcess.from_function(lat, 2, fn)
