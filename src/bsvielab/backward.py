@@ -49,6 +49,7 @@ from .lattice import (
     conditional_expectation,
     martingale_representation,
     reconstruct_from_representation,
+    row_sums,
     split_children,
     volterra_sum,
 )
@@ -247,7 +248,7 @@ def bsde_duality_check(
         X = branch(x_hat, -(sq * (x_hat @ b_k)))  # (-B^T X) dW, dW = +/-sqrt(h)
         pair = lattice.lift(pair, k, k + 1)
     xi = spec.terminal_field(lattice)
-    leaf_val = np.sum(X * xi, axis=1, keepdims=True) + pair
+    leaf_val = row_sums(X * xi)[:, None] + pair
     cond = condition_to(leaf_val, N, s_index)
     lhs = sol.y[s_index] @ xv
     return float(np.max(np.abs(lhs - cond[:, 0])))
@@ -558,11 +559,11 @@ def _weighted_diff_norm(
     for i in range(lattice.depth + 1):
         w = h * math.exp(beta * lattice.times[i])
         dy = y_new[i] - y_old[i]
-        q = (dy * dy).sum(axis=1)
+        q = row_sums(dy * dy)
         total += w * (float(np.add.reduce(q)) / q.shape[0])
         for j in range(i, lattice.depth):
             dz = zn[(i, j)] - zo[(i, j)]
-            q = (dz * dz).sum(axis=1)
+            q = row_sums(dz * dz)
             total += w * h * (float(np.add.reduce(q)) / q.shape[0])
     return math.sqrt(total)
 
@@ -677,8 +678,8 @@ def bsvie_duality_check(
     rhs_pair = 0.0
     for j in range(N):
         x_leaf = lattice.lift(xs[j], j, N)
-        lhs += h * float(np.mean(np.sum(spec.psi.slice(j) * x_leaf, axis=1)))
-        rhs_pair += h * float(np.mean(np.sum(phis[j] * msol.y.at(j), axis=1)))
+        lhs += h * float(np.mean(row_sums(spec.psi.slice(j) * x_leaf)))
+        rhs_pair += h * float(np.mean(row_sums(phis[j] * msol.y.at(j))))
     return abs(lhs - rhs_pair)
 
 

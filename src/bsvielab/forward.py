@@ -29,7 +29,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DivergenceError, NonConvergenceError, ResourceBudgetError
-from .lattice import AdaptedProcess, BinaryLattice, LevelNodes, branch, split_children, volterra_sum
+from .lattice import (
+    AdaptedProcess,
+    BinaryLattice,
+    LevelNodes,
+    _first_non_finite,
+    branch,
+    row_sums,
+    split_children,
+    volterra_sum,
+)
 
 DEFAULT_MC_BUDGET = 2**31  # work units: paths * steps (SDE) or paths * steps^2 (Volterra)
 _MC_CHUNK = 1 << 14
@@ -167,9 +176,9 @@ def worst_case_step_bound(a0_bound: float, a1_bound: float) -> float:
 
 def _check_state(x: np.ndarray, level: int) -> None:
     """Raise DivergenceError naming ``level`` and the first node with a non-finite entry."""
-    if not np.all(np.isfinite(x)):
-        bad = int(np.argmax(~np.isfinite(x).all(axis=1)))
-        raise DivergenceError(f"non-finite state at level {level}, node {bad}")
+    node = _first_non_finite(x)
+    if node is not None:
+        raise DivergenceError(f"non-finite state at level {level}, node {node}")
 
 
 def solve_fsde(spec: FsdeSpec, lattice: BinaryLattice) -> AdaptedProcess:
@@ -371,7 +380,7 @@ def picard_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> tuple[AdaptedProces
             drift = None if blocks is None else blocks[k].__getitem__
             nxt.append(volterra_sum(lattice, phi_levels[k], cur, k, drift, None))
         diff = math.sqrt(
-            sum(h * float(np.mean(np.sum((a - b) ** 2, axis=1))) for a, b in zip(nxt, cur[s:]))
+            sum(h * float(np.mean(row_sums((a - b) ** 2))) for a, b in zip(nxt, cur[s:]))
         )
         norms.append(diff)
         cur[s:] = nxt

@@ -20,7 +20,7 @@ import sys
 
 from .hypotheses import CONDITION_ORDER
 from .report import emit_report
-from .runner import ComparisonVerdict, ScenarioConfig, run_experiment, run_suite
+from .runner import REPORT_FORMATS, ComparisonVerdict, ScenarioConfig, run_experiment, run_suite
 from .scenarios import REGISTRY, scenario_names
 
 
@@ -90,11 +90,11 @@ def main(argv: list[str] | None = None) -> int:
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--trials", type=int)
     p_run.add_argument("--out")
-    p_run.add_argument("--format", choices=("json", "csv"))
+    p_run.add_argument("--format", choices=REPORT_FORMATS)
 
     p_suite = sub.add_parser("suite", help="run the full scenario suite")
     p_suite.add_argument("--out")
-    p_suite.add_argument("--format", choices=("json", "csv"), default="csv")
+    p_suite.add_argument("--format", choices=REPORT_FORMATS, default="csv")
     p_suite.add_argument("--seed-offset", type=int, default=0)
 
     p_hyp = sub.add_parser("hypotheses", help="print the hypothesis slate of one scenario")
@@ -130,14 +130,18 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "scenario", None) is None and not getattr(args, "config", None):
         print("error: --scenario (or --config) is required", file=sys.stderr)
         return 2
-    cfg = _build_config(args)
-    if cfg.scenario not in REGISTRY:
-        print(f"unknown scenario {cfg.scenario!r}; registry:", file=sys.stderr)
+    try:
+        cfg = _build_config(args)
+        verdict = run_experiment(cfg)  # checks the config before any scenario runs
+    except KeyError as exc:  # resolve's unknown scenario
+        print(f"unknown scenario {exc.args[0]!r}; registry:", file=sys.stderr)
         _print_registry(sys.stderr)
+        return 2
+    except ValueError as exc:  # a bad config document or field
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "hypotheses":
-        verdict = run_experiment(cfg)
         for name in CONDITION_ORDER:
             cond = verdict.hypotheses.conditions[name]
             line = f"{name:<22} {cond.status}"
@@ -146,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         return 0
 
-    verdict = run_experiment(cfg)
     print(_verdict_line(verdict))
     if verdict.details:
         for k in sorted(verdict.details):

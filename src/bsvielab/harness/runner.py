@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 from .hypotheses import HypothesisReport
 from .scenarios import REGISTRY, RegistryEntry, ScenarioOutcome
 
+REPORT_FORMATS = ("csv", "json")
+
 
 @dataclass
 class ScenarioConfig:
@@ -68,6 +70,11 @@ def resolve(config: ScenarioConfig) -> tuple[RegistryEntry, int, int, int]:
     trials = config.trials if config.trials is not None else entry.default_trials
     if not 1 <= depth <= 16:
         raise ValueError("depth must be in [1, 16]")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if config.format not in REPORT_FORMATS:
+        formats = ", ".join(REPORT_FORMATS)
+        raise ValueError(f"format must be one of {formats}, got {config.format!r}")
     return entry, depth, seed, trials
 
 

@@ -34,13 +34,44 @@ DEFAULT_MAX_DEPTH = 16
 _FLOAT = np.dtype(float)
 
 
+def _first_non_finite(y: np.ndarray) -> int | None:
+    """The first row of ``y`` with a NaN or +/-inf entry, or None when all are finite."""
+    if np.isfinite(y).all():  # the per-row reduction below is ~30x slower on two columns
+        return None
+    return int(np.argmax(~np.isfinite(y).all(axis=1)))
+
+
 def _check_finite(y: np.ndarray, what: str) -> None:
     """Raise DivergenceError naming the level (from the 2**level rows) and node."""
-    if np.isfinite(y).all():  # the per-row reduction below is ~30x slower on two columns
-        return
-    bad = np.flatnonzero(~np.isfinite(y).all(axis=1))
-    level = y.shape[0].bit_length() - 1
-    raise DivergenceError(f"{what}: non-finite value at level {level}, node {int(bad[0])}")
+    node = _first_non_finite(y)
+    if node is not None:
+        level = y.shape[0].bit_length() - 1
+        raise DivergenceError(f"{what}: non-finite value at level {level}, node {node}")
+
+
+def row_sums(q: np.ndarray) -> np.ndarray:
+    """``q.sum(axis=1)`` of a float ``(m, n)`` array, bit for bit, by column adds below 8 columns.
+
+    numpy sums a row of fewer than 8 entries one entry at a time from +0.0,
+    and a longer row pairwise.  The first case is the column add
+    ``q[:, 0] + 0.0 + q[:, 1] + ...``, which skips numpy's slow short-axis
+    reduction; the ``+ 0.0`` makes an all ``-0.0`` row sum to +0.0, as numpy's
+    does.  The pairwise case has other bits, so it stays with numpy.
+    """
+    if q.shape[1] >= 8:
+        return q.sum(axis=1)
+    acc = q[:, 0] + 0.0
+    for c in range(1, q.shape[1]):
+        acc += q[:, c]
+    return acc
+
+
+def row_any(b: np.ndarray) -> np.ndarray:
+    """``np.any(b, axis=1)`` of a boolean ``(m, n)`` array as a column OR (exact in any order)."""
+    acc = b[:, 0].copy()
+    for c in range(1, b.shape[1]):
+        acc |= b[:, c]
+    return acc
 
 
 class OutOfHorizonError(ValueError):
@@ -269,9 +300,9 @@ class AdaptedProcess:
         for k in range(lattice.depth + 1):
             vals = np.asarray(fn(lattice.times[k], lattice.brownian_level(k)), dtype=float)
             vals = vals.reshape(2**k, dim)
-            bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
-            if bad.size:
-                raise ValueError(f"non-finite value at level {k}, node {int(bad[0])}")
+            node = _first_non_finite(vals)
+            if node is not None:
+                raise ValueError(f"non-finite value at level {k}, node {node}")
             levels.append(vals)
         return cls(lattice, dim, levels)
 
@@ -510,7 +541,7 @@ def sign_violation(x: AdaptedProcess, component: int | None = None) -> SignViola
     best = Fraction(0)
     for k, lv in enumerate(x.levels):
         bad = ~(np.isfinite(lv) & (lv >= 0.0))
-        neg = np.any(bad, axis=1) if component is None else bad[:, component]
+        neg = row_any(bad) if component is None else bad[:, component]
         count = int(np.count_nonzero(neg))
         frac = Fraction(count, 2**k)
         per_level.append(frac)

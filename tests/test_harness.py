@@ -10,7 +10,7 @@ from bsvielab import backward, forward
 from bsvielab.harness import cli, scenarios
 from bsvielab.harness.hypotheses import CONDITION_ORDER, HypothesisReport
 from bsvielab.harness.report import emit_report, render_report
-from bsvielab.harness.runner import ComparisonVerdict, ScenarioConfig, run_experiment
+from bsvielab.harness.runner import ComparisonVerdict, ScenarioConfig, resolve, run_experiment
 from bsvielab.harness.scenarios import REGISTRY, Check, ScenarioOutcome, scenario_names
 from bsvielab.lattice import AdaptedProcess
 
@@ -233,6 +233,57 @@ def test_cli_list_and_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "fails as predicted" in out
     assert cli.main(["run", "--scenario", "thm3.10-random", "--seed", "1"]) == 0
+
+
+@pytest.mark.parametrize("name", ["thm2.5-random", "prop2.2-random", "picard-contraction",
+                                  "thm3.10-random", "ex2.6"])
+@pytest.mark.parametrize("trials", [0, -3])
+def test_resolve_rejects_fewer_than_one_trial(name, trials):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        resolve(ScenarioConfig(scenario=name, trials=trials))
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        run_experiment(ScenarioConfig(scenario=name, trials=trials))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--scenario", "thm2.5-random", "--trials", "0"], "trials must be at least 1, got 0"),
+    (["run", "--scenario", "thm3.10-random", "--trials", "-3"], "trials must be at least 1, got -3"),
+    (["run", "--scenario", "ex2.6", "--depth", "0"], "depth must be in [1, 16]"),
+    (["hypotheses", "--scenario", "ex3.4", "--depth", "17"], "depth must be in [1, 16]"),
+])
+def test_cli_usage_errors_exit_2_with_one_line(argv, message, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_cli_rejects_a_config_document_without_a_scenario_with_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"depth": 3}')
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: config document needs a 'scenario' field\n"
+
+
+def test_cli_rejects_an_invalid_json_config_document_with_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{bad")
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err  # the decoder's own wording varies with the Python version
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1
+
+
+def test_cli_rejects_an_unknown_config_format_before_running(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    out_file = tmp_path / "verdict.xml"
+    cfg.write_text(json.dumps({"scenario": "ex2.6", "format": "xml", "out": str(out_file)}))
+    ran = []
+    entry = REGISTRY["ex2.6"]
+    monkeypatch.setitem(REGISTRY, "ex2.6", dataclasses.replace(
+        entry, build=lambda *a: ran.append(a) or entry.build(*a)))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert ran == [] and not out_file.exists()
+    assert capsys.readouterr().err == "error: format must be one of csv, json, got 'xml'\n"
 
 
 def test_cli_config_document_with_flag_override(tmp_path, capsys):

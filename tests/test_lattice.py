@@ -13,6 +13,7 @@ from bsvielab.lattice import (
     OutOfHorizonError,
     TerminalField,
     TwoParamProcess,
+    _first_non_finite,
     branch,
     condition_to,
     conditional_expectation,
@@ -20,6 +21,7 @@ from bsvielab.lattice import (
     ito_integral,
     martingale_representation,
     reconstruct_from_representation,
+    row_sums,
     sign_violation,
     split_children,
 )
@@ -185,6 +187,46 @@ def test_sign_violation_counts_non_finite_entries(level, seed, bad, component):
     sv = sign_violation(AdaptedProcess(lat, 2, levels), component)
     assert sv.per_level[level] == Fraction(1, 2**level)
     assert sv.witness == NodeId(level, idx)
+
+
+def _sign_violation_reference(x, component=None):
+    """The scan with numpy's short-axis ``np.any``, as sign_violation had it before row_any."""
+    per_level = []
+    witness = None
+    best = Fraction(0)
+    for k, lv in enumerate(x.levels):
+        bad = ~(np.isfinite(lv) & (lv >= 0.0))
+        neg = np.any(bad, axis=1) if component is None else bad[:, component]
+        count = int(np.count_nonzero(neg))
+        frac = Fraction(count, 2**k)
+        per_level.append(frac)
+        if count and witness is None:
+            witness = NodeId(k, int(np.argmax(neg)))
+        if frac > best:
+            best = frac
+    return best, witness, per_level
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 3, 4, 9]), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0),
+       st.booleans())
+def test_sign_violation_matches_the_any_reference(dim, seed, density, per_component):
+    lat = BinaryLattice(1.0, 7)
+    rng = np.random.default_rng(seed)
+    pool = np.array([-1.0, -0.0, np.nan, np.inf, -np.inf, -5e-324])
+    levels = []
+    for k in range(lat.depth + 1):
+        lv = rng.uniform(0.0, 2.0, (2**k, dim))
+        mask = rng.random(lv.shape) < density * 0.5**k  # sparser deeper down
+        lv[mask] = rng.choice(pool, int(mask.sum()))
+        levels.append(lv)
+    component = int(rng.integers(dim)) if per_component else None
+    x = AdaptedProcess(lat, dim, levels)
+    sv = sign_violation(x, component)
+    best, witness, per_level = _sign_violation_reference(x, component)
+    assert sv.per_level == per_level
+    assert sv.fraction == best and sv.probability == float(best)
+    assert sv.witness == witness
 
 
 def test_min_and_max_abs_propagate_nan_below_the_root():
@@ -444,3 +486,40 @@ def test_from_function_rejects_a_non_finite_value(bad):
 
     with pytest.raises(ValueError, match=r"level 3, node 5$"):
         AdaptedProcess.from_function(lat, 2, fn)
+
+
+# -- short-axis reductions ----------------------------------------------------------------
+
+_IEEE_SPECIALS = np.array(
+    [0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 1.7e308, -1.7e308, 5e-324, -5e-324,
+     2.2e-308, -2.2e-308]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 11), st.integers(1, 4096), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_row_sums_is_bitwise_equal_to_numpy_sum(dim, rows, seed, special_share):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-300, 301, (rows, dim))
+    mask = rng.random(q.shape) < special_share
+    q[mask] = rng.choice(_IEEE_SPECIALS, int(mask.sum()))
+    q[0] = -0.0  # numpy sums from +0.0, so this row must come out +0.0
+    with np.errstate(all="ignore"):
+        got, want = row_sums(q), q.sum(axis=1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cells, want", [
+    ([], None),
+    ([(5, 1)], 5),
+    ([(9, 2), (3, 0)], 3),
+    ([(0, 0)], 0),
+    ([(15, 2)], 15),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_first_non_finite_names_the_first_bad_row(cells, want, bad):
+    y = np.ones((16, 3))
+    for r, c in cells:
+        y[r, c] = bad
+    assert _first_non_finite(y) == want
