@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .lattice import (
 
 DEFAULT_MC_BUDGET = 2**31  # work units: paths * steps (SDE) or paths * steps^2 (Volterra)
 _MC_CHUNK = 1 << 14
+_MC_BLOCK = 16  # steps per block of a Volterra chunk's block-triangular product
 SUBSTITUTION_TOL = 1e-12  # successive substitution stops below this difference norm
 GRID_MAX_SWEEPS = 80  # the fine grid's steps + 1 sweep bound is too far to wait for
 
@@ -486,10 +487,14 @@ def euler_monte_carlo(
     on how chunks are scheduled.  Each chunk streams: it reduces every time
     slice to the per-time path sums and the count of paths with a negative or
     non-finite component (a NaN never passes as nonnegative), and the chunks'
-    statistics are added up.  An SDE chunk holds only the current slice; a
-    Volterra chunk keeps the path history its kernels read, with the kernel
-    rows built once per call.  Volterra specs cost ``paths * steps**2`` work
-    units, SDE specs ``paths * steps``; exceeding ``DEFAULT_MC_BUDGET`` raises.
+    statistics are added up.  An SDE chunk holds only the current slice.  A
+    Volterra chunk keeps a time-major history of X(t_j) (and, for a
+    full-form diffusion kernel, of X(t_j) dW_j), adds the past before each
+    block of ``_MC_BLOCK`` steps in one matrix product and the in-block
+    terms step by step, and carries a separated diffusion kernel as a
+    running Ito sum with no history; the kernel slabs are built once per
+    call.  Volterra specs cost ``paths * steps**2`` work units, SDE specs
+    ``paths * steps``; exceeding ``DEFAULT_MC_BUDGET`` raises.
     """
     if steps < 1 or paths < 1:
         raise ValueError("steps and paths must be positive")
@@ -502,7 +507,7 @@ def euler_monte_carlo(
     if is_volterra:
         if isinstance(spec.phi, AdaptedProcess):
             raise ValueError("Monte Carlo needs a deterministic free term")
-        kernels = _volterra_kernel_rows(spec, times)
+        kernels = _volterra_kernels(spec, times)
     stats = np.zeros((steps + 1, n + 1))
     done = 0
     chunk_idx = 0
@@ -523,20 +528,20 @@ def euler_monte_carlo(
 
 
 def _path_stats(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the column sums of ``x`` (paths, n) and its count of paths with a
-    negative or non-finite component into ``out`` (n + 1,).
+    """Write the path sums of ``x`` (n, paths), one component per row, and
+    its count of paths with a negative or non-finite component into ``out``
+    (n + 1,).
 
-    Reduced column by column: a reduction over the short inner axis of a
-    path-major array is several times slower.
+    A reduction over the short component axis would be several times slower
+    than one per row.
     """
-    ok = np.ones(x.shape[0], dtype=bool)
-    for c in range(x.shape[1]):
-        col = x[:, c]
-        out[c] = col.sum()
-        ok &= col >= 0.0  # false for NaN and -inf
-        if not math.isfinite(out[c]):  # only then can the column hold +inf
-            ok &= col < math.inf
-    out[-1] = x.shape[0] - np.count_nonzero(ok)
+    ok = np.ones(x.shape[1], dtype=bool)
+    for c, row in enumerate(x):
+        out[c] = row.sum()
+        ok &= row >= 0.0  # false for NaN and -inf
+        if not math.isfinite(out[c]):  # only then can the row hold +inf
+            ok &= row < math.inf
+    out[-1] = x.shape[1] - np.count_nonzero(ok)
 
 
 def _mc_sde_chunk(spec: FsdeSpec, times: np.ndarray, m: int, rng) -> np.ndarray:
@@ -546,72 +551,116 @@ def _mc_sde_chunk(spec: FsdeSpec, times: np.ndarray, m: int, rng) -> np.ndarray:
     sq = math.sqrt(h)
     x = np.tile(spec.x0, (m, 1))
     stats = np.empty((steps + 1, spec.dim + 1))
-    _path_stats(x, stats[0])
+    _path_stats(x.T, stats[0])
     for k in range(steps):
         dw = sq * rng.standard_normal(m)
         x = x + h * spec.drift_at(times[k], x) + spec.diffusion_at(times[k], x) * dw[:, None]
-        _path_stats(x, stats[k + 1])
+        _path_stats(x.T, stats[k + 1])
     return stats
 
 
-def _volterra_kernel_rows(
-    spec: FsvieSpec, times: np.ndarray
-) -> list[tuple[np.ndarray | None, np.ndarray | None]]:
-    """Kernel rows of the steps i = 1..steps, each stacked as an ``(i*n, n)`` matrix.
+class _VolterraKernels(NamedTuple):
+    """The Monte Carlo kernel store of one ``euler_monte_carlo`` call.
 
-    Block j of row i is ``h * A0(t_i, t_j).T`` (drift) or ``A1(t_i, t_j).T``
-    (diffusion), so each Volterra sum over the past is one matmul against
-    the path-major history.  ``None`` marks an absent kernel.
+    ``drift`` (``h * A0(t_i, t_j)``) and ``diffusion`` (the full form
+    ``A1(t_i, t_j)``) are block slabs of the strictly lower block-triangular
+    Volterra matrix (see ``_kernel_slabs``).  A separated diffusion kernel is
+    kept as its values ``A1(t_j)``, j = 0..steps-1, an ``(steps, n, n)``
+    array.  ``None`` marks an absent kernel.
     """
+
+    drift: list[np.ndarray] | None
+    diffusion: list[np.ndarray] | None
+    separated: np.ndarray | None
+
+
+def _kernel_slabs(block: Callable[[int, int], np.ndarray], steps: int, n: int) -> list[np.ndarray]:
+    """The rows i = 1..steps of the Volterra matrix with ``(i, j)`` block
+    ``block(i, j)`` for j < i, cut into slabs of ``_MC_BLOCK`` steps.
+
+    The slab of steps i0..i1-1 is ``((i1-i0)*n, (i1-1)*n)`` and zero where
+    j >= i.  ``block`` is called once per pair, i ascending, then j.
+    """
+    slabs = []
+    for i0 in range(1, steps + 1, _MC_BLOCK):
+        i1 = min(i0 + _MC_BLOCK, steps + 1)
+        slab = np.zeros(((i1 - i0) * n, (i1 - 1) * n))
+        for i in range(i0, i1):
+            row = slab[(i - i0) * n:(i - i0 + 1) * n, : i * n]
+            np.concatenate([block(i, j) for j in range(i)], axis=1, out=row)
+        slabs.append(slab)
+    return slabs
+
+
+def _volterra_kernels(spec: FsvieSpec, times: np.ndarray) -> _VolterraKernels:
+    """Build the kernel store once per call; a separated ``a1`` is read once
+    per inner time."""
     steps = len(times) - 1
     h = times[-1] / steps
     n = spec.dim
-    separated = None
-    if spec.a1 is not None:  # A1(s) does not depend on t_i: one stack, row i is a prefix
-        separated = np.concatenate([
-            np.asarray(spec.a1(times[j]), dtype=float).reshape(n, n).T for j in range(steps)
+    drift = diffusion = separated = None
+    if spec.a0 is not None:
+        drift = _kernel_slabs(
+            lambda i, j: np.asarray(spec.a0(times[i], times[j]), dtype=float).reshape(n, n),
+            steps, n,
+        )
+        for slab in drift:
+            slab *= h
+    if spec.a1 is not None:  # A1(s) does not depend on t_i
+        separated = np.array([
+            np.asarray(spec.a1(times[j]), dtype=float).reshape(n, n) for j in range(steps)
         ])
-    rows = []
-    for i in range(1, steps + 1):
-        k0 = k1 = None
-        if spec.a0 is not None:
-            k0 = h * np.concatenate([
-                np.asarray(spec.a0(times[i], times[j]), dtype=float).reshape(n, n).T
-                for j in range(i)
-            ])
-        if separated is not None:
-            k1 = separated[: i * n]
-        elif spec.a1_full is not None:
-            k1 = np.concatenate([spec.a1_at(times[i], times[j]).reshape(n, n).T for j in range(i)])
-        rows.append((k0, k1))
-    return rows
+    elif spec.a1_full is not None:
+        diffusion = _kernel_slabs(
+            lambda i, j: spec.a1_at(times[i], times[j]).reshape(n, n), steps, n
+        )
+    return _VolterraKernels(drift, diffusion, separated)
 
 
 def _mc_volterra_chunk(
-    spec: FsvieSpec, kernels: list, times: np.ndarray, m: int, rng
+    spec: FsvieSpec, kernels: _VolterraKernels, times: np.ndarray, m: int, rng
 ) -> np.ndarray:
     """Per-time statistics ``(steps + 1, n + 1)`` of ``m`` Euler paths (see ``_path_stats``).
 
-    X(t_j) and X(t_j) dW_j are stored path-major as ``(m, steps*n)``, so step
-    i is one matmul per kernel against the prefix ``[:, :i*n]``.
+    The history is time-major, ``(steps*n, m)``: the n component rows of
+    X(t_j) sit at rows ``j*n..(j+1)*n``, so step j writes one contiguous
+    slice.  At the first step i0 of each block, one matrix product of the
+    block's slab with the history rows of t_0..t_{i0-1} adds in all the
+    past known before the block; each step i of the block then adds its
+    in-block terms j = i0..i-1 alone.  A full-form diffusion kernel runs the
+    same products against a history of X(t_j) dW_j; a separated one needs no
+    history, only the running Ito sum of A1(t_j) X(t_j) dW_j.
     """
     steps = len(times) - 1
     n = spec.dim
     dw = math.sqrt(times[-1] / steps) * rng.standard_normal((steps, m))
-    xs = np.empty((m, steps * n))
-    xdw = np.empty((m, steps * n))
+    xs = np.empty((steps * n, m))
+    xdw = np.empty((steps * n, m)) if kernels.diffusion is not None else None
+    ito = np.zeros((n, m)) if kernels.separated is not None else None
+    terms = [(slabs, hist) for slabs, hist in ((kernels.drift, xs), (kernels.diffusion, xdw))
+             if slabs is not None]
     stats = np.empty((steps + 1, n + 1))
-    x = np.tile(np.atleast_1d(spec.phi(0.0)).astype(float), (m, 1))
+    x = xs[:n]
+    x[...] = np.atleast_1d(spec.phi(0.0)).astype(float)[:, None]
     _path_stats(x, stats[0])
     for i in range(1, steps + 1):
-        slot = slice((i - 1) * n, i * n)
-        xs[:, slot] = x
-        np.multiply(x, dw[i - 1][:, None], out=xdw[:, slot])
-        k0, k1 = kernels[i - 1]
-        x = np.tile(np.atleast_1d(spec.phi(times[i])).astype(float), (m, 1))
-        if k0 is not None:
-            x += xs[:, : i * n] @ k0
-        if k1 is not None:
-            x += xdw[:, : i * n] @ k1
+        j = i - 1  # the newest history row
+        if xdw is not None:
+            np.multiply(x, dw[j], out=xdw[j * n:i * n])
+        if ito is not None:
+            ito += kernels.separated[j] @ (x * dw[j])
+        b, r = divmod(j, _MC_BLOCK)
+        i0 = i - r
+        if r == 0:  # first step of a block: the past before the block in one product
+            before = [slabs[b][:, : i0 * n] @ hist[: i0 * n] for slabs, hist in terms]
+        x = xs[i * n:(i + 1) * n] if i < steps else np.empty((n, m))
+        x[...] = np.atleast_1d(spec.phi(times[i])).astype(float)[:, None]
+        rows = slice(r * n, (r + 1) * n)
+        for (slabs, hist), past in zip(terms, before):
+            x += past[rows]
+            if r:
+                x += slabs[b][rows, i0 * n:i * n] @ hist[i0 * n:i * n]
+        if ito is not None:
+            x += ito
         _path_stats(x, stats[i])
     return stats

@@ -31,8 +31,16 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        """Read a config document; an unreadable file or a document that is
+        not a JSON object raises ValueError (field types are checked by
+        :func:`resolve`)."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise ValueError(f"cannot read config document {path!r}: {exc.strerror}") from exc
+        if not isinstance(doc, dict):
+            raise ValueError(f"config document must be a JSON object, got {type(doc).__name__}")
         known = {k: doc[k] for k in ("scenario", "depth", "seed", "trials", "out", "format")
                  if k in doc}
         if "scenario" not in known:
@@ -61,7 +69,20 @@ class ComparisonVerdict:
         return self.conclusion_held == self.expected_holds
 
 
+def _check_field_types(config: ScenarioConfig) -> None:
+    """Raise ValueError for a field of the wrong type (a bool is no integer)."""
+    for name in ("depth", "seed", "trials"):
+        val = getattr(config, name)
+        if val is not None and (not isinstance(val, int) or isinstance(val, bool)):
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+    for name, optional in (("scenario", False), ("out", True), ("format", False)):
+        val = getattr(config, name)
+        if not isinstance(val, str) and not (optional and val is None):
+            raise ValueError(f"{name} must be a string, got {val!r}")
+
+
 def resolve(config: ScenarioConfig) -> tuple[RegistryEntry, int, int, int]:
+    _check_field_types(config)
     if config.scenario not in REGISTRY:
         raise KeyError(config.scenario)
     entry = REGISTRY[config.scenario]

@@ -638,6 +638,23 @@ def test_mc_non_finite_paths_count_as_violations(bad):
     assert np.all(mc.violation_freq[~late] == 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mc_non_finite_volterra_paths_count_as_violations(bad):
+    # the drift kernel turns non-finite for t > 0.5, so every later state is non-finite
+    spec = forward.FsvieSpec(
+        1, lambda t: np.array([1.0]),
+        a0=lambda t, s: np.array([[bad if t > 0.5 else 0.0]]),
+        a1=lambda s: 0.5 * np.eye(1),
+    )
+    with np.errstate(invalid="ignore"):  # inf - inf in the inf case
+        mc = forward.euler_monte_carlo(spec, 1.0, 2 * forward._MC_BLOCK + 3, 100, seed=3)
+    late = mc.times > 0.5
+    assert not np.any(np.isfinite(mc.mean[late]))
+    assert np.all(np.isfinite(mc.mean[~late]))
+    assert np.all(mc.violation_freq[late] == 1.0)
+    assert np.all(mc.violation_freq[~late] == 0.0)
+
+
 # Reference: the path-returning chunk code the streaming helpers replaced.
 # Each returns the full (steps + 1, m, n) path array; the reference driver
 # reduces it with the same chunking and generator keys.
@@ -736,6 +753,9 @@ def _mc_cases():
         pytest.param(sde2, 40, id="sde-n2"),
         pytest.param(volterra1, 32, id="volterra-n1-separated"),
         pytest.param(volterra2, 24, id="volterra-n2-full"),
+        # two full blocks of steps and a ragged tail of three
+        pytest.param(volterra1, 2 * forward._MC_BLOCK + 3, id="volterra-n1-separated-blocks"),
+        pytest.param(volterra2, 2 * forward._MC_BLOCK + 3, id="volterra-n2-full-blocks"),
     ]
 
 
@@ -761,6 +781,17 @@ def test_mc_reads_a_separated_diffusion_kernel_once_per_inner_time():
     )
     forward.euler_monte_carlo(spec, 1.0, 16, 10, seed=0)
     assert seen == list(np.linspace(0.0, 1.0, 17)[:16])
+
+
+def test_mc_reads_the_drift_kernel_once_per_pair():
+    seen = []
+    spec = forward.FsvieSpec(
+        1, lambda t: np.array([1.0]), a0=lambda t, s: seen.append((t, s)) or np.eye(1)
+    )
+    steps = 2 * forward._MC_BLOCK + 3
+    forward.euler_monte_carlo(spec, 1.0, steps, 10, seed=0)
+    times = np.linspace(0.0, 1.0, steps + 1)
+    assert seen == [(times[i], times[j]) for i in range(1, steps + 1) for j in range(i)]
 
 
 # -- discrete positivity and comparison ------------------------------------------------

@@ -286,6 +286,61 @@ def test_cli_rejects_an_unknown_config_format_before_running(tmp_path, capsys, m
     assert capsys.readouterr().err == "error: format must be one of csv, json, got 'xml'\n"
 
 
+@pytest.mark.parametrize("doc, kind", [
+    ("[1, 2]", "list"), ('"ex2.6"', "str"), ("3", "int"), ("null", "NoneType"),
+])
+def test_cli_rejects_a_config_document_that_is_not_an_object_with_exit_2(
+    doc, kind, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(doc)
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: config document must be a JSON object, got {kind}\n"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("depth", "3", "depth must be an integer, got '3'"),
+    ("depth", True, "depth must be an integer, got True"),
+    ("depth", 2.0, "depth must be an integer, got 2.0"),
+    ("seed", "1", "seed must be an integer, got '1'"),
+    ("seed", False, "seed must be an integer, got False"),
+    ("trials", [2], "trials must be an integer, got [2]"),
+    ("scenario", 3, "scenario must be a string, got 3"),
+    ("out", 5, "out must be a string, got 5"),
+    ("format", None, "format must be a string, got None"),
+])
+def test_cli_rejects_a_mistyped_config_field_before_running(
+    field, value, message, tmp_path, capsys, monkeypatch
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "ex2.6", field: value}))
+    ran = []
+    entry = REGISTRY["ex2.6"]
+    monkeypatch.setitem(REGISTRY, "ex2.6", dataclasses.replace(
+        entry, build=lambda *a: ran.append(a) or entry.build(*a)))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("make, reason", [
+    (lambda p: p / "missing.json", "No such file or directory"),
+    (lambda p: p, "Is a directory"),
+])
+def test_cli_rejects_an_unreadable_config_file_with_exit_2(make, reason, tmp_path, capsys):
+    path = make(tmp_path)
+    assert cli.main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot read config document {str(path)!r}: {reason}\n"
+
+
+def test_resolve_rejects_mistyped_fields_of_a_programmatic_config():
+    with pytest.raises(ValueError, match="^trials must be an integer, got '4'$"):
+        resolve(ScenarioConfig(scenario="ex2.6", trials="4"))
+
+
 def test_cli_config_document_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"scenario": "bsde-duality-random", "trials": 5, "seed": 3}))
