@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -53,12 +54,17 @@ class FsdeSpec:
 
     Either supply ``drift``/``diffusion`` as callables ``f(t, x, nodes)`` acting
     on a stacked state array of shape ``(m, n)`` (``nodes`` is a
-    :class:`~bsvielab.lattice.LevelNodes`-like handle on the lattice, ``None``
-    in Monte Carlo), or supply the linear form
+    :class:`~bsvielab.lattice.LevelNodes`-like handle on the lattice), or
+    supply the linear form
 
         dX = (A0(t) X + b(t)) dt + A1(t) X dW
 
     through matrix callables ``a0``, ``a1`` and vector callable ``b``.
+
+    In Monte Carlo, ``x`` is an ``(m, n)`` view of the simulator's own state
+    rows and ``nodes`` is ``None``; a callable must not write into ``x``.  It
+    may return a scalar, an ``(n,)`` row or an ``(m, n)`` array, which is
+    only read.  ``start_index`` must be 0 there.
     """
 
     dim: int
@@ -487,17 +493,30 @@ def euler_monte_carlo(
     on how chunks are scheduled.  Each chunk streams: it reduces every time
     slice to the per-time path sums and the count of paths with a negative or
     non-finite component (a NaN never passes as nonnegative), and the chunks'
-    statistics are added up.  An SDE chunk holds only the current slice.  A
-    Volterra chunk keeps a time-major history of X(t_j) (and, for a
-    full-form diffusion kernel, of X(t_j) dW_j), adds the past before each
-    block of ``_MC_BLOCK`` steps in one matrix product and the in-block
-    terms step by step, and carries a separated diffusion kernel as a
-    running Ito sum with no history; the kernel slabs are built once per
-    call.  Volterra specs cost ``paths * steps**2`` work units, SDE specs
-    ``paths * steps``; exceeding ``DEFAULT_MC_BUDGET`` raises.
+    statistics are added up.  An SDE chunk holds the current state as
+    component rows ``(n, m)`` in owned buffers: two state buffers that swap
+    every step, one for the diffusion term and one for the draws; each step
+    is computed in place.  A Volterra chunk keeps a time-major history of
+    X(t_j) (and, for a full-form diffusion kernel, of X(t_j) dW_j), adds the
+    past before each block of ``_MC_BLOCK`` steps in one matrix product and
+    the in-block terms step by step, and carries a separated diffusion
+    kernel as a running Ito sum with no history; the kernel slabs are built
+    once per call.  Volterra specs cost ``paths * steps**2`` work units, SDE
+    specs ``paths * steps``; exceeding ``DEFAULT_MC_BUDGET`` raises.
+
+    ``horizon`` must be finite and positive, ``steps`` and ``paths`` positive
+    ints, and an SDE must start at time 0 (``start_index`` 0).
     """
+    for name, value in (("steps", steps), ("paths", paths)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an int, got {value!r}")
+    steps, paths = int(steps), int(paths)
     if steps < 1 or paths < 1:
         raise ValueError("steps and paths must be positive")
+    if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    if isinstance(spec, FsdeSpec) and spec.start_index != 0:
+        raise ValueError(f"start_index must be 0 in Monte Carlo, got {spec.start_index!r}")
     is_volterra = isinstance(spec, FsvieSpec)
     work = paths * steps * (steps if is_volterra else 1)
     if work > DEFAULT_MC_BUDGET:
@@ -545,17 +564,38 @@ def _path_stats(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _mc_sde_chunk(spec: FsdeSpec, times: np.ndarray, m: int, rng) -> np.ndarray:
-    """Per-time statistics ``(steps + 1, n + 1)`` of ``m`` Euler paths (see ``_path_stats``)."""
+    """Per-time statistics ``(steps + 1, n + 1)`` of ``m`` Euler paths (see ``_path_stats``).
+
+    The state is stored as component rows, ``(n, m)``, in two owned buffers
+    that swap every step, beside one owned buffer for the diffusion term and
+    one for the draws.  The coefficients are evaluated on the ``(m, n)``
+    view ``x.T`` with ``nodes=None``; a callable must not write into that
+    view, and its result (a scalar, an ``(n,)`` row or ``(m, n)``) is only
+    read.  Each step computes ``(x + h*drift) + diffusion*dW`` in place.
+    """
     steps = len(times) - 1
+    n = spec.dim
     h = times[-1] / steps
     sq = math.sqrt(h)
-    x = np.tile(spec.x0, (m, 1))
-    stats = np.empty((steps + 1, spec.dim + 1))
-    _path_stats(x.T, stats[0])
+    x = np.tile(spec.x0[:, None], m)
+    nxt, buf = np.empty((2, n, m))
+    dw = np.empty(m)
+    stats = np.empty((steps + 1, n + 1))
+    _path_stats(x, stats[0])
     for k in range(steps):
-        dw = sq * rng.standard_normal(m)
-        x = x + h * spec.drift_at(times[k], x) + spec.diffusion_at(times[k], x) * dw[:, None]
-        _path_stats(x.T, stats[k + 1])
+        rng.standard_normal(m, out=dw)
+        dw *= sq
+        # each coefficient is dropped once read, so at most one is alive
+        mu = spec.drift_at(times[k], x.T)
+        np.multiply(np.broadcast_to(mu, (m, n)).T, h, out=nxt)
+        del mu
+        nxt += x
+        sg = spec.diffusion_at(times[k], x.T)
+        np.multiply(np.broadcast_to(sg, (m, n)).T, dw, out=buf)
+        del sg
+        nxt += buf
+        x, nxt = nxt, x
+        _path_stats(x, stats[k + 1])
     return stats
 
 

@@ -617,6 +617,40 @@ def test_mc_budget_guard():
         forward.euler_monte_carlo(spec, 1.0, 10**6, 10**6, seed=0)
 
 
+@pytest.mark.parametrize(
+    "horizon", [-1.0, 0.0, math.nan, math.inf, -math.inf, pytest.param("1.0", id="str")]
+)
+def test_mc_rejects_a_horizon_that_is_not_finite_and_positive(horizon):
+    spec = forward.FsdeSpec(1, [1.0], a1=lambda t: np.eye(1))
+    with pytest.raises(ValueError, match="horizon"):
+        forward.euler_monte_carlo(spec, horizon, 8, 10, seed=0)
+
+
+def test_mc_rejects_an_sde_that_does_not_start_at_time_zero():
+    spec = forward.FsdeSpec(1, [1.0], start_index=3, a1=lambda t: np.eye(1))
+    with pytest.raises(ValueError, match="start_index"):
+        forward.euler_monte_carlo(spec, 1.0, 8, 10, seed=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("steps", True), ("steps", 8.0), ("steps", "8"), ("paths", True), ("paths", 10.5),
+    pytest.param("paths", np.True_, id="paths-numpy-bool"),
+])
+def test_mc_rejects_steps_or_paths_that_are_not_ints(name, value):
+    spec = forward.FsdeSpec(1, [1.0], a1=lambda t: np.eye(1))
+    args = {"steps": 8, "paths": 10, name: value}
+    with pytest.raises(ValueError, match=name):
+        forward.euler_monte_carlo(spec, 1.0, args["steps"], args["paths"], seed=0)
+
+
+def test_mc_accepts_numpy_integer_steps_and_paths():
+    spec = forward.FsdeSpec(1, [1.0], a1=lambda t: np.eye(1))
+    a = forward.euler_monte_carlo(spec, 1.0, np.int64(8), np.int32(10), seed=0)
+    b = forward.euler_monte_carlo(spec, 1.0, 8, 10, seed=0)
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.violation_freq, b.violation_freq)
+
+
 def test_mc_deterministic_for_fixed_seed():
     spec = forward.FsdeSpec(1, [1.0], a1=lambda t: np.eye(1))
     a = forward.euler_monte_carlo(spec, 1.0, 32, 5000, seed=11)
@@ -634,6 +668,23 @@ def test_mc_non_finite_paths_count_as_violations(bad):
     mc = forward.euler_monte_carlo(spec, 1.0, 16, 100, seed=3)
     late = mc.times > 0.5 + 1.0 / 16
     assert not np.any(np.isfinite(mc.mean[late]))
+    assert np.all(mc.violation_freq[late] == 1.0)
+    assert np.all(mc.violation_freq[~late] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_mc_non_finite_linear_form_paths_count_as_violations(bad):
+    # A0 turns non-finite after t = 0.5; the zero off-diagonal entries meet an
+    # infinite state in the matrix product one step later (inf * 0 is NaN)
+    spec = forward.FsdeSpec(
+        2, [1.0, 0.5], a0=lambda t: np.diag([bad, bad]) if t > 0.5 else np.zeros((2, 2)),
+        a1=lambda t: 0.5 * np.eye(2),
+    )
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf on purpose
+        mc = forward.euler_monte_carlo(spec, 1.0, 16, 100, seed=3)
+    late = mc.times > 0.5 + 1.0 / 16
+    assert not np.any(np.isfinite(mc.mean[late]))
+    assert np.all(np.isfinite(mc.mean[~late]))
     assert np.all(mc.violation_freq[late] == 1.0)
     assert np.all(mc.violation_freq[~late] == 0.0)
 
@@ -730,14 +781,27 @@ def _reference_mc(spec, horizon, steps, paths, seed, chunk):
     return sum_x / paths, counts / paths
 
 
+def _sde2():
+    return forward.FsdeSpec(
+        2, [0.3, 1.2], a0=lambda t: np.array([[-1.0, 0.5], [0.2, -0.3 - t]]),
+        a1=lambda t: np.array([[1.5, 0.0], [0.4, 0.8]]), b=lambda t: np.array([0.1, -0.2]),
+    )
+
+
+def _sde3_full():
+    """A 3-dim linear SDE with full A0 and A1 matrices and a drift offset b."""
+    return forward.FsdeSpec(
+        3, [0.5, 1.0, 0.2],
+        a0=lambda t: np.array([[-1.0, 0.3, 0.2], [0.1, -0.5, 0.4], [0.3 * t, 0.2, -0.7]]),
+        a1=lambda t: np.array([[0.6, -0.2, 0.1], [0.3, 0.5, 0.0], [-0.1, 0.2, 0.9 - t]]),
+        b=lambda t: np.array([0.1, -0.2, 0.05 * t]),
+    )
+
+
 def _mc_cases():
     tau = 0.5
     sde1 = forward.FsdeSpec(1, [2.0], drift=lambda t, x, nd: -np.ones_like(x),
                             diffusion=lambda t, x, nd: x)
-    sde2 = forward.FsdeSpec(
-        2, [0.3, 1.2], a0=lambda t: np.array([[-1.0, 0.5], [0.2, -0.3 - t]]),
-        a1=lambda t: np.array([[1.5, 0.0], [0.4, 0.8]]), b=lambda t: np.array([0.1, -0.2]),
-    )
     volterra1 = forward.FsvieSpec(
         1, lambda t: np.array([1.0]),
         a0=lambda t, s: np.array([[1.0 if t <= tau else 0.0]]),
@@ -750,7 +814,8 @@ def _mc_cases():
     )
     return [
         pytest.param(sde1, 40, id="sde-n1"),
-        pytest.param(sde2, 40, id="sde-n2"),
+        pytest.param(_sde2(), 40, id="sde-n2"),
+        pytest.param(_sde3_full(), 40, id="sde-n3-full"),
         pytest.param(volterra1, 32, id="volterra-n1-separated"),
         pytest.param(volterra2, 24, id="volterra-n2-full"),
         # two full blocks of steps and a ragged tail of three
@@ -772,6 +837,92 @@ def test_mc_streaming_equals_materialised_paths(spec, steps, monkeypatch):
         f"{(mc.violation_freq[diff] * paths).tolist()} vs {(freq[diff] * paths).tolist()}"
     )
     np.testing.assert_allclose(mc.mean, mean, rtol=1e-12, atol=0.0)
+
+
+# Reference: the path-major SDE chunk the component-row chunk replaced, kept
+# verbatim.  The new chunk must give the same bits.
+
+
+def _reference_mc_sde_chunk(spec, times, m, rng):
+    """Per-time statistics ``(steps + 1, n + 1)`` of ``m`` Euler paths (see ``_path_stats``)."""
+    steps = len(times) - 1
+    h = times[-1] / steps
+    sq = math.sqrt(h)
+    x = np.tile(spec.x0, (m, 1))
+    stats = np.empty((steps + 1, spec.dim + 1))
+    forward._path_stats(x.T, stats[0])
+    for k in range(steps):
+        dw = sq * rng.standard_normal(m)
+        x = x + h * spec.drift_at(times[k], x) + spec.diffusion_at(times[k], x) * dw[:, None]
+        forward._path_stats(x.T, stats[k + 1])
+    return stats
+
+
+def _chunk_rng(seed, chunk_idx):
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, chunk_idx], dtype=np.uint64))
+    )
+
+
+def _assert_sde_chunks_bitwise_equal(spec, steps, sizes, seed=21):
+    times = np.linspace(0.0, 1.0, steps + 1)
+    for c, m in enumerate(sizes):  # one generator key per chunk, as in euler_monte_carlo
+        got = forward._mc_sde_chunk(spec, times, m, _chunk_rng(seed, c))
+        want = _reference_mc_sde_chunk(spec, times, m, _chunk_rng(seed, c))
+        assert got.shape == (steps + 1, spec.dim + 1)
+        assert np.array_equal(got, want), f"chunk {c} differs"
+
+
+def _crosscheck_like_sde():
+    # the shape of the benchmark's cross-check SDE: diagonal A0 and A1, n = 2
+    a, b = np.array([-0.3, 0.8]), np.array([0.4, 0.9])
+    return forward.FsdeSpec(2, [1.2, 0.7], a0=lambda t: np.diag(a), a1=lambda t: np.diag(b))
+
+
+def _sde_chunk_cases():
+    """The benchmark's cross-check shape at full chunk size, then every SDE case of
+    ``_mc_cases``; each runs a chunk of the given size and a ragged one of 600."""
+    return [pytest.param(_crosscheck_like_sde(), 256, forward._MC_CHUNK, id="crosscheck-n2")] + [
+        pytest.param(*case.values, 700, id=case.id)
+        for case in _mc_cases() if isinstance(case.values[0], forward.FsdeSpec)
+    ]
+
+
+@pytest.mark.parametrize("spec, steps, m", _sde_chunk_cases())
+def test_mc_sde_chunk_is_bitwise_equal_to_the_path_major_loop(spec, steps, m):
+    _assert_sde_chunks_bitwise_equal(spec, steps, (m, 600))
+
+
+@pytest.mark.parametrize("drift, diffusion", [
+    pytest.param(lambda t, x, nd: np.array([0.1, -0.3 * t]),
+                 lambda t, x, nd: np.sin(x) * np.array([0.5, 1.0]), id="row-drift"),
+    pytest.param(lambda t, x, nd: -0.2, lambda t, x, nd: 0.7, id="scalars"),
+    pytest.param(lambda t, x, nd: -0.3 * x[:, ::-1],
+                 lambda t, x, nd: np.array([[0.4, 0.6]]) * x, id="mixed-columns"),
+])
+def test_mc_sde_chunk_broadcasts_general_callables_as_the_loop_did(drift, diffusion):
+    spec = forward.FsdeSpec(2, [1.0, 0.5], drift=drift, diffusion=diffusion)
+    _assert_sde_chunks_bitwise_equal(spec, 33, (500, 300))
+
+
+def test_mc_never_writes_into_an_array_a_callable_returns():
+    m = 300
+    drift_cache = np.tile([0.25, -0.5], (m, 1))
+    diffusion_cache = np.tile([0.5, 0.125], (m, 1))
+    seen = []
+
+    def drift(t, x, nd):
+        assert nd is None and x.shape == (m, 2)
+        seen.append(x.copy())
+        return drift_cache
+
+    spec = forward.FsdeSpec(2, [1.0, 0.5], drift=drift,
+                            diffusion=lambda t, x, nd: diffusion_cache)
+    forward.euler_monte_carlo(spec, 1.0, 16, m, seed=4)
+    assert np.all(drift_cache == [0.25, -0.5])
+    assert np.all(diffusion_cache == [0.5, 0.125])
+    assert len(seen) == 16 and np.all(seen[0] == [1.0, 0.5])
+    assert not np.array_equal(seen[1], seen[0])
 
 
 def test_mc_reads_a_separated_diffusion_kernel_once_per_inner_time():
