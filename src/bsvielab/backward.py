@@ -51,6 +51,7 @@ from .lattice import (
     reconstruct_from_representation,
     row_sums,
     split_children,
+    time_grid,
     volterra_sum,
 )
 
@@ -485,17 +486,18 @@ def solve_bsvie_family_deterministic(
     ``g(t, s_array, y_array)`` must broadcast over the inner-time arrays.
     Solves  Y_i = psi(t_i) + h * sum_{j >= i} g(t_i, t_j, Y_j)  with the
     diagonal term implicit, exactly like the lattice sweep with one node per
-    level but without the depth cap.
+    level but without the depth cap.  ``horizon`` must be finite and positive
+    and ``steps`` an int >= 1 (ValueError otherwise).
     """
-    times = np.linspace(0.0, horizon, steps + 1)
-    h = horizon / steps
+    times, h = time_grid(horizon, steps)
+    steps = len(times) - 1
     y = np.empty(steps + 1)
     y[steps] = psi(times[steps])
     for i in range(steps - 1, -1, -1):
-        # drift sum over j = i..steps-1, matching the lattice sweep
-        tail = psi(times[i]) + h * float(
-            np.sum(np.asarray(g(times[i], times[i + 1: steps], y[i + 1: steps]), dtype=float))
-        )
+        # drift sum over j = i..steps-1, matching the lattice sweep; add.reduce
+        # is np.sum's pairwise sum without its dispatch
+        drift = np.asarray(g(times[i], times[i + 1: steps], y[i + 1: steps]), dtype=float)
+        tail = psi(times[i]) + h * float(np.add.reduce(drift))
         cur = y[i + 1]
         # scalar twin of _fixed_point: abs() on a float is ~70x cheaper than np.max(np.abs())
         for _ in range(FP_MAX_ITER):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -36,8 +35,10 @@ from .lattice import (
     LevelNodes,
     _first_non_finite,
     branch,
+    check_count,
     row_sums,
     split_children,
+    time_grid,
     volterra_sum,
 )
 
@@ -413,13 +414,16 @@ def solve_linear_fsvie_deterministic(
 
     ``a0(t, s_array)`` must broadcast over the past-time array.  This is the
     zero-diffusion reduction of the lattice recursion with one node per level,
-    so the depth cap does not apply.
+    so the depth cap does not apply.  ``horizon`` must be finite and positive
+    and ``steps`` an int >= 1 (ValueError otherwise); a non-finite state
+    raises DivergenceError naming the first such step, step 0 included.
     """
-    times = np.linspace(0.0, horizon, steps + 1)
-    h = horizon / steps
-    x = np.empty(steps + 1)
+    times, h = time_grid(horizon, steps)
+    x = np.empty(len(times))
     x[0] = phi(times[0])
-    for i in range(1, steps + 1):
+    if not np.isfinite(x[0]):
+        raise DivergenceError("non-finite state at step 0")
+    for i in range(1, len(times)):
         row = np.asarray(a0(times[i], times[:i]), dtype=float)
         x[i] = phi(times[i]) + h * float(row @ x[:i])
         if not np.isfinite(x[i]):
@@ -435,34 +439,69 @@ def picard_fsvie_deterministic(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Successive substitution on the deterministic grid; returns (t, x, norms).
 
+    A sweep is ``x <- phi + h * (L @ x)``, with ``L`` the strictly lower
+    triangular Volterra matrix of ``a0``.  Its rows i = 1..steps are stored
+    once, as the slabs of ``_kernel_slabs`` (``a0(t_i, t_0..t_{i-1})`` is
+    called once per row, i ascending; row 0 has no past), and a sweep makes
+    one matrix-vector product per slab of ``_MC_BLOCK`` rows.  Each entry is
+    still ``phi_i + h * (row_i . x)``; only the order of summation inside
+    the dot differs from a per-row dot, so x and the norms can differ from a
+    row-by-row sweep by a few ULPs.
+
     Stops once a difference norm is below SUBSTITUTION_TOL and raises
-    NonConvergenceError after GRID_MAX_SWEEPS sweeps.
+    NonConvergenceError after GRID_MAX_SWEEPS sweeps.  ``horizon`` must be
+    finite and positive and ``steps`` an int >= 1 (ValueError otherwise).
 
     A sweep with a non-finite difference norm raises DivergenceError naming
-    the first non-finite grid step.
+    the first non-finite grid step.  A slab's zero padding times a
+    non-finite later entry is NaN, so the failing sweep is replayed row by
+    row (see ``_first_non_finite_step``) to find that step.
     """
-    times = np.linspace(0.0, horizon, steps + 1)
-    h = horizon / steps
-    phi_vals = np.array([phi(t) for t in times])
-    rows = [np.asarray(a0(times[i], times[:i]), dtype=float) for i in range(steps + 1)]
-    cur = phi_vals.copy()
+    times, h = time_grid(horizon, steps)
+    phi_vals = np.array([phi(t) for t in times], dtype=float).reshape(len(times))
+    slabs = _kernel_slabs(lambda i: a0(times[i], times[:i]), len(times) - 1, 1)
+    lx = np.zeros(len(times))  # L @ x; row 0 has no past, so lx[0] stays 0.0
+    cur = phi_vals
     norms: list[float] = []
     for _ in range(GRID_MAX_SWEEPS):
-        nxt = np.empty_like(cur)
-        for i in range(steps + 1):
-            nxt[i] = phi_vals[i] + h * float(rows[i] @ cur[:i])
+        i0 = 1
+        for slab in slabs:
+            i1 = i0 + len(slab)
+            lx[i0:i1] = slab @ cur[: i1 - 1]
+            i0 = i1
+        nxt = phi_vals + h * lx
         diff = math.sqrt(h * float(np.sum((nxt - cur) ** 2)))
         norms.append(diff)
         if not math.isfinite(diff):
-            bad = np.flatnonzero(~np.isfinite(nxt))
+            bad = _first_non_finite_step(phi_vals, h, slabs, cur)
             raise DivergenceError(
-                f"non-finite state at step {bad[0]}" if bad.size
+                f"non-finite state at step {bad}" if bad is not None
                 else f"difference norm overflowed at sweep {len(norms)}"
             )
         cur = nxt
         if diff < SUBSTITUTION_TOL:
             return times, cur, norms
     raise NonConvergenceError(f"not below {SUBSTITUTION_TOL} after {GRID_MAX_SWEEPS} sweeps")
+
+
+def _first_non_finite_step(
+    phi_vals: np.ndarray, h: float, slabs: list[np.ndarray], cur: np.ndarray
+) -> int | None:
+    """The first step i whose sweep value ``phi_i + h * (row_i . cur)`` is not
+    finite, or None.
+
+    Row by row, each a dot over the step's own past ``row_i[:i] . cur[:i]``,
+    so no padded zero meets a later entry of ``cur``.
+    """
+    if not math.isfinite(phi_vals[0]):
+        return 0
+    i = 1
+    for slab in slabs:
+        for row in slab:
+            if not math.isfinite(phi_vals[i] + h * float(row[:i] @ cur[:i])):
+                return i
+            i += 1
+    return None
 
 
 # -- Monte Carlo -------------------------------------------------------------
@@ -507,14 +546,8 @@ def euler_monte_carlo(
     ``horizon`` must be finite and positive, ``steps`` and ``paths`` positive
     ints, and an SDE must start at time 0 (``start_index`` 0).
     """
-    for name, value in (("steps", steps), ("paths", paths)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an int, got {value!r}")
-    steps, paths = int(steps), int(paths)
-    if steps < 1 or paths < 1:
-        raise ValueError("steps and paths must be positive")
-    if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
-        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    times, _ = time_grid(horizon, steps)
+    steps, paths = len(times) - 1, check_count("paths", paths)  # ints from here on
     if isinstance(spec, FsdeSpec) and spec.start_index != 0:
         raise ValueError(f"start_index must be 0 in Monte Carlo, got {spec.start_index!r}")
     is_volterra = isinstance(spec, FsvieSpec)
@@ -522,7 +555,6 @@ def euler_monte_carlo(
     if work > DEFAULT_MC_BUDGET:
         raise ResourceBudgetError(f"requested work {work} exceeds budget {DEFAULT_MC_BUDGET}")
     n = spec.dim
-    times = np.linspace(0.0, horizon, steps + 1)
     if is_volterra:
         if isinstance(spec.phi, AdaptedProcess):
             raise ValueError("Monte Carlo needs a deterministic free term")
@@ -614,35 +646,41 @@ class _VolterraKernels(NamedTuple):
     separated: np.ndarray | None
 
 
-def _kernel_slabs(block: Callable[[int, int], np.ndarray], steps: int, n: int) -> list[np.ndarray]:
-    """The rows i = 1..steps of the Volterra matrix with ``(i, j)`` block
-    ``block(i, j)`` for j < i, cut into slabs of ``_MC_BLOCK`` steps.
+def _kernel_slabs(row: Callable[[int], np.ndarray], steps: int, n: int) -> list[np.ndarray]:
+    """The rows i = 1..steps of a strictly lower block-triangular Volterra
+    matrix, cut into slabs of ``_MC_BLOCK`` steps.
 
-    The slab of steps i0..i1-1 is ``((i1-i0)*n, (i1-1)*n)`` and zero where
-    j >= i.  ``block`` is called once per pair, i ascending, then j.
+    ``row(i)`` is the ``(n, i*n)`` matrix row of step i, its blocks j < i
+    side by side (anything that broadcasts to that shape); it is called once
+    per step, i ascending.  The slab of steps i0..i1-1 is
+    ``((i1-i0)*n, (i1-1)*n)`` and zero where j >= i.  The store of the
+    Volterra Monte Carlo chunk and of the grid Picard sweep.
     """
     slabs = []
     for i0 in range(1, steps + 1, _MC_BLOCK):
         i1 = min(i0 + _MC_BLOCK, steps + 1)
         slab = np.zeros(((i1 - i0) * n, (i1 - 1) * n))
         for i in range(i0, i1):
-            row = slab[(i - i0) * n:(i - i0 + 1) * n, : i * n]
-            np.concatenate([block(i, j) for j in range(i)], axis=1, out=row)
+            slab[(i - i0) * n:(i - i0 + 1) * n, : i * n] = row(i)
         slabs.append(slab)
     return slabs
 
 
 def _volterra_kernels(spec: FsvieSpec, times: np.ndarray) -> _VolterraKernels:
-    """Build the kernel store once per call; a separated ``a1`` is read once
-    per inner time."""
+    """Build the kernel store once per call: a block kernel is read once per
+    pair (i, j), i ascending, then j, and a separated ``a1`` once per inner
+    time."""
     steps = len(times) - 1
     h = times[-1] / steps
     n = spec.dim
+
+    def rows(block):
+        return lambda i: np.concatenate([block(times[i], times[j]) for j in range(i)], axis=1)
+
     drift = diffusion = separated = None
     if spec.a0 is not None:
         drift = _kernel_slabs(
-            lambda i, j: np.asarray(spec.a0(times[i], times[j]), dtype=float).reshape(n, n),
-            steps, n,
+            rows(lambda t, s: np.asarray(spec.a0(t, s), dtype=float).reshape(n, n)), steps, n
         )
         for slab in drift:
             slab *= h
@@ -651,9 +689,7 @@ def _volterra_kernels(spec: FsvieSpec, times: np.ndarray) -> _VolterraKernels:
             np.asarray(spec.a1(times[j]), dtype=float).reshape(n, n) for j in range(steps)
         ])
     elif spec.a1_full is not None:
-        diffusion = _kernel_slabs(
-            lambda i, j: spec.a1_at(times[i], times[j]).reshape(n, n), steps, n
-        )
+        diffusion = _kernel_slabs(rows(lambda t, s: spec.a1_at(t, s).reshape(n, n)), steps, n)
     return _VolterraKernels(drift, diffusion, separated)
 
 

@@ -22,6 +22,8 @@ All node probabilities are dyadic rationals and are reported as exact
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -72,6 +74,30 @@ def row_any(b: np.ndarray) -> np.ndarray:
     for c in range(1, b.shape[1]):
         acc |= b[:, c]
     return acc
+
+
+def check_count(name: str, value) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer >= 1.
+
+    A bool is refused; numpy integers are accepted.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+    return int(value)
+
+
+def time_grid(horizon: float, steps: int) -> tuple[np.ndarray, float]:
+    """The uniform grid ``t_0..t_steps`` on ``[0, horizon]`` and its step ``horizon / steps``.
+
+    ``horizon`` must be finite and positive and ``steps`` an int >= 1 (see
+    :func:`check_count`); otherwise ValueError naming the argument.
+    """
+    steps = check_count("steps", steps)
+    if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
+    return np.linspace(0.0, horizon, steps + 1), horizon / steps
 
 
 class OutOfHorizonError(ValueError):

@@ -374,6 +374,63 @@ def test_family_lattice_matches_deterministic_grid():
     assert worst <= 1e-13
 
 
+# Reference: the grid family solver with its np.sum drift tail, kept verbatim.
+
+
+def _reference_family_deterministic(psi, g, horizon, steps):
+    times = np.linspace(0.0, horizon, steps + 1)
+    h = horizon / steps
+    y = np.empty(steps + 1)
+    y[steps] = psi(times[steps])
+    for i in range(steps - 1, -1, -1):
+        tail = psi(times[i]) + h * float(
+            np.sum(np.asarray(g(times[i], times[i + 1: steps], y[i + 1: steps]), dtype=float))
+        )
+        cur = y[i + 1]
+        for _ in range(backward.FP_MAX_ITER):
+            new = tail + h * float(g(times[i], np.asarray([times[i]]), np.asarray([cur]))[0])
+            if abs(new - cur) < backward.FP_TOL:
+                cur = new
+                break
+            cur = new
+        y[i] = cur
+    return times, y
+
+
+_GALLERY_FAMILIES = [  # the suite's ex3.3, ex3.4 and ex3.5 data
+    pytest.param(lambda t: t, lambda t, s, yv: -yv, 2.0, id="ex3.3"),
+    pytest.param(lambda t: 1.0, lambda t, s, yv: (t - 1.0) * yv, 3.0, id="ex3.4"),
+    pytest.param(lambda t: 0.0, lambda t, s, yv: s - t - yv, 1.0, id="ex3.5"),
+]
+
+
+@pytest.mark.parametrize("psi, g, horizon", _GALLERY_FAMILIES)
+def test_family_grid_drift_tail_keeps_the_np_sum_bits(psi, g, horizon):
+    got = backward.solve_bsvie_family_deterministic(psi, g, horizon, 1024)
+    want = _reference_family_deterministic(psi, g, horizon, 1024)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("name, horizon, steps", [
+    ("horizon", -1.0, 8), ("horizon", 0.0, 8), ("horizon", math.nan, 8),
+    ("horizon", math.inf, 8), ("horizon", "1.0", 8),
+    ("steps", 1.0, 0), ("steps", 1.0, True), ("steps", 1.0, 8.0), ("steps", 1.0, "8"),
+])
+def test_family_grid_rejects_a_bad_horizon_or_step_count(name, horizon, steps):
+    with pytest.raises(ValueError, match=name):
+        backward.solve_bsvie_family_deterministic(
+            lambda t: 1.0, lambda t, s, yv: -yv, horizon, steps
+        )
+
+
+def test_family_grid_accepts_numpy_integer_steps():
+    a = backward.solve_bsvie_family_deterministic(lambda t: t, lambda t, s, yv: -yv, 1.0, 40)
+    b = backward.solve_bsvie_family_deterministic(
+        lambda t: t, lambda t, s, yv: -yv, 1.0, np.int32(40)
+    )
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
 # -- monotone successive scheme -----------------------------------------------------------
 
 

@@ -577,6 +577,121 @@ def test_non_finite_free_term_at_time_zero_is_named_at_level_zero():
         forward.picard_fsvie(spec, lat)
 
 
+@pytest.mark.parametrize("solve", [
+    forward.solve_linear_fsvie_deterministic, forward.picard_fsvie_deterministic,
+])
+def test_non_finite_free_term_at_time_zero_is_named_at_step_zero(solve):
+    with pytest.raises(DivergenceError, match="non-finite state at step 0$"):
+        solve(lambda t: math.nan if t == 0.0 else 1.0, lambda t, s: np.full_like(s, 0.5), 1.0, 8)
+
+
+# Reference: the per-row grid Picard sweep the slab products replaced, kept
+# verbatim.  The blocked sweep sums each row's dot in another order, so it
+# matches to a few ULPs, not bit for bit.
+
+
+def _reference_picard_fsvie_deterministic(phi, a0, horizon, steps):
+    times = np.linspace(0.0, horizon, steps + 1)
+    h = horizon / steps
+    phi_vals = np.array([phi(t) for t in times])
+    rows = [np.asarray(a0(times[i], times[:i]), dtype=float) for i in range(steps + 1)]
+    cur = phi_vals.copy()
+    norms: list[float] = []
+    for _ in range(forward.GRID_MAX_SWEEPS):
+        nxt = np.empty_like(cur)
+        for i in range(steps + 1):
+            nxt[i] = phi_vals[i] + h * float(rows[i] @ cur[:i])
+        diff = math.sqrt(h * float(np.sum((nxt - cur) ** 2)))
+        norms.append(diff)
+        if not math.isfinite(diff):
+            bad = np.flatnonzero(~np.isfinite(nxt))
+            raise DivergenceError(
+                f"non-finite state at step {bad[0]}" if bad.size
+                else f"difference norm overflowed at sweep {len(norms)}"
+            )
+        cur = nxt
+        if diff < forward.SUBSTITUTION_TOL:
+            return times, cur, norms
+    raise AssertionError("the reference did not converge")
+
+
+def _ex26_kernel(t, s):
+    return -2.0 * np.exp(t - s)
+
+
+def _smooth_grid_data(seed):
+    """A random smooth free term and kernel of size ~1 on [0, 1]."""
+    c = np.random.default_rng(seed).uniform(-1.0, 1.0, 6)
+    return (
+        lambda t: 1.0 + c[0] * math.sin(3.0 * t + c[1]),
+        lambda t, s: c[2] + c[3] * np.cos(4.0 * (t - s)) + c[4] * np.exp(c[5] * s),
+    )
+
+
+def _grid_picard_cases():
+    # steps 15, 16, 17: one partial slab, one full slab, a full slab and a row
+    return [pytest.param(lambda t: 1.0, _ex26_kernel, 2**10, id="ex2.6-1024")] + [
+        pytest.param(*_smooth_grid_data(steps), steps, id=f"smooth-{steps}")
+        for steps in (1, 2, 15, 16, 17, 1000)
+    ]
+
+
+@pytest.mark.parametrize("phi, kernel, steps", _grid_picard_cases())
+def test_grid_picard_slab_sweep_matches_the_per_row_sweep(phi, kernel, steps):
+    t, x, norms = forward.picard_fsvie_deterministic(phi, kernel, 1.0, steps)
+    t_ref, x_ref, norms_ref = _reference_picard_fsvie_deterministic(phi, kernel, 1.0, steps)
+    assert np.array_equal(t, t_ref)
+    assert len(norms) == len(norms_ref)
+    assert x[0].hex() == x_ref[0].hex()
+    assert np.max(np.abs(x - x_ref)) <= 1e-14  # measured 1.3e-15
+    np.testing.assert_allclose(norms, norms_ref, rtol=1e-3, atol=0.0)  # measured 2.0e-4
+
+
+def _nan_kernel_after(t, s):
+    return np.where(s <= 0.4, 0.3, math.nan)
+
+
+@pytest.mark.parametrize("phi, kernel, where", [
+    # step 27 sits inside the slab of steps 17..32
+    pytest.param(lambda t: math.nan if t == 27 / 64 else 1.0, _ex26_kernel, 27, id="nan-phi"),
+    pytest.param(lambda t: math.inf if t == 0.0 else 1.0, _ex26_kernel, 0, id="inf-phi-at-0"),
+    pytest.param(lambda t: 1.0, _nan_kernel_after, 27, id="nan-kernel"),
+])
+def test_grid_picard_names_the_non_finite_step_like_the_per_row_sweep(phi, kernel, where):
+    with np.errstate(invalid="ignore"):  # inf - inf in the inf case
+        with pytest.raises(DivergenceError) as blocked:
+            forward.picard_fsvie_deterministic(phi, kernel, 1.0, 64)
+        with pytest.raises(DivergenceError) as per_row:
+            _reference_picard_fsvie_deterministic(phi, kernel, 1.0, 64)
+    assert str(blocked.value) == str(per_row.value) == f"non-finite state at step {where}"
+
+
+_GRID_SOLVERS = {
+    "linear": lambda horizon, steps: forward.solve_linear_fsvie_deterministic(
+        lambda t: 1.0, _ex26_kernel, horizon, steps),
+    "picard": lambda horizon, steps: forward.picard_fsvie_deterministic(
+        lambda t: 1.0, _ex26_kernel, horizon, steps),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(_GRID_SOLVERS))
+@pytest.mark.parametrize("name, horizon, steps", [
+    ("horizon", -1.0, 8), ("horizon", 0.0, 8), ("horizon", math.nan, 8),
+    ("horizon", math.inf, 8), ("horizon", "1.0", 8),
+    ("steps", 1.0, 0), ("steps", 1.0, -3), ("steps", 1.0, True), ("steps", 1.0, 8.0),
+    ("steps", 1.0, "8"), pytest.param("steps", 1.0, np.True_, id="steps-numpy-bool"),
+])
+def test_grid_solvers_reject_a_bad_horizon_or_step_count(solver, name, horizon, steps):
+    with pytest.raises(ValueError, match=name):
+        _GRID_SOLVERS[solver](horizon, steps)
+
+
+@pytest.mark.parametrize("solver", sorted(_GRID_SOLVERS))
+def test_grid_solvers_accept_numpy_integer_steps(solver):
+    a, b = _GRID_SOLVERS[solver](1.0, np.int64(40)), _GRID_SOLVERS[solver](1.0, 40)
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
 # -- Monte Carlo --------------------------------------------------------------------
 
 
@@ -943,6 +1058,69 @@ def test_mc_reads_the_drift_kernel_once_per_pair():
     forward.euler_monte_carlo(spec, 1.0, steps, 10, seed=0)
     times = np.linspace(0.0, 1.0, steps + 1)
     assert seen == [(times[i], times[j]) for i in range(1, steps + 1) for j in range(i)]
+
+
+# Reference: the pair-wise kernel store the row-wise ``_kernel_slabs`` replaced,
+# kept verbatim.  The chunk statistics must keep their bits.
+
+
+def _reference_kernel_slabs(block, steps, n):
+    slabs = []
+    for i0 in range(1, steps + 1, forward._MC_BLOCK):
+        i1 = min(i0 + forward._MC_BLOCK, steps + 1)
+        slab = np.zeros(((i1 - i0) * n, (i1 - 1) * n))
+        for i in range(i0, i1):
+            row = slab[(i - i0) * n:(i - i0 + 1) * n, : i * n]
+            np.concatenate([block(i, j) for j in range(i)], axis=1, out=row)
+        slabs.append(slab)
+    return slabs
+
+
+def _reference_volterra_kernels(spec, times):
+    steps = len(times) - 1
+    h = times[-1] / steps
+    n = spec.dim
+    drift = diffusion = separated = None
+    if spec.a0 is not None:
+        drift = _reference_kernel_slabs(
+            lambda i, j: np.asarray(spec.a0(times[i], times[j]), dtype=float).reshape(n, n),
+            steps, n,
+        )
+        for slab in drift:
+            slab *= h
+    if spec.a1 is not None:
+        separated = np.array([
+            np.asarray(spec.a1(times[j]), dtype=float).reshape(n, n) for j in range(steps)
+        ])
+    elif spec.a1_full is not None:
+        diffusion = _reference_kernel_slabs(
+            lambda i, j: spec.a1_at(times[i], times[j]).reshape(n, n), steps, n
+        )
+    return forward._VolterraKernels(drift, diffusion, separated)
+
+
+def _crosscheck_like_volterra():
+    # the shape of the benchmark's cross-check Volterra equation at 128 steps
+    return forward.FsvieSpec(1, lambda t: np.array([1.0]),
+                             a0=lambda t, s: np.array([[1.0 if t <= 0.45 else 0.0]]),
+                             a1=lambda s: np.eye(1))
+
+
+@pytest.mark.parametrize("spec, steps", [
+    pytest.param(_crosscheck_like_volterra(), 128, id="crosscheck-n1"),
+] + [case for case in _mc_cases() if isinstance(case.values[0], forward.FsvieSpec)])
+def test_mc_volterra_chunk_stats_keep_their_bits_with_the_row_wise_store(spec, steps):
+    times = np.linspace(0.0, 1.0, steps + 1)
+    got, want = forward._volterra_kernels(spec, times), _reference_volterra_kernels(spec, times)
+    for new, old in zip(got, want):
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert all(np.array_equal(a, b) for a, b in zip(new, old, strict=True))
+    for c, m in enumerate((700, 300)):
+        assert np.array_equal(
+            forward._mc_volterra_chunk(spec, got, times, m, _chunk_rng(5, c)),
+            forward._mc_volterra_chunk(spec, want, times, m, _chunk_rng(5, c)),
+        ), f"chunk {c} differs"
 
 
 # -- discrete positivity and comparison ------------------------------------------------
