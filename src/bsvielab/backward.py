@@ -18,14 +18,16 @@ below FP_TOL, so a NaN never converges; it ends in DivergenceError instead.
 
 Backward Volterra equations carry a time-indexed free term psi(t_i) (known at
 the horizon, not necessarily adapted) and a two-time-parameter integrand
-Z(t_i, s_j).  The solver sweeps a backward recursion per grid time t_i; drift
-evaluations at inner times s_j > t_i read the already-solved diagonal values
-Y(t_j), so one pass over i = N..0 solves the equation exactly on the lattice.
-For M-solutions the part of Z below the diagonal is pinned down by the exact
-martingale representation of Y.  Row t_i reads Z(t_j, t_i) only for j > i,
-and those rows are final before row i is swept, so the same single pass
-attaches the representation of Y(t_i) as soon as row i finishes: later rows
-read it as their sub-diagonal argument and no re-solve is needed.
+Z(t_i, s_j).  Each grid time t_i has its own backward recursion (row t_i);
+drift evaluations at inner times s_j > t_i read the already-solved diagonal
+values Y(t_j).  Row t_j is final at level j, so one sweep over the levels
+j = N-1..0 that advances every open row i <= j together, in a stack, solves
+the equation exactly on the lattice.  For M-solutions the part of Z below the
+diagonal is pinned down by the exact martingale representation of Y.  Row
+t_i reads Z(t_j, t_i) only for j > i, and row j is final before any row
+below it steps at level j, so the same single sweep attaches the
+representation of Y(t_j) as soon as row j finishes: later rows read it as
+their sub-diagonal argument and no re-solve is needed.
 """
 
 from __future__ import annotations
@@ -59,6 +61,9 @@ FP_TOL = 1e-13
 FP_MAX_ITER = 50
 PICARD_TOL = 1e-10  # frozen-y scheme: weighted difference norm that ends it
 PICARD_MAX_ITER = 50
+# cap on the float entries (2**N * dim per row) of a family sweep block's stacked
+# rows: a depth <= 10, dim <= 3 solve is one block, a depth-16 one goes row by row
+_ROW_BLOCK_ELEMS = 2**16
 
 
 # -- implicit one-step helpers ------------------------------------------------
@@ -275,6 +280,17 @@ class BsvieSpec:
     actual dependencies and must be consistent with the structured pieces.
     The discrete convention for the sub-diagonal argument is zeta(t_i, t_i) = 0
     (the diagonal carries no mass in the continuum).
+
+    ``stacked_t`` declares that the callables also take a stack of outer
+    times: t as a float array of shape ``(rows, 1, 1)``, with ``z`` and
+    ``zeta`` carrying a leading row axis ``(rows, 2**j, n)`` (``y`` stays the
+    shared ``(2**j, n)`` level).  Each callable must then return, bit for bit,
+    the stack of its scalar-t results: ``a_kernel``/``c_coef`` a
+    ``(rows, n, n)`` stack or one matrix for all rows, ``h_fn``/``generator``
+    a value that broadcasts to ``(rows, 2**j, n)``.  Use ``.mT``, not ``.T``,
+    on a matrix that may be stacked.  The family sweep then makes one drift
+    call per level for its explicit steps instead of one per row; ``b_coef``
+    and ``s`` stay scalar.
     """
 
     dim: int
@@ -288,6 +304,7 @@ class BsvieSpec:
     uses_zeta: bool = False
     lip_y: float = 0.0
     lip_z: float = 0.0
+    stacked_t: bool = False
 
     def __post_init__(self):
         structured = any(
@@ -311,28 +328,33 @@ class BsvieSpec:
 
         The sum is the one accumulated from ``np.zeros_like(y)``: the first
         piece goes through ``_from_zero``, so a -0.0 in it becomes +0.0 and a
-        piece of another shape is broadcast to y's.
+        piece of another shape is broadcast to y's.  With a stacked t (see
+        ``stacked_t``) every piece is the stack of its per-row values.
         """
         if self.generator is not None:
             return np.asarray(self.generator(t, s, y, z, zeta, nodes), dtype=float)
         out = None
         if self.a_kernel is not None:
-            out = _from_zero(y, y @ np.asarray(self.a_kernel(t, s), dtype=float).T)
+            out = _from_zero(y, y @ np.asarray(self.a_kernel(t, s), dtype=float).mT)
         if self.h_fn is not None:
             term = np.asarray(self.h_fn(t, s, y, nodes), dtype=float)
             out = _from_zero(y, term) if out is None else out + term
         if self.b_coef is not None and z is not None:
-            term = z @ np.asarray(self.b_coef(s), dtype=float).T
+            term = z @ np.asarray(self.b_coef(s), dtype=float).mT
             out = _from_zero(y, term) if out is None else out + term
         if self.c_coef is not None and zeta is not None:
-            term = zeta @ np.asarray(self.c_coef(t), dtype=float).T
+            term = zeta @ np.asarray(self.c_coef(t), dtype=float).mT
             out = _from_zero(y, term) if out is None else out + term
         return np.zeros_like(y) if out is None else out
 
 
 def _from_zero(y: np.ndarray, term: np.ndarray) -> np.ndarray:
-    """``np.zeros_like(y) + term`` without the zeros when shape and dtype agree."""
-    if term.shape == y.shape and term.dtype == y.dtype:
+    """``np.zeros_like(y) + term`` without the zeros when term already has the sum's shape.
+
+    That is when term's trailing axes are y's shape (a stack of y-shaped
+    slices included) and the dtypes agree.
+    """
+    if term.dtype == y.dtype and term.shape[-y.ndim:] == y.shape:
         return term + 0.0
     return np.zeros_like(y) + term
 
@@ -351,14 +373,6 @@ class BsvieSolution:
     msolution_residual: float | None = None
 
 
-def _zeta_slice(z: TwoParamProcess | None, lattice: BinaryLattice, i: int, j: int,
-                dim: int) -> np.ndarray:
-    """Z(s,t) argument at (t,s) = (t_i, t_j): the (j, i) slice lifted to level j."""
-    if j == i or z is None or not z.has(j, i):
-        return np.zeros((2**j, dim))
-    return lattice.lift(z.get(j, i), i, j)
-
-
 def solve_bsvie_family(
     spec: BsvieSpec,
     lattice: BinaryLattice,
@@ -366,93 +380,137 @@ def solve_bsvie_family(
     frozen_y: Sequence[np.ndarray] | None = None,
     _msolution: bool = False,
 ) -> BsvieSolution:
-    """One backward sweep per grid time; exact on the lattice.
+    """One backward recursion per grid time, swept level by level; exact on the lattice.
 
-    For each t_i the sweep runs the BSDE recursion from the horizon down to
-    level i with terminal psi(t_i); drift evaluations at inner times t_j > t_i
-    read the already-solved values Y(t_j), and the diagonal step is implicit
-    in y.  ``frozen_y`` replaces the y-argument everywhere (used by the
-    monotone successive scheme); ``zeta`` supplies given sub-diagonal Z
-    slices.  ``_msolution`` (set by :func:`solve_bsvie_msolution`) attaches
-    the martingale representation of each finished row Y(t_i) as the slices
-    Z(t_i, s_j), j < i, which later rows read as their ``zeta``.
+    Row t_i is the BSDE recursion from the horizon down to level i with
+    terminal psi(t_i); its explicit steps at inner times t_j > t_i read the
+    already-solved values Y(t_j), and its diagonal step at level i is
+    implicit in y.  ``frozen_y`` replaces the y-argument everywhere, so every
+    step is explicit (used by the monotone successive scheme); ``zeta``
+    supplies given sub-diagonal Z slices.  ``_msolution`` (set by
+    :func:`solve_bsvie_msolution`) attaches the martingale representation of
+    each finished row Y(t_i) as the slices Z(t_i, s_j), j < i, which later
+    rows read as their ``zeta``.
 
-    A non-finite value raises DivergenceError naming the level and node where
-    it arose.  Explicit steps are not checked as they run; when a row fails
-    (at its diagonal step, or at the end of a frozen-y row) it is replayed
-    with a finiteness check after each explicit step, so converging runs do
-    no extra work.
+    The rows are swept in descending blocks of at most
+    ``_ROW_BLOCK_ELEMS // (2**N * dim)`` rows (at least one).  Inside a block
+    each level j = N-1..lo is one stacked step over the block's open rows
+    i <= j: one child split, one conditional mean, the Z slices written
+    straight into ``z``, row j's diagonal step, then one explicit update of
+    the rows i < j (of all rows i <= j with ``frozen_y``).  Row j is final at
+    level j, before the rows below it read Y(t_j) or Z(t_j, .).  The explicit
+    update is one ``spec.drift`` call when ``spec.stacked_t`` is set and one
+    call per row otherwise.  Every value is the one the row-by-row recursion
+    computes, bit for bit.
+
+    A non-finite value raises DivergenceError naming where it arose.  Each
+    explicit update is checked as it is made: the first level with a
+    non-finite value is named with its highest such row and the node.  A
+    diagonal step names its level and node.
     """
     n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
+    times = lattice.times
     y_levels: list[np.ndarray | None] = [None] * (N + 1)
     z = TwoParamProcess(lattice, n)
     residuals: list[float] = []
+    frozen = frozen_y is not None
     if _msolution:
+        if frozen:
+            # row j's representation would be needed by the update that makes row j
+            raise ValueError("an M-solution sweep takes no frozen y-argument")
         zeta = z
     if spec.uses_zeta and zeta is None:
         raise ValueError("generator depends on Z(s,t): solve as an M-solution")
     level_nodes = [LevelNodes(lattice, j) for j in range(N)]
-    y_args = y_levels if frozen_y is None else frozen_y
-    what = "explicit step" if frozen_y is None else "frozen-y sweep"
+    y_args = frozen_y if frozen else y_levels
+    what = "frozen-y sweep" if frozen else "explicit step"
 
-    def sweep_row(i: int, checked: bool) -> np.ndarray:
-        # ``checked`` is the failure path only: raise at the first explicit step
-        # with a non-finite value, and stop before the implicit diagonal step
-        lam = spec.psi.slice(i).copy()
-        t_i = lattice.times[i]
-        for j in range(N - 1, i - 1, -1):
-            up, down = split_children(lam)
-            e = 0.5 * (up + down)
-            mu = (up - down) / (2.0 * sq)
-            z.set(i, j, mu)
-            t_j = lattice.times[j]
-            nodes = level_nodes[j]
-            zeta_ij = _zeta_slice(zeta, lattice, i, j, n) if spec.uses_zeta else None
-            z_arg = mu if spec.uses_z else None
-            if j > i or frozen_y is not None:
-                lam = e + h * spec.drift(t_i, t_j, y_args[j], z_arg, zeta_ij, nodes)
-                if checked:
-                    _check_finite(lam, f"{what} of row {i}")
-            elif checked:
-                break
-            elif spec.is_linear_y:
-                a_jj = (
-                    np.asarray(spec.a_kernel(t_i, t_j), dtype=float)
-                    if spec.a_kernel is not None
-                    else np.zeros((n, n))
-                )
-                b_jj = None if spec.b_coef is None else np.asarray(spec.b_coef(t_j), dtype=float)
-                c_ti = None if spec.c_coef is None else np.asarray(spec.c_coef(t_i), dtype=float)
-                # (I - h A(t_i,t_i)) y = E[next] + h B Z + h C zeta
-                lam = _linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
-                                   None if c_ti is None else h * (zeta_ij @ c_ti.T))
-            else:
-                lam = _fixed_point(
-                    lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),
-                    e, "diagonal y-step", lambda: h * spec.lip_y,
-                )
-        return lam
-
-    for i in range(N, -1, -1):
-        try:
-            lam = sweep_row(i, False)
-            if frozen_y is not None:
-                # only explicit steps ran, so nothing else has looked at this row
-                _check_finite(lam, what)
-        except DivergenceError:
-            # a NaN from an explicit step surfaces only at the row's end: replay
-            # the row checked, which names the level where it arose
-            sweep_row(i, True)
-            raise
-        y_levels[i] = lam
+    def finish(i: int, y_i: np.ndarray) -> None:
+        y_levels[i] = y_i
         if _msolution and i > 0:
-            mean, zs = martingale_representation(lattice, lam, i)
+            mean, zs = martingale_representation(lattice, y_i, i)
             for j in range(i):
                 z.set(i, j, zs[j])
             recon = reconstruct_from_representation(lattice, mean, zs, i)
-            residuals.append(float(np.max(np.abs(recon - lam))))
+            residuals.append(float(np.max(np.abs(recon - y_i))))
+
+    def diagonal_step(j: int, up: np.ndarray, down: np.ndarray, e: np.ndarray,
+                      mu: np.ndarray) -> np.ndarray:
+        t_j = times[j]
+        z_arg = mu if spec.uses_z else None
+        # the discrete convention zeta(t_j, t_j) = 0
+        zeta_jj = np.zeros((2**j, n)) if spec.uses_zeta else None
+        if spec.is_linear_y:
+            a_jj = (
+                np.asarray(spec.a_kernel(t_j, t_j), dtype=float)
+                if spec.a_kernel is not None
+                else np.zeros((n, n))
+            )
+            b_jj = None if spec.b_coef is None else np.asarray(spec.b_coef(t_j), dtype=float)
+            c_tj = None if spec.c_coef is None else np.asarray(spec.c_coef(t_j), dtype=float)
+            # (I - h A(t_j,t_j)) y = E[next] + h B Z + h C zeta
+            return _linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
+                                None if c_tj is None else h * (zeta_jj @ c_tj.T))
+        nodes = level_nodes[j]
+        return _fixed_point(
+            lambda cur: e + h * spec.drift(t_j, t_j, cur, z_arg, zeta_jj, nodes),
+            e, "diagonal y-step", lambda: h * spec.lip_y,
+        )
+
+    def explicit_update(lo: int, j: int, e: np.ndarray, mu: np.ndarray) -> np.ndarray:
+        # rows i = lo..lo+k-1 at level j: e + h * drift(t_i, t_j, Y(t_j), Z(t_i,t_j), Z(t_j,t_i))
+        k = e.shape[0]
+        t_j = times[j]
+        nodes = level_nodes[j]
+        y_j = y_args[j]
+        z_arg = mu if spec.uses_z else None
+        zeta_arg = None
+        if spec.uses_zeta:
+            # Z(t_j, t_i) lifted to level j; a frozen sweep's row j is on the diagonal
+            stop = min(lo + k, j)
+            zeta_arg = zeta.lifted(j, lo, stop, j)
+            if stop < lo + k:
+                zeta_arg = np.concatenate([zeta_arg, np.zeros((lo + k - stop, 2**j, n))])
+        if spec.stacked_t:
+            lam = e + h * spec.drift(times[lo:lo + k, None, None], t_j, y_j, z_arg, zeta_arg,
+                                     nodes)
+        else:
+            rows = [
+                e[r] + h * spec.drift(times[lo + r], t_j, y_j, None if z_arg is None else z_arg[r],
+                                      None if zeta_arg is None else zeta_arg[r], nodes)
+                for r in range(k)
+            ]
+            lam = rows[0][None] if k == 1 else np.stack(rows)
+        if not np.isfinite(lam).all():
+            for r in range(k - 1, -1, -1):
+                _check_finite(lam[r], f"{what} of row {lo + r}")
+        return lam
+
+    finish(N, spec.psi.slice(N).copy())
+    block = max(1, _ROW_BLOCK_ELEMS // (2**N * n))
+    for hi in range(N - 1, -1, -block):
+        lo = max(0, hi - block + 1)
+        lam = spec.psi.values[lo:hi + 1]
+        for j in range(N - 1, lo - 1, -1):
+            top = min(hi, j)  # rows lo..top are open at level j
+            lam = lam[:top - lo + 1]
+            up, down = split_children(lam, axis=1)
+            e = 0.5 * (up + down)
+            mu = z.write_rows(j, lo, top + 1)
+            np.subtract(up, down, out=mu)
+            mu /= 2.0 * sq
+            if frozen:
+                lam = explicit_update(lo, j, e, mu)
+                if top == j:
+                    finish(j, lam[-1].copy())
+            elif top == j:
+                finish(j, diagonal_step(j, up[-1], down[-1], e[-1], mu[-1]))
+                if j > lo:
+                    lam = explicit_update(lo, j, e[:-1], mu[:-1])
+            else:
+                lam = explicit_update(lo, j, e, mu)
     y = AdaptedProcess(lattice, n, y_levels)
     # np.max, unlike the builtin, propagates a NaN residual
     return BsvieSolution(y, z, float(np.max(residuals)) if _msolution else None)
@@ -551,22 +609,28 @@ def _weighted_diff_norm(
 ) -> float:
     """sqrt(sum_i w_i (E|dY_i|^2 + h sum_{j >= i} E|dZ_ij|^2)), w_i = h exp(beta t_i).
 
-    Each expectation is ``float(np.add.reduce(q)) / q.shape[0]`` with q the
-    per-node squared norms: the pairwise sum and the division of ``np.mean``,
-    so the value is bitwise the one of ``np.mean`` without its wrapper.
+    Each expectation is the pairwise sum of q, the per-node squared norms,
+    divided by the node count: the sum and the division of ``np.mean``, so
+    the value is bitwise the one of ``np.mean`` without its wrapper.  The
+    dZ expectations of a level are made at once, ``np.add.reduce(q, axis=1)``
+    over its ``(j + 1, 2**j)`` stack being each row's pairwise sum; the total
+    is still accumulated in (i, j) order.
     """
+    N = lattice.depth
     h = lattice.h
-    zn, zo = z_new._slices, z_old._slices
+    dz_means = []
+    for j in range(N):
+        dz = z_new.rows(j, 0, j + 1) - z_old.rows(j, 0, j + 1)
+        q = row_sums(dz * dz)
+        dz_means.append((np.add.reduce(q, axis=1) / q.shape[1]).tolist())
     total = 0.0
-    for i in range(lattice.depth + 1):
+    for i in range(N + 1):
         w = h * math.exp(beta * lattice.times[i])
         dy = y_new[i] - y_old[i]
         q = row_sums(dy * dy)
         total += w * (float(np.add.reduce(q)) / q.shape[0])
-        for j in range(i, lattice.depth):
-            dz = zn[(i, j)] - zo[(i, j)]
-            q = row_sums(dz * dz)
-            total += w * h * (float(np.add.reduce(q)) / q.shape[0])
+        for j in range(i, N):
+            total += w * h * dz_means[j][i]
     return math.sqrt(total)
 
 

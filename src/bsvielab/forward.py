@@ -258,10 +258,14 @@ def fundamental_matrix(
 def solve_ode_euler(
     x0, f: Callable[[float, np.ndarray], np.ndarray], horizon: float, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Plain forward Euler for the deterministic reduction (zero diffusion)."""
+    """Plain forward Euler for the deterministic reduction (zero diffusion).
+
+    ``horizon`` must be finite and positive and ``steps`` an int >= 1
+    (ValueError naming the argument otherwise, see ``lattice.time_grid``).
+    """
+    times, h = time_grid(horizon, steps)
+    steps = len(times) - 1
     x = np.atleast_1d(np.asarray(x0, dtype=float))
-    times = np.linspace(0.0, horizon, steps + 1)
-    h = horizon / steps
     out = np.empty((steps + 1, x.size))
     out[0] = x
     for k in range(steps):

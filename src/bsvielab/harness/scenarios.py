@@ -361,12 +361,12 @@ def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutco
         lo = backward.BsvieSpec(
             n, TerminalField(lat, n, psi0),
             generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) - eps_lo,
-            lip_y=1.0, lip_z=1.0,
+            lip_y=1.0, lip_z=1.0, stacked_t=True,
         )
         hi = backward.BsvieSpec(
             n, TerminalField(lat, n, psi1),
             generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps_hi,
-            lip_y=1.0, lip_z=1.0,
+            lip_y=1.0, lip_z=1.0, stacked_t=True,
         )
         f_lo = backward.solve_bsvie_family(lo, lat)
         f_hi = backward.solve_bsvie_family(hi, lat)
@@ -449,6 +449,20 @@ def _build_stepfn_positivity(depth: int, seed: int, trials: int) -> ScenarioOutc
     )
 
 
+def _stacked_diag(d: np.ndarray) -> np.ndarray:
+    """``np.diag(d)`` of an (n,) d, or the (rows, n, n) stack of them for a (rows, 1, n) d.
+
+    The off-diagonal entries are +0.0 either way, so a stacked product has
+    the bits of the per-row ones.
+    """
+    if d.ndim == 1:
+        return np.diag(d)
+    n = d.shape[-1]
+    out = np.zeros((d.shape[0], n, n))
+    out[:, range(n), range(n)] = d[:, 0, :]
+    return out
+
+
 def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
     """Drift pair h^i(t,s,y) (+ shared B(s) z or C(t) zeta) with ordered,
     t-nonincreasing difference and matching free-term difference ordering.
@@ -472,7 +486,7 @@ def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
     d1 = rng.uniform(0.0, diff_scale, n)
 
     def h_lo(t, s, y, nodes):
-        return y @ (m0 + (T - t) * m1).T + kappa * np.tanh(y)
+        return y @ (m0 + (T - t) * m1).mT + kappa * np.tanh(y)
 
     def h_hi(t, s, y, nodes):
         return h_lo(t, s, y, nodes) + d0 + (T - t) * d1
@@ -492,11 +506,15 @@ def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
         c0 = rng.uniform(-1.5, 1.5, n)
         c1 = rng.uniform(-3.0, 3.0, n)
         kw = dict(
-            c_coef=lambda t, c0=c0, c1=c1: np.diag(c0 + c1 * t),
+            c_coef=lambda t, c0=c0, c1=c1: _stacked_diag(c0 + c1 * t),
             uses_z=False, uses_zeta=True,
         )
-    lo = backward.BsvieSpec(n, TerminalField(lat, n, psi0), h_fn=h_lo, lip_y=1.0, **kw)
-    hi = backward.BsvieSpec(n, TerminalField(lat, n, psi1), h_fn=h_hi, lip_y=1.0, **kw)
+    lo = backward.BsvieSpec(
+        n, TerminalField(lat, n, psi0), h_fn=h_lo, lip_y=1.0, stacked_t=True, **kw
+    )
+    hi = backward.BsvieSpec(
+        n, TerminalField(lat, n, psi1), h_fn=h_hi, lip_y=1.0, stacked_t=True, **kw
+    )
     return lo, hi
 
 
@@ -539,7 +557,7 @@ def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcom
             n, TerminalField(lat, n, psi),
             a_kernel=lambda t, s, m0=m0, m1=m1: m0 + s * m1,
             c_coef=lambda t, m=c: m,
-            uses_z=False, uses_zeta=True, lip_y=1.0,
+            uses_z=False, uses_zeta=True, lip_y=1.0, stacked_t=True,
         )
         sol = backward.solve_bsvie_msolution(spec, lat)
         return backward.weak_comparison_functional(sol.y, lat).min(), sol.msolution_residual
@@ -645,12 +663,13 @@ def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOut
             return np.arctan(y) + z @ b.T
 
         comp = backward.BsvieSpec(
-            n, TerminalField(lat, n, psibar), generator=gbar, lip_y=1.0, lip_z=0.6
+            n, TerminalField(lat, n, psibar), generator=gbar, lip_y=1.0, lip_z=0.6,
+            stacked_t=True,
         )
         upper = backward.BsvieSpec(
             n, TerminalField(lat, n, psi1),
             generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps,
-            lip_y=1.0, lip_z=0.6,
+            lip_y=1.0, lip_z=0.6, stacked_t=True,
         )
         _, hist = backward.picard_bsvie(upper, comp, lat)
         ratio = float(np.max(hist.ratios)) if hist.ratios else 0.0
@@ -685,7 +704,7 @@ def _build_msolution_structural(depth: int, seed: int, trials: int) -> ScenarioO
 
         spec = backward.BsvieSpec(
             n, TerminalField(lat, n, psi), generator=gen,
-            uses_z=False, uses_zeta=True, lip_y=0.3,
+            uses_z=False, uses_zeta=True, lip_y=0.3, stacked_t=True,
         )
         return (-backward.solve_bsvie_msolution(spec, lat).msolution_residual,)
 

@@ -12,9 +12,9 @@ by the path bitmask.  The children of node ``i`` at level ``k`` are ``2*i``
 (up move, ``+sqrt(h)``) and ``2*i + 1`` (down move, ``-sqrt(h)``) at level
 ``k + 1``; the ancestor of node ``i`` at level ``j <= k`` is ``i >> (k - j)``.
 Only :func:`split_children`, :func:`branch`, ``lift``, ``step_signs``,
-``brownian_path`` and :class:`NodeId` read this layout; all other code goes
-through them.  Adaptedness is structural: a value stored at level ``k`` can
-only depend on the path to that node.
+``brownian_path``, ``TwoParamProcess.lifted`` and :class:`NodeId` read this
+layout; all other code goes through them.  Adaptedness is structural: a value
+stored at level ``k`` can only depend on the path to that node.
 
 All node probabilities are dyadic rationals and are reported as exact
 :class:`fractions.Fraction` objects alongside floating approximations.
@@ -52,19 +52,20 @@ def _check_finite(y: np.ndarray, what: str) -> None:
 
 
 def row_sums(q: np.ndarray) -> np.ndarray:
-    """``q.sum(axis=1)`` of a float ``(m, n)`` array, bit for bit, by column adds below 8 columns.
+    """``q.sum(axis=-1)`` of a float ``(..., m, n)`` array, bit for bit, by column adds below 8 columns.
 
     numpy sums a row of fewer than 8 entries one entry at a time from +0.0,
     and a longer row pairwise.  The first case is the column add
-    ``q[:, 0] + 0.0 + q[:, 1] + ...``, which skips numpy's slow short-axis
+    ``q[..., 0] + 0.0 + q[..., 1] + ...``, which skips numpy's slow short-axis
     reduction; the ``+ 0.0`` makes an all ``-0.0`` row sum to +0.0, as numpy's
-    does.  The pairwise case has other bits, so it stays with numpy.
+    does.  The pairwise case has other bits, so it stays with numpy.  A
+    stack of ``(m, n)`` slices gets the sums of each slice.
     """
-    if q.shape[1] >= 8:
-        return q.sum(axis=1)
-    acc = q[:, 0] + 0.0
-    for c in range(1, q.shape[1]):
-        acc += q[:, c]
+    if q.shape[-1] >= 8:
+        return q.sum(axis=-1)
+    acc = q[..., 0] + 0.0
+    for c in range(1, q.shape[-1]):
+        acc += q[..., c]
     return acc
 
 
@@ -225,9 +226,15 @@ class LevelNodes:
 # -- one level to the next -------------------------------------------------
 
 
-def split_children(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The up and down children of a level-(k+1) slice, as writable views."""
-    return values[0::2], values[1::2]
+def split_children(values: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The up and down children of a level-(k+1) slice, as writable views.
+
+    ``axis`` is the node axis: 0 for one slice, 1 for a stack of slices.
+    """
+    if axis == 0:
+        return values[0::2], values[1::2]
+    lead = (slice(None),) * axis
+    return values[lead + (slice(0, None, 2),)], values[lead + (slice(1, None, 2),)]
 
 
 def branch(acc: np.ndarray, v: np.ndarray | float) -> np.ndarray:
@@ -393,31 +400,115 @@ class TwoParamProcess:
     The triangle ``j >= i`` carries the integrand of the backward stochastic
     integral (diagonal included); the strict triangle ``j < i`` carries the
     martingale-representation part pinned down for M-solutions.
+
+    Storage is by inner time.  Level j keeps the slices i <= j in the row
+    blocks a sweep writes (:meth:`write_rows`), each one ``(rows, 2**j, dim)``
+    array, so a sweep that takes every row at once leaves one array per level
+    and a row-by-row sweep leaves arrays no larger than the slices; the
+    slices i > j (M-solutions) share one ``(N - j, 2**j, dim)`` array.  Each
+    array is allocated at its first write, and a flag per row records the
+    slices that are set.  The per-slice ``set``/``get``/``has``/``pairs``
+    see the same slices.
     """
 
     def __init__(self, lattice: BinaryLattice, dim: int):
         self.lattice = lattice
         self.dim = int(dim)
-        self._slices: dict[tuple[int, int], np.ndarray] = {}
+        depth = lattice.depth
+        self._blocks: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(depth)]
+        self._lower: list[np.ndarray | None] = [None] * depth
+        self._is_set = [bytearray(depth + 1) for _ in range(depth)]
+
+    def _in_range(self, i: int, j: int) -> bool:
+        return 0 <= i <= self.lattice.depth and 0 <= j < self.lattice.depth
+
+    def write_rows(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """A new block for slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, none of them set yet.
+
+        Returns the block, a writable ``(hi - lo, 2**j, dim)`` array, and
+        marks its slices set; the caller fills every entry, as the block is
+        not initialised.
+        """
+        if not 0 <= lo < hi <= j + 1 <= self.lattice.depth:
+            raise ValueError(f"rows {lo}..{hi - 1} of level {j} are outside the triangle i <= j")
+        if 1 in self._is_set[j][lo:hi]:
+            raise ValueError(f"a slice of rows {lo}..{hi - 1} of level {j} is already set")
+        block = np.empty((hi - lo, 2**j, self.dim))
+        self._blocks[j].append((lo, block))
+        self._is_set[j][lo:hi] = b"\x01" * (hi - lo)
+        return block
+
+    def rows(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, as one ``(hi - lo, 2**j, dim)`` array; each must be set.
+
+        A view when one block holds them all, else a stacked copy.
+        """
+        if not 0 <= lo < hi <= j + 1 <= self.lattice.depth or 0 in self._is_set[j][lo:hi]:
+            raise IncompleteProcessError(f"Z({lo}..{hi - 1},{j}) slices not populated")
+        for start, block in self._blocks[j]:
+            if start <= lo and hi <= start + block.shape[0]:
+                return block[lo - start:hi - start]
+        return np.stack([self.get(i, j) for i in range(lo, hi)])
 
     def set(self, i: int, j: int, values: np.ndarray) -> None:
-        """Store slice (i, j); anything but a float64 ``(2**j, dim)`` ndarray is converted."""
+        """Store a copy of slice (i, j); anything but a float64 ``(2**j, dim)`` ndarray is converted.
+
+        ValueError when (i, j) is outside ``0 <= i <= N``, ``0 <= j < N`` or
+        the values do not reshape to ``(2**j, dim)``.
+        """
+        if not self._in_range(i, j):
+            raise ValueError(f"slice ({i}, {j}) is outside 0 <= i <= N, 0 <= j < N")
         shape = (2**j, self.dim)
         if type(values) is not np.ndarray or values.dtype != _FLOAT or values.shape != shape:
             values = np.asarray(values, dtype=float).reshape(shape)
-        self._slices[(i, j)] = values
+        if i <= j:
+            if self._is_set[j][i]:
+                self.get(i, j)[...] = values
+            else:
+                self.write_rows(j, i, i + 1)[0] = values
+            return
+        lower = self._lower[j]
+        if lower is None:
+            lower = self._lower[j] = np.empty((self.lattice.depth - j, 2**j, self.dim))
+        lower[i - j - 1] = values
+        self._is_set[j][i] = 1
 
     def get(self, i: int, j: int) -> np.ndarray:
-        try:
-            return self._slices[(i, j)]
-        except KeyError:
-            raise IncompleteProcessError(f"Z({i},{j}) slice not populated") from None
+        if not self.has(i, j):
+            raise IncompleteProcessError(f"Z({i},{j}) slice not populated")
+        if i > j:
+            return self._lower[j][i - j - 1]
+        for start, block in self._blocks[j]:
+            if start <= i < start + block.shape[0]:
+                return block[i - start]
 
     def has(self, i: int, j: int) -> bool:
-        return (i, j) in self._slices
+        return self._in_range(i, j) and bool(self._is_set[j][i])
 
     def pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._slices)
+        depth = self.lattice.depth
+        return [(i, j) for i in range(depth + 1) for j in range(depth) if self._is_set[j][i]]
+
+    def lifted(self, i: int, lo: int, hi: int, level: int) -> np.ndarray:
+        """Slices (i, lo)..(i, hi - 1), each lifted to ``level``, as one ``(hi - lo, 2**level, dim)`` stack.
+
+        A slice that is not set reads as zeros.  Lifting copies each level-j
+        value to its ``2**(level - j)`` descendants, as ``BinaryLattice.lift``.
+        """
+        if hi - lo <= 1:
+            # one slice (a one-row block) is one repeat, without the stacking copies
+            if hi == lo or not self.has(i, lo):
+                return np.zeros((hi - lo, 2**level, self.dim))
+            return np.repeat(self.get(i, lo), 2 ** (level - lo), axis=0)[None]
+        parts = [
+            self.get(i, j) if self.has(i, j) else np.zeros((2**j, self.dim))
+            for j in range(lo, hi)
+        ]
+        levels = np.arange(lo, hi)
+        copies = np.repeat(2 ** (level - levels), 2**levels)  # one count per stacked node
+        return np.repeat(np.concatenate(parts), copies, axis=0).reshape(
+            hi - lo, 2**level, self.dim
+        )
 
 
 # -- stochastic integral and martingale representation ----------------------

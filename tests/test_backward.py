@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import math
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,16 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from bsvielab import backward, forward
 from bsvielab.errors import DivergenceError, NonConvergenceError
-from bsvielab.harness.scenarios import _structured_pair
+from bsvielab.harness.scenarios import REGISTRY, _stacked_diag, _structured_pair
 from bsvielab.lattice import (
     AdaptedProcess,
     BinaryLattice,
     LevelNodes,
     TerminalField,
     TwoParamProcess,
+    _check_finite,
     condition_to,
     martingale_representation,
     reconstruct_from_representation,
+    split_children,
 )
 
 
@@ -434,7 +439,7 @@ def test_family_grid_accepts_numpy_integer_steps():
 # -- monotone successive scheme -----------------------------------------------------------
 
 
-def make_picard_pair(rng, n, lat):
+def make_picard_pair(rng, n, lat, stacked=False):
     leaves = 2**lat.depth
     b = np.diag(rng.uniform(-0.4, 0.4, n))
     eps = rng.uniform(0.1, 0.5, n)
@@ -442,18 +447,20 @@ def make_picard_pair(rng, n, lat):
     psi1 = psibar + rng.uniform(0.0, 0.5, (lat.depth + 1, leaves, n))
     gbar = lambda t, s, y, z, zeta, nd: np.arctan(y) + z @ b.T
     comp = backward.BsvieSpec(
-        n, TerminalField(lat, n, psibar), generator=gbar, lip_y=1.0, lip_z=0.4
+        n, TerminalField(lat, n, psibar), generator=gbar, lip_y=1.0, lip_z=0.4,
+        stacked_t=stacked,
     )
     upper = backward.BsvieSpec(
         n, TerminalField(lat, n, psi1),
         generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps,
-        lip_y=1.0, lip_z=0.4,
+        lip_y=1.0, lip_z=0.4, stacked_t=stacked,
     )
     return comp, upper
 
 
 # Reference: the weighted norm and the Picard loop of picard_bsvie before their
-# reductions skipped the np.mean / np.max wrappers.
+# reductions skipped the np.mean / np.max wrappers, on the row-major family
+# sweep (_reference_solve_bsvie_family, below).
 
 
 def _reference_weighted_diff_norm(lattice, y_new, y_old, z_new, z_old, beta):
@@ -472,9 +479,9 @@ def _reference_weighted_diff_norm(lattice, y_new, y_old, z_new, z_old, beta):
 def _reference_picard_bsvie(upper, comparator, lat):
     beta = backward.default_beta(max(comparator.lip_y, comparator.lip_z), lat.horizon)
     norms, ratios, increases = [], [], []
-    sol = backward.solve_bsvie_family(upper, lat)
+    sol = _reference_solve_bsvie_family(upper, lat)
     for k in range(1, backward.PICARD_MAX_ITER + 1):
-        new_sol = backward.solve_bsvie_family(comparator, lat, frozen_y=sol.y.levels)
+        new_sol = _reference_solve_bsvie_family(comparator, lat, frozen_y=sol.y.levels)
         new_y, prev_y = new_sol.y.levels, sol.y.levels
         norm = _reference_weighted_diff_norm(lat, new_y, prev_y, new_sol.z, sol.z, beta)
         norms.append(norm)
@@ -518,6 +525,18 @@ def test_picard_history_is_bitwise_equal_to_the_reference(seed, depth):
     assert hist.diff_norms == norms
     assert hist.ratios == ratios
     assert hist.max_increase == increases
+    assert hist.iterations == iterations
+
+
+@pytest.mark.parametrize("seed, depth, n", [(15, 5, 1), (16, 7, 2), (17, 8, 3)])
+def test_stacked_t_picard_history_is_bitwise_equal_to_the_reference(seed, depth, n):
+    # one drift call per level for the frozen-y sweeps, one per row in the reference
+    rng = np.random.default_rng(seed)
+    lat = BinaryLattice(1.0, depth)
+    comp, upper = make_picard_pair(rng, n, lat, stacked=True)
+    _, hist = backward.picard_bsvie(upper, comp, lat)
+    norms, ratios, increases, iterations = _reference_picard_bsvie(upper, comp, lat)
+    assert (hist.diff_norms, hist.ratios, hist.max_increase) == (norms, ratios, increases)
     assert hist.iterations == iterations
 
 
@@ -1034,3 +1053,345 @@ def test_stepfn_increasing_kernel_counterexample_runs_without_raising():
     assert not res.hypotheses.kernel_monotone
     assert not res.hypotheses.all_met()
     assert res.solution.y.at(0)[0, 0] < 0.0
+
+
+# -- the level-major family sweep against the row-major reference ----------------------
+#
+# Reference: solve_bsvie_family as it swept one row t_i at a time, with a
+# per-(row, level) zeta lookup and a checked replay of a failed row, kept
+# verbatim from before the level-major sweep.
+
+
+def _reference_zeta_slice(z: TwoParamProcess | None, lattice: BinaryLattice, i: int, j: int,
+                          dim: int) -> np.ndarray:
+    """Z(s,t) argument at (t,s) = (t_i, t_j): the (j, i) slice lifted to level j."""
+    if j == i or z is None or not z.has(j, i):
+        return np.zeros((2**j, dim))
+    return lattice.lift(z.get(j, i), i, j)
+
+
+def _reference_solve_bsvie_family(
+    spec: backward.BsvieSpec,
+    lattice: BinaryLattice,
+    zeta: TwoParamProcess | None = None,
+    frozen_y: Sequence[np.ndarray] | None = None,
+    _msolution: bool = False,
+) -> backward.BsvieSolution:
+    """One backward sweep per grid time; exact on the lattice.
+
+    For each t_i the sweep runs the BSDE recursion from the horizon down to
+    level i with terminal psi(t_i); drift evaluations at inner times t_j > t_i
+    read the already-solved values Y(t_j), and the diagonal step is implicit
+    in y.  ``frozen_y`` replaces the y-argument everywhere (used by the
+    monotone successive scheme); ``zeta`` supplies given sub-diagonal Z
+    slices.  ``_msolution`` (set by :func:`solve_bsvie_msolution`) attaches
+    the martingale representation of each finished row Y(t_i) as the slices
+    Z(t_i, s_j), j < i, which later rows read as their ``zeta``.
+
+    A non-finite value raises DivergenceError naming the level and node where
+    it arose.  Explicit steps are not checked as they run; when a row fails
+    (at its diagonal step, or at the end of a frozen-y row) it is replayed
+    with a finiteness check after each explicit step, so converging runs do
+    no extra work.
+    """
+    n = spec.dim
+    N = lattice.depth
+    h, sq = lattice.h, lattice.sqrt_h
+    y_levels: list[np.ndarray | None] = [None] * (N + 1)
+    z = TwoParamProcess(lattice, n)
+    residuals: list[float] = []
+    if _msolution:
+        zeta = z
+    if spec.uses_zeta and zeta is None:
+        raise ValueError("generator depends on Z(s,t): solve as an M-solution")
+    level_nodes = [LevelNodes(lattice, j) for j in range(N)]
+    y_args = y_levels if frozen_y is None else frozen_y
+    what = "explicit step" if frozen_y is None else "frozen-y sweep"
+
+    def sweep_row(i: int, checked: bool) -> np.ndarray:
+        # ``checked`` is the failure path only: raise at the first explicit step
+        # with a non-finite value, and stop before the implicit diagonal step
+        lam = spec.psi.slice(i).copy()
+        t_i = lattice.times[i]
+        for j in range(N - 1, i - 1, -1):
+            up, down = split_children(lam)
+            e = 0.5 * (up + down)
+            mu = (up - down) / (2.0 * sq)
+            z.set(i, j, mu)
+            t_j = lattice.times[j]
+            nodes = level_nodes[j]
+            zeta_ij = _reference_zeta_slice(zeta, lattice, i, j, n) if spec.uses_zeta else None
+            z_arg = mu if spec.uses_z else None
+            if j > i or frozen_y is not None:
+                lam = e + h * spec.drift(t_i, t_j, y_args[j], z_arg, zeta_ij, nodes)
+                if checked:
+                    _check_finite(lam, f"{what} of row {i}")
+            elif checked:
+                break
+            elif spec.is_linear_y:
+                a_jj = (
+                    np.asarray(spec.a_kernel(t_i, t_j), dtype=float)
+                    if spec.a_kernel is not None
+                    else np.zeros((n, n))
+                )
+                b_jj = None if spec.b_coef is None else np.asarray(spec.b_coef(t_j), dtype=float)
+                c_ti = None if spec.c_coef is None else np.asarray(spec.c_coef(t_i), dtype=float)
+                # (I - h A(t_i,t_i)) y = E[next] + h B Z + h C zeta
+                lam = backward._linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
+                                   None if c_ti is None else h * (zeta_ij @ c_ti.T))
+            else:
+                lam = backward._fixed_point(
+                    lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),
+                    e, "diagonal y-step", lambda: h * spec.lip_y,
+                )
+        return lam
+
+    for i in range(N, -1, -1):
+        try:
+            lam = sweep_row(i, False)
+            if frozen_y is not None:
+                # only explicit steps ran, so nothing else has looked at this row
+                _check_finite(lam, what)
+        except DivergenceError:
+            # a NaN from an explicit step surfaces only at the row's end: replay
+            # the row checked, which names the level where it arose
+            sweep_row(i, True)
+            raise
+        y_levels[i] = lam
+        if _msolution and i > 0:
+            mean, zs = martingale_representation(lattice, lam, i)
+            for j in range(i):
+                z.set(i, j, zs[j])
+            recon = reconstruct_from_representation(lattice, mean, zs, i)
+            residuals.append(float(np.max(np.abs(recon - lam))))
+    y = AdaptedProcess(lattice, n, y_levels)
+    # np.max, unlike the builtin, propagates a NaN residual
+    return backward.BsvieSolution(y, z, float(np.max(residuals)) if _msolution else None)
+
+
+def _small(rng, n, scale):
+    # h * |coefficient| stays below ~0.3 even at depth 1, so every diagonal
+    # fixed point converges well inside FP_MAX_ITER
+    return rng.uniform(-scale, scale, (n, n)) / n
+
+
+def _random_given_zeta(rng, lat, n):
+    """A given zeta: most slices Z(i, j) set at random, the others missing.
+
+    The diagonal slices Z(j, j) are set too; the sweep must still read
+    zeta(t_j, t_j) as zero.
+    """
+    z = TwoParamProcess(lat, n)
+    for i in range(lat.depth + 1):
+        for j in range(lat.depth):
+            if rng.uniform() < 0.8:
+                z.set(i, j, rng.standard_normal((2**j, n)))
+    return z
+
+
+_FAMILY_KINDS = [
+    "generator", "structured", "frozen-y", "given-zeta", "frozen-zeta",
+    "msolution-linear", "msolution-generator", "msolution-structured",
+]
+
+
+def _family_case(rng, kind, N, n, stacked):
+    """(spec, lattice, solve keywords) for one kind of family solve.
+
+    Every callable takes a scalar t and a (rows, 1, 1) t alike, so each case
+    runs with and without ``stacked_t``.
+    """
+    lat = BinaryLattice(1.0, N)
+    psi = TerminalField(lat, n, rng.standard_normal((N + 1, 2**N, n)))
+    p, m1 = _small(rng, n, 0.3), _small(rng, n, 0.3)
+    b = np.diag(rng.uniform(-0.5, 0.5, n))
+    kappa = rng.uniform(0.0, 0.1, n)
+    d = rng.uniform(-0.3, 0.3, n)
+    c0, c1 = rng.uniform(-1.0, 1.0, n), rng.uniform(-2.0, 2.0, n)
+    kw = {}
+    if kind in ("generator", "frozen-y"):
+        def gen(t, s, y, z, zeta, nd):
+            return y @ p.T + z @ b.T + kappa * np.tanh(y) + (1.0 - t) * s * d
+
+        spec = backward.BsvieSpec(n, psi, generator=gen, lip_y=1.0, lip_z=1.0)
+    elif kind == "structured":
+        mask = int(rng.integers(1, 8))
+        spec = backward.BsvieSpec(
+            n, psi,
+            a_kernel=(lambda t, s: p + (1.0 - t) * s * m1) if mask & 1 else None,
+            h_fn=(lambda t, s, y, nd: kappa * np.tanh(y) - (1.0 - t) * d) if mask & 2 else None,
+            b_coef=(lambda s: b * (1.0 + s)) if mask & 4 else None,
+            uses_z=bool(mask & 4), lip_y=1.0, lip_z=1.0,
+        )
+    elif kind in ("given-zeta", "frozen-zeta", "msolution-generator"):
+        def gen(t, s, y, z, zeta, nd):
+            return 0.3 * np.tanh(y) + zeta * (c0 + c1 * t) / (1.0 + s)
+
+        spec = backward.BsvieSpec(n, psi, generator=gen, uses_z=False, uses_zeta=True,
+                                  lip_y=0.3)
+        if kind != "msolution-generator":
+            kw["zeta"] = _random_given_zeta(rng, lat, n)
+    elif kind == "msolution-linear":
+        spec = backward.BsvieSpec(
+            n, psi, a_kernel=lambda t, s: p + (1.0 - t) * s * m1,
+            c_coef=lambda t: _stacked_diag(c0 + c1 * t), uses_z=False, uses_zeta=True,
+        )
+    else:
+        lo, hi = _structured_pair(rng, n, lat, coupling="zeta")
+        spec = lo if rng.integers(2) else hi
+    if kind.startswith("frozen"):
+        kw["frozen_y"] = [rng.standard_normal((2**k, n)) for k in range(N + 1)]
+    if kind.startswith("msolution"):
+        kw["_msolution"] = True
+    return dataclasses.replace(spec, stacked_t=stacked), lat, kw
+
+
+def _assert_same_family_solution(got, ref):
+    for a, b in zip(got.y.levels, ref.y.levels, strict=True):
+        _assert_same_bytes(a, b)
+    assert got.z.pairs() == ref.z.pairs()
+    for pair in ref.z.pairs():
+        _assert_same_bytes(got.z.get(*pair), ref.z.get(*pair))
+    assert got.msolution_residual == ref.msolution_residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FAMILY_KINDS), st.integers(1, 9), st.integers(1, 3), st.booleans(),
+       st.sampled_from([None, 1, 2, 3]), st.integers(0, 2**32 - 1))
+def test_level_major_family_is_bitwise_equal_to_the_row_major_reference(
+    kind, depth, n, stacked, block_rows, seed
+):
+    # block_rows None keeps _ROW_BLOCK_ELEMS (one block up to depth 9, dim 3);
+    # 1, 2 or 3 sweeps the rows in blocks of that many, as deep solves do
+    spec, lat, kw = _family_case(np.random.default_rng(seed), kind, depth, n, stacked)
+    elems = backward._ROW_BLOCK_ELEMS if block_rows is None else block_rows * 2**depth * spec.dim
+    with mock.patch.object(backward, "_ROW_BLOCK_ELEMS", elems):
+        if kw.get("_msolution"):
+            got = backward.solve_bsvie_msolution(spec, lat)
+        else:
+            got = backward.solve_bsvie_family(spec, lat, **kw)
+    _assert_same_family_solution(got, _reference_solve_bsvie_family(spec, lat, **kw))
+
+
+def test_family_blocks_are_one_for_the_suite_and_one_row_at_depth_16():
+    rows = lambda depth, dim: max(1, backward._ROW_BLOCK_ELEMS // (2**depth * dim))
+    assert rows(10, 3) >= 11  # every suite solve (depth <= 10, dim <= 3) is one block
+    assert rows(16, 2) == 1   # a depth-16 solve keeps one row's scratch
+
+
+def test_msolution_sweep_takes_no_frozen_y():
+    lat = BinaryLattice(1.0, 3)
+    spec = backward.BsvieSpec(1, deterministic_psi(lat, lambda t: 1.0),
+                              generator=lambda t, s, y, z, zeta, nd: 0.1 * y, uses_z=False)
+    frozen = [np.ones((2**k, 1)) for k in range(4)]
+    with pytest.raises(ValueError, match="frozen"):
+        backward.solve_bsvie_family(spec, lat, frozen_y=frozen, _msolution=True)
+
+
+def _nan_generator(lat, row, level, node):
+    """A generator, stacked-t capable, that is NaN only at (t_row, s_level) on one node.
+
+    Returns it with the list of the t shapes it was called with.
+    """
+    shapes = []
+
+    def gen(t, s, y, z, zeta, nd):
+        t = np.asarray(t)
+        shapes.append(t.shape)
+        bad = (t == lat.times[row]) & (s == lat.times[level]) & (
+            np.arange(y.shape[0])[:, None] == node
+        )
+        return np.where(bad, np.nan, 0.1 * y + 0.0 * t)
+
+    return gen, shapes
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["plain", "frozen-y"])
+def test_family_names_the_row_of_a_nan_from_a_stacked_t_drift(frozen):
+    lat = BinaryLattice(1.0, 6)
+    gen, shapes = _nan_generator(lat, row=2, level=4, node=3)
+    spec = backward.BsvieSpec(1, deterministic_psi(lat, lambda s: 1.0), generator=gen,
+                              uses_z=False, stacked_t=True)
+    kw = {"frozen_y": [np.ones((2**k, 1)) for k in range(7)]} if frozen else {}
+    # a DivergenceError, not the NonConvergenceError that says "reduce the step"
+    with pytest.raises(DivergenceError, match="of row 2: non-finite value at level 4, node 3$"):
+        backward.solve_bsvie_family(spec, lat, **kw)
+    assert (5 if frozen else 4, 1, 1) in shapes  # rows 0..4 (0..3) in one call at level 4
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["per-row", "stacked-t"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["plain", "frozen-y"])
+def test_family_names_a_nan_in_a_row_after_the_first_block(frozen, stacked):
+    lat = BinaryLattice(1.0, 6)
+    gen, _ = _nan_generator(lat, row=1, level=3, node=5)
+    spec = backward.BsvieSpec(1, deterministic_psi(lat, lambda s: 1.0), generator=gen,
+                              uses_z=False, stacked_t=stacked)
+    kw = {"frozen_y": [np.ones((2**k, 1)) for k in range(7)]} if frozen else {}
+    # blocks of two rows: {5, 4}, {3, 2}, {1, 0}; the NaN is in the last
+    with mock.patch.object(backward, "_ROW_BLOCK_ELEMS", 2 * 2**6):
+        with pytest.raises(DivergenceError,
+                           match="of row 1: non-finite value at level 3, node 5$"):
+            backward.solve_bsvie_family(spec, lat, **kw)
+
+
+# The scenarios whose BSVIE specs declare stacked_t; a scenario that opts in
+# must be added here, and its callables pass the contract test below.
+_STACKED_T_SCENARIOS = {
+    "msolution-structural", "picard-contraction", "thm3.10-random", "thm3.2-random",
+    "thm3.7-random", "thm3.9-random",
+}
+
+
+def _specs_built_by(name):
+    seen = []
+    post_init = backward.BsvieSpec.__post_init__
+
+    def record(self):
+        post_init(self)
+        seen.append(self)
+
+    entry = REGISTRY[name]
+    with mock.patch.object(backward.BsvieSpec, "__post_init__", record):
+        entry.build(entry.default_depth, entry.default_seed, 2)
+    return seen
+
+
+def _assert_stack_of_rows(stacked, row_value, rows):
+    want = np.stack([np.asarray(row_value(r), dtype=float) for r in range(rows)])
+    got = np.asarray(stacked, dtype=float)
+    _assert_same_bytes(np.ascontiguousarray(np.broadcast_to(got, want.shape)), want)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_stacked_t_callables_return_the_stack_of_their_scalar_t_results(name):
+    specs = [spec for spec in _specs_built_by(name) if spec.stacked_t]
+    assert bool(specs) == (name in _STACKED_T_SCENARIOS)
+    rng = np.random.default_rng(31)
+    for spec in specs:
+        lat, n = spec.psi.lattice, spec.dim
+        times = lat.times
+        for j in range(lat.depth):
+            rows, s, nodes = j + 1, times[j], LevelNodes(lat, j)
+            t = times[:rows, None, None]
+            for y in (np.zeros((2**j, n)), -np.zeros((2**j, n)), rng.standard_normal((2**j, n))):
+                z = rng.standard_normal((rows, 2**j, n)) if spec.uses_z else None
+                zeta = rng.standard_normal((rows, 2**j, n)) if spec.uses_zeta else None
+                z_r = lambda r: None if z is None else z[r]
+                zeta_r = lambda r: None if zeta is None else zeta[r]
+                if spec.a_kernel is not None:
+                    _assert_stack_of_rows(spec.a_kernel(t, s),
+                                          lambda r: spec.a_kernel(times[r], s), rows)
+                if spec.c_coef is not None:
+                    _assert_stack_of_rows(spec.c_coef(t), lambda r: spec.c_coef(times[r]), rows)
+                if spec.h_fn is not None:
+                    _assert_stack_of_rows(spec.h_fn(t, s, y, nodes),
+                                          lambda r: spec.h_fn(times[r], s, y, nodes), rows)
+                if spec.generator is not None:
+                    _assert_stack_of_rows(
+                        spec.generator(t, s, y, z, zeta, nodes),
+                        lambda r: spec.generator(times[r], s, y, z_r(r), zeta_r(r), nodes), rows,
+                    )
+                _assert_stack_of_rows(
+                    spec.drift(t, s, y, z, zeta, nodes),
+                    lambda r: spec.drift(times[r], s, y, z_r(r), zeta_r(r), nodes), rows,
+                )

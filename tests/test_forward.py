@@ -58,6 +58,16 @@ def test_fsde_decaying_kernel_ode_reduction():
     assert x_final < 0.0
 
 
+@pytest.mark.parametrize("name, horizon, steps", [
+    ("steps", 1.0, 0), ("steps", 1.0, True), ("horizon", -1.0, 8), ("horizon", math.nan, 8),
+])
+def test_ode_euler_rejects_a_bad_horizon_or_step_count(name, horizon, steps):
+    # before the shared grid check: steps=0 divided by zero, steps=True ran one
+    # step, horizon=-1 returned values and horizon=nan diverged at step 1
+    with pytest.raises(ValueError, match=name):
+        forward.solve_ode_euler([1.0], lambda t, x: -x, horizon, steps)
+
+
 # -- fundamental matrix -------------------------------------------------------
 
 

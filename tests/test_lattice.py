@@ -300,6 +300,52 @@ def test_two_param_missing_slice_has_and_pairs(lat):
     assert z.pairs() == [(0, 1), (2, 0), (2, 3)]
 
 
+@pytest.mark.parametrize("i, j", [(-1, 2), (7, 2), (0, 6), (0, -1)])
+def test_two_param_rejects_a_slice_outside_the_triangle(lat, i, j):
+    # lat has depth 6: rows 0..6, levels 0..5
+    z = TwoParamProcess(lat, 1)
+    with pytest.raises(ValueError, match="outside"):
+        z.set(i, j, np.ones((2 ** max(j, 0), 1)))
+    assert not z.has(i, j) and z.pairs() == []
+
+
+def test_two_param_level_rows_are_the_slices(lat):
+    rng = np.random.default_rng(3)
+    z = TwoParamProcess(lat, 2)
+    block = z.write_rows(4, 1, 4)
+    block[...] = rng.standard_normal(block.shape)
+    z.set(0, 4, rng.standard_normal((16, 2)))
+    assert z.pairs() == [(0, 4), (1, 4), (2, 4), (3, 4)]
+    rows = z.rows(4, 0, 4)
+    assert rows.shape == (4, 16, 2)
+    for i in range(4):
+        assert rows[i].tobytes() == z.get(i, 4).tobytes()
+    with pytest.raises(IncompleteProcessError, match=r"Z\(0..4,4\)"):
+        z.rows(4, 0, 5)
+    with pytest.raises(ValueError, match="already set"):
+        z.write_rows(4, 3, 5)
+    # a slice set again is overwritten in its block
+    again = rng.standard_normal((16, 2))
+    z.set(2, 4, again)
+    assert z.get(2, 4).tobytes() == again.tobytes()
+    assert z.rows(4, 1, 4)[1].tobytes() == again.tobytes()
+    assert z.rows(4, 0, 4)[2].tobytes() == again.tobytes()
+    assert z.pairs() == [(0, 4), (1, 4), (2, 4), (3, 4)]
+
+
+def test_two_param_lifted_is_the_lift_of_each_slice_and_zero_where_unset(lat):
+    rng = np.random.default_rng(4)
+    z = TwoParamProcess(lat, 2)
+    for j in (0, 1, 3, 4):
+        z.set(5, j, rng.standard_normal((2**j, 2)))
+    got = z.lifted(5, 0, 5, 4)
+    assert got.shape == (5, 16, 2)
+    for r, j in enumerate(range(5)):
+        want = lat.lift(z.get(5, j), j, 4) if z.has(5, j) else np.zeros((16, 2))
+        assert got[r].tobytes() == want.tobytes()
+    assert z.lifted(5, 2, 2, 4).shape == (0, 16, 2)
+
+
 # -- one level to the next: split_children and branch --------------------------------
 
 
@@ -322,6 +368,16 @@ def test_split_children_views_write_into_the_array():
     assert values[0::2].tolist() == [[1.0, 1.0]] * 4
     assert values[3].tolist() == [5.0, 6.0]
     assert values[[1, 5, 7]].tolist() == [[0.0, 0.0]] * 3
+
+
+def test_split_children_of_a_stack_splits_each_slice():
+    stack = np.arange(3 * 8 * 2, dtype=float).reshape(3, 8, 2)
+    up, down = split_children(stack, axis=1)
+    for r in range(3):
+        u, d = split_children(stack[r])
+        assert up[r].tobytes() == u.tobytes() and down[r].tobytes() == d.tobytes()
+    up[:] = -1.0
+    assert (stack[:, 0::2] == -1.0).all() and (stack[:, 1::2] >= 0.0).all()
 
 
 def test_branch_writes_acc_plus_v_up_and_acc_minus_v_down():
@@ -508,6 +564,17 @@ def test_row_sums_is_bitwise_equal_to_numpy_sum(dim, rows, seed, special_share):
         got, want = row_sums(q), q.sum(axis=1)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 5), st.integers(1, 512), st.integers(0, 2**32 - 1))
+def test_row_sums_of_a_stack_is_each_slice_row_sums(dim, slices, rows, seed):
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal((slices, rows, dim))
+    q[0, 0] = -0.0
+    got = row_sums(q)
+    assert got.shape == (slices, rows)
+    assert got.tobytes() == np.stack([row_sums(q[k]) for k in range(slices)]).tobytes()
 
 
 @pytest.mark.parametrize("cells, want", [
