@@ -376,7 +376,6 @@ class BsvieSolution:
 def solve_bsvie_family(
     spec: BsvieSpec,
     lattice: BinaryLattice,
-    zeta: TwoParamProcess | None = None,
     frozen_y: Sequence[np.ndarray] | None = None,
     _msolution: bool = False,
 ) -> BsvieSolution:
@@ -386,11 +385,11 @@ def solve_bsvie_family(
     terminal psi(t_i); its explicit steps at inner times t_j > t_i read the
     already-solved values Y(t_j), and its diagonal step at level i is
     implicit in y.  ``frozen_y`` replaces the y-argument everywhere, so every
-    step is explicit (used by the monotone successive scheme); ``zeta``
-    supplies given sub-diagonal Z slices.  ``_msolution`` (set by
-    :func:`solve_bsvie_msolution`) attaches the martingale representation of
-    each finished row Y(t_i) as the slices Z(t_i, s_j), j < i, which later
-    rows read as their ``zeta``.
+    step is explicit (used by the monotone successive scheme).
+    ``_msolution`` (set by :func:`solve_bsvie_msolution`) attaches the
+    martingale representation of each finished row Y(t_i) as the slices
+    Z(t_i, s_j), j < i, which later rows read as their ``zeta``; a spec that
+    uses ``zeta`` is solved only that way.
 
     The rows are swept in descending blocks of at most
     ``_ROW_BLOCK_ELEMS // (2**N * dim)`` rows (at least one).  Inside a block
@@ -416,12 +415,10 @@ def solve_bsvie_family(
     z = TwoParamProcess(lattice, n)
     residuals: list[float] = []
     frozen = frozen_y is not None
-    if _msolution:
-        if frozen:
-            # row j's representation would be needed by the update that makes row j
-            raise ValueError("an M-solution sweep takes no frozen y-argument")
-        zeta = z
-    if spec.uses_zeta and zeta is None:
+    if _msolution and frozen:
+        # row j's representation would be needed by the update that makes row j
+        raise ValueError("an M-solution sweep takes no frozen y-argument")
+    if spec.uses_zeta and not _msolution:
         raise ValueError("generator depends on Z(s,t): solve as an M-solution")
     level_nodes = [LevelNodes(lattice, j) for j in range(N)]
     y_args = frozen_y if frozen else y_levels
@@ -466,13 +463,8 @@ def solve_bsvie_family(
         nodes = level_nodes[j]
         y_j = y_args[j]
         z_arg = mu if spec.uses_z else None
-        zeta_arg = None
-        if spec.uses_zeta:
-            # Z(t_j, t_i) lifted to level j; a frozen sweep's row j is on the diagonal
-            stop = min(lo + k, j)
-            zeta_arg = zeta.lifted(j, lo, stop, j)
-            if stop < lo + k:
-                zeta_arg = np.concatenate([zeta_arg, np.zeros((lo + k - stop, 2**j, n))])
+        # Z(t_j, t_i) lifted to level j; an M-solution sweep has finished row j
+        zeta_arg = z.lifted(j, lo, lo + k, j) if spec.uses_zeta else None
         if spec.stacked_t:
             lam = e + h * spec.drift(times[lo:lo + k, None, None], t_j, y_j, z_arg, zeta_arg,
                                      nodes)
@@ -524,8 +516,7 @@ def solve_bsvie_msolution(spec: BsvieSpec, lattice: BinaryLattice) -> BsvieSolut
     row t_i reads Z(s, t_i) only at s = t_j > t_i, whose rows the sweep has
     already finished and represented, so one family sweep that attaches each
     row's representation as soon as the row is solved is the exact fixed
-    point; ``solve_bsvie_family(spec, lattice, zeta=sol.z)`` reproduces
-    ``sol.y`` bitwise.  ``msolution_residual`` is the largest pathwise error
+    point.  ``msolution_residual`` is the largest pathwise error
     of the reconstruction  Y(t_i) = E Y(t_i) + sum_{j<i} Z(t_i,s_j) dW_j.
     """
     if spec.uses_z:

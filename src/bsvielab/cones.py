@@ -15,8 +15,6 @@ come out of floating-point arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -61,44 +59,6 @@ def is_diagonal(a, tol: float = 0.0) -> bool:
     _require_square(m)
     off = m[~np.eye(m.shape[0], dtype=bool)]
     return bool(off.size == 0 or np.all(np.abs(off) <= tol))
-
-
-@dataclass(frozen=True)
-class ConeMembership:
-    """Membership of one matrix in the three cones, with a diagnostic witness.
-
-    ``worst_offender`` is ``(row, col, value)`` for the most negative
-    off-diagonal entry (the entry that blocks Metzler membership), or the most
-    negative entry overall when the matrix is Metzler but not nonnegative.
-    ``None`` when the matrix is entrywise nonnegative.
-    """
-
-    in_nonneg: bool
-    in_metzler: bool
-    in_diagonal: bool
-    worst_offender: tuple[int, int, float] | None
-
-
-def cone_membership(a, tol: float = 0.0) -> ConeMembership:
-    """Classify ``a`` against all three cones in one pass."""
-    m = _as_matrix(a)
-    nonneg = is_nonneg(m, tol)
-    if m.shape[0] == m.shape[1]:
-        metzler = is_metzler(m, tol)
-        diagonal = is_diagonal(m, tol)
-    else:
-        metzler = False
-        diagonal = False
-    offender = None
-    if not nonneg:
-        if m.shape[0] == m.shape[1] and not metzler:
-            # most negative off-diagonal entry
-            masked = m + np.where(np.eye(m.shape[0], dtype=bool), np.inf, 0.0)
-        else:
-            masked = m
-        r, c = np.unravel_index(int(np.argmin(masked)), m.shape)
-        offender = (int(r), int(c), float(m[r, c]))
-    return ConeMembership(nonneg, metzler, diagonal, offender)
 
 
 def cone_preservation_check(a, sample_count: int, rng_seed: int) -> bool:

@@ -21,10 +21,9 @@ cross-check of lattice results.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,7 +50,7 @@ GRID_MAX_SWEEPS = 80  # the fine grid's steps + 1 sweep bound is too far to wait
 
 @dataclass
 class FsdeSpec:
-    """Forward SDE data:  dX = drift dt + diffusion dW,  X(t_start) = x0.
+    """Forward SDE data:  dX = drift dt + diffusion dW,  X(0) = x0.
 
     Either supply ``drift``/``diffusion`` as callables ``f(t, x, nodes)`` acting
     on a stacked state array of shape ``(m, n)`` (``nodes`` is a
@@ -65,12 +64,11 @@ class FsdeSpec:
     In Monte Carlo, ``x`` is an ``(m, n)`` view of the simulator's own state
     rows and ``nodes`` is ``None``; a callable must not write into ``x``.  It
     may return a scalar, an ``(n,)`` row or an ``(m, n)`` array, which is
-    only read.  ``start_index`` must be 0 there.
+    only read.
     """
 
     dim: int
     x0: np.ndarray
-    start_index: int = 0
     drift: Callable | None = None
     diffusion: Callable | None = None
     a0: Callable | None = None
@@ -117,7 +115,6 @@ class FsvieSpec:
     :class:`~bsvielab.lattice.AdaptedProcess`.  The diffusion kernel is either
     the separated form ``a1(s)`` (the only form for which positivity theory
     applies) or the full form ``a1_full(t, s)`` admitted for counterexamples.
-    ``rho`` optionally declares a continuity modulus for the drift kernel.
     """
 
     dim: int
@@ -125,7 +122,6 @@ class FsvieSpec:
     a0: Callable | None = None
     a1: Callable | None = None
     a1_full: Callable | None = None
-    rho: Callable | None = None
 
     def __post_init__(self):
         if self.a1 is not None and self.a1_full is not None:
@@ -190,17 +186,11 @@ def _check_state(x: np.ndarray, level: int) -> None:
 
 
 def solve_fsde(spec: FsdeSpec, lattice: BinaryLattice) -> AdaptedProcess:
-    """Explicit Euler on the lattice from ``spec.start_index`` to the horizon.
-
-    Levels before the start carry the initial state unchanged.
-    """
+    """Explicit Euler on the lattice from time 0 to the horizon."""
     n = spec.dim
-    s = spec.start_index
-    if not 0 <= s < lattice.depth:
-        raise ValueError("start index must lie before the horizon")
     h, sq = lattice.h, lattice.sqrt_h
-    levels = [np.tile(spec.x0, (2**k, 1)) for k in range(s + 1)]
-    for k in range(s, lattice.depth):
+    levels = [np.tile(spec.x0, (1, 1))]
+    for k in range(lattice.depth):
         x = levels[k]
         t = lattice.times[k]
         nodes = LevelNodes(lattice, k)
@@ -255,45 +245,20 @@ def fundamental_matrix(
     return FundamentalMatrix(lattice, start_index, levels)
 
 
-def solve_ode_euler(
-    x0, f: Callable[[float, np.ndarray], np.ndarray], horizon: float, steps: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Plain forward Euler for the deterministic reduction (zero diffusion).
-
-    ``horizon`` must be finite and positive and ``steps`` an int >= 1
-    (ValueError naming the argument otherwise, see ``lattice.time_grid``).
-    """
-    times, h = time_grid(horizon, steps)
-    steps = len(times) - 1
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
-    for k in range(steps):
-        x = x + h * np.asarray(f(times[k], x), dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(f"non-finite state at step {k + 1}")
-        out[k + 1] = x
-    return times, out
-
-
 # -- linear Volterra solvers -------------------------------------------------
 
 
-def _solve_fsvie_on_lattice(
-    spec: FsvieSpec, lattice: BinaryLattice, frozen: Sequence[int]
-) -> AdaptedProcess:
-    """Explicit Volterra recursion with the outer time frozen along ``frozen``.
+def solve_linear_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> AdaptedProcess:
+    """Exact lattice recursion for the linear Volterra equation.
 
-    Level k reads the free term and the kernels' outer time t at grid time
-    ``t_{frozen[k]}`` (``frozen[k] <= k``); the inner time s = t_j is never
-    frozen.  The identity ``range(N + 1)`` gives the plain recursion.
+    Level k reads the free term and the kernels' outer time at t_k.
     """
     n = spec.dim
     times = lattice.times
     has_a1 = spec.a1 is not None or spec.a1_full is not None
     levels: list[np.ndarray] = []
     for k in range(lattice.depth + 1):
-        t = times[frozen[k]]
+        t = times[k]
 
         def drift(j):
             return np.asarray(spec.a0(t, times[j]), dtype=float).reshape(n, n)
@@ -302,7 +267,7 @@ def _solve_fsvie_on_lattice(
             return spec.a1_at(t, times[j]).reshape(n, n)
 
         acc = volterra_sum(
-            lattice, _phi_frozen(spec, lattice, k, frozen[k]), levels, k,
+            lattice, _phi_at(spec, lattice, k), levels, k,
             drift if spec.a0 is not None else None, diffusion if has_a1 else None,
         )
         _check_state(acc, k)
@@ -310,44 +275,15 @@ def _solve_fsvie_on_lattice(
     return AdaptedProcess(lattice, n, levels)
 
 
-def solve_linear_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> AdaptedProcess:
-    """Exact lattice recursion for the linear Volterra equation."""
-    return _solve_fsvie_on_lattice(spec, lattice, range(lattice.depth + 1))
-
-
-def partition_approximation(
-    spec: FsvieSpec, partition: Sequence[int], lattice: BinaryLattice
-) -> AdaptedProcess:
-    """Solve with the drift kernel and free term frozen along a partition.
-
-    ``partition`` is an increasing list of grid indices containing 0 and N;
-    at grid time ``t_i`` the kernel/free-term are read at the largest
-    partition time not exceeding ``t_i``.  With the full grid as partition the
-    result coincides with :func:`solve_linear_fsvie` operation for operation.
-    """
-    part = list(partition)
-    if (
-        not part
-        or part[0] != 0
-        or part[-1] != lattice.depth
-        or any(b <= a for a, b in zip(part, part[1:]))
-        or any(not 0 <= p <= lattice.depth for p in part)
-    ):
-        raise ValueError("partition must be increasing grid indices containing 0 and N")
-    frozen = [part[bisect.bisect_right(part, i) - 1] for i in range(lattice.depth + 1)]
-    return _solve_fsvie_on_lattice(spec, lattice, frozen)
-
-
-def _phi_frozen(spec: FsvieSpec, lattice: BinaryLattice, level: int, anchor: int) -> np.ndarray:
-    """The free term read at grid time ``t_anchor``, as a ``volterra_sum`` start.
+def _phi_at(spec: FsvieSpec, lattice: BinaryLattice, level: int) -> np.ndarray:
+    """The free term at grid time ``t_level``, as a ``volterra_sum`` start.
 
     A callable phi gives one ``(1, n)`` row for every node, so the sum is
     built out from the root; an adapted phi gives its level-``level`` slice.
     """
     if isinstance(spec.phi, AdaptedProcess):
-        # freeze in time, keep measurability: the anchor-time slice lifted
-        return lattice.lift(spec.phi.at(anchor), anchor, level)
-    v = np.atleast_1d(np.asarray(spec.phi(lattice.times[anchor]), dtype=float))
+        return spec.phi.at(level)
+    v = np.atleast_1d(np.asarray(spec.phi(lattice.times[level]), dtype=float))
     return v.reshape(1, spec.dim)
 
 
@@ -381,7 +317,7 @@ def picard_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> tuple[AdaptedProces
             [np.asarray(spec.a0(times[k], times[j]), dtype=float).reshape(n, n) for j in range(k)]
             for k in grid
         ]
-    phi_levels = [_phi_frozen(spec, lattice, k, k) for k in grid]
+    phi_levels = [_phi_at(spec, lattice, k) for k in grid]
     _check_state(phi_levels[0], 0)  # level 0 is final from the start and never recomputed
     # the initial iterate is phi at every node; later sweeps start from phi_levels
     cur = [np.repeat(p, 2**k // p.shape[0], axis=0) for k, p in enumerate(phi_levels)]
@@ -548,12 +484,10 @@ def euler_monte_carlo(
     specs ``paths * steps``; exceeding ``DEFAULT_MC_BUDGET`` raises.
 
     ``horizon`` must be finite and positive, ``steps`` and ``paths`` positive
-    ints, and an SDE must start at time 0 (``start_index`` 0).
+    ints.
     """
     times, _ = time_grid(horizon, steps)
     steps, paths = len(times) - 1, check_count("paths", paths)  # ints from here on
-    if isinstance(spec, FsdeSpec) and spec.start_index != 0:
-        raise ValueError(f"start_index must be 0 in Monte Carlo, got {spec.start_index!r}")
     is_volterra = isinstance(spec, FsvieSpec)
     work = paths * steps * (steps if is_volterra else 1)
     if work > DEFAULT_MC_BUDGET:

@@ -113,7 +113,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "suite":
-        verdicts = run_suite(seed_offset=args.seed_offset)
+        try:
+            verdicts = run_suite(seed_offset=args.seed_offset)
+        except ValueError as exc:  # a config that resolve refuses, before any scenario runs
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         for v in verdicts:
             print(_verdict_line(v), file=sys.stderr)
         out = _resolve_out(args.out)

@@ -34,7 +34,6 @@ CONDITION_ORDER = [
     "metzler_y",
     "diagonal_z",
     "kernel_t_monotone",
-    "kernel_continuity",
     "free_term_monotone",
     "difference_monotone",
     "monotone_selection",
@@ -67,12 +66,6 @@ class HypothesisReport:
 
     def status(self, name: str) -> str:
         return self.conditions[name].status
-
-    def violated(self) -> list[str]:
-        return [n for n in CONDITION_ORDER if self.conditions[n].status == VIOLATED]
-
-    def all_satisfied(self) -> bool:
-        return not self.violated()
 
     def flags_string(self) -> str:
         short = {SATISFIED: "ok", VIOLATED: "violated", NOT_APPLICABLE: "na"}
@@ -169,26 +162,6 @@ def _check_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> HypothesisReport:
         rep.set("drift_kernel_nonneg", True)
         rep.set("metzler_y", True)
         rep.set("kernel_t_monotone", True)
-    if spec.a0 is not None and spec.rho is not None:
-        # declared continuity modulus, sampled on grid pairs
-        ok_c, wit_c = True, None
-        for j in range(N + 1):
-            for i in range(j, N + 1):
-                for i2 in range(i + 1, N + 1):
-                    gap = float(np.max(np.abs(
-                        np.asarray(spec.a0(times[i2], times[j]), dtype=float)
-                        - np.asarray(spec.a0(times[i], times[j]), dtype=float)
-                    )))
-                    allowed = float(spec.rho(times[i2] - times[i]))
-                    if gap > allowed + 1e-12:
-                        ok_c = False
-                        wit_c = f"t={times[i]:g},t'={times[i2]:g},s={times[j]:g},gap={gap:g}"
-                        break
-                if not ok_c:
-                    break
-            if not ok_c:
-                break
-        rep.set("kernel_continuity", ok_c, wit_c)
     # diffusion: diagonal, and independent of the outer time
     if spec.a1 is not None:
         wit_d = _first_non_diagonal(spec.a1, times)

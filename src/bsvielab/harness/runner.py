@@ -91,6 +91,8 @@ def resolve(config: ScenarioConfig) -> tuple[RegistryEntry, int, int, int]:
     trials = config.trials if config.trials is not None else entry.default_trials
     if not 1 <= depth <= 16:
         raise ValueError("depth must be in [1, 16]")
+    if seed < 0:
+        raise ValueError(f"seed of {entry.name} must be nonnegative, got {seed}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if config.format not in REPORT_FORMATS:
@@ -126,12 +128,17 @@ def run_experiment(config: ScenarioConfig) -> ComparisonVerdict:
 def run_suite(
     seed_offset: int = 0, jobs: int = 1, overrides: dict[str, ScenarioConfig] | None = None
 ) -> list[ComparisonVerdict]:
-    """Run every registry scenario; results ordered by scenario name."""
+    """Run every registry scenario; results ordered by scenario name.
+
+    Every config is resolved before the first scenario runs, so a bad one
+    (a negative seed, say) raises ValueError without running anything.
+    """
     configs = []
     for name in sorted(REGISTRY):
         cfg = (overrides or {}).get(name) or ScenarioConfig(scenario=name)
         if seed_offset and REGISTRY[name].default_seed:
             cfg.seed = REGISTRY[name].default_seed + seed_offset
+        resolve(cfg)
         configs.append(cfg)
     if jobs <= 1:
         verdicts = [run_experiment(c) for c in configs]

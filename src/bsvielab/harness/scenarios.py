@@ -630,7 +630,7 @@ def _build_bsvie_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         spec = backward.BsvieSpec(
             n, TerminalField(lat, n, psi),
             a_kernel=lambda t, s, m=m0: m, c_coef=lambda t, m=c: m,
-            uses_z=False, uses_zeta=True, lip_y=0.6,
+            uses_z=False, uses_zeta=True, lip_y=0.6, stacked_t=True,
         )
         eta = AdaptedProcess.from_function(
             lat, n,
@@ -922,7 +922,7 @@ def _build_ex38(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     spec = backward.BsvieSpec(
         1, psi,
         generator=lambda t, s, y, z, zeta, nd: ((2.0 * T - t) / (2.0 * T - s)) * zeta,
-        uses_z=False, uses_zeta=True,
+        uses_z=False, uses_zeta=True, stacked_t=True,
     )
     sol = backward.solve_bsvie_msolution(spec, lat)
     e_int_y = sum(lat.h * float(np.mean(sol.y.at(i))) for i in range(N))

@@ -96,9 +96,14 @@ def time_grid(horizon: float, steps: int) -> tuple[np.ndarray, float]:
     :func:`check_count`); otherwise ValueError naming the argument.
     """
     steps = check_count("steps", steps)
+    _check_horizon(horizon)
+    return np.linspace(0.0, horizon, steps + 1), horizon / steps
+
+
+def _check_horizon(horizon) -> None:
+    """ValueError unless ``horizon`` is a finite positive real number."""
     if not (isinstance(horizon, numbers.Real) and math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
-    return np.linspace(0.0, horizon, steps + 1), horizon / steps
 
 
 class OutOfHorizonError(ValueError):
@@ -149,12 +154,12 @@ class BinaryLattice:
     """Binary scenario tree on [0, T] with depth N and step h = T/N."""
 
     def __init__(self, horizon: float, depth: int, max_depth: int = DEFAULT_MAX_DEPTH):
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
-        if not 1 <= depth <= max_depth:
+        _check_horizon(horizon)
+        depth = check_count("depth", depth)
+        if depth > max_depth:
             raise ValueError(f"depth must be in [1, {max_depth}], got {depth}")
         self.horizon = float(horizon)
-        self.depth = int(depth)
+        self.depth = depth
         self.h = self.horizon / self.depth
         self.sqrt_h = float(np.sqrt(self.h))
         self.times = np.linspace(0.0, self.horizon, self.depth + 1)
@@ -191,10 +196,6 @@ class BinaryLattice:
         return np.array(
             [self._w_levels[j][node.index >> (node.level - j)] for j in range(node.level + 1)]
         )
-
-    def brownian(self) -> "AdaptedProcess":
-        """The discrete Brownian path itself as a scalar adapted process."""
-        return AdaptedProcess(self, 1, [w.reshape(-1, 1).copy() for w in self._w_levels])
 
     def lift(self, values: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
         """Broadcast level-``from_level`` values to their descendants at ``to_level``."""

@@ -123,14 +123,6 @@ def ex27(node: NodeId, horizon: float, lattice: BinaryLattice) -> tuple[float, f
     return pref * (2.0 * horizon - integral), pref * bound
 
 
-def ex27_level(lattice: BinaryLattice, level: int, horizon: float) -> np.ndarray:
-    """Vectorized :func:`ex27` values over every node of one level."""
-    vals = np.empty(2**level)
-    for idx in range(2**level):
-        vals[idx] = ex27(NodeId(level, idx), horizon, lattice)[0]
-    return vals
-
-
 @dataclass(frozen=True)
 class Ex210Value:
     """Pathwise evaluation of the indicator-drift-kernel equation.

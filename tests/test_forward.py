@@ -48,24 +48,14 @@ def test_fsde_geometric_is_martingale():
 
 
 def test_fsde_decaying_kernel_ode_reduction():
-    # scalar substitution variable: dx = (e^{-t} - 2 x) dt, X = 1 - 2 e^t x
+    # scalar substitution variable: dx = (e^{-t} - 2 x) dt, X = 1 - 2 e^t x;
+    # with no diffusion one Monte Carlo path is the plain Euler recursion
     steps = 2**10
-    times, xs = forward.solve_ode_euler(
-        [0.0], lambda t, x: np.array([math.exp(-t) - 2.0 * x[0]]), 1.0, steps
-    )
-    x_final = 1.0 - 2.0 * math.exp(1.0) * xs[-1, 0]
+    spec = forward.FsdeSpec(1, [0.0], drift=lambda t, x, nd: math.exp(-t) - 2.0 * x)
+    res = forward.euler_monte_carlo(spec, 1.0, steps, 1, seed=0)
+    x_final = 1.0 - 2.0 * math.exp(1.0) * res.mean[-1, 0]
     assert abs(x_final - (2.0 * math.exp(-1.0) - 1.0)) <= 5e-3
     assert x_final < 0.0
-
-
-@pytest.mark.parametrize("name, horizon, steps", [
-    ("steps", 1.0, 0), ("steps", 1.0, True), ("horizon", -1.0, 8), ("horizon", math.nan, 8),
-])
-def test_ode_euler_rejects_a_bad_horizon_or_step_count(name, horizon, steps):
-    # before the shared grid check: steps=0 divided by zero, steps=True ran one
-    # step, horizon=-1 returned values and horizon=nan diverged at step 1
-    with pytest.raises(ValueError, match=name):
-        forward.solve_ode_euler([1.0], lambda t, x: -x, horizon, steps)
 
 
 # -- fundamental matrix -------------------------------------------------------
@@ -117,7 +107,7 @@ def test_variation_of_constants_telescopes():
 
 def _reference_solve_fsde(spec, lattice):
     n = spec.dim
-    s = spec.start_index
+    s = 0
     h, sq = lattice.h, lattice.sqrt_h
     levels = [np.tile(spec.x0, (2**k, 1)) for k in range(s + 1)]
     for k in range(s, lattice.depth):
@@ -160,11 +150,11 @@ def _assert_forward_recursions_match_the_reference(depth, n, seed, linear):
     x0 = rng.uniform(-1.0, 1.0, n)
     if linear:
         b = piecewise([rng.uniform(-1.0, 1.0, n) for _ in range(depth)], lat)
-        spec = forward.FsdeSpec(n, x0, start_index=start, a0=a0, a1=a1, b=b)
+        spec = forward.FsdeSpec(n, x0, a0=a0, a1=a1, b=b)
     else:
         c = rng.uniform(-1.0, 1.0, n)
         spec = forward.FsdeSpec(
-            n, x0, start_index=start,
+            n, x0,
             drift=lambda t, x, nd: np.sin(x) * c - t * x,
             diffusion=lambda t, x, nd: np.cos(x + nd.w[:, None]) * c,
         )
@@ -299,68 +289,13 @@ def test_picard_nonneg_kernel_dominates_free_term():
     assert phi.min() >= 0.0 and x.min() >= 0.0
 
 
-# -- partition approximation ------------------------------------------------------
-
-
-def smoothed_cutoff_spec(tau=0.5, delta=0.25):
-    return forward.FsvieSpec(
-        1, lambda t: np.array([1.0]),
-        a0=lambda t, s: np.array([[min(1.0, max(0.0, (tau + delta - t) / delta))]]),
-        a1=lambda s: np.eye(1),
-        rho=lambda d: d / delta,
-    )
-
-
-def test_partition_full_grid_is_identity():
-    lat = BinaryLattice(1.0, 8)
-    spec = smoothed_cutoff_spec()
-    ref = forward.solve_linear_fsvie(spec, lat)
-    part = forward.partition_approximation(spec, list(range(9)), lat)
-    worst = max(float(np.max(np.abs(part.at(k) - ref.at(k)))) for k in range(9))
-    assert worst == 0.0
-
-
-def test_partition_constant_kernel_is_partition_independent():
-    lat = BinaryLattice(1.0, 8)
-    spec = forward.FsvieSpec(
-        1, lambda t: np.array([1.0]), a0=lambda t, s: np.array([[0.4]]),
-        a1=lambda s: np.eye(1),
-    )
-    ref = forward.solve_linear_fsvie(spec, lat)
-    for partition in ([0, 8], [0, 4, 8], [0, 2, 5, 8]):
-        out = forward.partition_approximation(spec, partition, lat)
-        worst = max(float(np.max(np.abs(out.at(k) - ref.at(k)))) for k in range(9))
-        assert worst <= 1e-14
-
-
-def test_partition_error_decreases_under_refinement():
-    lat = BinaryLattice(1.0, 10)
-    spec = smoothed_cutoff_spec()
-    ref = forward.solve_linear_fsvie(spec, lat)
-    errs = []
-    for stride in (4, 2, 1):
-        partition = sorted(set(list(range(0, 11, stride)) + [10]))
-        out = forward.partition_approximation(spec, partition, lat)
-        errs.append(max(float(np.max(np.abs(out.at(k) - ref.at(k)))) for k in range(11)))
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[2] == 0.0
-
-
-def test_partition_rejects_bad_input():
-    lat = BinaryLattice(1.0, 6)
-    spec = smoothed_cutoff_spec()
-    with pytest.raises(ValueError):
-        forward.partition_approximation(spec, [0, 3], lat)
-    with pytest.raises(ValueError):
-        forward.partition_approximation(spec, [1, 6], lat)
-
-
 # -- one Volterra sum: bitwise equal to the per-(k, j) loops it replaced ------------
 
 
-# Reference: the recursion, free-term reads and kernel closures of
-# partition_approximation before lattice.volterra_sum (solve_linear_fsvie is
-# the identity freeze), and the Picard sweep with its (k, j) kernel dict.
+# Reference: the recursion, free-term reads and kernel closures of the
+# partition freeze the forward recursion had before lattice.volterra_sum (the
+# library keeps only the identity freeze, solve_linear_fsvie), and the Picard
+# sweep with its (k, j) kernel dict.
 
 
 def _reference_phi(spec, lat, level, anchor):
@@ -453,24 +388,17 @@ def _random_fsvie(seed, n, lat, phi_kind, a0_on, a1_kind):
 @given(
     st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 9),
     st.sampled_from(["callable", "adapted"]), st.booleans(),
-    st.sampled_from([None, "separated", "full"]), st.data(),
+    st.sampled_from([None, "separated", "full"]),
 )
 def test_unified_recursion_is_bitwise_equal_to_the_reference(
-    seed, n, depth, phi_kind, a0_on, a1_kind, data
+    seed, n, depth, phi_kind, a0_on, a1_kind
 ):
     lat = BinaryLattice(1.0, depth)
     spec = _random_fsvie(seed, n, lat, phi_kind, a0_on, a1_kind)
-    inner = data.draw(st.sets(st.integers(1, depth - 1)))
-    part = [0, *sorted(inner), depth]
-    frozen = [max(p for p in part if p <= i) for i in range(depth + 1)]
-    cases = [
-        (forward.solve_linear_fsvie(spec, lat), list(range(depth + 1))),
-        (forward.partition_approximation(spec, part, lat), frozen),
-    ]
-    for x, freeze in cases:
-        ref = _reference_fsvie(spec, lat, freeze)
-        for k in range(depth + 1):
-            assert np.array_equal(x.at(k), ref[k]), (freeze, k)
+    x = forward.solve_linear_fsvie(spec, lat)
+    ref = _reference_fsvie(spec, lat, list(range(depth + 1)))
+    for k in range(depth + 1):
+        assert np.array_equal(x.at(k), ref[k]), k
     if a1_kind is None:
         x, norms = forward.picard_fsvie(spec, lat)
         ref, ref_norms = _reference_picard(spec, lat)
@@ -502,18 +430,12 @@ def test_deep_recursion_is_bitwise_equal_to_the_reference():
     # from the root, so check its bits at the depth cap
     depth = 16
     lat = BinaryLattice(1.0, depth)
-    part = [0, 5, 11, depth]
-    frozen = [max(p for p in part if p <= i) for i in range(depth + 1)]
     for phi_kind in ("callable", "adapted"):
         spec = _random_fsvie(1601, 2, lat, phi_kind, True, "separated")
-        cases = [
-            (forward.solve_linear_fsvie(spec, lat), list(range(depth + 1))),
-            (forward.partition_approximation(spec, part, lat), frozen),
-        ]
-        for x, freeze in cases:
-            ref = _reference_fsvie(spec, lat, freeze)
-            for k in range(depth + 1):
-                assert np.array_equal(x.at(k), ref[k]), (phi_kind, freeze, k)
+        x = forward.solve_linear_fsvie(spec, lat)
+        ref = _reference_fsvie(spec, lat, list(range(depth + 1)))
+        for k in range(depth + 1):
+            assert np.array_equal(x.at(k), ref[k]), (phi_kind, k)
     picard_spec = _random_fsvie(1602, 2, lat, "callable", True, None)
     x, norms = forward.picard_fsvie(picard_spec, lat)
     ref, ref_norms = _reference_picard(picard_spec, lat)
@@ -749,12 +671,6 @@ def test_mc_rejects_a_horizon_that_is_not_finite_and_positive(horizon):
     spec = forward.FsdeSpec(1, [1.0], a1=lambda t: np.eye(1))
     with pytest.raises(ValueError, match="horizon"):
         forward.euler_monte_carlo(spec, horizon, 8, 10, seed=0)
-
-
-def test_mc_rejects_an_sde_that_does_not_start_at_time_zero():
-    spec = forward.FsdeSpec(1, [1.0], start_index=3, a1=lambda t: np.eye(1))
-    with pytest.raises(ValueError, match="start_index"):
-        forward.euler_monte_carlo(spec, 1.0, 8, 10, seed=0)
 
 
 @pytest.mark.parametrize("name, value", [
@@ -1210,21 +1126,3 @@ def test_fsde_divergence_names_the_node():
     )
     with pytest.raises(Exception, match="level 1"):
         forward.solve_fsde(spec, lat)
-
-
-def test_smoothed_cutoff_kernel_satisfies_its_declared_modulus():
-    from bsvielab.harness.hypotheses import check_hypotheses
-
-    lat = BinaryLattice(1.0, 8)
-    spec = smoothed_cutoff_spec()
-    rep = check_hypotheses(spec, lat)
-    assert rep.status("kernel_continuity") == "satisfied"
-    # the raw cutoff breaks the declared modulus of the smoothed variant
-    sharp = forward.FsvieSpec(
-        1, lambda t: np.array([1.0]),
-        a0=lambda t, s: np.array([[1.0 if t <= 0.5 else 0.0]]),
-        a1=lambda s: np.eye(1),
-        rho=lambda d: 0.1 * d,
-    )
-    rep = check_hypotheses(sharp, lat)
-    assert rep.status("kernel_continuity") == "violated"

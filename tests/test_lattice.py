@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,24 @@ def test_depth_cap():
     with pytest.raises(ValueError):
         BinaryLattice(1.0, 17)
     BinaryLattice(1.0, 17, max_depth=17)  # configurable maximum
+
+
+@pytest.mark.parametrize("name, horizon, depth", [
+    ("horizon", math.nan, 4), ("horizon", math.inf, 4), ("horizon", -1.0, 4),
+    ("horizon", 0.0, 4), ("horizon", "1.0", 4),
+    ("depth", 1.0, 2.7), ("depth", 1.0, True), ("depth", 1.0, 0), ("depth", 1.0, "4"),
+])
+def test_lattice_rejects_a_bad_horizon_or_depth(name, horizon, depth):
+    # the checks of lattice.time_grid: a NaN horizon would build all-NaN times,
+    # and int() would turn depth=2.7 into 2 and depth=True into 1
+    with pytest.raises(ValueError, match=name):
+        BinaryLattice(horizon, depth)
+
+
+def test_lattice_accepts_numpy_numbers():
+    lat = BinaryLattice(np.float64(2.0), np.int64(4))
+    assert type(lat.depth) is int and lat.depth == 4
+    assert lat.horizon == 2.0 and lat.h == 0.5
 
 
 def test_step_times_horizon_recovers_horizon():
@@ -166,7 +185,7 @@ def test_sign_violation_cases(lat):
     nonneg = AdaptedProcess.from_function(lat, 1, lambda t, w: np.abs(w) + 1.0)
     sv = sign_violation(nonneg)
     assert sv.probability == 0.0 and sv.witness is None
-    w = lat.brownian()
+    w = AdaptedProcess.from_function(lat, 1, lambda t, w: w)
     sv = sign_violation(w)
     assert sv.per_level[1] == 0.5 and sv.probability == 0.5
     assert sv.witness == NodeId(1, 1)

@@ -90,7 +90,7 @@ def test_ex27_matches_lattice_solver_within_root_h():
     )
     worst = 0.0
     for level in range(13):
-        ora = oracles.ex27_level(lat, level, T)
+        ora = [oracles.ex27(NodeId(level, m), T, lat)[0] for m in range(2**level)]
         worst = max(worst, float(np.max(np.abs(x.at(level)[:, 0] - ora))))
     assert worst <= 20.0 * lat.sqrt_h  # measured 15.9 * sqrt(h)
 
