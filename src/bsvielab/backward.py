@@ -537,9 +537,14 @@ def solve_bsvie_family_deterministic(
     diagonal term implicit, exactly like the lattice sweep with one node per
     level but without the depth cap.  ``horizon`` must be finite and positive
     and ``steps`` an int >= 1 (ValueError otherwise).
+
+    The diagonal fixed point passes ``g`` two one-element buffers, rewritten
+    before every call, so ``g`` must not keep its array arguments after the
+    call.
     """
     times, h = time_grid(horizon, steps)
     steps = len(times) - 1
+    s_diag, y_diag = np.empty(1), np.empty(1)
     y = np.empty(steps + 1)
     y[steps] = psi(times[steps])
     for i in range(steps - 1, -1, -1):
@@ -550,7 +555,9 @@ def solve_bsvie_family_deterministic(
         cur = y[i + 1]
         # scalar twin of _fixed_point: abs() on a float is ~70x cheaper than np.max(np.abs())
         for _ in range(FP_MAX_ITER):
-            new = tail + h * float(g(times[i], np.asarray([times[i]]), np.asarray([cur]))[0])
+            s_diag[0] = times[i]  # both rewritten: g may write into its arguments
+            y_diag[0] = cur
+            new = tail + h * float(g(times[i], s_diag, y_diag)[0])
             if abs(new - cur) < FP_TOL:
                 cur = new
                 break

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ _MC_CHUNK = 1 << 14
 _MC_BLOCK = 16  # steps per block of a Volterra chunk's block-triangular product
 SUBSTITUTION_TOL = 1e-12  # successive substitution stops below this difference norm
 GRID_MAX_SWEEPS = 80  # the fine grid's steps + 1 sweep bound is too far to wait for
+_GRID_ROUND = 24  # grid Picard sweeps applied to one kernel slab while it is in cache
 
 
 @dataclass
@@ -361,12 +362,12 @@ def solve_linear_fsvie_deterministic(
     times, h = time_grid(horizon, steps)
     x = np.empty(len(times))
     x[0] = phi(times[0])
-    if not np.isfinite(x[0]):
+    if not math.isfinite(x[0]):
         raise DivergenceError("non-finite state at step 0")
     for i in range(1, len(times)):
         row = np.asarray(a0(times[i], times[:i]), dtype=float)
         x[i] = phi(times[i]) + h * float(row @ x[:i])
-        if not np.isfinite(x[i]):
+        if not math.isfinite(x[i]):
             raise DivergenceError(f"non-finite state at step {i}")
     return times, x
 
@@ -380,15 +381,22 @@ def picard_fsvie_deterministic(
     """Successive substitution on the deterministic grid; returns (t, x, norms).
 
     A sweep is ``x <- phi + h * (L @ x)``, with ``L`` the strictly lower
-    triangular Volterra matrix of ``a0``.  Its rows i = 1..steps are stored
-    once, as the slabs of ``_kernel_slabs`` (``a0(t_i, t_0..t_{i-1})`` is
-    called once per row, i ascending; row 0 has no past), and a sweep makes
-    one matrix-vector product per slab of ``_MC_BLOCK`` rows.  Each entry is
-    still ``phi_i + h * (row_i . x)``; only the order of summation inside
-    the dot differs from a per-row dot, so x and the norms can differ from a
+    triangular Volterra matrix of ``a0``, and makes one matrix-vector product
+    per slab of ``_MC_BLOCK`` rows of ``L`` (the slabs of ``_kernel_slabs``;
+    row 0 has no past).  Only the order of summation inside each row's dot
+    differs from a per-row dot, so x and the norms can differ from a
     row-by-row sweep by a few ULPs.
 
-    Stops once a difference norm is below SUBSTITUTION_TOL and raises
+    The sweeps run in rounds of up to ``_GRID_ROUND``.  A round walks the
+    rows once: it builds one slab, applies every sweep of the round to it
+    while it is in cache (sweep k's rows of the slab need only sweep k-1's
+    rows above them) and drops it, so memory is O(``_GRID_ROUND`` * steps),
+    not the O(steps**2) of a stored ``L``.  ``a0(t_i, t_0..t_{i-1})`` is
+    called once per row i = 1..steps and round, i ascending, so ``a0`` must
+    be a pure function of (t, s).  The difference norms are then taken in
+    sweep order.
+
+    Stops at the first difference norm below SUBSTITUTION_TOL and raises
     NonConvergenceError after GRID_MAX_SWEEPS sweeps.  ``horizon`` must be
     finite and positive and ``steps`` an int >= 1 (ValueError otherwise).
 
@@ -398,49 +406,56 @@ def picard_fsvie_deterministic(
     row (see ``_first_non_finite_step``) to find that step.
     """
     times, h = time_grid(horizon, steps)
-    phi_vals = np.array([phi(t) for t in times], dtype=float).reshape(len(times))
-    slabs = _kernel_slabs(lambda i: a0(times[i], times[:i]), len(times) - 1, 1)
-    lx = np.zeros(len(times))  # L @ x; row 0 has no past, so lx[0] stays 0.0
-    cur = phi_vals
+    steps = len(times) - 1
+    phi_vals = np.array([phi(t) for t in times], dtype=float).reshape(steps + 1)
+
+    def row(i):
+        return a0(times[i], times[:i])
+
+    xs = np.empty((_GRID_ROUND + 1, steps + 1))  # xs[k]: sweep k of the round
+    xs[0] = phi_vals
     norms: list[float] = []
-    for _ in range(GRID_MAX_SWEEPS):
+    while len(norms) < GRID_MAX_SWEEPS:
+        r = min(_GRID_ROUND, GRID_MAX_SWEEPS - len(norms))
+        xs[1:r + 1, 0] = phi_vals[0] + h * 0.0  # row 0 has no past
         i0 = 1
-        for slab in slabs:
+        for slab in _kernel_slabs(row, steps, 1):
             i1 = i0 + len(slab)
-            lx[i0:i1] = slab @ cur[: i1 - 1]
+            for k in range(1, r + 1):
+                xs[k, i0:i1] = phi_vals[i0:i1] + h * (slab @ xs[k - 1, : i1 - 1])
             i0 = i1
-        nxt = phi_vals + h * lx
-        diff = math.sqrt(h * float(np.sum((nxt - cur) ** 2)))
-        norms.append(diff)
-        if not math.isfinite(diff):
-            bad = _first_non_finite_step(phi_vals, h, slabs, cur)
-            raise DivergenceError(
-                f"non-finite state at step {bad}" if bad is not None
-                else f"difference norm overflowed at sweep {len(norms)}"
-            )
-        cur = nxt
-        if diff < SUBSTITUTION_TOL:
-            return times, cur, norms
+        for k in range(1, r + 1):
+            diff = math.sqrt(h * float(np.sum((xs[k] - xs[k - 1]) ** 2)))
+            norms.append(diff)
+            if not math.isfinite(diff):
+                bad = _first_non_finite_step(phi_vals, h, row, xs[k - 1])
+                raise DivergenceError(
+                    f"non-finite state at step {bad}" if bad is not None
+                    else f"difference norm overflowed at sweep {len(norms)}"
+                )
+            if diff < SUBSTITUTION_TOL:
+                return times, xs[k].copy(), norms
+        xs[0] = xs[r]
     raise NonConvergenceError(f"not below {SUBSTITUTION_TOL} after {GRID_MAX_SWEEPS} sweeps")
 
 
 def _first_non_finite_step(
-    phi_vals: np.ndarray, h: float, slabs: list[np.ndarray], cur: np.ndarray
+    phi_vals: np.ndarray, h: float, row: Callable[[int], np.ndarray], cur: np.ndarray
 ) -> int | None:
     """The first step i whose sweep value ``phi_i + h * (row_i . cur)`` is not
     finite, or None.
 
-    Row by row, each a dot over the step's own past ``row_i[:i] . cur[:i]``,
-    so no padded zero meets a later entry of ``cur``.
+    Row by row, each a dot over the step's own past ``row(i) . cur[:i]``
+    (``row(i)`` read as ``_kernel_slabs`` reads it), so no padded zero meets
+    a later entry of ``cur``; rows past the first bad step are not built.
     """
     if not math.isfinite(phi_vals[0]):
         return 0
-    i = 1
-    for slab in slabs:
-        for row in slab:
-            if not math.isfinite(phi_vals[i] + h * float(row[:i] @ cur[:i])):
-                return i
-            i += 1
+    past = np.empty((1, len(cur) - 1))
+    for i in range(1, len(cur)):
+        past[:, :i] = row(i)
+        if not math.isfinite(phi_vals[i] + h * float(past[0, :i] @ cur[:i])):
+            return i
     return None
 
 
@@ -584,24 +599,23 @@ class _VolterraKernels(NamedTuple):
     separated: np.ndarray | None
 
 
-def _kernel_slabs(row: Callable[[int], np.ndarray], steps: int, n: int) -> list[np.ndarray]:
+def _kernel_slabs(row: Callable[[int], np.ndarray], steps: int, n: int) -> Iterator[np.ndarray]:
     """The rows i = 1..steps of a strictly lower block-triangular Volterra
-    matrix, cut into slabs of ``_MC_BLOCK`` steps.
+    matrix, cut into slabs of ``_MC_BLOCK`` steps and yielded one at a time.
 
     ``row(i)`` is the ``(n, i*n)`` matrix row of step i, its blocks j < i
     side by side (anything that broadcasts to that shape); it is called once
-    per step, i ascending.  The slab of steps i0..i1-1 is
-    ``((i1-i0)*n, (i1-1)*n)`` and zero where j >= i.  The store of the
-    Volterra Monte Carlo chunk and of the grid Picard sweep.
+    per step, i ascending, as each slab is built.  The slab of steps
+    i0..i1-1 is ``((i1-i0)*n, (i1-1)*n)`` and zero where j >= i.  The
+    Volterra Monte Carlo chunk keeps every slab; the grid Picard sweep
+    streams them, one per round of sweeps.
     """
-    slabs = []
     for i0 in range(1, steps + 1, _MC_BLOCK):
         i1 = min(i0 + _MC_BLOCK, steps + 1)
         slab = np.zeros(((i1 - i0) * n, (i1 - 1) * n))
         for i in range(i0, i1):
             slab[(i - i0) * n:(i - i0 + 1) * n, : i * n] = row(i)
-        slabs.append(slab)
-    return slabs
+        yield slab
 
 
 def _volterra_kernels(spec: FsvieSpec, times: np.ndarray) -> _VolterraKernels:
@@ -617,9 +631,9 @@ def _volterra_kernels(spec: FsvieSpec, times: np.ndarray) -> _VolterraKernels:
 
     drift = diffusion = separated = None
     if spec.a0 is not None:
-        drift = _kernel_slabs(
+        drift = list(_kernel_slabs(
             rows(lambda t, s: np.asarray(spec.a0(t, s), dtype=float).reshape(n, n)), steps, n
-        )
+        ))
         for slab in drift:
             slab *= h
     if spec.a1 is not None:  # A1(s) does not depend on t_i
@@ -627,7 +641,9 @@ def _volterra_kernels(spec: FsvieSpec, times: np.ndarray) -> _VolterraKernels:
             np.asarray(spec.a1(times[j]), dtype=float).reshape(n, n) for j in range(steps)
         ])
     elif spec.a1_full is not None:
-        diffusion = _kernel_slabs(rows(lambda t, s: spec.a1_at(t, s).reshape(n, n)), steps, n)
+        diffusion = list(
+            _kernel_slabs(rows(lambda t, s: spec.a1_at(t, s).reshape(n, n)), steps, n)
+        )
     return _VolterraKernels(drift, diffusion, separated)
 
 

@@ -251,7 +251,7 @@ def branch(acc: np.ndarray, v: np.ndarray | float) -> np.ndarray:
     return out
 
 
-# -- conditional expectation / expectation ---------------------------------
+# -- conditional expectation ------------------------------------------------
 
 
 def conditional_expectation(child_values: np.ndarray) -> np.ndarray:
@@ -275,16 +275,6 @@ def condition_to(values: np.ndarray, from_level: int, to_level: int) -> np.ndarr
     for _ in range(from_level - to_level):
         v = conditional_expectation(v)
     return v
-
-
-def expectation(values) -> np.ndarray:
-    """Expectation of a level slice (or of a whole process per level).
-
-    Paths are equally likely, so this is the plain average over the slice.
-    """
-    if isinstance(values, AdaptedProcess):
-        return np.stack([np.mean(lv, axis=0) for lv in values.levels])
-    return np.mean(np.asarray(values, dtype=float), axis=0)
 
 
 # -- adapted processes ------------------------------------------------------
@@ -491,20 +481,16 @@ class TwoParamProcess:
         return [(i, j) for i in range(depth + 1) for j in range(depth) if self._is_set[j][i]]
 
     def lifted(self, i: int, lo: int, hi: int, level: int) -> np.ndarray:
-        """Slices (i, lo)..(i, hi - 1), each lifted to ``level``, as one ``(hi - lo, 2**level, dim)`` stack.
+        """Slices (i, lo)..(i, hi - 1), ``lo < hi``, each lifted to ``level``, as one ``(hi - lo, 2**level, dim)`` stack.
 
-        A slice that is not set reads as zeros.  Lifting copies each level-j
-        value to its ``2**(level - j)`` descendants, as ``BinaryLattice.lift``.
+        Every slice must be set (IncompleteProcessError otherwise).  Lifting
+        copies each level-j value to its ``2**(level - j)`` descendants, as
+        ``BinaryLattice.lift``.
         """
-        if hi - lo <= 1:
+        if hi - lo == 1:
             # one slice (a one-row block) is one repeat, without the stacking copies
-            if hi == lo or not self.has(i, lo):
-                return np.zeros((hi - lo, 2**level, self.dim))
             return np.repeat(self.get(i, lo), 2 ** (level - lo), axis=0)[None]
-        parts = [
-            self.get(i, j) if self.has(i, j) else np.zeros((2**j, self.dim))
-            for j in range(lo, hi)
-        ]
+        parts = [self.get(i, j) for j in range(lo, hi)]
         levels = np.arange(lo, hi)
         copies = np.repeat(2 ** (level - levels), 2**levels)  # one count per stacked node
         return np.repeat(np.concatenate(parts), copies, axis=0).reshape(

@@ -416,6 +416,21 @@ def test_family_grid_drift_tail_keeps_the_np_sum_bits(psi, g, horizon):
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_family_grid_diagonal_buffers_keep_the_bits_of_a_writing_generator():
+    # the diagonal step reuses two one-element buffers; a g that writes into
+    # them must still see fresh inputs on every call
+    def g(t, s, yv):
+        out = s - t - yv
+        if s.shape == (1,):
+            s[...] = -1.0
+            yv[...] = 99.0
+        return out
+
+    got = backward.solve_bsvie_family_deterministic(lambda t: 0.0, g, 1.0, 512)
+    want = _reference_family_deterministic(lambda t: 0.0, g, 1.0, 512)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("name, horizon, steps", [
     ("horizon", -1.0, 8), ("horizon", 0.0, 8), ("horizon", math.nan, 8),
     ("horizon", math.inf, 8), ("horizon", "1.0", 8),

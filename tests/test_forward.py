@@ -1,16 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsvielab import forward
-from bsvielab.errors import DivergenceError, ResourceBudgetError
+from bsvielab.errors import DivergenceError, NonConvergenceError, ResourceBudgetError
 from bsvielab.lattice import (
     AdaptedProcess,
     BinaryLattice,
     LevelNodes,
     sign_violation,
+    time_grid,
     volterra_sum,
 )
 
@@ -595,7 +597,173 @@ def test_grid_picard_names_the_non_finite_step_like_the_per_row_sweep(phi, kerne
             forward.picard_fsvie_deterministic(phi, kernel, 1.0, 64)
         with pytest.raises(DivergenceError) as per_row:
             _reference_picard_fsvie_deterministic(phi, kernel, 1.0, 64)
+        with pytest.raises(DivergenceError) as stored:
+            _reference_slab_picard_fsvie_deterministic(phi, kernel, 1.0, 64)
     assert str(blocked.value) == str(per_row.value) == f"non-finite state at step {where}"
+    assert str(stored.value) == str(blocked.value)
+
+
+# Reference: the stored-slab grid Picard sweep the rounds of sweeps replaced,
+# kept verbatim with its list-building slab store and row replay.  The rounds
+# build the same slabs and make the same matrix-vector products, so x and
+# the norms must keep their bits.
+
+
+def _reference_row_slabs(row, steps, n):
+    slabs = []
+    for i0 in range(1, steps + 1, forward._MC_BLOCK):
+        i1 = min(i0 + forward._MC_BLOCK, steps + 1)
+        slab = np.zeros(((i1 - i0) * n, (i1 - 1) * n))
+        for i in range(i0, i1):
+            slab[(i - i0) * n:(i - i0 + 1) * n, : i * n] = row(i)
+        slabs.append(slab)
+    return slabs
+
+
+def _reference_slab_first_non_finite_step(phi_vals, h, slabs, cur):
+    if not math.isfinite(phi_vals[0]):
+        return 0
+    i = 1
+    for slab in slabs:
+        for row in slab:
+            if not math.isfinite(phi_vals[i] + h * float(row[:i] @ cur[:i])):
+                return i
+            i += 1
+    return None
+
+
+def _reference_slab_picard_fsvie_deterministic(phi, a0, horizon, steps):
+    times, h = time_grid(horizon, steps)
+    phi_vals = np.array([phi(t) for t in times], dtype=float).reshape(len(times))
+    slabs = _reference_row_slabs(lambda i: a0(times[i], times[:i]), len(times) - 1, 1)
+    lx = np.zeros(len(times))  # L @ x; row 0 has no past, so lx[0] stays 0.0
+    cur = phi_vals
+    norms: list[float] = []
+    for _ in range(forward.GRID_MAX_SWEEPS):
+        i0 = 1
+        for slab in slabs:
+            i1 = i0 + len(slab)
+            lx[i0:i1] = slab @ cur[: i1 - 1]
+            i0 = i1
+        nxt = phi_vals + h * lx
+        diff = math.sqrt(h * float(np.sum((nxt - cur) ** 2)))
+        norms.append(diff)
+        if not math.isfinite(diff):
+            bad = _reference_slab_first_non_finite_step(phi_vals, h, slabs, cur)
+            raise DivergenceError(
+                f"non-finite state at step {bad}" if bad is not None
+                else f"difference norm overflowed at sweep {len(norms)}"
+            )
+        cur = nxt
+        if diff < forward.SUBSTITUTION_TOL:
+            return times, cur, norms
+    raise NonConvergenceError(
+        f"not below {forward.SUBSTITUTION_TOL} after {forward.GRID_MAX_SWEEPS} sweeps"
+    )
+
+
+def _assert_same_grid_picard_bits(got, want):
+    (t, x, norms), (t_ref, x_ref, norms_ref) = got, want
+    assert t.tobytes() == t_ref.tobytes()
+    assert x.tobytes() == x_ref.tobytes()
+    assert [v.hex() for v in norms] == [v.hex() for v in norms_ref]
+
+
+@pytest.mark.parametrize("steps", [1, 2, 15, 16, 17, 1000, 4096])
+@pytest.mark.parametrize("data", ["ex2.6", "smooth"])
+def test_grid_picard_rounds_keep_the_stored_slab_bits(data, steps):
+    phi, kernel = (lambda t: 1.0, _ex26_kernel) if data == "ex2.6" else _smooth_grid_data(steps)
+    _assert_same_grid_picard_bits(
+        forward.picard_fsvie_deterministic(phi, kernel, 1.0, steps),
+        _reference_slab_picard_fsvie_deterministic(phi, kernel, 1.0, steps),
+    )
+
+
+class _Counted:
+    """A kernel that counts its calls."""
+
+    def __init__(self, kernel):
+        self.kernel, self.calls = kernel, 0
+
+    def __call__(self, t, s):
+        self.calls += 1
+        return self.kernel(t, s)
+
+
+def _growth_kernel(t, s):
+    return 2.0 + np.cos(t - s)
+
+
+def _growth_phi(t):
+    return 1.0 + 0.5 * math.sin(t)
+
+
+# On [0, steps] (h = 1) the growth data's sweep k changes rows k-1.. by far
+# more than SUBSTITUTION_TOL, so the sweeps end exactly at sweep steps + 1,
+# when the strictly lower-triangular operator has no row left to change.
+_R = forward._GRID_ROUND
+
+
+@pytest.mark.parametrize("steps", [
+    pytest.param(9, id="inside-the-first-round"),
+    pytest.param(_R - 1, id="last-sweep-of-the-first-round"),
+    pytest.param(_R, id="first-sweep-of-the-second-round"),
+    pytest.param(_R + 5, id="inside-the-second-round"),
+    pytest.param(forward.GRID_MAX_SWEEPS - 1, id="last-allowed-sweep"),
+])
+def test_grid_picard_rounds_stop_at_the_stored_slab_sweep(steps):
+    assert forward.GRID_MAX_SWEEPS > 2 * _R  # the last case runs three rounds or more
+    kernel = _Counted(_growth_kernel)
+    got = forward.picard_fsvie_deterministic(_growth_phi, kernel, float(steps), steps)
+    norms = got[2]
+    assert len(norms) == steps + 1 and norms[-1] == 0.0 and min(norms[:-1]) > 1.0
+    assert kernel.calls == steps * -(-len(norms) // _R)  # each row once per round
+    _assert_same_grid_picard_bits(got, _reference_slab_picard_fsvie_deterministic(
+        _growth_phi, _growth_kernel, float(steps), steps))
+
+
+def test_grid_picard_gives_up_after_exactly_grid_max_sweeps():
+    steps = forward.GRID_MAX_SWEEPS  # needs one sweep more than allowed
+    kernel = _Counted(_growth_kernel)
+    with pytest.raises(NonConvergenceError) as rounds:
+        forward.picard_fsvie_deterministic(_growth_phi, kernel, float(steps), steps)
+    assert kernel.calls == steps * -(-forward.GRID_MAX_SWEEPS // _R)
+    with pytest.raises(NonConvergenceError) as stored:
+        _reference_slab_picard_fsvie_deterministic(_growth_phi, _growth_kernel, float(steps), steps)
+    assert str(rounds.value) == str(stored.value) == (
+        f"not below {forward.SUBSTITUTION_TOL} after {forward.GRID_MAX_SWEEPS} sweeps"
+    )
+
+
+def test_grid_picard_names_an_overflow_in_a_later_round_like_the_stored_slabs():
+    def kernel(t, s):
+        return np.full_like(s, 1e5)
+
+    with np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as rounds:
+            forward.picard_fsvie_deterministic(lambda t: 1.0, kernel, 64.0, 64)
+        with pytest.raises(DivergenceError) as stored:
+            _reference_slab_picard_fsvie_deterministic(lambda t: 1.0, kernel, 64.0, 64)
+    assert 28 > _R  # the squares overflow in the second round
+    assert str(rounds.value) == str(stored.value) == "difference norm overflowed at sweep 28"
+
+
+def test_grid_picard_replays_rows_only_up_to_the_first_non_finite_step():
+    kernel = _Counted(_nan_kernel_after)
+    with pytest.raises(DivergenceError, match="non-finite state at step 27$"):
+        forward.picard_fsvie_deterministic(lambda t: 1.0, kernel, 1.0, 64)
+    assert kernel.calls == 64 + 27  # one round of rows, then the replay of rows 1..27
+
+
+def test_grid_picard_memory_is_linear_in_the_steps():
+    tracemalloc.start()
+    try:
+        forward.picard_fsvie_deterministic(lambda t: 1.0, _ex26_kernel, 1.0, 4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the stored triangle alone was 4096**2 / 2 * 8 B ~ 67 MB
+    assert peak < 4 * 2**20, peak
 
 
 _GRID_SOLVERS = {

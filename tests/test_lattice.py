@@ -18,7 +18,6 @@ from bsvielab.lattice import (
     branch,
     condition_to,
     conditional_expectation,
-    expectation,
     ito_integral,
     martingale_representation,
     reconstruct_from_representation,
@@ -109,16 +108,6 @@ def test_tower_property_against_exhaustive_sum(lat):
         lhs = condition_to(condition_to(xi, 6, 4), 4, j)
         rhs = condition_to(xi, 6, j)
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
-
-
-def test_expectation_examples(lat):
-    const = AdaptedProcess.constant(lat, [3.0, -1.0])
-    assert np.allclose(expectation(const.at(4)), [3.0, -1.0])
-    up_indicator = np.array([[1.0], [0.0]])  # level 1
-    assert expectation(up_indicator)[0] == 0.5
-    rng = np.random.default_rng(5)
-    xi = rng.standard_normal((64, 2))
-    assert np.max(np.abs(expectation(xi) - exhaustive_leaf_mean(lat, xi, 6))) <= 1e-15
 
 
 def test_ito_integral_of_zero_and_one(lat):
@@ -352,17 +341,19 @@ def test_two_param_level_rows_are_the_slices(lat):
     assert z.pairs() == [(0, 4), (1, 4), (2, 4), (3, 4)]
 
 
-def test_two_param_lifted_is_the_lift_of_each_slice_and_zero_where_unset(lat):
+def test_two_param_lifted_is_the_lift_of_each_slice_and_raises_where_unset(lat):
     rng = np.random.default_rng(4)
     z = TwoParamProcess(lat, 2)
     for j in (0, 1, 3, 4):
         z.set(5, j, rng.standard_normal((2**j, 2)))
-    got = z.lifted(5, 0, 5, 4)
-    assert got.shape == (5, 16, 2)
-    for r, j in enumerate(range(5)):
-        want = lat.lift(z.get(5, j), j, 4) if z.has(5, j) else np.zeros((16, 2))
-        assert got[r].tobytes() == want.tobytes()
-    assert z.lifted(5, 2, 2, 4).shape == (0, 16, 2)
+    for lo, hi in ((0, 2), (3, 5), (1, 2), (4, 5)):  # stacks and single slices
+        got = z.lifted(5, lo, hi, 4)
+        assert got.shape == (hi - lo, 16, 2)
+        for r, j in enumerate(range(lo, hi)):
+            assert got[r].tobytes() == lat.lift(z.get(5, j), j, 4).tobytes()
+    for lo, hi in ((0, 5), (2, 4), (2, 3)):  # slice (5, 2) is not set
+        with pytest.raises(IncompleteProcessError, match=r"Z\(5,2\) slice not populated"):
+            z.lifted(5, lo, hi, 4)
 
 
 # -- one level to the next: split_children and branch --------------------------------

@@ -18,7 +18,6 @@ USERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
 # wires one in or deletes it takes it off this list.
 TEST_ONLY = {
     "forward.positivity_step_bound",  # the per-factor step bound worst_case_step_bound refines
-    "lattice.expectation",            # the plain mean of a level slice
     "oracles.ex27",                   # the pathwise closed form of Ex 2.7
 }
 
