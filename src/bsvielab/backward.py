@@ -532,7 +532,9 @@ def solve_bsvie_family_deterministic(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar deterministic reduction on a fine grid (Z = 0 throughout).
 
-    ``g(t, s_array, y_array)`` must broadcast over the inner-time arrays.
+    ``g(t, s_array, y_array)`` must broadcast over the inner-time arrays; a
+    value of another shape (a scalar or ``(1,)`` for a constant generator)
+    is broadcast to their shape.
     Solves  Y_i = psi(t_i) + h * sum_{j >= i} g(t_i, t_j, Y_j)  with the
     diagonal term implicit, exactly like the lattice sweep with one node per
     level but without the depth cap.  ``horizon`` must be finite and positive
@@ -550,14 +552,18 @@ def solve_bsvie_family_deterministic(
     for i in range(steps - 1, -1, -1):
         # drift sum over j = i..steps-1, matching the lattice sweep; add.reduce
         # is np.sum's pairwise sum without its dispatch
-        drift = np.asarray(g(times[i], times[i + 1: steps], y[i + 1: steps]), dtype=float)
+        s = times[i + 1: steps]
+        drift = np.asarray(g(times[i], s, y[i + 1: steps]), dtype=float)
+        if drift.shape != s.shape:  # a constant generator: sum steps - i - 1 terms, not one
+            drift = np.broadcast_to(drift, s.shape).copy()
         tail = psi(times[i]) + h * float(np.add.reduce(drift))
         cur = y[i + 1]
         # scalar twin of _fixed_point: abs() on a float is ~70x cheaper than np.max(np.abs())
         for _ in range(FP_MAX_ITER):
             s_diag[0] = times[i]  # both rewritten: g may write into its arguments
             y_diag[0] = cur
-            new = tail + h * float(g(times[i], s_diag, y_diag)[0])
+            d = g(times[i], s_diag, y_diag)
+            new = tail + h * float(d[0] if getattr(d, "ndim", 0) else d)  # a scalar has no [0]
             if abs(new - cur) < FP_TOL:
                 cur = new
                 break

@@ -139,32 +139,15 @@ class FsvieSpec:
 # -- step bounds -------------------------------------------------------------
 
 
-def positivity_step_bound(a0_bound: float, a1_bound: float) -> float:
-    """Step bound under which each factor of the one-step update is nonnegative.
-
-    ``h <= 1/a0_bound`` keeps ``I + h A0`` entrywise nonnegative for every
-    Metzler A0 with entries bounded by ``a0_bound``; ``h <= 1/a1_bound**2``
-    keeps ``I +/- sqrt(h) A1`` nonnegative for every diagonal A1 bounded by
-    ``a1_bound``.  Zero bounds contribute no constraint (infinity).
-    """
-    if a0_bound < 0 or a1_bound < 0:
-        raise ValueError("bounds must be nonnegative")
-    terms = []
-    if a0_bound > 0:
-        terms.append(1.0 / a0_bound)
-    if a1_bound > 0:
-        terms.append(1.0 / a1_bound**2)
-    return min(terms) if terms else math.inf
-
-
 def worst_case_step_bound(a0_bound: float, a1_bound: float) -> float:
     """Largest h with ``1 - h*a0_bound - sqrt(h)*a1_bound >= 0``.
 
     This is the exact condition for the summed one-step matrix
     ``I + A0 h + A1 dW`` itself to stay entrywise nonnegative when the drift
-    and diffusion bounds bite simultaneously; it is never larger than
-    :func:`positivity_step_bound`.  Randomized positivity trials draw their
-    step below this bound.
+    and diffusion bounds bite simultaneously; it is never larger than either
+    per-factor bound, ``1/a0_bound`` (which keeps ``I + h A0`` nonnegative)
+    or ``1/a1_bound**2`` (which keeps ``I +/- sqrt(h) A1`` nonnegative).
+    Randomized positivity trials draw their step below this bound.
     """
     if a0_bound < 0 or a1_bound < 0:
         raise ValueError("bounds must be nonnegative")
@@ -353,11 +336,13 @@ def solve_linear_fsvie_deterministic(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Scalar deterministic Volterra recursion on a fine time grid.
 
-    ``a0(t, s_array)`` must broadcast over the past-time array.  This is the
-    zero-diffusion reduction of the lattice recursion with one node per level,
-    so the depth cap does not apply.  ``horizon`` must be finite and positive
-    and ``steps`` an int >= 1 (ValueError otherwise); a non-finite state
-    raises DivergenceError naming the first such step, step 0 included.
+    ``a0(t, s_array)`` must broadcast over the past-time array; a value of
+    another shape (a scalar or ``(1,)`` for a constant kernel) is broadcast
+    to its shape.  This is the zero-diffusion reduction of the lattice
+    recursion with one node per level, so the depth cap does not apply.
+    ``horizon`` must be finite and positive and ``steps`` an int >= 1
+    (ValueError otherwise); a non-finite state raises DivergenceError naming
+    the first such step, step 0 included.
     """
     times, h = time_grid(horizon, steps)
     x = np.empty(len(times))
@@ -366,6 +351,8 @@ def solve_linear_fsvie_deterministic(
         raise DivergenceError("non-finite state at step 0")
     for i in range(1, len(times)):
         row = np.asarray(a0(times[i], times[:i]), dtype=float)
+        if row.shape != (i,):  # a constant kernel, as picard_fsvie_deterministic takes it
+            row = np.broadcast_to(row, (1, i))[0].copy()
         x[i] = phi(times[i]) + h * float(row @ x[:i])
         if not math.isfinite(x[i]):
             raise DivergenceError(f"non-finite state at step {i}")
@@ -490,13 +477,14 @@ def euler_monte_carlo(
     statistics are added up.  An SDE chunk holds the current state as
     component rows ``(n, m)`` in owned buffers: two state buffers that swap
     every step, one for the diffusion term and one for the draws; each step
-    is computed in place.  A Volterra chunk keeps a time-major history of
-    X(t_j) (and, for a full-form diffusion kernel, of X(t_j) dW_j), adds the
-    past before each block of ``_MC_BLOCK`` steps in one matrix product and
-    the in-block terms step by step, and carries a separated diffusion
-    kernel as a running Ito sum with no history; the kernel slabs are built
-    once per call.  Volterra specs cost ``paths * steps**2`` work units, SDE
-    specs ``paths * steps``; exceeding ``DEFAULT_MC_BUDGET`` raises.
+    is computed in place.  A Volterra chunk draws one step's increments into
+    one owned row, keeps a time-major history of X(t_j) (and, for a
+    full-form diffusion kernel, of X(t_j) dW_j), adds the past before each
+    block of ``_MC_BLOCK`` steps in one matrix product and the in-block terms
+    step by step, and carries a separated diffusion kernel as a running Ito
+    sum with no history; the kernel slabs are built once per call.  Volterra
+    specs cost ``paths * steps**2`` work units, SDE specs ``paths * steps``;
+    exceeding ``DEFAULT_MC_BUDGET`` raises.
 
     ``horizon`` must be finite and positive, ``steps`` and ``paths`` positive
     ints.
@@ -660,10 +648,16 @@ def _mc_volterra_chunk(
     in-block terms j = i0..i-1 alone.  A full-form diffusion kernel runs the
     same products against a history of X(t_j) dW_j; a separated one needs no
     history, only the running Ito sum of A1(t_j) X(t_j) dW_j.
+
+    The chunk draws one step's increments dW_j into one owned row of ``m``
+    just before step j reads them, in the order of one ``(steps, m)`` draw,
+    so the history is its only ``O(steps * m)`` array.  A block's products
+    of the past are dropped before the next block's are made.
     """
     steps = len(times) - 1
     n = spec.dim
-    dw = math.sqrt(times[-1] / steps) * rng.standard_normal((steps, m))
+    sq = math.sqrt(times[-1] / steps)
+    dw = np.empty(m)
     xs = np.empty((steps * n, m))
     xdw = np.empty((steps * n, m)) if kernels.diffusion is not None else None
     ito = np.zeros((n, m)) if kernels.separated is not None else None
@@ -673,16 +667,20 @@ def _mc_volterra_chunk(
     x = xs[:n]
     x[...] = np.atleast_1d(spec.phi(0.0)).astype(float)[:, None]
     _path_stats(x, stats[0])
+    before: list[np.ndarray] = []
     for i in range(1, steps + 1):
         j = i - 1  # the newest history row
+        rng.standard_normal(m, out=dw)  # dW_j
+        dw *= sq
         if xdw is not None:
-            np.multiply(x, dw[j], out=xdw[j * n:i * n])
+            np.multiply(x, dw, out=xdw[j * n:i * n])
         if ito is not None:
-            ito += kernels.separated[j] @ (x * dw[j])
+            ito += kernels.separated[j] @ (x * dw)
         b, r = divmod(j, _MC_BLOCK)
         i0 = i - r
         if r == 0:  # first step of a block: the past before the block in one product
-            before = [slabs[b][:, : i0 * n] @ hist[: i0 * n] for slabs, hist in terms]
+            before.clear()  # the last block's products go before the next ones are made
+            before.extend(slabs[b][:, : i0 * n] @ hist[: i0 * n] for slabs, hist in terms)
         x = xs[i * n:(i + 1) * n] if i < steps else np.empty((n, m))
         x[...] = np.atleast_1d(spec.phi(times[i])).astype(float)[:, None]
         rows = slice(r * n, (r + 1) * n)

@@ -451,6 +451,24 @@ def test_family_grid_accepts_numpy_integer_steps():
     assert all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
+_CONSTANT_GENERATORS = {  # one constant generator in three shapes
+    "full": lambda t, s, yv: np.full(np.shape(s), -0.5),
+    "scalar": lambda t, s, yv: -0.5,
+    "one-element": lambda t, s, yv: np.array([-0.5]),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 8, 33])
+def test_family_grid_sums_a_constant_generator_over_every_inner_time(steps):
+    # step steps - 1 has an empty inner array; a (1,) value must still add nothing
+    got = {name: backward.solve_bsvie_family_deterministic(lambda t: 1.0, g, 1.0, steps)
+           for name, g in _CONSTANT_GENERATORS.items()}
+    for name in ("scalar", "one-element"):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[name], got["full"])), name
+    if steps == 8:  # Y(0) = 1 - 0.5 * T, exact in binary at this step
+        assert got["one-element"][1][0] == 0.5
+
+
 # -- monotone successive scheme -----------------------------------------------------------
 
 

@@ -185,19 +185,14 @@ def test_deep_forward_recursions_are_bitwise_equal_to_the_reference(linear):
 # -- step bounds ---------------------------------------------------------------
 
 
-def test_positivity_step_bound_values():
-    assert forward.positivity_step_bound(1.0, 1.0) == 1.0
-    assert forward.positivity_step_bound(0.0, 0.0) == math.inf
-    assert forward.positivity_step_bound(2.0, 0.0) == 0.5
-    assert forward.positivity_step_bound(0.0, 2.0) == 0.25
-
-
 def test_worst_case_step_bound_is_exact_for_the_summed_update():
     # scalar worst case: 1 - h*a - sqrt(h)*b == 0 at the bound
     for a, b in [(1.0, 1.0), (2.0, 0.5), (0.0, 2.0), (3.0, 0.0)]:
         h = forward.worst_case_step_bound(a, b)
         assert abs(1.0 - h * a - math.sqrt(h) * b) <= 1e-12
-        assert h <= forward.positivity_step_bound(a, b) + 1e-15
+        # never above a per-factor bound: I + h A0 and I +/- sqrt(h) A1 nonnegative
+        assert a == 0.0 or h <= 1.0 / a + 1e-15
+        assert b == 0.0 or h <= 1.0 / b**2 + 1e-15
         # any larger step breaks entrywise nonnegativity of the summed update
         hh = h * 1.01
         assert 1.0 - hh * a - math.sqrt(hh) * b < 0.0
@@ -517,6 +512,26 @@ def test_non_finite_free_term_at_time_zero_is_named_at_level_zero():
 def test_non_finite_free_term_at_time_zero_is_named_at_step_zero(solve):
     with pytest.raises(DivergenceError, match="non-finite state at step 0$"):
         solve(lambda t: math.nan if t == 0.0 else 1.0, lambda t, s: np.full_like(s, 0.5), 1.0, 8)
+
+
+_CONSTANT_KERNELS = {  # one constant kernel in three shapes
+    "full": lambda t, s: np.full(np.shape(s), 0.5),
+    "scalar": lambda t, s: 0.5,
+    "one-element": lambda t, s: np.array([0.5]),
+}
+
+
+@pytest.mark.parametrize("solve", [
+    forward.solve_linear_fsvie_deterministic, forward.picard_fsvie_deterministic,
+])
+@pytest.mark.parametrize("steps", [1, 2, 40])
+def test_grid_solvers_take_a_constant_kernel_in_any_shape(solve, steps):
+    got = {name: solve(lambda t: 1.0, a0, 1.0, steps)[:2]
+           for name, a0 in _CONSTANT_KERNELS.items()}
+    for name in ("scalar", "one-element"):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got[name], got["full"])), name
+    # x' = 0.5 x: x(1) = e^0.5 in the limit, below it on the explicit grid
+    assert 1.0 < got["scalar"][1][-1] <= math.exp(0.5)
 
 
 # Reference: the per-row grid Picard sweep the slab products replaced, kept
@@ -1217,6 +1232,118 @@ def test_mc_volterra_chunk_stats_keep_their_bits_with_the_row_wise_store(spec, s
         ), f"chunk {c} differs"
 
 
+# Reference: the Volterra chunk that drew every increment of the chunk up front,
+# ``(steps, m)``, kept verbatim.  The chunk that draws one step's row at a time
+# must give the same bits and leave its generator in the same state.
+
+
+def _reference_mc_volterra_chunk(spec, kernels, times, m, rng):
+    """Per-time statistics ``(steps + 1, n + 1)`` of ``m`` Euler paths (see ``_path_stats``)."""
+    _MC_BLOCK, _path_stats = forward._MC_BLOCK, forward._path_stats
+    steps = len(times) - 1
+    n = spec.dim
+    dw = math.sqrt(times[-1] / steps) * rng.standard_normal((steps, m))
+    xs = np.empty((steps * n, m))
+    xdw = np.empty((steps * n, m)) if kernels.diffusion is not None else None
+    ito = np.zeros((n, m)) if kernels.separated is not None else None
+    terms = [(slabs, hist) for slabs, hist in ((kernels.drift, xs), (kernels.diffusion, xdw))
+             if slabs is not None]
+    stats = np.empty((steps + 1, n + 1))
+    x = xs[:n]
+    x[...] = np.atleast_1d(spec.phi(0.0)).astype(float)[:, None]
+    _path_stats(x, stats[0])
+    for i in range(1, steps + 1):
+        j = i - 1  # the newest history row
+        if xdw is not None:
+            np.multiply(x, dw[j], out=xdw[j * n:i * n])
+        if ito is not None:
+            ito += kernels.separated[j] @ (x * dw[j])
+        b, r = divmod(j, _MC_BLOCK)
+        i0 = i - r
+        if r == 0:  # first step of a block: the past before the block in one product
+            before = [slabs[b][:, : i0 * n] @ hist[: i0 * n] for slabs, hist in terms]
+        x = xs[i * n:(i + 1) * n] if i < steps else np.empty((n, m))
+        x[...] = np.atleast_1d(spec.phi(times[i])).astype(float)[:, None]
+        rows = slice(r * n, (r + 1) * n)
+        for (slabs, hist), past in zip(terms, before):
+            x += past[rows]
+            if r:
+                x += slabs[b][rows, i0 * n:i * n] @ hist[i0 * n:i * n]
+        if ito is not None:
+            x += ito
+        _path_stats(x, stats[i])
+    return stats
+
+
+def _separated_volterra_n2():
+    return forward.FsvieSpec(
+        2, lambda t: np.array([1.0, 0.5 + t]),
+        a0=lambda t, s: np.array([[-0.5 + t, 0.2], [0.3 * s, 0.1]]),
+        a1=lambda s: np.diag([0.8, 0.4 + s]),
+    )
+
+
+def _volterra_chunk_cases():
+    """The benchmark's cross-check shape at full chunk size, a two-dimensional
+    separated kernel, then every Volterra case of ``_mc_cases``; each runs a
+    chunk of the given size and a ragged one of 600."""
+    return [
+        pytest.param(_crosscheck_like_volterra(), 128, forward._MC_CHUNK, id="crosscheck-n1"),
+        pytest.param(_separated_volterra_n2(), 37, 1000, id="separated-n2"),
+    ] + [
+        pytest.param(*case.values, 700, id=case.id)
+        for case in _mc_cases() if isinstance(case.values[0], forward.FsvieSpec)
+    ]
+
+
+def _states_equal(a, b):
+    """Bit-generator states (nested dicts holding counter and key arrays) equal."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_states_equal(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _assert_volterra_chunks_bitwise_equal(spec, steps, sizes, seed=9):
+    times = np.linspace(0.0, 1.0, steps + 1)
+    kernels = forward._volterra_kernels(spec, times)
+    for c, m in enumerate(sizes):  # one generator key per chunk, as in euler_monte_carlo
+        rng, ref_rng = _chunk_rng(seed, c), _chunk_rng(seed, c)
+        got = forward._mc_volterra_chunk(spec, kernels, times, m, rng)
+        want = _reference_mc_volterra_chunk(spec, kernels, times, m, ref_rng)
+        assert got.shape == (steps + 1, spec.dim + 1)
+        assert np.array_equal(got, want), f"chunk {c} differs"
+        assert _states_equal(rng.bit_generator.state, ref_rng.bit_generator.state), c
+
+
+@pytest.mark.parametrize("spec, steps, m", _volterra_chunk_cases())
+def test_mc_volterra_chunk_drawing_row_by_row_keeps_its_bits(spec, steps, m):
+    _assert_volterra_chunks_bitwise_equal(spec, steps, (m, 600))
+
+
+@pytest.mark.parametrize("spec", [
+    pytest.param(_crosscheck_like_volterra(), id="crosscheck-n1"),
+    pytest.param(_separated_volterra_n2(), id="separated-n2"),
+    pytest.param(_mc_cases()[4].values[0], id="full-n2"),
+])
+def test_mc_volterra_chunk_of_one_step_and_five_paths_keeps_its_bits(spec):
+    _assert_volterra_chunks_bitwise_equal(spec, 1, (5,))
+
+
+def test_mc_volterra_chunk_holds_one_path_history():
+    steps, m = 128, forward._MC_CHUNK
+    spec = _crosscheck_like_volterra()
+    times = np.linspace(0.0, 1.0, steps + 1)
+    kernels = forward._volterra_kernels(spec, times)
+    tracemalloc.start()
+    try:
+        forward._mc_volterra_chunk(spec, kernels, times, m, _chunk_rng(1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the history is 16.8 MB; drawing the whole (steps, m) block up front took 36 MB
+    assert peak < 24 * 2**20, peak
+
+
 # -- discrete positivity and comparison ------------------------------------------------
 
 
@@ -1228,7 +1355,7 @@ def test_positivity_exact_under_step_bound():
         a0b = float(rng.uniform(0.2, 2.0))
         a1b = float(rng.uniform(0.0, 2.0))
         h = 0.95 * forward.worst_case_step_bound(a0b, a1b)
-        assert h <= forward.positivity_step_bound(a0b, a1b)
+        assert h <= 1.0 / a0b and (a1b == 0.0 or h <= 1.0 / a1b**2)
         lat = BinaryLattice(h * N, N)
         a0s = [random_metzler(rng, n, a0b) for _ in range(N)]
         a1s = [np.diag(rng.uniform(-a1b, a1b, n)) for _ in range(N)]

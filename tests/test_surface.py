@@ -17,8 +17,7 @@ USERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
 # tests check the solvers against, not an option of a solver; a change that
 # wires one in or deletes it takes it off this list.
 TEST_ONLY = {
-    "forward.positivity_step_bound",  # the per-factor step bound worst_case_step_bound refines
-    "oracles.ex27",                   # the pathwise closed form of Ex 2.7
+    "oracles.ex27",  # the pathwise closed form of Ex 2.7
 }
 
 
