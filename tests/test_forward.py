@@ -1323,7 +1323,8 @@ def test_mc_volterra_chunk_drawing_row_by_row_keeps_its_bits(spec, steps, m):
 @pytest.mark.parametrize("spec", [
     pytest.param(_crosscheck_like_volterra(), id="crosscheck-n1"),
     pytest.param(_separated_volterra_n2(), id="separated-n2"),
-    pytest.param(_mc_cases()[4].values[0], id="full-n2"),
+    pytest.param(next(c.values[0] for c in _mc_cases() if c.id == "volterra-n2-full"),
+                 id="full-n2"),
 ])
 def test_mc_volterra_chunk_of_one_step_and_five_paths_keeps_its_bits(spec):
     _assert_volterra_chunks_bitwise_equal(spec, 1, (5,))
