@@ -46,10 +46,14 @@ from .lattice import (
     TerminalField,
     TwoParamProcess,
     _check_finite,
+    _node_ordered,
     branch,
+    children_mean,
+    children_slope,
     condition_to,
     conditional_expectation,
     martingale_representation,
+    node_empty,
     reconstruct_from_representation,
     row_sums,
     split_children,
@@ -84,7 +88,7 @@ def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float) -> np.
     p = sign * h * a
     np.fill_diagonal(p, 0.0)
     return _fixed_point(
-        lambda y: (rhs + y @ p.T) / d, np.zeros_like(rhs), "Jacobi inner solve",
+        lambda y: (rhs + (p @ y.mT).mT) / d, np.zeros_like(rhs), "Jacobi inner solve",
         lambda: h * float(np.abs(a).sum(axis=1).max()),
     )
 
@@ -99,11 +103,11 @@ def _blend(up: np.ndarray, down: np.ndarray, b: np.ndarray | None, sqrt_h: float
     sqrt(h)*|B| <= 1.
     """
     if b is None:
-        return 0.5 * (up + down)
+        return children_mean(up, down)
     m = z_sign * sqrt_h * np.asarray(b, dtype=float)
     wu = 0.5 * (np.eye(b.shape[0]) + m)
     wd = 0.5 * (np.eye(b.shape[0]) - m)
-    return up @ wu.T + down @ wd.T
+    return (wu @ up.mT).mT + (wd @ down.mT).mT
 
 
 def _linear_step(up: np.ndarray, down: np.ndarray, a: np.ndarray, b: np.ndarray | None,
@@ -113,6 +117,17 @@ def _linear_step(up: np.ndarray, down: np.ndarray, a: np.ndarray, b: np.ndarray 
     if extra is not None:
         rhs = rhs + extra
     return _jacobi_step(a, rhs, h, sign)
+
+
+def _plus_h(e: np.ndarray, h: float, value: np.ndarray) -> np.ndarray:
+    """``e + h * value`` for a node-contiguous ``e``, node-contiguous whatever value's order.
+
+    A callback's value may be C-ordered; the sum is then written into a
+    :func:`node_empty` array, with the bits of the expression.
+    """
+    if _node_ordered(value):
+        return e + h * value
+    return np.add(e, h * value, out=node_empty(e.shape))
 
 
 def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray, what: str,
@@ -153,7 +168,9 @@ class BsdeSpec:
     through matrix callables ``a``, ``b`` and vector callable ``forcing``.
     General form: standard-shape generator ``g(t, y, z, nodes) -> (m, n)``
     for  Y(t) = xi + int_t^T g ds - int_t^T Z dW,  vectorized over the nodes
-    of one level.
+    of one level.  The ``(m, n)`` arrays handed to the callables (``y``,
+    ``z``) are node-contiguous (Fortran order, see :mod:`bsvielab.lattice`);
+    a callable may return any memory order, which changes no value.
     """
 
     dim: int
@@ -200,8 +217,9 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> B
     z: list[np.ndarray | None] = [None] * N
     y[N] = spec.terminal_field(lattice)
     for k in range(N - 1, from_index - 1, -1):
+        # y[N] is the caller's terminal field: every level below it is node-contiguous
         up, down = split_children(y[k + 1])
-        zk = (up - down) / (2.0 * sq)
+        zk = children_slope(up, down, sq)
         z[k] = zk
         t = lattice.times[k]
         if spec.is_linear:
@@ -211,10 +229,11 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> B
             # (I + h A) y = E[next] - h B Z + h f
             y[k] = _linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
         else:
-            e = 0.5 * (up + down)
+            e = children_mean(up, down)
             nodes = LevelNodes(lattice, k)
             y[k] = _fixed_point(
-                lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
+                lambda cur: _plus_h(e, h, np.asarray(spec.generator(t, cur, zk, nodes),
+                                                     dtype=float)),
                 e, "implicit y-step", lambda: h * spec.lip_y,
             )
     return BsdeSolution(from_index, y, z)
@@ -240,7 +259,7 @@ def bsde_duality_check(
     h, sq = lattice.h, lattice.sqrt_h
     sol = solve_bsde(spec, lattice, from_index=s_index)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    X = np.tile(xv, (2**s_index, 1))
+    X = lattice.lift(xv[None], 0, s_index)
     pair = np.zeros((2**s_index, 1))
     eye = np.eye(n)
     for k in range(s_index, N):
@@ -251,12 +270,14 @@ def bsde_duality_check(
         if spec.forcing is not None:
             f_k = np.asarray(spec.forcing(t), dtype=float)
             pair = pair + h * (x_hat @ f_k)[:, None]
-        X = branch(x_hat, -(sq * (x_hat @ b_k)))  # (-B^T X) dW, dW = +/-sqrt(h)
+        X = branch(x_hat, -(sq * (b_k.T @ x_hat.mT).mT))  # (-B^T X) dW, dW = +/-sqrt(h)
         pair = lattice.lift(pair, k, k + 1)
-    xi = spec.terminal_field(lattice)
-    leaf_val = row_sums(X * xi)[:, None] + pair
+    xi = spec.terminal_field(lattice)  # the caller's order: multiplied along the nodes
+    leaf_val = row_sums((X.mT * xi.mT).mT)[:, None] + pair
     cond = condition_to(leaf_val, N, s_index)
-    lhs = sol.y[s_index] @ xv
+    # a matrix-vector product's bits depend on the matrix's memory order (BLAS row
+    # dots for C order, column updates for F order): a C-ordered copy keeps row dots
+    lhs = np.ascontiguousarray(sol.y[s_index]) @ xv
     return float(np.max(np.abs(lhs - cond[:, 0])))
 
 
@@ -291,6 +312,13 @@ class BsvieSpec:
     on a matrix that may be stacked.  The family sweep then makes one drift
     call per level for its explicit steps instead of one per row; ``b_coef``
     and ``s`` stay scalar.
+
+    The ``(2**j, n)`` arrays handed to the callables (``y``, ``z``,
+    ``zeta``, each slice of a stack) are node-contiguous: Fortran order per
+    slice, and the memory of a C-ordered ``(rows, n, 2**j)`` array for a
+    stack (see :mod:`bsvielab.lattice`).  A callable may return any memory
+    order; the order changes no value.  The structured pieces' products are
+    taken as ``(A @ y.mT).mT``, the same bits as ``y @ A.mT``.
     """
 
     dim: int
@@ -335,15 +363,15 @@ class BsvieSpec:
             return np.asarray(self.generator(t, s, y, z, zeta, nodes), dtype=float)
         out = None
         if self.a_kernel is not None:
-            out = _from_zero(y, y @ np.asarray(self.a_kernel(t, s), dtype=float).mT)
+            out = _from_zero(y, (np.asarray(self.a_kernel(t, s), dtype=float) @ y.mT).mT)
         if self.h_fn is not None:
             term = np.asarray(self.h_fn(t, s, y, nodes), dtype=float)
             out = _from_zero(y, term) if out is None else out + term
         if self.b_coef is not None and z is not None:
-            term = z @ np.asarray(self.b_coef(s), dtype=float).mT
+            term = (np.asarray(self.b_coef(s), dtype=float) @ z.mT).mT
             out = _from_zero(y, term) if out is None else out + term
         if self.c_coef is not None and zeta is not None:
-            term = zeta @ np.asarray(self.c_coef(t), dtype=float).mT
+            term = (np.asarray(self.c_coef(t), dtype=float) @ zeta.mT).mT
             out = _from_zero(y, term) if out is None else out + term
         return np.zeros_like(y) if out is None else out
 
@@ -438,7 +466,7 @@ def solve_bsvie_family(
         t_j = times[j]
         z_arg = mu if spec.uses_z else None
         # the discrete convention zeta(t_j, t_j) = 0
-        zeta_jj = np.zeros((2**j, n)) if spec.uses_zeta else None
+        zeta_jj = np.zeros((2**j, n), order="F") if spec.uses_zeta else None
         if spec.is_linear_y:
             a_jj = (
                 np.asarray(spec.a_kernel(t_j, t_j), dtype=float)
@@ -449,10 +477,10 @@ def solve_bsvie_family(
             c_tj = None if spec.c_coef is None else np.asarray(spec.c_coef(t_j), dtype=float)
             # (I - h A(t_j,t_j)) y = E[next] + h B Z + h C zeta
             return _linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
-                                None if c_tj is None else h * (zeta_jj @ c_tj.T))
+                                None if c_tj is None else h * (c_tj @ zeta_jj.mT).mT)
         nodes = level_nodes[j]
         return _fixed_point(
-            lambda cur: e + h * spec.drift(t_j, t_j, cur, z_arg, zeta_jj, nodes),
+            lambda cur: _plus_h(e, h, spec.drift(t_j, t_j, cur, z_arg, zeta_jj, nodes)),
             e, "diagonal y-step", lambda: h * spec.lip_y,
         )
 
@@ -466,37 +494,38 @@ def solve_bsvie_family(
         # Z(t_j, t_i) lifted to level j; an M-solution sweep has finished row j
         zeta_arg = z.lifted(j, lo, lo + k, j) if spec.uses_zeta else None
         if spec.stacked_t:
-            lam = e + h * spec.drift(times[lo:lo + k, None, None], t_j, y_j, z_arg, zeta_arg,
-                                     nodes)
+            lam = _plus_h(e, h, spec.drift(times[lo:lo + k, None, None], t_j, y_j, z_arg,
+                                           zeta_arg, nodes))
         else:
             rows = [
-                e[r] + h * spec.drift(times[lo + r], t_j, y_j, None if z_arg is None else z_arg[r],
-                                      None if zeta_arg is None else zeta_arg[r], nodes)
+                _plus_h(e[r], h, spec.drift(times[lo + r], t_j, y_j,
+                                            None if z_arg is None else z_arg[r],
+                                            None if zeta_arg is None else zeta_arg[r], nodes))
                 for r in range(k)
             ]
-            lam = rows[0][None] if k == 1 else np.stack(rows)
+            # a node-contiguous stack: the rows' transposes stacked, turned back
+            lam = rows[0][None] if k == 1 else np.stack([row.T for row in rows]).swapaxes(1, 2)
         if not np.isfinite(lam).all():
             for r in range(k - 1, -1, -1):
                 _check_finite(lam[r], f"{what} of row {lo + r}")
         return lam
 
-    finish(N, spec.psi.slice(N).copy())
+    finish(N, np.array(spec.psi.slice(N), order="F"))
     block = max(1, _ROW_BLOCK_ELEMS // (2**N * n))
     for hi in range(N - 1, -1, -block):
         lo = max(0, hi - block + 1)
+        # the caller's psi rows: the first step reads them, every later lam is node-contiguous
         lam = spec.psi.values[lo:hi + 1]
         for j in range(N - 1, lo - 1, -1):
             top = min(hi, j)  # rows lo..top are open at level j
             lam = lam[:top - lo + 1]
             up, down = split_children(lam, axis=1)
-            e = 0.5 * (up + down)
-            mu = z.write_rows(j, lo, top + 1)
-            np.subtract(up, down, out=mu)
-            mu /= 2.0 * sq
+            e = children_mean(up, down)
+            mu = children_slope(up, down, sq, out=z.write_rows(j, lo, top + 1))
             if frozen:
                 lam = explicit_update(lo, j, e, mu)
                 if top == j:
-                    finish(j, lam[-1].copy())
+                    finish(j, lam[-1].copy(order="F"))
             elif top == j:
                 finish(j, diagonal_step(j, up[-1], down[-1], e[-1], mu[-1]))
                 if j > lo:
@@ -838,6 +867,9 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
     M = data.n_pieces()
     b = data.b if data.b is not None else (lambda s: np.zeros((n, n)))
 
+    def psi_leaves(k: int) -> np.ndarray:
+        return np.asarray(data.psi_pieces[k], dtype=float).reshape(2**N, n)
+
     y_levels: list[np.ndarray | None] = [None] * (N + 1)
     z = TwoParamProcess(lattice, n)
     # lam[j] holds the current interval's sweep value at level j (j >= lower end)
@@ -848,33 +880,30 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
         hi = data.partition[k + 1]
         lo = data.partition[k] + 1 if k > 0 else 0
         if k == M - 1:
-            lam[N] = np.asarray(data.psi_pieces[k], dtype=float).reshape(2**N, n).copy()
+            lam[N] = np.array(psi_leaves(k), order="F")
             sweep_from = N - 1
         else:
             # correction sweep above the right endpoint: the previous
             # interval's values are defined on levels hi+1..N only
-            d_cur = (
-                np.asarray(data.psi_pieces[k], dtype=float).reshape(2**N, n)
-                - np.asarray(data.psi_pieces[k + 1], dtype=float).reshape(2**N, n)
-            )
+            d_cur = np.subtract(psi_leaves(k), psi_leaves(k + 1), out=node_empty((2**N, n)))
             new_lam: list[np.ndarray | None] = [None] * (N + 1)
             new_lam[N] = lam[N] + d_cur
             new_rows: list[np.ndarray | None] = [None] * N
             for j in range(N - 1, hi, -1):
                 up, down = split_children(d_cur)
-                dz = (up - down) / (2.0 * sq)
+                dz = children_slope(up, down, sq)
                 da = np.asarray(data.a_pieces[k](times[j]), dtype=float) - np.asarray(
                     data.a_pieces[k + 1](times[j]), dtype=float
                 )
                 d_cur = _blend(up, down, np.asarray(b(times[j]), dtype=float), sq, 1.0)
-                d_cur = d_cur + h * (y_levels[j] @ da.T)
+                d_cur = d_cur + h * (da @ y_levels[j].mT).mT
                 new_lam[j] = lam[j] + d_cur
                 new_rows[j] = z_rows[j] + dz
             lam, z_rows = new_lam, new_rows
             sweep_from = hi
         for j in range(sweep_from, lo - 1, -1):
             up, down = split_children(lam[j + 1])
-            z_rows[j] = (up - down) / (2.0 * sq)
+            z_rows[j] = children_slope(up, down, sq)
             lam[j] = _linear_step(
                 up, down, np.asarray(data.a_pieces[k](times[j]), dtype=float),
                 np.asarray(b(times[j]), dtype=float), h, sq, 1.0,

@@ -62,10 +62,13 @@ class FsdeSpec:
 
     through matrix callables ``a0``, ``a1`` and vector callable ``b``.
 
-    In Monte Carlo, ``x`` is an ``(m, n)`` view of the simulator's own state
-    rows and ``nodes`` is ``None``; a callable must not write into ``x``.  It
-    may return a scalar, an ``(n,)`` row or an ``(m, n)`` array, which is
-    only read.
+    On the lattice, ``x`` is a node-contiguous ``(m, n)`` level (Fortran
+    order, see :mod:`bsvielab.lattice`); in Monte Carlo it is an ``(m, n)``
+    view of the simulator's own state rows, which has the same order, and
+    ``nodes`` is ``None``.  A callable must not write into ``x``.  It may
+    return a scalar, an ``(n,)`` row or an ``(m, n)`` array in any memory
+    order, which is only read; the order changes no value.  The linear form's
+    products are taken as ``(A @ x.mT).mT``, the same bits as ``x @ A.T``.
     """
 
     dim: int
@@ -90,7 +93,7 @@ class FsdeSpec:
 
     def drift_at(self, t: float, x: np.ndarray, nodes=None) -> np.ndarray:
         if self.is_linear:
-            out = x @ self.a0(t).T if self.a0 is not None else np.zeros_like(x)
+            out = (self.a0(t) @ x.mT).mT if self.a0 is not None else np.zeros_like(x)
             if self.b is not None:
                 out = out + np.asarray(self.b(t), dtype=float)
             return out
@@ -100,7 +103,7 @@ class FsdeSpec:
 
     def diffusion_at(self, t: float, x: np.ndarray, nodes=None) -> np.ndarray:
         if self.is_linear:
-            return x @ self.a1(t).T if self.a1 is not None else np.zeros_like(x)
+            return (self.a1(t) @ x.mT).mT if self.a1 is not None else np.zeros_like(x)
         if self.diffusion is None:
             return np.zeros_like(x)
         return np.asarray(self.diffusion(t, x, nodes), dtype=float)
@@ -303,8 +306,9 @@ def picard_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> tuple[AdaptedProces
         ]
     phi_levels = [_phi_at(spec, lattice, k) for k in grid]
     _check_state(phi_levels[0], 0)  # level 0 is final from the start and never recomputed
-    # the initial iterate is phi at every node; later sweeps start from phi_levels
-    cur = [np.repeat(p, 2**k // p.shape[0], axis=0) for k, p in enumerate(phi_levels)]
+    # the initial iterate is phi at every node, lifted from level 0 (one row) or copied
+    # (an adapted phi's own level); later sweeps start from phi_levels
+    cur = [lattice.lift(p, p.shape[0].bit_length() - 1, k) for k, p in enumerate(phi_levels)]
     norms: list[float] = []
     for s in range(1, lattice.depth + 2):
         nxt = []

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .hypotheses import HypothesisReport
-from .scenarios import REGISTRY, RegistryEntry, ScenarioOutcome
+from .scenarios import LATTICE_DEPTHS, REGISTRY, RegistryEntry, ScenarioOutcome
 
 REPORT_FORMATS = ("csv", "json")
 
@@ -81,7 +81,23 @@ def _check_field_types(config: ScenarioConfig) -> None:
             raise ValueError(f"{name} must be a string, got {val!r}")
 
 
+def _depth_error(entry: RegistryEntry, depth: int) -> str:
+    """The message for a depth outside ``entry.depths``: the range, and the
+    scenario with the depth asked for when the range is narrower than the lattice's."""
+    r = entry.depths
+    allowed = f"[{r.start}, {r[-1]}]" + (f" in steps of {r.step}" if r.step > 1 else "")
+    if r == LATTICE_DEPTHS:
+        return f"depth must be in {allowed}"
+    return f"depth of {entry.name} must be in {allowed}, got {depth}"
+
+
 def resolve(config: ScenarioConfig) -> tuple[RegistryEntry, int, int, int]:
+    """The entry and the depth, seed and trials of ``config``, defaults filled in.
+
+    ValueError for a field of the wrong type, a depth outside the entry's
+    ``depths``, a negative seed, fewer than one trial or an unknown report
+    format; KeyError for an unknown scenario.
+    """
     _check_field_types(config)
     if config.scenario not in REGISTRY:
         raise KeyError(config.scenario)
@@ -89,8 +105,8 @@ def resolve(config: ScenarioConfig) -> tuple[RegistryEntry, int, int, int]:
     depth = config.depth if config.depth is not None else entry.default_depth
     seed = config.seed if config.seed is not None else entry.default_seed
     trials = config.trials if config.trials is not None else entry.default_trials
-    if not 1 <= depth <= 16:
-        raise ValueError("depth must be in [1, 16]")
+    if depth not in entry.depths:
+        raise ValueError(_depth_error(entry, depth))
     if seed < 0:
         raise ValueError(f"seed of {entry.name} must be nonnegative, got {seed}")
     if trials < 1:

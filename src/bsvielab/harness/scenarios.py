@@ -24,6 +24,7 @@ import numpy as np
 
 from .. import backward, cones, forward, oracles
 from ..lattice import (
+    DEFAULT_MAX_DEPTH,
     AdaptedProcess,
     BinaryLattice,
     NodeId,
@@ -69,8 +70,25 @@ class ScenarioOutcome:
         return self.worst_violation <= 0.0
 
 
+# every depth a lattice takes; most scenarios run at each of them
+LATTICE_DEPTHS = range(1, DEFAULT_MAX_DEPTH + 1)
+
+
+def _depths_from(low: int, step: int = 1) -> range:
+    """The lattice depths from ``low`` up, every ``step``-th."""
+    return range(low, DEFAULT_MAX_DEPTH + 1, step)
+
+
 @dataclass(frozen=True)
 class RegistryEntry:
+    """A scenario: its statement, expected verdict, defaults and builder.
+
+    ``depths`` are the depths the builder runs at.  A random family that
+    draws a sub-lattice depth of at least 4 or 5 needs that depth, the BSDE
+    duality family draws its pairing level up to 3, and ``ex2.10`` needs
+    its cutoff tau = 0.5 on the grid, so an even depth.
+    """
+
     name: str
     theorem: str
     description: str
@@ -79,6 +97,7 @@ class RegistryEntry:
     default_seed: int
     build: Callable[[int, int, int], ScenarioOutcome]  # (depth, seed, trials)
     default_trials: int = 1
+    depths: range = LATTICE_DEPTHS
 
 
 class ScenarioValidityError(RuntimeError):
@@ -232,7 +251,7 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
         eps = rng.uniform(0.0, 0.5, n)
 
         def bbar(x, L=L, kappa=kappa):
-            return x @ L.T + kappa * np.tanh(x)
+            return (L @ x.mT).mT + kappa * np.tanh(x)
 
         def sigma(t, x, nodes, c=c_sig):
             return c * np.tanh(x)
@@ -302,7 +321,7 @@ def _comparison_pair_bsde(rng, n: int, lat: BinaryLattice):
     eps = rng.uniform(0.0, 0.5, n)
 
     def gbar(t, y, z, nodes):
-        return y @ a.T + z @ b.T + kappa * np.tanh(y)
+        return (a @ y.mT).mT + (b @ z.mT).mT + kappa * np.tanh(y)
 
     leaves = 2**lat.depth
     xi0 = rng.standard_normal((leaves, n))
@@ -354,7 +373,7 @@ def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutco
         eps_hi = rng.uniform(0.0, 0.4, n)
 
         def gbar(t, s, y, z, zeta, nodes):
-            return y @ p.T + z @ b.T + kappa * np.tanh(y)
+            return (p @ y.mT).mT + (b @ z.mT).mT + kappa * np.tanh(y)
 
         psi0 = rng.standard_normal((N + 1, leaves, n))
         psi1 = psi0 + rng.uniform(0.0, 1.0, (N + 1, leaves, n))
@@ -486,7 +505,7 @@ def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
     d1 = rng.uniform(0.0, diff_scale, n)
 
     def h_lo(t, s, y, nodes):
-        return y @ (m0 + (T - t) * m1).mT + kappa * np.tanh(y)
+        return ((m0 + (T - t) * m1) @ y.mT).mT + kappa * np.tanh(y)
 
     def h_hi(t, s, y, nodes):
         return h_lo(t, s, y, nodes) + d0 + (T - t) * d1
@@ -660,7 +679,7 @@ def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOut
         psi1 = psibar + rng.uniform(0.0, 0.5, (N + 1, leaves, n))
 
         def gbar(t, s, y, z, zeta, nd, b=b):
-            return np.arctan(y) + z @ b.T
+            return np.arctan(y) + (b @ z.mT).mT
 
         comp = backward.BsvieSpec(
             n, TerminalField(lat, n, psibar), generator=gbar, lip_y=1.0, lip_z=0.6,
@@ -750,6 +769,16 @@ def _build_ex27(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     lat = BinaryLattice(T, depth)
     spec = forward.FsvieSpec(1, lambda t: np.array([2.0 * T - t]), a1=lambda s: np.eye(1))
     x = forward.solve_linear_fsvie(spec, lat)
+    # one oracle call, at the all-down leaf: the path the closed form sends lowest
+    leaf = NodeId(depth, 2**depth - 1)
+    oracle, _ = oracles.ex27(leaf, T, lat)
+    err = abs(float(x.value(leaf)[0]) - oracle)
+    if not err <= 2.0 * lat.sqrt_h:  # measured at most 1.151 sqrt(h), depths 1-16
+        raise ScenarioValidityError(
+            f"all-down leaf strayed from the closed form: {err:.2e} > 2 sqrt(h)"
+        )
+    if depth >= 2 and not oracle < 0.0:
+        raise ScenarioValidityError(f"closed form at the all-down leaf is {oracle!r}, not negative")
     sv = sign_violation(x)
     hyp = check_hypotheses(spec, lat if depth <= 10 else _aux_lattice(T))
     return ScenarioOutcome(
@@ -759,6 +788,8 @@ def _build_ex27(depth: int, seed: int, trials: int) -> ScenarioOutcome:
         details={
             "violation_probability": sv.probability,
             "violation_mass": float(sv.fraction),
+            "oracle_error": err,
+            "oracle_all_down_leaf": oracle,
         },
     )
 
@@ -965,54 +996,54 @@ _register(RegistryEntry(
     "prop2.2-random", "forward-positivity",
     "Metzler drift + diagonal diffusion + nonnegative data keep the forward flow nonnegative;"
     " an injected off-diagonal violation breaks it within two levels",
-    True, 12, 20241, _build_forward_positivity, default_trials=200,
+    True, 12, 20241, _build_forward_positivity, default_trials=200, depths=_depths_from(4),
 ))
 _register(RegistryEntry(
     "thm2.3-random", "forward-comparison",
     "ordered drifts around a Metzler-Jacobian midpoint with shared diagonal-Jacobian"
     " diffusion propagate ordered initial states",
-    True, 10, 20242, _build_forward_comparison, default_trials=100,
+    True, 10, 20242, _build_forward_comparison, default_trials=100, depths=_depths_from(4),
 ))
 _register(RegistryEntry(
     "bsde-duality-random", "bsde-duality",
     "backward solution pairs exactly with the adjoint forward flow",
-    True, 8, 20243, _build_bsde_duality, default_trials=50,
+    True, 8, 20243, _build_bsde_duality, default_trials=50, depths=_depths_from(3),
 ))
 _register(RegistryEntry(
     "thm2.5-random", "bsde-comparison",
     "ordered terminal data and generators around a Metzler/diagonal midpoint order the"
     " backward solutions at every node",
-    True, 10, 20244, _build_bsde_comparison, default_trials=200,
+    True, 10, 20244, _build_bsde_comparison, default_trials=200, depths=_depths_from(4),
 ))
 _register(RegistryEntry(
     "thm3.2-random", "bsvie-comparison",
     "ordered free terms and generators with a y-nondecreasing selection order the"
     " backward Volterra solutions at every node",
-    True, 9, 20245, _build_bsvie_comparison, default_trials=200,
+    True, 9, 20245, _build_bsvie_comparison, default_trials=200, depths=_depths_from(4),
 ))
 _register(RegistryEntry(
     "thm3.6-random", "bsvie-stepfn-positivity",
     "step-function kernel data under Metzler/monotone/diagonal hypotheses yield an exactly"
     " nonnegative solution, cross-validated against the per-time sweep",
-    True, 10, 20246, _build_stepfn_positivity, default_trials=50,
+    True, 10, 20246, _build_stepfn_positivity, default_trials=50, depths=_depths_from(5),
 ))
 _register(RegistryEntry(
     "thm3.7-random", "bsvie-structured-comparison",
     "structured drifts with an ordered, t-nonincreasing difference order the solutions"
     " pointwise",
-    True, 9, 20247, _build_structured_comparison, default_trials=100,
+    True, 9, 20247, _build_structured_comparison, default_trials=100, depths=_depths_from(4),
 ))
 _register(RegistryEntry(
     "thm3.9-random", "bsvie-weak-positivity",
     "nonnegative free term with Metzler kernel and diagonal sub-diagonal coupling makes the"
     " conditional time-average of Y nonnegative",
-    True, 8, 20248, _build_weak_positivity, default_trials=50,
+    True, 8, 20248, _build_weak_positivity, default_trials=50, depths=_depths_from(4),
 ))
 _register(RegistryEntry(
     "thm3.10-random", "bsvie-weak-comparison",
     "ordered structured data with sub-diagonal coupling order the conditional time-averages;"
     " pointwise ordering genuinely fails in some draws",
-    True, 9, 20249, _build_weak_comparison, default_trials=100,
+    True, 9, 20249, _build_weak_comparison, default_trials=100, depths=_depths_from(5),
 ))
 _register(RegistryEntry(
     "bsvie-duality-random", "bsvie-duality",
@@ -1022,12 +1053,12 @@ _register(RegistryEntry(
 _register(RegistryEntry(
     "picard-contraction", "picard-contraction",
     "frozen-y successive scheme: nodewise decreasing iterates, weighted-norm contraction",
-    True, 8, 20251, _build_picard_contraction, default_trials=50,
+    True, 8, 20251, _build_picard_contraction, default_trials=50, depths=_depths_from(5),
 ))
 _register(RegistryEntry(
     "msolution-structural", "msolution-structural",
     "martingale-representation identity of every M-solution holds to 1e-12",
-    True, 8, 20252, _build_msolution_structural, default_trials=30,
+    True, 8, 20252, _build_msolution_structural, default_trials=30, depths=_depths_from(4),
 ))
 _register(RegistryEntry(
     "ex2.6", "forward-volterra-positivity",
@@ -1047,7 +1078,7 @@ _register(RegistryEntry(
 _register(RegistryEntry(
     "ex2.10", "forward-volterra-positivity",
     "indicator drift kernel (not nondecreasing in t) goes negative past the cutoff",
-    False, 12, 0, _build_ex210,
+    False, 12, 0, _build_ex210, depths=_depths_from(2, step=2),
 ))
 _register(RegistryEntry(
     "ex3.3", "bsvie-comparison",

@@ -16,6 +16,18 @@ Only :func:`split_children`, :func:`branch`, ``lift``, ``step_signs``,
 layout; all other code goes through them.  Adaptedness is structural: a value
 stored at level ``k`` can only depend on the path to that node.
 
+Storage order: the node axis is the contiguous one.  A ``(2**k, n)`` level
+is Fortran-ordered, and a stack ``(rows, 2**k, n)`` of levels has the memory
+of a C-ordered ``(rows, n, 2**k)`` array (see :func:`node_empty`), so the
+up and down children that :func:`split_children` takes are stride-2 runs of
+one component, not short rows of n entries.  Every level the library makes
+has this order: the allocating helpers (``branch``, ``lift``, the
+``TwoParamProcess`` blocks and ``lifted``, :func:`children_mean` and
+:func:`children_slope`) make node-contiguous arrays, elementwise ufuncs keep
+the order of their operands, and a product with an ``(n, n)`` matrix is
+taken as ``(A @ y.mT).mT``, which equals ``y @ A.mT`` bit for bit.  The
+order changes no value: a caller's C-ordered input gives the same bits.
+
 All node probabilities are dyadic rationals and are reported as exact
 :class:`fractions.Fraction` objects alongside floating approximations.
 """
@@ -201,7 +213,7 @@ class BinaryLattice:
         """Broadcast level-``from_level`` values to their descendants at ``to_level``."""
         if to_level < from_level:
             raise ValueError("to_level must be >= from_level")
-        return np.repeat(values, 2 ** (to_level - from_level), axis=0)
+        return _repeat_nodes(values, 2 ** (to_level - from_level))
 
 
 @dataclass(frozen=True)
@@ -238,13 +250,90 @@ def split_children(values: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.nd
     return values[lead + (slice(0, None, 2),)], values[lead + (slice(1, None, 2),)]
 
 
+def node_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array of ``shape`` ``(..., 2**k, n)`` with a contiguous node axis.
+
+    A ``(2**k, n)`` slice is Fortran-ordered; a stack ``(rows, 2**k, n)``
+    has the memory of a C-ordered ``(rows, n, 2**k)`` array.  A 1-D shape
+    is one node axis.
+    """
+    if len(shape) == 2:
+        return np.empty(shape, order="F")
+    if len(shape) < 2:
+        return np.empty(shape)
+    return np.empty(shape[:-2] + (shape[-1], shape[-2])).swapaxes(-1, -2)
+
+
+def _node_ordered(a: np.ndarray) -> bool:
+    """Whether ``a``'s node axis (the second last) is its fastest, as in the levels the
+    library makes; a 1-D or 0-d array, or one with a single component, counts as ordered.
+
+    Elementwise ufuncs keep the order of node-ordered operands.  An op whose
+    operands differ in order runs in the C order of their shape instead; on
+    a level ``(m, n)`` that is an inner loop of n entries, ~8x slower than
+    one along the nodes.
+    """
+    return a.ndim < 2 or a.shape[-1] == 1 or a.strides[-2] <= a.strides[-1]
+
+
+def children_mean(up: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """``0.5 * (up + down)``, the one-step conditional mean, node-contiguous.
+
+    Children of another order (a caller's C-ordered leaves) are added along
+    the nodes of their node-major views into a :func:`node_empty` array;
+    the same bits as the expression either way.
+    """
+    if _node_ordered(up):
+        return 0.5 * (up + down)
+    out = node_empty(up.shape)
+    np.add(up.mT, down.mT, out=out.mT)
+    out *= 0.5
+    return out
+
+
+def children_slope(up: np.ndarray, down: np.ndarray, sqrt_h: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """``(up - down) / (2 sqrt(h))``, the representation integrand, node-contiguous.
+
+    Written into ``out`` when given (node-contiguous).  Children of another
+    order are subtracted along the nodes, as in :func:`children_mean`; the
+    same bits as the expression either way.
+    """
+    if _node_ordered(up):
+        if out is None:
+            return (up - down) / (2.0 * sqrt_h)
+        np.subtract(up, down, out=out)
+    else:
+        if out is None:
+            out = node_empty(up.shape)
+        np.subtract(up.mT, down.mT, out=out.mT)
+    out /= 2.0 * sqrt_h
+    return out
+
+
+def _repeat_nodes(values: np.ndarray, copies: int) -> np.ndarray:
+    """``np.repeat(values, copies, axis=0)`` of an ``(m, n)`` slice, node-contiguous.
+
+    One or two copies of a 2-D slice are written as one strided copy each,
+    up to 2x faster than numpy's repeat of single entries along the nodes;
+    more copies, and a 1-D node array, go through that repeat.
+    """
+    if copies > 2 or values.ndim != 2:
+        return values.T.repeat(copies, axis=-1).T
+    out = np.empty((values.shape[1], copies * values.shape[0]))
+    for q in range(copies):
+        out[:, q::copies] = values.T
+    return out.T
+
+
 def branch(acc: np.ndarray, v: np.ndarray | float) -> np.ndarray:
     """The level-(k+1) slice with ``acc + v`` at each up child and ``acc - v`` at each down.
 
     ``v`` is a scalar or has the shape of the level-k slice ``acc``; the
-    halves are written in place, so no full-size temporary is kept.
+    halves are written in place into a node-contiguous array, so no
+    full-size temporary is kept.
     """
-    out = np.empty((2 * acc.shape[0],) + acc.shape[1:])
+    out = np.empty((2 * acc.shape[0],) + acc.shape[1:], order="F")  # node_empty of a slice
     up, down = split_children(out)
     np.add(acc, v, out=up)
     np.subtract(acc, v, out=down)
@@ -263,8 +352,7 @@ def conditional_expectation(child_values: np.ndarray) -> np.ndarray:
     v = np.asarray(child_values, dtype=float)
     if v.shape[0] % 2 != 0:
         raise IncompleteProcessError("child slice must pair up/down values")
-    up, down = split_children(v)
-    return 0.5 * (up + down)
+    return children_mean(*split_children(v))
 
 
 def condition_to(values: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
@@ -309,7 +397,7 @@ class AdaptedProcess:
     def constant(cls, lattice: BinaryLattice, value) -> "AdaptedProcess":
         v = np.atleast_1d(np.asarray(value, dtype=float))
         return cls(
-            lattice, v.size, [np.tile(v, (2**k, 1)) for k in range(lattice.depth + 1)]
+            lattice, v.size, [_repeat_nodes(v[None], 2**k) for k in range(lattice.depth + 1)]
         )
 
     @classmethod
@@ -393,10 +481,11 @@ class TwoParamProcess:
     martingale-representation part pinned down for M-solutions.
 
     Storage is by inner time.  Level j keeps the slices i <= j in the row
-    blocks a sweep writes (:meth:`write_rows`), each one ``(rows, 2**j, dim)``
-    array, so a sweep that takes every row at once leaves one array per level
-    and a row-by-row sweep leaves arrays no larger than the slices; the
-    slices i > j (M-solutions) share one ``(N - j, 2**j, dim)`` array.  Each
+    blocks a sweep writes (:meth:`write_rows`), each one node-contiguous
+    ``(rows, 2**j, dim)`` array (see :func:`node_empty`), so a sweep that
+    takes every row at once leaves one array per level and a row-by-row
+    sweep leaves arrays no larger than the slices; the slices i > j
+    (M-solutions) share one such ``(N - j, 2**j, dim)`` array.  Each
     array is allocated at its first write, and a flag per row records the
     slices that are set.  The per-slice ``set``/``get``/``has``/``pairs``
     see the same slices.
@@ -424,7 +513,7 @@ class TwoParamProcess:
             raise ValueError(f"rows {lo}..{hi - 1} of level {j} are outside the triangle i <= j")
         if 1 in self._is_set[j][lo:hi]:
             raise ValueError(f"a slice of rows {lo}..{hi - 1} of level {j} is already set")
-        block = np.empty((hi - lo, 2**j, self.dim))
+        block = node_empty((hi - lo, 2**j, self.dim))
         self._blocks[j].append((lo, block))
         self._is_set[j][lo:hi] = b"\x01" * (hi - lo)
         return block
@@ -432,14 +521,17 @@ class TwoParamProcess:
     def rows(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, as one ``(hi - lo, 2**j, dim)`` array; each must be set.
 
-        A view when one block holds them all, else a stacked copy.
+        A view when one block holds them all, else a node-contiguous stacked copy.
         """
         if not 0 <= lo < hi <= j + 1 <= self.lattice.depth or 0 in self._is_set[j][lo:hi]:
             raise IncompleteProcessError(f"Z({lo}..{hi - 1},{j}) slices not populated")
         for start, block in self._blocks[j]:
             if start <= lo and hi <= start + block.shape[0]:
                 return block[lo - start:hi - start]
-        return np.stack([self.get(i, j) for i in range(lo, hi)])
+        out = node_empty((hi - lo, 2**j, self.dim))
+        for i in range(lo, hi):
+            out[i - lo] = self.get(i, j)
+        return out
 
     def set(self, i: int, j: int, values: np.ndarray) -> None:
         """Store a copy of slice (i, j); anything but a float64 ``(2**j, dim)`` ndarray is converted.
@@ -460,7 +552,7 @@ class TwoParamProcess:
             return
         lower = self._lower[j]
         if lower is None:
-            lower = self._lower[j] = np.empty((self.lattice.depth - j, 2**j, self.dim))
+            lower = self._lower[j] = node_empty((self.lattice.depth - j, 2**j, self.dim))
         lower[i - j - 1] = values
         self._is_set[j][i] = 1
 
@@ -485,17 +577,19 @@ class TwoParamProcess:
 
         Every slice must be set (IncompleteProcessError otherwise).  Lifting
         copies each level-j value to its ``2**(level - j)`` descendants, as
-        ``BinaryLattice.lift``.
+        ``BinaryLattice.lift``.  The stack is node-contiguous.
         """
         if hi - lo == 1:
             # one slice (a one-row block) is one repeat, without the stacking copies
-            return np.repeat(self.get(i, lo), 2 ** (level - lo), axis=0)[None]
-        parts = [self.get(i, j) for j in range(lo, hi)]
+            return _repeat_nodes(self.get(i, lo), 2 ** (level - lo))[None]
+        # each slice's components, node runs in (slice, component) order: views of the
+        # node-contiguous slices, so the concatenation is the only copy before the repeat
+        parts = [self.get(i, j).T.ravel() for j in range(lo, hi)]
         levels = np.arange(lo, hi)
-        copies = np.repeat(2 ** (level - levels), 2**levels)  # one count per stacked node
-        return np.repeat(np.concatenate(parts), copies, axis=0).reshape(
-            hi - lo, 2**level, self.dim
-        )
+        copies = np.repeat(2 ** (level - levels), self.dim * 2**levels)  # one count per node
+        return np.concatenate(parts).repeat(copies).reshape(
+            hi - lo, self.dim, 2**level
+        ).swapaxes(1, 2)
 
 
 # -- stochastic integral and martingale representation ----------------------
@@ -554,16 +648,17 @@ def volterra_sum(
     which changes the rounding.
     """
     h, sq = lattice.h, lattice.sqrt_h
-    acc = start.copy()
+    acc = node_empty(start.shape)
+    acc[...] = start
     if acc.shape[0] == 1:
         for j in range(level):
             xj = xs[j]
             if drift is not None:
-                acc = acc + h * (xj @ drift(j).T)
+                acc = acc + h * (drift(j) @ xj.mT).mT
             if diffusion is None:
                 acc = lattice.lift(acc, j, j + 1)
                 continue
-            acc = branch(acc, (xj @ diffusion(j).T) * sq)
+            acc = branch(acc, (diffusion(j) @ xj.mT).mT * sq)
         return acc
     if acc.shape[0] != 2**level:
         raise IncompleteProcessError(
@@ -572,10 +667,10 @@ def volterra_sum(
     for j in range(level):
         xj = xs[j]
         if drift is not None:
-            acc += h * lattice.lift(xj @ drift(j).T, j, level)
+            acc += h * lattice.lift((drift(j) @ xj.mT).mT, j, level)
         if diffusion is not None:
             incr = sq * lattice.step_signs(level, j)
-            acc += lattice.lift(xj @ diffusion(j).T, j, level) * incr[:, None]
+            acc += lattice.lift((diffusion(j) @ xj.mT).mT, j, level) * incr[:, None]
     return acc
 
 
@@ -601,8 +696,8 @@ def martingale_representation(
     z: list[np.ndarray] = [np.empty(0)] * level
     for j in range(level - 1, -1, -1):
         up, down = split_children(v)
-        z[j] = (up - down) / (2.0 * lattice.sqrt_h)
-        v = 0.5 * (up + down)
+        z[j] = children_slope(up, down, lattice.sqrt_h)
+        v = children_mean(up, down)
     return v[0], z
 
 

@@ -228,7 +228,11 @@ def _reference_solve_bsde(spec, lattice, from_index=0):
             a_k = np.asarray(spec.a(t), dtype=float) if spec.a is not None else np.zeros((n, n))
             b_k = np.asarray(spec.b(t), dtype=float) if spec.b is not None else None
             f_k = h * np.asarray(spec.forcing(t), dtype=float) if spec.forcing is not None else None
-            y[k] = backward._linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
+            # C order, as the levels were when this reference was written: a
+            # matrix-vector product of a level (the duality's <x, Y>) reads its order
+            y[k] = np.ascontiguousarray(
+                backward._linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
+            )
         else:
             e = 0.5 * (up + down)
             nodes = LevelNodes(lattice, k)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsvielab import backward, forward
+from bsvielab import backward, forward, oracles
 from bsvielab.harness import cli, scenarios
 from bsvielab.harness.hypotheses import CONDITION_ORDER, HypothesisReport
 from bsvielab.harness.report import emit_report, render_report
@@ -164,6 +164,7 @@ def _nan_valued(out):
 # the solver whose output each gallery builder checks against its oracle
 _GALLERY_SOLVERS = {
     "ex2.6": (forward, "solve_linear_fsvie_deterministic"),
+    "ex2.7": (forward, "solve_linear_fsvie"),
     "ex2.8": (forward, "solve_linear_fsvie"),
     "ex3.3": (backward, "solve_bsvie_family_deterministic"),
     "ex3.4": (backward, "solve_bsvie_family_deterministic"),
@@ -180,6 +181,56 @@ def test_gallery_validity_gate_fails_closed_on_nan(monkeypatch, name):
     with pytest.raises(RuntimeError) as err:
         run_experiment(ScenarioConfig(scenario=name))
     assert isinstance(err.value.__cause__, scenarios.ScenarioValidityError)
+
+
+def _ex27_gate_error(monkeypatch, depth, wrong):
+    """The validity error of ex2.7 at ``depth`` with ``wrong`` applied to the oracle value."""
+    real = oracles.ex27
+    run_experiment(ScenarioConfig(scenario="ex2.7", depth=depth))  # the true oracle passes
+    monkeypatch.setattr(oracles, "ex27", lambda *a: (wrong(real(*a)[0]), 0.0))
+    with pytest.raises(RuntimeError) as err:
+        run_experiment(ScenarioConfig(scenario="ex2.7", depth=depth))
+    assert isinstance(err.value.__cause__, scenarios.ScenarioValidityError)
+    return str(err.value.__cause__)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 14])
+def test_ex27_oracle_gate_trips_on_an_oracle_off_by_more_than_2_sqrt_h(monkeypatch, depth):
+    assert "strayed from the closed form" in _ex27_gate_error(monkeypatch, depth, lambda v: v + 3.0)
+
+
+@pytest.mark.parametrize("depth", [2, 14])
+def test_ex27_oracle_gate_trips_on_a_nonnegative_oracle_from_depth_2(monkeypatch, depth):
+    # |oracle| is within 2 sqrt(h) of the lattice value there, so only the sign gate trips
+    assert "not negative" in _ex27_gate_error(monkeypatch, depth, abs)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_each_scenario_runs_at_its_depths_and_refuses_others(name):
+    entry = REGISTRY[name]
+    depths = entry.depths
+    assert entry.default_depth in depths
+    assert depths[-1] == 16  # the lattice's cap
+    for depth in (depths[0], depths[1]):  # the smallest depths run
+        run_experiment(ScenarioConfig(scenario=name, depth=depth, trials=2))
+    refused = [d for d in range(-1, 19) if d not in depths]
+    assert refused[:2] == [-1, 0] and refused[-2:] == [17, 18]
+    for depth in refused:
+        with pytest.raises(ValueError, match=r"depth (of \S+ )?must be in \[\d+, 16\]"):
+            resolve(ScenarioConfig(scenario=name, depth=depth))
+
+
+@pytest.mark.parametrize("name, depth, message", [
+    ("thm3.2-random", 1, "depth of thm3.2-random must be in [4, 16], got 1"),
+    ("picard-contraction", 4, "depth of picard-contraction must be in [5, 16], got 4"),
+    ("bsde-duality-random", 2, "depth of bsde-duality-random must be in [3, 16], got 2"),
+    ("ex2.10", 3, "depth of ex2.10 must be in [2, 16] in steps of 2, got 3"),
+])
+def test_cli_refuses_a_depth_below_a_scenario_minimum_with_exit_2(name, depth, message, capsys):
+    assert cli.main(["run", "--scenario", name, "--depth", str(depth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_run_experiment_is_deterministic():

@@ -16,9 +16,7 @@ USERS = LIBRARY + sorted((ROOT / "bench").glob("*.py"))
 # Public names that only tests read today.  Each is a reference value the
 # tests check the solvers against, not an option of a solver; a change that
 # wires one in or deletes it takes it off this list.
-TEST_ONLY = {
-    "oracles.ex27",  # the pathwise closed form of Ex 2.7
-}
+TEST_ONLY: set[str] = set()
 
 
 def _public_definitions(tree: ast.Module):
