@@ -46,7 +46,6 @@ from .lattice import (
     TerminalField,
     TwoParamProcess,
     _check_finite,
-    _node_ordered,
     branch,
     children_mean,
     children_slope,
@@ -119,17 +118,6 @@ def _linear_step(up: np.ndarray, down: np.ndarray, a: np.ndarray, b: np.ndarray 
     return _jacobi_step(a, rhs, h, sign)
 
 
-def _plus_h(e: np.ndarray, h: float, value: np.ndarray) -> np.ndarray:
-    """``e + h * value`` for a node-contiguous ``e``, node-contiguous whatever value's order.
-
-    A callback's value may be C-ordered; the sum is then written into a
-    :func:`node_empty` array, with the bits of the expression.
-    """
-    if _node_ordered(value):
-        return e + h * value
-    return np.add(e, h * value, out=node_empty(e.shape))
-
-
 def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray, what: str,
                  h_lip: Callable[[], float]) -> np.ndarray:
     """Iterate y <- step(y) from ``start``; return the first iterate within FP_TOL of the last.
@@ -170,7 +158,10 @@ class BsdeSpec:
     for  Y(t) = xi + int_t^T g ds - int_t^T Z dW,  vectorized over the nodes
     of one level.  The ``(m, n)`` arrays handed to the callables (``y``,
     ``z``) are node-contiguous (Fortran order, see :mod:`bsvielab.lattice`);
-    a callable may return any memory order, which changes no value.
+    a callable may return any memory order, which changes no value.  A
+    generator value in another order gives the y-level it is summed into
+    that order, and mixed orders make the sums slower; ufuncs and
+    ``(A @ y.mT).mT`` keep the order of their arguments.
     """
 
     dim: int
@@ -232,8 +223,7 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> B
             e = children_mean(up, down)
             nodes = LevelNodes(lattice, k)
             y[k] = _fixed_point(
-                lambda cur: _plus_h(e, h, np.asarray(spec.generator(t, cur, zk, nodes),
-                                                     dtype=float)),
+                lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
                 e, "implicit y-step", lambda: h * spec.lip_y,
             )
     return BsdeSolution(from_index, y, z)
@@ -317,8 +307,11 @@ class BsvieSpec:
     ``zeta``, each slice of a stack) are node-contiguous: Fortran order per
     slice, and the memory of a C-ordered ``(rows, n, 2**j)`` array for a
     stack (see :mod:`bsvielab.lattice`).  A callable may return any memory
-    order; the order changes no value.  The structured pieces' products are
-    taken as ``(A @ y.mT).mT``, the same bits as ``y @ A.mT``.
+    order; the order changes no value.  A generator value in another order
+    gives the step it is summed into that order, and mixed orders make the
+    sums slower; ufuncs and ``(A @ y.mT).mT`` keep the order of their
+    arguments.  The structured pieces' products are taken as
+    ``(A @ y.mT).mT``, the same bits as ``y @ A.mT``.
     """
 
     dim: int
@@ -480,7 +473,7 @@ def solve_bsvie_family(
                                 None if c_tj is None else h * (c_tj @ zeta_jj.mT).mT)
         nodes = level_nodes[j]
         return _fixed_point(
-            lambda cur: _plus_h(e, h, spec.drift(t_j, t_j, cur, z_arg, zeta_jj, nodes)),
+            lambda cur: e + h * spec.drift(t_j, t_j, cur, z_arg, zeta_jj, nodes),
             e, "diagonal y-step", lambda: h * spec.lip_y,
         )
 
@@ -494,13 +487,12 @@ def solve_bsvie_family(
         # Z(t_j, t_i) lifted to level j; an M-solution sweep has finished row j
         zeta_arg = z.lifted(j, lo, lo + k, j) if spec.uses_zeta else None
         if spec.stacked_t:
-            lam = _plus_h(e, h, spec.drift(times[lo:lo + k, None, None], t_j, y_j, z_arg,
-                                           zeta_arg, nodes))
+            lam = e + h * spec.drift(times[lo:lo + k, None, None], t_j, y_j, z_arg, zeta_arg,
+                                     nodes)
         else:
             rows = [
-                _plus_h(e[r], h, spec.drift(times[lo + r], t_j, y_j,
-                                            None if z_arg is None else z_arg[r],
-                                            None if zeta_arg is None else zeta_arg[r], nodes))
+                e[r] + h * spec.drift(times[lo + r], t_j, y_j, None if z_arg is None else z_arg[r],
+                                      None if zeta_arg is None else zeta_arg[r], nodes)
                 for r in range(k)
             ]
             # a node-contiguous stack: the rows' transposes stacked, turned back

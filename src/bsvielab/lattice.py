@@ -26,7 +26,10 @@ has this order: the allocating helpers (``branch``, ``lift``, the
 :func:`children_slope`) make node-contiguous arrays, elementwise ufuncs keep
 the order of their operands, and a product with an ``(n, n)`` matrix is
 taken as ``(A @ y.mT).mT``, which equals ``y @ A.mT`` bit for bit.  The
-order changes no value: a caller's C-ordered input gives the same bits.
+one exception is a backward step summed with a generator value of another
+order, which takes that order.  Children of any order are read along the
+nodes, and the order changes no value: a caller's C-ordered input gives
+the same bits.
 
 All node probabilities are dyadic rationals and are reported as exact
 :class:`fractions.Fraction` objects alongside floating approximations.
@@ -264,48 +267,34 @@ def node_empty(shape: tuple[int, ...]) -> np.ndarray:
     return np.empty(shape[:-2] + (shape[-1], shape[-2])).swapaxes(-1, -2)
 
 
-def _node_ordered(a: np.ndarray) -> bool:
-    """Whether ``a``'s node axis (the second last) is its fastest, as in the levels the
-    library makes; a 1-D or 0-d array, or one with a single component, counts as ordered.
-
-    Elementwise ufuncs keep the order of node-ordered operands.  An op whose
-    operands differ in order runs in the C order of their shape instead; on
-    a level ``(m, n)`` that is an inner loop of n entries, ~8x slower than
-    one along the nodes.
-    """
-    return a.ndim < 2 or a.shape[-1] == 1 or a.strides[-2] <= a.strides[-1]
-
-
 def children_mean(up: np.ndarray, down: np.ndarray) -> np.ndarray:
     """``0.5 * (up + down)``, the one-step conditional mean, node-contiguous.
 
-    Children of another order (a caller's C-ordered leaves) are added along
-    the nodes of their node-major views into a :func:`node_empty` array;
-    the same bits as the expression either way.
+    Children of a level or a stack are added along the nodes of their
+    node-major views, whatever their order (a caller's C-ordered leaves
+    included), so no converted copy is made; the same bits as the
+    expression.  1-D children are the expression.
     """
-    if _node_ordered(up):
+    if up.ndim < 2:
         return 0.5 * (up + down)
-    out = node_empty(up.shape)
-    np.add(up.mT, down.mT, out=out.mT)
+    out = np.add(up.mT, down.mT, order="C")
     out *= 0.5
-    return out
+    return out.mT
 
 
 def children_slope(up: np.ndarray, down: np.ndarray, sqrt_h: float,
                    out: np.ndarray | None = None) -> np.ndarray:
     """``(up - down) / (2 sqrt(h))``, the representation integrand, node-contiguous.
 
-    Written into ``out`` when given (node-contiguous).  Children of another
-    order are subtracted along the nodes, as in :func:`children_mean`; the
-    same bits as the expression either way.
+    Written into ``out`` when given (node-contiguous).  Children of a level
+    or a stack are subtracted along the nodes, as in :func:`children_mean`;
+    the same bits as the expression.  1-D children are the expression.
     """
-    if _node_ordered(up):
-        if out is None:
-            return (up - down) / (2.0 * sqrt_h)
-        np.subtract(up, down, out=out)
+    if up.ndim < 2:
+        return (up - down) / (2.0 * sqrt_h)
+    if out is None:
+        out = np.subtract(up.mT, down.mT, order="C").mT
     else:
-        if out is None:
-            out = node_empty(up.shape)
         np.subtract(up.mT, down.mT, out=out.mT)
     out /= 2.0 * sqrt_h
     return out

@@ -211,6 +211,27 @@ def test_bsde_duality_random_specs(kind):
 # must keep their bits.
 
 
+def _reference_linear_step(up, down, a, b, h, sq, sign, extra=None):
+    """The implicit linear step with its products written row-major (``y @ p.T``), as
+    before the levels were stored node-contiguous; only the stopping rule is shared."""
+    rhs = 0.5 * (up + down)
+    if b is not None:
+        m = sign * sq * np.asarray(b, dtype=float)
+        wu = 0.5 * (np.eye(b.shape[0]) + m)
+        wd = 0.5 * (np.eye(b.shape[0]) - m)
+        rhs = up @ wu.T + down @ wd.T
+    if extra is not None:
+        rhs = rhs + extra
+    a = np.asarray(a, dtype=float)
+    d = 1.0 - sign * h * np.diag(a)
+    p = sign * h * a
+    np.fill_diagonal(p, 0.0)
+    return backward._fixed_point(
+        lambda y: (rhs + y @ p.T) / d, np.zeros_like(rhs), "Jacobi inner solve",
+        lambda: h * float(np.abs(a).sum(axis=1).max()),
+    )
+
+
 def _reference_solve_bsde(spec, lattice, from_index=0):
     n = spec.dim
     N = lattice.depth
@@ -228,11 +249,7 @@ def _reference_solve_bsde(spec, lattice, from_index=0):
             a_k = np.asarray(spec.a(t), dtype=float) if spec.a is not None else np.zeros((n, n))
             b_k = np.asarray(spec.b(t), dtype=float) if spec.b is not None else None
             f_k = h * np.asarray(spec.forcing(t), dtype=float) if spec.forcing is not None else None
-            # C order, as the levels were when this reference was written: a
-            # matrix-vector product of a level (the duality's <x, Y>) reads its order
-            y[k] = np.ascontiguousarray(
-                backward._linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
-            )
+            y[k] = _reference_linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
         else:
             e = 0.5 * (up + down)
             nodes = LevelNodes(lattice, k)
@@ -1171,8 +1188,8 @@ def _reference_solve_bsvie_family(
                 b_jj = None if spec.b_coef is None else np.asarray(spec.b_coef(t_j), dtype=float)
                 c_ti = None if spec.c_coef is None else np.asarray(spec.c_coef(t_i), dtype=float)
                 # (I - h A(t_i,t_i)) y = E[next] + h B Z + h C zeta
-                lam = backward._linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
-                                   None if c_ti is None else h * (zeta_ij @ c_ti.T))
+                lam = _reference_linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
+                                             None if c_ti is None else h * (zeta_ij @ c_ti.T))
             else:
                 lam = backward._fixed_point(
                     lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),

@@ -59,7 +59,7 @@ def _bsvie_spec(rng, lat, psi_values, wrap=_same) -> BsvieSpec:
     a = _mats(rng, 0.3)
     return BsvieSpec(
         N, TerminalField(lat, N, psi_values),
-        generator=lambda t, s, y, z, zeta, nd: wrap(0.2 * np.sin(y) + z @ (a(s) * (1 + t)).T),
+        generator=lambda t, s, y, z, zeta, nd: wrap(0.2 * np.sin(y) + ((a(s) * (1 + t)) @ z.mT).mT),
         lip_y=0.2,
     )
 
@@ -78,7 +78,7 @@ def test_solver_levels_and_z_blocks_are_node_contiguous(lat, rng):
     psi = rng.standard_normal((DEPTH + 1, 2**DEPTH, N))
 
     x = forward.solve_fsde(FsdeSpec(N, x0, a0=a0, a1=a1), lat)
-    # a callback's C-ordered value does not leak into the levels
+    # a forward callback's C-ordered value does not reach the levels: branch writes them
     xg = forward.solve_fsde(FsdeSpec(N, x0, drift=lambda t, v, nd: np.ascontiguousarray(v),
                                      diffusion=lambda t, v, nd: 0.1 * v), lat)
     levels = {
@@ -96,12 +96,16 @@ def test_solver_levels_and_z_blocks_are_node_contiguous(lat, rng):
     }
     linear = backward.solve_bsde(BsdeSpec(N, xi, a=lambda t: -np.abs(a0(t)), b=a1), lat)
     general = backward.solve_bsde(
-        BsdeSpec(N, xi, generator=lambda t, y, z, nd: np.ascontiguousarray(np.tanh(y) + z),
-                 lip_y=1.0), lat)
+        BsdeSpec(N, xi, generator=lambda t, y, z, nd: np.tanh(y) + z, lip_y=1.0), lat)
     for name, sol in (("solve_bsde", linear), ("solve_bsde (generator)", general)):
         # y[N] is the caller's terminal field itself, in the caller's order
         levels[name] = sol.y[:DEPTH] + sol.z
-    family = backward.solve_bsvie_family(_bsvie_spec(rng, lat, psi, np.ascontiguousarray), lat)
+    # a C-ordered generator value gives its y-levels that order; Z is read along the nodes
+    c_valued = backward.solve_bsde(
+        BsdeSpec(N, xi, generator=lambda t, y, z, nd: np.ascontiguousarray(np.tanh(y) + z),
+                 lip_y=1.0), lat)
+    levels["solve_bsde (C-valued generator) z"] = c_valued.z
+    family = backward.solve_bsvie_family(_bsvie_spec(rng, lat, psi), lat)
     msol = backward.solve_bsvie_msolution(_msolution_spec(rng, lat, psi), lat)
     for name, sol in (("solve_bsvie_family", family), ("solve_bsvie_msolution", msol)):
         levels[name] = sol.y.levels + _z_slices(sol.z)
@@ -159,3 +163,16 @@ def test_a_callback_value_in_c_order_gives_the_same_bits(lat, rng):
         return _bytes([*sol.y, *sol.z, *fam.y.levels, *_z_slices(fam.z), *x.levels])
 
     assert outputs(np.ascontiguousarray) == outputs(_same)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_product_turned_round_has_the_bits_of_the_row_major_one(n):
+    """``(A @ y.mT).mT`` equals ``y @ A.mT`` bit for bit on C- and Fortran-ordered levels and
+    on their children's stride-2 views, the operands of every library product."""
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    for m in (1, 2, 7, 256, 4096):
+        base = rng.standard_normal((2 * m, n))
+        for level in (np.ascontiguousarray(base), np.asfortranarray(base)):
+            for y in (level, level[0::2], level[1::2]):
+                assert (a @ y.mT).mT.tobytes() == (y @ a.mT).tobytes()
