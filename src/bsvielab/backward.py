@@ -171,7 +171,6 @@ class BsdeSpec:
     b: Callable | None = None
     forcing: Callable | None = None
     lip_y: float = 0.0
-    lip_z: float = 0.0
 
     def __post_init__(self):
         linear = self.a is not None or self.b is not None or self.forcing is not None
@@ -192,9 +191,8 @@ class BsdeSpec:
 
 @dataclass
 class BsdeSolution:
-    """Backward solution on levels ``from_index..N`` (``None`` below the start)."""
+    """Backward solution on levels ``from_index..N`` of :func:`solve_bsde` (``None`` below)."""
 
-    from_index: int
     y: list[np.ndarray | None]
     z: list[np.ndarray | None]
 
@@ -226,7 +224,7 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> B
                 lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
                 e, "implicit y-step", lambda: h * spec.lip_y,
             )
-    return BsdeSolution(from_index, y, z)
+    return BsdeSolution(y, z)
 
 
 def bsde_duality_check(
@@ -616,7 +614,6 @@ class PicardHistory:
     ratios: list[float] = field(default_factory=list)
     max_increase: list[float] = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
 
 
 def default_beta(lip: float, horizon: float) -> float:
@@ -692,7 +689,6 @@ def picard_bsvie(
         sol = new_sol
         if k >= 2 and norm < PICARD_TOL:
             hist.iterations = k - 1
-            hist.converged = True
             return sol, hist
     raise NonConvergenceError(
         f"successive scheme not below {PICARD_TOL} after {PICARD_MAX_ITER} iterations "
@@ -726,7 +722,6 @@ def bsvie_duality_check(
     spec: BsvieSpec,
     eta: AdaptedProcess,
     lattice: BinaryLattice,
-    msol: BsvieSolution | None = None,
 ) -> float:
     """|E sum_t h <psi(t), X(t)>  -  E sum_t h <phi(t), Y(t)>| for the adjoint pair.
 
@@ -746,8 +741,7 @@ def bsvie_duality_check(
     N = lattice.depth
     h = lattice.h
     times = lattice.times
-    if msol is None:
-        msol = solve_bsvie_msolution(spec, lattice)
+    msol = solve_bsvie_msolution(spec, lattice)
     a = spec.a_kernel if spec.a_kernel is not None else (lambda t, s: np.zeros((n, n)))
     c = spec.c_coef
     eye = np.eye(n)

@@ -9,8 +9,8 @@ statement in one of three cones of real matrices:
 
 The Metzler cone decomposes as (nonnegative) + (diagonal).  For 1x1 matrices
 the Metzler and diagonal cones are all of R.  Membership is structural, so
-the default tolerance is 0; a tolerance parameter exists for matrices that
-come out of floating-point arithmetic.
+the default tolerance is 0; the nonnegative and Metzler tests take a
+tolerance for matrices that come out of floating-point arithmetic.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ def is_metzler(a, tol: float = 0.0) -> bool:
     return bool(off.size == 0 or np.all(off >= -tol))
 
 
-def is_diagonal(a, tol: float = 0.0) -> bool:
-    """True iff every off-diagonal entry of the square matrix ``a`` has |entry| <= tol."""
+def is_diagonal(a) -> bool:
+    """True iff every off-diagonal entry of the square matrix ``a`` is 0."""
     m = _as_matrix(a)
     _require_square(m)
     off = m[~np.eye(m.shape[0], dtype=bool)]
-    return bool(off.size == 0 or np.all(np.abs(off) <= tol))
+    return bool(off.size == 0 or np.all(off == 0.0))
 
 
 def cone_preservation_check(a, sample_count: int, rng_seed: int) -> bool:

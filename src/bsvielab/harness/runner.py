@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .hypotheses import HypothesisReport
 from .scenarios import LATTICE_DEPTHS, REGISTRY, RegistryEntry, ScenarioOutcome
@@ -153,7 +153,8 @@ def run_suite(
     for name in sorted(REGISTRY):
         cfg = (overrides or {}).get(name) or ScenarioConfig(scenario=name)
         if seed_offset and REGISTRY[name].default_seed:
-            cfg.seed = REGISTRY[name].default_seed + seed_offset
+            # a copy: the caller's config must not carry the offset into a later run
+            cfg = replace(cfg, seed=REGISTRY[name].default_seed + seed_offset)
         resolve(cfg)
         configs.append(cfg)
     if jobs <= 1:

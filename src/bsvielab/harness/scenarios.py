@@ -327,10 +327,10 @@ def _comparison_pair_bsde(rng, n: int, lat: BinaryLattice):
     xi0 = rng.standard_normal((leaves, n))
     xi1 = xi0 + rng.uniform(0.0, 1.0, (leaves, n))
     lo = backward.BsdeSpec(
-        n, xi0, generator=lambda t, y, z, nd: gbar(t, y, z, nd) - eps, lip_y=1.0, lip_z=1.0
+        n, xi0, generator=lambda t, y, z, nd: gbar(t, y, z, nd) - eps, lip_y=1.0
     )
     hi = backward.BsdeSpec(
-        n, xi1, generator=lambda t, y, z, nd: gbar(t, y, z, nd) + eps, lip_y=1.0, lip_z=1.0
+        n, xi1, generator=lambda t, y, z, nd: gbar(t, y, z, nd) + eps, lip_y=1.0
     )
     return lo, hi
 

@@ -121,10 +121,6 @@ def _check_horizon(horizon) -> None:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
 
 
-class OutOfHorizonError(ValueError):
-    """Raised when an increment is requested past the final level."""
-
-
 class IncompleteProcessError(ValueError):
     """Raised when an operation needs node values that were not supplied."""
 
@@ -166,13 +162,13 @@ class NodeId:
 
 
 class BinaryLattice:
-    """Binary scenario tree on [0, T] with depth N and step h = T/N."""
+    """Binary scenario tree on [0, T] with depth N <= DEFAULT_MAX_DEPTH and step h = T/N."""
 
-    def __init__(self, horizon: float, depth: int, max_depth: int = DEFAULT_MAX_DEPTH):
+    def __init__(self, horizon: float, depth: int):
         _check_horizon(horizon)
         depth = check_count("depth", depth)
-        if depth > max_depth:
-            raise ValueError(f"depth must be in [1, {max_depth}], got {depth}")
+        if depth > DEFAULT_MAX_DEPTH:
+            raise ValueError(f"depth must be in [1, {DEFAULT_MAX_DEPTH}], got {depth}")
         self.horizon = float(horizon)
         self.depth = depth
         self.h = self.horizon / self.depth
@@ -183,16 +179,6 @@ class BinaryLattice:
             self._w_levels.append(branch(self._w_levels[k], self.sqrt_h))
 
     # -- basic structure ---------------------------------------------------
-
-    def increment(self, node: NodeId, branch: str) -> float:
-        """The Brownian increment +/- sqrt(h) taken from ``node`` along ``branch``."""
-        if node.level >= self.depth:
-            raise OutOfHorizonError(f"node {node} is at the horizon; no further increment")
-        if branch == "up":
-            return self.sqrt_h
-        if branch == "down":
-            return -self.sqrt_h
-        raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
 
     def step_signs(self, level: int, step: int) -> np.ndarray:
         """Sign (+1 up / -1 down) of increment ``step`` along the paths of ``level`` nodes."""
@@ -381,13 +367,6 @@ class AdaptedProcess:
                     f"level {k} slice has shape {arr.shape}, expected {(2**k, self.dim)}"
                 )
             self.levels.append(arr)
-
-    @classmethod
-    def constant(cls, lattice: BinaryLattice, value) -> "AdaptedProcess":
-        v = np.atleast_1d(np.asarray(value, dtype=float))
-        return cls(
-            lattice, v.size, [_repeat_nodes(v[None], 2**k) for k in range(lattice.depth + 1)]
-        )
 
     @classmethod
     def from_function(
@@ -718,7 +697,7 @@ class SignViolation:
     per_level: list[Fraction] = field(default_factory=list)
 
 
-def sign_violation(x: AdaptedProcess, component: int | None = None) -> SignViolation:
+def sign_violation(x: AdaptedProcess) -> SignViolation:
     """Scan a process for strictly negative values, level by level.
 
     A non-finite entry (NaN or +/-inf) counts as a violation: a value that
@@ -729,7 +708,7 @@ def sign_violation(x: AdaptedProcess, component: int | None = None) -> SignViola
     best = Fraction(0)
     for k, lv in enumerate(x.levels):
         bad = ~(np.isfinite(lv) & (lv >= 0.0))
-        neg = row_any(bad) if component is None else bad[:, component]
+        neg = row_any(bad)
         count = int(np.count_nonzero(neg))
         frac = Fraction(count, 2**k)
         per_level.append(frac)

@@ -23,10 +23,15 @@ from .lattice import BinaryLattice, NodeId
 
 # -- quadrature ----------------------------------------------------------------
 
+_SIMPSON_MAX_DEPTH = 48
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
-                     max_depth: int = 48) -> tuple[float, float]:
-    """Adaptive Simpson rule; returns (value, achieved error bound)."""
+
+def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> tuple[float, float]:
+    """Adaptive Simpson rule; returns (value, achieved error bound).
+
+    NonConvergenceError when an interval still misses its tolerance after
+    ``_SIMPSON_MAX_DEPTH`` halvings.
+    """
 
     def simpson(lo, hi, flo, fmid, fhi):
         return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
@@ -40,7 +45,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10,
         err = (left + right - whole) / 15.0
         if abs(err) <= eps:
             return left + right + err, abs(err)
-        if depth >= max_depth:
+        if depth >= _SIMPSON_MAX_DEPTH:
             raise NonConvergenceError("adaptive quadrature did not reach tolerance")
         lv, le = recurse(lo, mid, flo, flm, fmid, left, eps / 2.0, depth + 1)
         rv, re = recurse(mid, hi, fmid, frm, fhi, right, eps / 2.0, depth + 1)
@@ -138,7 +143,6 @@ class Ex210Value:
     value: float
     bracket: float
     jensen_criterion: float
-    quad_bound: float
 
 
 def ex210(node: NodeId, tau: float, horizon: float, lattice: BinaryLattice) -> Ex210Value:
@@ -160,16 +164,15 @@ def ex210(node: NodeId, tau: float, horizon: float, lattice: BinaryLattice) -> E
     if t < tau:
         value = math.exp(0.5 * t + w[-1])
         bracket = math.nan
-        quad = 0.0
     else:
         w_tau = w[k_tau]
-        integral, quad = _frozen_w_trapezoid(lattice, w[: k_tau + 1], k_tau, sign=+1.0)
+        integral, _ = _frozen_w_trapezoid(lattice, w[: k_tau + 1], k_tau, sign=+1.0)
         bracket = math.exp(0.5 * tau + w_tau) - integral
         value = math.exp(-0.5 * (t - tau) + (w[-1] - w_tau)) * bracket
     steps = min(k, k_tau)
     stoch = float(np.dot(lattice.times[:steps], np.diff(w[: steps + 1])))
     jensen = stoch - (math.log(tau) - 0.25 * tau) if k >= k_tau else math.nan
-    return Ex210Value(value, bracket, jensen, quad)
+    return Ex210Value(value, bracket, jensen)
 
 
 def _frozen_w_trapezoid(

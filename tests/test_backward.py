@@ -100,6 +100,16 @@ def test_jacobi_nonconvergence_is_named():
         backward._jacobi_step([[0.0, 10.0], [10.0, 0.0]], np.ones((2, 2)), 0.5, 1.0)
 
 
+def test_implicit_step_refuses_a_nonpositive_jacobi_diagonal():
+    # (I + h A) y = ... with h = 0.5 and A = -3 has the diagonal 1 - 1.5 < 0
+    lat = BinaryLattice(1.0, 2)
+    spec = backward.BsdeSpec(1, np.ones((4, 1)), a=lambda t: [[-3.0]])
+    with pytest.raises(
+        NonConvergenceError, match=r"^implicit step requires h\*\|diag coefficient\| < 1$"
+    ):
+        backward.solve_bsde(spec, lat)
+
+
 def _nan_at_last_node(y):
     out = np.zeros_like(y)
     out[-1] = np.nan
@@ -307,7 +317,7 @@ def _assert_bsde_matches_the_reference(depth, n, seed, linear):
     else:
         c = rng.uniform(-1.0, 1.0, n)
         spec = backward.BsdeSpec(
-            n, xi, lip_y=0.5, lip_z=0.5,
+            n, xi, lip_y=0.5,
             generator=lambda t, y, z, nd: 0.5 * np.tanh(y) * c + 0.5 * np.sin(z)
             + t * nd.w[:, None],
         )
@@ -350,7 +360,7 @@ def test_family_reduces_to_single_bsde_for_t_free_data():
         lat,
     )
     bsde = backward.solve_bsde(
-        backward.BsdeSpec(1, xi, generator=gen2, lip_y=1.0, lip_z=0.2), lat
+        backward.BsdeSpec(1, xi, generator=gen2, lip_y=1.0), lat
     )
     worst = max(np.max(np.abs(fam.y.at(k) - bsde.y[k])) for k in range(10))
     assert worst <= 1e-12
@@ -609,7 +619,7 @@ def test_picard_y_free_comparator_converges_in_one_iteration():
         generator=lambda t, s, y, z, zeta, nd: 0.3 * z + 0.1 + 0.0 * y, lip_z=0.3,
     )
     sol, hist = backward.picard_bsvie(upper, comp, lat)
-    assert hist.converged and hist.iterations == 1
+    assert hist.iterations == 1
     assert hist.diff_norms[-1] == 0.0
 
 
@@ -874,7 +884,7 @@ def test_bsvie_duality_zero_weight():
         c_coef=lambda t: np.array([[0.2]]),
         uses_z=False, uses_zeta=True, lip_y=0.3,
     )
-    eta = AdaptedProcess.constant(lat, [0.0])
+    eta = AdaptedProcess.from_function(lat, 1, lambda t, w: np.zeros_like(w))
     assert backward.bsvie_duality_check(spec, eta, lat) == 0.0
 
 
@@ -963,7 +973,7 @@ def test_bsvie_duality_is_bitwise_equal_to_the_reference(seed, n, depth, a_on, c
         lat, n, lambda t, w: np.cos(np.outer(w + t, np.arange(1, n + 1)))
     )
     msol = backward.solve_bsvie_msolution(spec, lat)
-    assert backward.bsvie_duality_check(spec, eta, lat, msol) == _reference_bsvie_duality(
+    assert backward.bsvie_duality_check(spec, eta, lat) == _reference_bsvie_duality(
         spec, eta, lat, msol
     )
 
@@ -973,7 +983,9 @@ def test_bsvie_duality_is_bitwise_equal_to_the_reference(seed, n, depth, a_on, c
 
 def test_weak_functional_of_constant_process():
     lat = BinaryLattice(1.0, 6)
-    f = backward.weak_comparison_functional(AdaptedProcess.constant(lat, [1.0]), lat)
+    f = backward.weak_comparison_functional(
+        AdaptedProcess.from_function(lat, 1, lambda t, w: np.ones_like(w)), lat
+    )
     for k in range(7):
         assert np.max(np.abs(f.at(k) - (1.0 - lat.times[k]))) <= 1e-14
 
@@ -1030,6 +1042,21 @@ def test_stepfn_single_interval_is_one_bsde():
     worst = max(np.max(np.abs(res.solution.y.at(k) - bsde.y[k])) for k in range(N + 1))
     assert worst <= 1e-12
     assert res.hypotheses.all_met()
+
+
+@pytest.mark.parametrize("partition, pieces, message", [
+    ([0, 3, 5], 2, "partition must be increasing grid indices from 0 to N"),
+    ([1, 6], 1, "partition must be increasing grid indices from 0 to N"),
+    ([0, 3, 3, 6], 3, "partition must be increasing grid indices from 0 to N"),
+    ([0, 3, 6], 1, "need one kernel and one free-term slice per interval"),
+])
+def test_stepfn_refuses_data_that_does_not_fit_the_lattice(partition, pieces, message):
+    lat = BinaryLattice(1.0, 6)
+    data = backward.StepFnBsvieData(
+        1, partition, [lambda s: np.zeros((1, 1))] * pieces, [np.ones((64, 1))] * pieces
+    )
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        backward.solve_linear_bsvie_stepfn(data, lat)
 
 
 def test_stepfn_two_intervals_zero_kernel_closed_form():

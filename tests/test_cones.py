@@ -28,12 +28,12 @@ def test_negative_offdiagonal_is_not_metzler():
 @given(st.floats(-1e6, 1e6))
 def test_every_1x1_matrix_is_metzler_and_diagonal(v):
     assert cones.is_metzler([[v]], 0.0)
-    assert cones.is_diagonal([[v]], 0.0)
+    assert cones.is_diagonal([[v]])
 
 
 def test_is_diagonal():
     assert cones.is_diagonal([[3.0, 0.0], [0.0, -2.0]])
-    assert not cones.is_diagonal([[3.0, 1e-3], [0.0, -2.0]], 0.0)
+    assert not cones.is_diagonal([[3.0, 1e-3], [0.0, -2.0]])
 
 
 def test_non_square_raises():
@@ -71,7 +71,7 @@ def test_metzler_decomposes_into_nonneg_plus_diagonal(n, seed):
     assert cones.is_metzler(a, 0.0)
     off = a - np.diag(np.diag(a))
     assert cones.is_nonneg(off, 0.0)
-    assert cones.is_diagonal(np.diag(np.diag(a)), 0.0)
+    assert cones.is_diagonal(np.diag(np.diag(a)))
 
 
 @settings(max_examples=300)

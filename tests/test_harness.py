@@ -280,8 +280,29 @@ def test_emit_report_serializes_17_significant_digits():
 
 
 def test_emit_report_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^nothing to report$"):
         emit_report([], "csv", str(tmp_path / "x.csv"))
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_run_suite_leaves_the_callers_override_configs_unchanged(monkeypatch):
+    from bsvielab.harness import runner
+
+    seen = []
+
+    def record(cfg):
+        seen.append(dataclasses.replace(cfg))
+        return _dummy_verdict(cfg.scenario)
+
+    monkeypatch.setattr(runner, "run_experiment", record)
+    cfg = ScenarioConfig(scenario="thm2.5-random")
+    default = REGISTRY["thm2.5-random"].default_seed
+    runner.run_suite(seed_offset=5, overrides={"thm2.5-random": cfg})
+    assert [resolve(c)[2] for c in seen if c.scenario == "thm2.5-random"] == [default + 5]
+    assert cfg == ScenarioConfig(scenario="thm2.5-random")
+    seen.clear()
+    runner.run_suite(overrides={"thm2.5-random": cfg})
+    assert [resolve(c)[2] for c in seen if c.scenario == "thm2.5-random"] == [default]
 
 
 def test_cli_list_and_exit_codes(capsys):
