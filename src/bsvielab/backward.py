@@ -181,12 +181,23 @@ class BsdeSpec:
         self.is_linear = linear
 
     def terminal_field(self, lattice: BinaryLattice) -> np.ndarray:
+        """The terminal value on the leaves, ``(2**N, dim)``.
+
+        ``terminal`` is a scalar or a ``(dim,)`` vector, the same at every
+        leaf, or a ``(2**N, dim)`` field, also ``(2**N,)`` when dim is 1;
+        any other shape (a transposed ``(dim, 2**N)`` field, say) raises
+        ValueError.
+        """
         xi = np.asarray(self.terminal, dtype=float)
-        if xi.ndim == 0:
-            xi = np.full((1,), float(xi))
-        if xi.ndim == 1 and xi.shape == (self.dim,):
-            return np.tile(xi, (2**lattice.depth, 1))
-        return xi.reshape(2**lattice.depth, self.dim)
+        leaves = 2**lattice.depth
+        if xi.ndim == 0 or xi.shape == (self.dim,):
+            return np.full((leaves, self.dim), xi)
+        if xi.shape == (leaves, self.dim) or (self.dim == 1 and xi.shape == (leaves,)):
+            return xi.reshape(leaves, self.dim)
+        raise ValueError(
+            f"terminal of shape {xi.shape} is none of (), ({self.dim},), ({leaves}, {self.dim})"
+            + (f" or ({leaves},)" if self.dim == 1 else "")
+        )
 
 
 @dataclass
@@ -894,10 +905,10 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
                 up, down, np.asarray(data.a_pieces[k](times[j]), dtype=float),
                 np.asarray(b(times[j]), dtype=float), h, sq, 1.0,
             )
-        for i in range(lo, hi + 1):
-            y_levels[i] = lam[i]
-            for j in range(i, N):
-                z.set(i, j, z_rows[j])
+        y_levels[lo:hi + 1] = lam[lo:hi + 1]
+        for j in range(lo, N):
+            # Z(t_i, s_j) is the same for every row i of the interval
+            z.write_rows(j, lo, min(hi, j) + 1)[...] = z_rows[j]
 
     hyp = _stepfn_hypotheses(data, lattice)
     sol = BsvieSolution(AdaptedProcess(lattice, n, y_levels), z, None)

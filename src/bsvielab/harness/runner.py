@@ -146,15 +146,19 @@ def run_suite(
 ) -> list[ComparisonVerdict]:
     """Run every registry scenario; results ordered by scenario name.
 
-    Every config is resolved before the first scenario runs, so a bad one
-    (a negative seed, say) raises ValueError without running anything.
+    ``seed_offset`` is added to the seed each config resolves to (an
+    override's own seed if it sets one, else the scenario's default), for
+    the scenarios whose default seed is nonzero; the others are
+    deterministic and keep their seed.  Every config is resolved before
+    the first scenario runs, so a bad one (a negative seed, say) raises
+    ValueError without running anything.
     """
     configs = []
     for name in sorted(REGISTRY):
         cfg = (overrides or {}).get(name) or ScenarioConfig(scenario=name)
         if seed_offset and REGISTRY[name].default_seed:
             # a copy: the caller's config must not carry the offset into a later run
-            cfg = replace(cfg, seed=REGISTRY[name].default_seed + seed_offset)
+            cfg = replace(cfg, seed=resolve(cfg)[2] + seed_offset)
         resolve(cfg)
         configs.append(cfg)
     if jobs <= 1:

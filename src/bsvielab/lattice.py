@@ -22,7 +22,7 @@ of a C-ordered ``(rows, n, 2**k)`` array (see :func:`node_empty`), so the
 up and down children that :func:`split_children` takes are stride-2 runs of
 one component, not short rows of n entries.  Every level the library makes
 has this order: the allocating helpers (``branch``, ``lift``, the
-``TwoParamProcess`` blocks and ``lifted``, :func:`children_mean` and
+``TwoParamProcess`` level arrays and ``lifted``, :func:`children_mean` and
 :func:`children_slope`) make node-contiguous arrays, elementwise ufuncs keep
 the order of their operands, and a product with an ``(n, n)`` matrix is
 taken as ``(A @ y.mT).mT``, which equals ``y @ A.mT`` bit for bit.  The
@@ -448,58 +448,50 @@ class TwoParamProcess:
     integral (diagonal included); the strict triangle ``j < i`` carries the
     martingale-representation part pinned down for M-solutions.
 
-    Storage is by inner time.  Level j keeps the slices i <= j in the row
-    blocks a sweep writes (:meth:`write_rows`), each one node-contiguous
-    ``(rows, 2**j, dim)`` array (see :func:`node_empty`), so a sweep that
-    takes every row at once leaves one array per level and a row-by-row
-    sweep leaves arrays no larger than the slices; the slices i > j
-    (M-solutions) share one such ``(N - j, 2**j, dim)`` array.  Each
-    array is allocated at its first write, and a flag per row records the
-    slices that are set.  The per-slice ``set``/``get``/``has``/``pairs``
-    see the same slices.
+    Storage is by inner time.  Level j keeps two node-contiguous arrays (see
+    :func:`node_empty`): an upper ``(j + 1, 2**j, dim)`` one for the slices
+    i <= j and a lower ``(N - j, 2**j, dim)`` one for the slices i > j
+    (M-solutions).  Each is allocated at the first write into it, and a
+    flag per row records the slices that are set.  A slice (:meth:`get`)
+    and a range of set upper slices (:meth:`rows`) are views, so a sweep
+    writes a level's rows in place however it blocks them.
     """
 
     def __init__(self, lattice: BinaryLattice, dim: int):
         self.lattice = lattice
         self.dim = int(dim)
         depth = lattice.depth
-        self._blocks: list[list[tuple[int, np.ndarray]]] = [[] for _ in range(depth)]
+        self._upper: list[np.ndarray | None] = [None] * depth
         self._lower: list[np.ndarray | None] = [None] * depth
         self._is_set = [bytearray(depth + 1) for _ in range(depth)]
 
     def _in_range(self, i: int, j: int) -> bool:
         return 0 <= i <= self.lattice.depth and 0 <= j < self.lattice.depth
 
-    def write_rows(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """A new block for slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, none of them set yet.
+    def _level(self, arrays: list[np.ndarray | None], j: int, rows: int) -> np.ndarray:
+        if arrays[j] is None:
+            arrays[j] = node_empty((rows, 2**j, self.dim))
+        return arrays[j]
 
-        Returns the block, a writable ``(hi - lo, 2**j, dim)`` array, and
-        marks its slices set; the caller fills every entry, as the block is
-        not initialised.
+    def write_rows(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, none of them set yet, to be written.
+
+        Returns them as a writable ``(hi - lo, 2**j, dim)`` view and marks
+        them set; the caller fills every entry, as the view is not
+        initialised.
         """
         if not 0 <= lo < hi <= j + 1 <= self.lattice.depth:
             raise ValueError(f"rows {lo}..{hi - 1} of level {j} are outside the triangle i <= j")
         if 1 in self._is_set[j][lo:hi]:
             raise ValueError(f"a slice of rows {lo}..{hi - 1} of level {j} is already set")
-        block = node_empty((hi - lo, 2**j, self.dim))
-        self._blocks[j].append((lo, block))
         self._is_set[j][lo:hi] = b"\x01" * (hi - lo)
-        return block
+        return self._level(self._upper, j, j + 1)[lo:hi]
 
     def rows(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, as one ``(hi - lo, 2**j, dim)`` array; each must be set.
-
-        A view when one block holds them all, else a node-contiguous stacked copy.
-        """
+        """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, as a ``(hi - lo, 2**j, dim)`` view; each must be set."""
         if not 0 <= lo < hi <= j + 1 <= self.lattice.depth or 0 in self._is_set[j][lo:hi]:
             raise IncompleteProcessError(f"Z({lo}..{hi - 1},{j}) slices not populated")
-        for start, block in self._blocks[j]:
-            if start <= lo and hi <= start + block.shape[0]:
-                return block[lo - start:hi - start]
-        out = node_empty((hi - lo, 2**j, self.dim))
-        for i in range(lo, hi):
-            out[i - lo] = self.get(i, j)
-        return out
+        return self._upper[j][lo:hi]
 
     def set(self, i: int, j: int, values: np.ndarray) -> None:
         """Store a copy of slice (i, j); anything but a float64 ``(2**j, dim)`` ndarray is converted.
@@ -513,25 +505,15 @@ class TwoParamProcess:
         if type(values) is not np.ndarray or values.dtype != _FLOAT or values.shape != shape:
             values = np.asarray(values, dtype=float).reshape(shape)
         if i <= j:
-            if self._is_set[j][i]:
-                self.get(i, j)[...] = values
-            else:
-                self.write_rows(j, i, i + 1)[0] = values
-            return
-        lower = self._lower[j]
-        if lower is None:
-            lower = self._lower[j] = node_empty((self.lattice.depth - j, 2**j, self.dim))
-        lower[i - j - 1] = values
+            self._level(self._upper, j, j + 1)[i] = values
+        else:
+            self._level(self._lower, j, self.lattice.depth - j)[i - j - 1] = values
         self._is_set[j][i] = 1
 
     def get(self, i: int, j: int) -> np.ndarray:
         if not self.has(i, j):
             raise IncompleteProcessError(f"Z({i},{j}) slice not populated")
-        if i > j:
-            return self._lower[j][i - j - 1]
-        for start, block in self._blocks[j]:
-            if start <= i < start + block.shape[0]:
-                return block[i - start]
+        return self._upper[j][i] if i <= j else self._lower[j][i - j - 1]
 
     def has(self, i: int, j: int) -> bool:
         return self._in_range(i, j) and bool(self._is_set[j][i])
@@ -548,7 +530,7 @@ class TwoParamProcess:
         ``BinaryLattice.lift``.  The stack is node-contiguous.
         """
         if hi - lo == 1:
-            # one slice (a one-row block) is one repeat, without the stacking copies
+            # one slice is one repeat, without the stacking copies
             return _repeat_nodes(self.get(i, lo), 2 ** (level - lo))[None]
         # each slice's components, node runs in (slice, component) order: views of the
         # node-contiguous slices, so the concatenation is the only copy before the repeat

@@ -52,6 +52,32 @@ def test_bsde_zero_generator_is_conditional_expectation():
         assert np.max(np.abs(sol.z[k] - zs[k])) <= 1e-13
 
 
+@pytest.mark.parametrize("dim, terminal, expected", [
+    (2, 1.5, np.full((8, 2), 1.5)),
+    (2, np.array([1.0, -2.0]), np.tile([1.0, -2.0], (8, 1))),
+    (2, np.arange(16.0).reshape(8, 2), np.arange(16.0).reshape(8, 2)),
+    (1, np.arange(8.0), np.arange(8.0).reshape(8, 1)),
+    (1, 3.0, np.full((8, 1), 3.0)),
+])
+def test_bsde_terminal_field_broadcasts_the_accepted_shapes(dim, terminal, expected):
+    got = backward.BsdeSpec(dim, terminal, generator=lambda t, y, z, nd: y).terminal_field(
+        BinaryLattice(1.0, 3))
+    assert got.shape == (8, dim) and np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("dim, terminal", [
+    (2, np.vstack([np.zeros(8), np.ones(8)])),  # transposed (dim, 2**N): not reshaped
+    (2, np.zeros(16)),                          # flat (2**N * dim,)
+    (2, np.zeros((1, 2))),
+    (1, np.zeros(4)),
+    (2, np.zeros((8, 2, 1))),
+])
+def test_bsde_terminal_field_refuses_other_shapes(dim, terminal):
+    spec = backward.BsdeSpec(dim, terminal, generator=lambda t, y, z, nd: y)
+    with pytest.raises(ValueError, match=r"^terminal of shape .* is none of \(\), "):
+        spec.terminal_field(BinaryLattice(1.0, 3))
+
+
 def test_bsde_scalar_exponential_decay():
     lat = BinaryLattice(1.0, 10)
     sol = backward.solve_bsde(
@@ -1339,6 +1365,24 @@ def test_family_blocks_are_one_for_the_suite_and_one_row_at_depth_16():
     rows = lambda depth, dim: max(1, backward._ROW_BLOCK_ELEMS // (2**depth * dim))
     assert rows(10, 3) >= 11  # every suite solve (depth <= 10, dim <= 3) is one block
     assert rows(16, 2) == 1   # a depth-16 solve keeps one row's scratch
+
+
+@pytest.mark.parametrize("msolution", [False, True], ids=["family", "msolution"])
+def test_z_levels_are_one_array_each_when_the_sweep_goes_row_by_row(msolution):
+    N = 6
+    lat = BinaryLattice(1.0, N)
+    spec = backward.BsvieSpec(1, deterministic_psi(lat, lambda s: 1.0 + s),
+                              generator=lambda t, s, y, z, zeta, nd: 0.1 * y, uses_z=False)
+    solve = backward.solve_bsvie_msolution if msolution else backward.solve_bsvie_family
+    with mock.patch.object(backward, "_ROW_BLOCK_ELEMS", 2**N):  # one row per block
+        sol = solve(spec, lat)
+    for j in range(N):
+        rows = sol.z.rows(j, 0, j + 1)
+        assert all(np.shares_memory(rows, sol.z.get(i, j)) for i in range(j + 1))
+        if msolution:
+            # the slices below the diagonal are views of one more array
+            lower = {id(sol.z.get(i, j).base) for i in range(j + 1, N + 1)}
+            assert len(lower) == 1 and not np.shares_memory(rows, sol.z.get(N, j))
 
 
 def test_msolution_sweep_takes_no_frozen_y():

@@ -305,6 +305,24 @@ def test_run_suite_leaves_the_callers_override_configs_unchanged(monkeypatch):
     assert [resolve(c)[2] for c in seen if c.scenario == "thm2.5-random"] == [default]
 
 
+def test_run_suite_adds_the_offset_to_an_overrides_own_seed(monkeypatch):
+    from bsvielab.harness import runner
+
+    seen = {}
+
+    def record(cfg):
+        seen[cfg.scenario] = resolve(cfg)[2]
+        return _dummy_verdict(cfg.scenario)
+
+    monkeypatch.setattr(runner, "run_experiment", record)
+    cfg = ScenarioConfig(scenario="thm2.5-random", seed=7)
+    runner.run_suite(seed_offset=5, overrides={"thm2.5-random": cfg})
+    assert seen["thm2.5-random"] == 12 and cfg.seed == 7
+    # a scenario with default seed 0 is deterministic: the offset leaves it alone
+    zero = [name for name, entry in REGISTRY.items() if entry.default_seed == 0]
+    assert zero and all(seen[name] == 0 for name in zero)
+
+
 def test_cli_list_and_exit_codes(capsys):
     assert cli.main(["list"]) == 0
     out = capsys.readouterr().out

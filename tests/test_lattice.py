@@ -308,13 +308,14 @@ def test_two_param_level_rows_are_the_slices(lat):
     assert z.pairs() == [(0, 4), (1, 4), (2, 4), (3, 4)]
     rows = z.rows(4, 0, 4)
     assert rows.shape == (4, 16, 2)
-    for i in range(4):
+    for i in range(4):  # a set slice and the rows written by write_rows: one view
         assert rows[i].tobytes() == z.get(i, 4).tobytes()
+        assert np.shares_memory(rows, z.get(i, 4))
     with pytest.raises(IncompleteProcessError, match=r"Z\(0..4,4\)"):
         z.rows(4, 0, 5)
     with pytest.raises(ValueError, match="already set"):
         z.write_rows(4, 3, 5)
-    # a slice set again is overwritten in its block
+    # a slice set again is overwritten in place
     again = rng.standard_normal((16, 2))
     z.set(2, 4, again)
     assert z.get(2, 4).tobytes() == again.tobytes()
