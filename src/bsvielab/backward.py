@@ -10,10 +10,13 @@ For linear drifts the inner solve is a Jacobi splitting that maps nonnegative
 data to nonnegative iterates exactly, which is what turns the positivity and
 comparison statements into exact inequalities instead of tolerance checks.
 Every implicit step goes through ``_linear_step`` (linear data) or
-``_fixed_point`` (generator data), and the Jacobi solve of ``_linear_step``
-iterates through ``_fixed_point`` too, so that argument and the one stopping
-rule live in one place: stop at the first iterate whose largest entrywise
-change is below FP_TOL, within FP_MAX_ITER iterations.  A NaN change is never
+``_fixed_point`` (generator data).  ``_linear_step`` has one convention, that
+of the Volterra drift: it solves (I - h A) y = E[next] + h B Z + extra.  The
+BSDE form dY = (A Y + B Z - f) dt + Z dW hands it -A and -B, which is exact
+(negation changes no other bit).  Its Jacobi solve iterates through
+``_fixed_point`` too, so the positivity argument and the one stopping rule
+live in one place: stop at the first iterate whose largest entrywise change
+is below FP_TOL, within FP_MAX_ITER iterations.  A NaN change is never
 below FP_TOL, so a NaN never converges; it ends in DivergenceError instead.
 
 Backward Volterra equations carry a time-indexed free term psi(t_i) (known at
@@ -38,6 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import cones
 from .errors import DivergenceError, NonConvergenceError
 from .lattice import (
     AdaptedProcess,
@@ -72,50 +76,44 @@ _ROW_BLOCK_ELEMS = 2**16
 # -- implicit one-step helpers ------------------------------------------------
 
 
-def _jacobi_step(mat: np.ndarray, rhs: np.ndarray, h: float, sign: float) -> np.ndarray:
-    """Solve (I - sign*h*mat) y = rhs for every row of ``rhs`` by Jacobi iteration.
-
-    Starting from y = 0, every iterate is a sum of products of the inputs with
-    the nonnegative weights 1/d and sign*h*offdiag(mat); when those weights and
-    ``rhs`` are nonnegative the result is exactly nonnegative in floating point.
-    The iteration runs through ``_fixed_point``, so it shares its stopping rule.
-    """
-    a = np.asarray(mat, dtype=float)
-    d = 1.0 - sign * h * np.diag(a)
-    if np.any(d <= 0.0):
-        raise NonConvergenceError("implicit step requires h*|diag coefficient| < 1")
-    p = sign * h * a
-    np.fill_diagonal(p, 0.0)
-    return _fixed_point(
-        lambda y: (rhs + (p @ y.mT).mT) / d, np.zeros_like(rhs), "Jacobi inner solve",
-        lambda: h * float(np.abs(a).sum(axis=1).max()),
-    )
-
-
-def _blend(up: np.ndarray, down: np.ndarray, b: np.ndarray | None, sqrt_h: float,
-           z_sign: float) -> np.ndarray:
-    """E[next] + z_sign * h * B Z, written as the exact two-child blend.
+def _blend(up: np.ndarray, down: np.ndarray, b: np.ndarray | None, sqrt_h: float) -> np.ndarray:
+    """E[next] + h * B Z, written as the exact two-child blend.
 
     With Z = (up - down) / (2 sqrt(h)) this equals
-    0.5*(I + z_sign*sqrt(h) B) up + 0.5*(I - z_sign*sqrt(h) B) down, a convex
-    combination with nonnegative diagonal weights whenever B is diagonal and
+    0.5*(I + sqrt(h) B) up + 0.5*(I - sqrt(h) B) down, a convex combination
+    with nonnegative diagonal weights whenever B is diagonal and
     sqrt(h)*|B| <= 1.
     """
     if b is None:
         return children_mean(up, down)
-    m = z_sign * sqrt_h * np.asarray(b, dtype=float)
+    m = sqrt_h * np.asarray(b, dtype=float)
     wu = 0.5 * (np.eye(b.shape[0]) + m)
     wd = 0.5 * (np.eye(b.shape[0]) - m)
     return (wu @ up.mT).mT + (wd @ down.mT).mT
 
 
 def _linear_step(up: np.ndarray, down: np.ndarray, a: np.ndarray, b: np.ndarray | None,
-                 h: float, sq: float, sign: float, extra: np.ndarray | None = None) -> np.ndarray:
-    """Implicit linear step: solve (I - sign*h*A) y = blend(up, down) + extra."""
-    rhs = _blend(up, down, b, sq, sign)
+                 h: float, sq: float, extra: np.ndarray | None = None) -> np.ndarray:
+    """Solve (I - h A) y = blend_B(up, down) + extra for every node by Jacobi iteration.
+
+    Starting from y = 0, every iterate is a sum of products of the right-hand
+    side with the weights 1/d and h*offdiag(A), d = 1 - h*diag(A); when A is
+    Metzler, B diagonal and the right-hand side nonnegative, those are all
+    nonnegative and so is the result, exactly in floating point.  The
+    iteration runs through ``_fixed_point``, so it shares its stopping rule.
+    """
+    rhs = _blend(up, down, b, sq)
     if extra is not None:
         rhs = rhs + extra
-    return _jacobi_step(a, rhs, h, sign)
+    d = 1.0 - h * np.diag(a)
+    if np.any(d <= 0.0):
+        raise NonConvergenceError("implicit step requires h*|diag coefficient| < 1")
+    p = h * a
+    np.fill_diagonal(p, 0.0)
+    return _fixed_point(
+        lambda y: (rhs + (p @ y.mT).mT) / d, np.zeros_like(rhs), "Jacobi inner solve",
+        lambda: h * float(np.abs(a).sum(axis=1).max()),
+    )
 
 
 def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray, what: str,
@@ -154,6 +152,7 @@ class BsdeSpec:
         dY = (A(t) Y + B(t) Z - f(t)) dt + Z dW,     Y(T) = xi,
 
     through matrix callables ``a``, ``b`` and vector callable ``forcing``.
+    Each level's implicit step is ``_linear_step`` on -A(t) and -B(t).
     General form: standard-shape generator ``g(t, y, z, nodes) -> (m, n)``
     for  Y(t) = xi + int_t^T g ds - int_t^T Z dW,  vectorized over the nodes
     of one level.  The ``(m, n)`` arrays handed to the callables (``y``,
@@ -202,21 +201,20 @@ class BsdeSpec:
 
 @dataclass
 class BsdeSolution:
-    """Backward solution on levels ``from_index..N`` of :func:`solve_bsde` (``None`` below)."""
+    """Backward solution of :func:`solve_bsde`: Y on levels 0..N, Z on levels 0..N-1."""
 
-    y: list[np.ndarray | None]
-    z: list[np.ndarray | None]
+    y: list[np.ndarray]
+    z: list[np.ndarray]
 
 
-def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> BsdeSolution:
+def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice) -> BsdeSolution:
     """Backward induction with the implicit-in-y, explicit-in-z one-step scheme."""
     n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
-    y: list[np.ndarray | None] = [None] * (N + 1)
-    z: list[np.ndarray | None] = [None] * N
-    y[N] = spec.terminal_field(lattice)
-    for k in range(N - 1, from_index - 1, -1):
+    y = [None] * N + [spec.terminal_field(lattice)]
+    z = [None] * N
+    for k in range(N - 1, -1, -1):
         # y[N] is the caller's terminal field: every level below it is node-contiguous
         up, down = split_children(y[k + 1])
         zk = children_slope(up, down, sq)
@@ -227,7 +225,7 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice, from_index: int = 0) -> B
             b_k = np.asarray(spec.b(t), dtype=float) if spec.b is not None else None
             f_k = h * np.asarray(spec.forcing(t), dtype=float) if spec.forcing is not None else None
             # (I + h A) y = E[next] - h B Z + h f
-            y[k] = _linear_step(up, down, a_k, b_k, h, sq, -1.0, f_k)
+            y[k] = _linear_step(up, down, -a_k, None if b_k is None else -b_k, h, sq, f_k)
         else:
             e = children_mean(up, down)
             nodes = LevelNodes(lattice, k)
@@ -256,7 +254,7 @@ def bsde_duality_check(
     n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
-    sol = solve_bsde(spec, lattice, from_index=s_index)
+    sol = solve_bsde(spec, lattice)
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     X = lattice.lift(xv[None], 0, s_index)
     pair = np.zeros((2**s_index, 1))
@@ -478,7 +476,7 @@ def solve_bsvie_family(
             b_jj = None if spec.b_coef is None else np.asarray(spec.b_coef(t_j), dtype=float)
             c_tj = None if spec.c_coef is None else np.asarray(spec.c_coef(t_j), dtype=float)
             # (I - h A(t_j,t_j)) y = E[next] + h B Z + h C zeta
-            return _linear_step(up, down, a_jj, b_jj, h, sq, 1.0,
+            return _linear_step(up, down, a_jj, b_jj, h, sq,
                                 None if c_tj is None else h * (c_tj @ zeta_jj.mT).mT)
         nodes = level_nodes[j]
         return _fixed_point(
@@ -816,6 +814,33 @@ class StepFnBsvieData:
         if len(self.a_pieces) != self.n_pieces() or len(self.psi_pieces) != self.n_pieces():
             raise ValueError("need one kernel and one free-term slice per interval")
 
+    def hypotheses(self, lattice: BinaryLattice) -> StepFnHypotheses:
+        """The structural hypotheses of the step-function comparison, checked on ``lattice``."""
+        h, sq = lattice.h, lattice.sqrt_h
+        metzler = True
+        monotone = True
+        diag = True
+        bound_ok = True
+        for j in range(lattice.depth):
+            s = lattice.times[j]
+            mats = [np.asarray(fn(s), dtype=float) for fn in self.a_pieces]
+            metzler &= all(cones.is_metzler(m) for m in mats)
+            monotone &= all(cones.is_nonneg(a - bmat) for a, bmat in zip(mats, mats[1:]))
+            bound_ok &= all(h * np.abs(m).sum(axis=1).max() < 1.0 for m in mats)
+            if self.b is not None:
+                bm = np.asarray(self.b(s), dtype=float)
+                diag &= cones.is_diagonal(bm)
+                bound_ok &= sq * np.abs(np.diag(bm)).max() <= 1.0
+        psi_mono = True
+        prev = None
+        for piece in self.psi_pieces:
+            arr = np.asarray(piece, dtype=float)
+            if prev is not None:
+                psi_mono &= bool(np.all(prev >= arr))
+            prev = arr
+        psi_mono &= bool(np.all(np.asarray(self.psi_pieces[-1]) >= 0.0))
+        return StepFnHypotheses(metzler, monotone, psi_mono, diag, bound_ok)
+
 
 @dataclass
 class StepFnHypotheses:
@@ -837,13 +862,7 @@ class StepFnHypotheses:
         )
 
 
-@dataclass
-class StepFnSolution:
-    solution: BsvieSolution
-    hypotheses: StepFnHypotheses
-
-
-def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> StepFnSolution:
+def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> BsvieSolution:
     """Interval-by-interval nested backward induction for step-function data.
 
     The last interval is a plain linear backward recursion.  Each earlier
@@ -853,8 +872,8 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
     by its own explicit recursion; below the endpoint the sweep continues with
     implicit steps.  Every operation preserves exact nonnegativity when the
     hypotheses hold, so hypothesis-satisfying data yields Y >= 0 with no
-    tolerance.  Hypothesis violations are reported on the result, never
-    raised: counterexample data must run.
+    tolerance.  The hypotheses are not checked here
+    (:meth:`StepFnBsvieData.hypotheses` does that): counterexample data must run.
     """
     data.validate(lattice)
     n = data.dim
@@ -892,7 +911,7 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
                 da = np.asarray(data.a_pieces[k](times[j]), dtype=float) - np.asarray(
                     data.a_pieces[k + 1](times[j]), dtype=float
                 )
-                d_cur = _blend(up, down, np.asarray(b(times[j]), dtype=float), sq, 1.0)
+                d_cur = _blend(up, down, np.asarray(b(times[j]), dtype=float), sq)
                 d_cur = d_cur + h * (da @ y_levels[j].mT).mT
                 new_lam[j] = lam[j] + d_cur
                 new_rows[j] = z_rows[j] + dz
@@ -903,42 +922,11 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
             z_rows[j] = children_slope(up, down, sq)
             lam[j] = _linear_step(
                 up, down, np.asarray(data.a_pieces[k](times[j]), dtype=float),
-                np.asarray(b(times[j]), dtype=float), h, sq, 1.0,
+                np.asarray(b(times[j]), dtype=float), h, sq,
             )
         y_levels[lo:hi + 1] = lam[lo:hi + 1]
         for j in range(lo, N):
             # Z(t_i, s_j) is the same for every row i of the interval
             z.write_rows(j, lo, min(hi, j) + 1)[...] = z_rows[j]
 
-    hyp = _stepfn_hypotheses(data, lattice)
-    sol = BsvieSolution(AdaptedProcess(lattice, n, y_levels), z, None)
-    return StepFnSolution(sol, hyp)
-
-
-def _stepfn_hypotheses(data: StepFnBsvieData, lattice: BinaryLattice) -> StepFnHypotheses:
-    from . import cones
-
-    h, sq = lattice.h, lattice.sqrt_h
-    metzler = True
-    monotone = True
-    diag = True
-    bound_ok = True
-    for j in range(lattice.depth):
-        s = lattice.times[j]
-        mats = [np.asarray(fn(s), dtype=float) for fn in data.a_pieces]
-        metzler &= all(cones.is_metzler(m) for m in mats)
-        monotone &= all(cones.is_nonneg(a - bmat) for a, bmat in zip(mats, mats[1:]))
-        bound_ok &= all(h * np.abs(m).sum(axis=1).max() < 1.0 for m in mats)
-        if data.b is not None:
-            bm = np.asarray(data.b(s), dtype=float)
-            diag &= cones.is_diagonal(bm)
-            bound_ok &= sq * np.abs(np.diag(bm)).max() <= 1.0
-    psi_mono = True
-    prev = None
-    for piece in data.psi_pieces:
-        arr = np.asarray(piece, dtype=float)
-        if prev is not None:
-            psi_mono &= bool(np.all(prev >= arr))
-        prev = arr
-    psi_mono &= bool(np.all(np.asarray(data.psi_pieces[-1]) >= 0.0))
-    return StepFnHypotheses(metzler, monotone, psi_mono, diag, bound_ok)
+    return BsvieSolution(AdaptedProcess(lattice, n, y_levels), z, None)

@@ -64,9 +64,6 @@ class HypothesisReport:
             self.conditions.setdefault(name, ConditionReport(NOT_APPLICABLE))
         return self
 
-    def status(self, name: str) -> str:
-        return self.conditions[name].status
-
     def flags_string(self) -> str:
         short = {SATISFIED: "ok", VIOLATED: "violated", NOT_APPLICABLE: "na"}
         return ";".join(f"{n}={short[self.conditions[n].status]}" for n in CONDITION_ORDER)

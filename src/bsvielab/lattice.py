@@ -140,23 +140,6 @@ class NodeId:
             for j in range(self.level)
         )
 
-    def child(self, branch: str) -> "NodeId":
-        if branch == "up":
-            return NodeId(self.level + 1, 2 * self.index)
-        if branch == "down":
-            return NodeId(self.level + 1, 2 * self.index + 1)
-        raise ValueError(f"branch must be 'up' or 'down', got {branch!r}")
-
-    def parent(self) -> "NodeId":
-        if self.level == 0:
-            raise ValueError("root node has no parent")
-        return NodeId(self.level - 1, self.index >> 1)
-
-    def ancestor(self, level: int) -> "NodeId":
-        if not 0 <= level <= self.level:
-            raise ValueError("ancestor level out of range")
-        return NodeId(level, self.index >> (self.level - level))
-
     def __str__(self) -> str:  # compact, used in reports
         return f"L{self.level}:{self.path or 'root'}"
 
@@ -209,16 +192,12 @@ class BinaryLattice:
 class LevelNodes:
     """Handle on one lattice level, passed to coefficient/generator callables.
 
-    Lets adapted coefficients read the time and the Brownian values of the
-    nodes they are evaluated on, without giving them a way to peek forward.
+    Lets adapted coefficients read the Brownian values of the nodes they are
+    evaluated on, without giving them a way to peek forward.
     """
 
     lattice: BinaryLattice
     level: int
-
-    @property
-    def time(self) -> float:
-        return self.lattice.times[self.level]
 
     @property
     def w(self) -> np.ndarray:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bsvielab import backward, forward
 from bsvielab.errors import DivergenceError, NonConvergenceError
@@ -119,11 +119,12 @@ def test_bsde_nonconvergence_reports_step_hint():
 
 def test_jacobi_nonconvergence_is_named():
     # d = 1 > 0 passes the guard, but the splitting's spectral radius is 5
+    a, ones = np.array([[0.0, 10.0], [10.0, 0.0]]), np.ones((2, 2))
     with pytest.raises(NonConvergenceError, match="Jacobi inner solve"):
-        backward._jacobi_step([[0.0, 10.0], [10.0, 0.0]], np.ones((2, 2)), 0.5, 1.0)
+        backward._linear_step(ones, ones, a, None, 0.5, math.sqrt(0.5))
     # the h*L_y figure, computed only on this failure path, is h * max row sum of |A|
     with pytest.raises(NonConvergenceError, match=r"h\*L_y = 5 "):
-        backward._jacobi_step([[0.0, 10.0], [10.0, 0.0]], np.ones((2, 2)), 0.5, 1.0)
+        backward._linear_step(ones, ones, a, None, 0.5, math.sqrt(0.5))
 
 
 def test_implicit_step_refuses_a_nonpositive_jacobi_diagonal():
@@ -329,16 +330,30 @@ def _reference_bsde_duality(spec, x, s_index, lattice):
     return float(np.max(np.abs(lhs - cond[:, 0])))
 
 
-def _assert_bsde_matches_the_reference(depth, n, seed, linear):
+def _with_signed_zeros(rng, m, zero_diagonal):
+    """``m`` with about a quarter of its entries set to 0.0 or -0.0, and its whole
+    diagonal too when ``zero_diagonal``: solve_bsde negates A and B, and the
+    reference multiplies by sign = -1, so signed zeros are where the two could part."""
+    zeros = rng.choice([0.0, -0.0], m.shape)
+    m = np.where(rng.random(m.shape) < 0.25, zeros, m)
+    if zero_diagonal:
+        np.fill_diagonal(m, np.diag(zeros))
+    return m
+
+
+def _assert_bsde_matches_the_reference(depth, n, seed, linear, absent=""):
+    """``absent`` names the linear coefficients ("a", "b") the spec leaves out."""
     rng = np.random.default_rng(seed)
     lat = BinaryLattice(1.0, depth)
     xi = rng.standard_normal((2**depth, n))
     if linear:
         scale = min(1.0, 0.5 / (n * lat.h))  # keeps the Jacobi solve contracting
-        pieces = [(scale * rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (n, n)),
-                   rng.uniform(-1.0, 1.0, n)) for _ in range(depth)]
+        pieces = [(_with_signed_zeros(rng, scale * rng.uniform(-1.0, 1.0, (n, n)), k % 3 == 1),
+                   _with_signed_zeros(rng, rng.uniform(-1.0, 1.0, (n, n)), k % 3 == 2),
+                   rng.uniform(-1.0, 1.0, n)) for k in range(depth)]
         at = lambda t: pieces[min(int(round(t / lat.h)), depth - 1)]
-        spec = backward.BsdeSpec(n, xi, a=lambda t: at(t)[0], b=lambda t: at(t)[1],
+        spec = backward.BsdeSpec(n, xi, a=None if "a" in absent else lambda t: at(t)[0],
+                                 b=None if "b" in absent else lambda t: at(t)[1],
                                  forcing=lambda t: at(t)[2])
     else:
         c = rng.uniform(-1.0, 1.0, n)
@@ -359,9 +374,13 @@ def _assert_bsde_matches_the_reference(depth, n, seed, linear):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans())
-def test_bsde_and_its_duality_are_bitwise_equal_to_the_reference(depth, n, seed, linear):
-    _assert_bsde_matches_the_reference(depth, n, seed, linear)
+@given(st.integers(1, 10), st.integers(1, 3), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["", "a", "b", "ab"]))
+@example(6, 2, 5, True, "a")
+@example(6, 2, 5, True, "b")
+@example(6, 2, 5, True, "ab")
+def test_bsde_and_its_duality_are_bitwise_equal_to_the_reference(depth, n, seed, linear, absent):
+    _assert_bsde_matches_the_reference(depth, n, seed, linear, absent)
 
 
 @pytest.mark.parametrize("linear", [True, False])
@@ -1059,15 +1078,14 @@ def test_stepfn_single_interval_is_one_bsde():
     a = random_metzler(rng, n, 0.4)
     b = np.diag(rng.uniform(-0.5, 0.5, n))
     psi = rng.uniform(0.0, 1.0, (2**N, n))
-    res = backward.solve_linear_bsvie_stepfn(
-        backward.StepFnBsvieData(n, [0, N], [lambda s: a], [psi], b=lambda s: b), lat
-    )
+    data = backward.StepFnBsvieData(n, [0, N], [lambda s: a], [psi], b=lambda s: b)
+    sol = backward.solve_linear_bsvie_stepfn(data, lat)
     bsde = backward.solve_bsde(
         backward.BsdeSpec(n, psi, a=lambda t: -a, b=lambda t: -b), lat
     )
-    worst = max(np.max(np.abs(res.solution.y.at(k) - bsde.y[k])) for k in range(N + 1))
+    worst = max(np.max(np.abs(sol.y.at(k) - bsde.y[k])) for k in range(N + 1))
     assert worst <= 1e-12
-    assert res.hypotheses.all_met()
+    assert data.hypotheses(lat).all_met()
 
 
 @pytest.mark.parametrize("partition, pieces, message", [
@@ -1096,11 +1114,11 @@ def test_stepfn_two_intervals_zero_kernel_closed_form():
     data = backward.StepFnBsvieData(
         1, [0, 3, N], [lambda s: np.zeros((1, 1))] * 2, [psi1, psi2], b=None
     )
-    res = backward.solve_linear_bsvie_stepfn(data, lat)
+    sol = backward.solve_linear_bsvie_stepfn(data, lat)
     for i in range(N + 1):
         active = psi1 if i <= 3 else psi2
-        assert np.max(np.abs(res.solution.y.at(i) - condition_to(active, N, i))) <= 1e-13
-    assert res.solution.y.min() >= 0.0
+        assert np.max(np.abs(sol.y.at(i) - condition_to(active, N, i))) <= 1e-13
+    assert sol.y.min() >= 0.0
 
 
 def test_stepfn_exact_positivity_and_family_agreement():
@@ -1122,9 +1140,9 @@ def test_stepfn_exact_positivity_and_family_agreement():
         data = backward.StepFnBsvieData(
             n, partition, [lambda s, m=m: m for m in mats], psis, b=lambda s, m=b: m
         )
-        res = backward.solve_linear_bsvie_stepfn(data, lat)
-        assert res.hypotheses.all_met()
-        assert res.solution.y.min() >= 0.0
+        sol = backward.solve_linear_bsvie_stepfn(data, lat)
+        assert data.hypotheses(lat).all_met()
+        assert sol.y.min() >= 0.0
 
         def a_kernel(t, s, data=data, mats=mats, lat=lat):
             return mats[data.piece_of(min(int(round(t / lat.h)), lat.depth))]
@@ -1137,7 +1155,7 @@ def test_stepfn_exact_positivity_and_family_agreement():
             ),
             lat,
         )
-        worst = max(np.max(np.abs(fam.y.at(i) - res.solution.y.at(i))) for i in range(N + 1))
+        worst = max(np.max(np.abs(fam.y.at(i) - sol.y.at(i))) for i in range(N + 1))
         assert worst <= 1e-10
 
 
@@ -1153,10 +1171,11 @@ def test_stepfn_increasing_kernel_counterexample_runs_without_raising():
         [np.ones((leaves, 1)) for _ in range(N)],
         b=None,
     )
-    res = backward.solve_linear_bsvie_stepfn(data, lat)
-    assert not res.hypotheses.kernel_monotone
-    assert not res.hypotheses.all_met()
-    assert res.solution.y.at(0)[0, 0] < 0.0
+    sol = backward.solve_linear_bsvie_stepfn(data, lat)
+    hyp = data.hypotheses(lat)
+    assert not hyp.kernel_monotone
+    assert not hyp.all_met()
+    assert sol.y.at(0)[0, 0] < 0.0
 
 
 # -- the level-major family sweep against the row-major reference ----------------------

@@ -40,12 +40,12 @@ def test_hypothesis_culprits_match_the_analysis():
     }
     for name, culprit in expectations.items():
         v = run_experiment(ScenarioConfig(scenario=name))
-        assert v.hypotheses.status(culprit) == "violated", name
+        assert v.hypotheses.conditions[culprit].status == "violated", name
     v = run_experiment(ScenarioConfig(scenario="ex3.5"))
     assert all(c.status != "violated" for c in v.hypotheses.conditions.values())
     assert v.conclusion_held
     v = run_experiment(ScenarioConfig(scenario="ex3.8"))
-    assert v.hypotheses.status("zeta_coeff_s_free") == "violated"
+    assert v.hypotheses.conditions["zeta_coeff_s_free"].status == "violated"
 
 
 def test_counterexamples_fail_and_families_hold():
@@ -135,7 +135,7 @@ def test_every_hypothesis_is_decided_in_some_suite_row(suite_verdicts):
     # a condition that reads not-applicable in every row tells the reader nothing
     undecided = [
         name for name in CONDITION_ORDER
-        if all(v.hypotheses.status(name) == "not-applicable" for v in suite_verdicts)
+        if all(v.hypotheses.conditions[name].status == "not-applicable" for v in suite_verdicts)
     ]
     assert undecided == []
 

@@ -238,11 +238,8 @@ def test_adaptedness_is_structural(lat):
 def test_node_paths():
     node = NodeId(3, 0b010)
     assert node.path == "udu"
-    assert node.child("up").index == 0b0100
-    assert node.child("down").index == 0b0101
-    assert node.parent().index == 0b01
-    assert node.ancestor(1).index == 0
     assert str(node) == "L3:udu"
+    assert str(NodeId(0, 0)) == "L0:root"
 
 
 # -- two-parameter slices ----------------------------------------------------------
@@ -347,10 +344,10 @@ def test_split_children_puts_the_up_child_at_twice_the_index():
         values = np.arange(2.0 ** (level + 1))
         up, down = split_children(values)
         for i in range(2**level):
-            node = NodeId(level, i)
-            assert up[i] == node.child("up").index and down[i] == node.child("down").index
-            assert NodeId(level + 1, int(up[i])).parent() == node
-            assert NodeId(level + 1, int(down[i])).parent() == node
+            # the up move appends a 0 bit to the path index, the down move a 1
+            assert up[i] == 2 * i and down[i] == 2 * i + 1
+            assert NodeId(level + 1, int(up[i])).path == NodeId(level, i).path + "u"
+            assert NodeId(level + 1, int(down[i])).path == NodeId(level, i).path + "d"
 
 
 def test_split_children_views_write_into_the_array():
@@ -380,9 +377,8 @@ def test_branch_writes_acc_plus_v_up_and_acc_minus_v_down():
     out = branch(acc, v)
     assert out.shape == (8, 3)
     for i in range(4):
-        node = NodeId(2, i)
-        assert out[node.child("up").index].tobytes() == (acc[i] + v[i]).tobytes()
-        assert out[node.child("down").index].tobytes() == (acc[i] - v[i]).tobytes()
+        assert out[2 * i].tobytes() == (acc[i] + v[i]).tobytes()
+        assert out[2 * i + 1].tobytes() == (acc[i] - v[i]).tobytes()
 
 
 def test_branch_keeps_ieee_special_values():
@@ -413,7 +409,7 @@ def test_brownian_path_follows_the_ancestors():
     path = lat.brownian_path(node)
     assert path.shape == (6,)
     for j in range(6):
-        assert path[j] == lat.brownian_level(j)[node.ancestor(j).index]
+        assert path[j] == lat.brownian_level(j)[node.index >> (5 - j)]
     for j, move in enumerate(node.path):
         assert path[j + 1] == (path[j] + lat.sqrt_h if move == "u" else path[j] - lat.sqrt_h)
 
