@@ -414,10 +414,10 @@ def solve_bsvie_family(
     already-solved values Y(t_j), and its diagonal step at level i is
     implicit in y.  ``frozen_y`` replaces the y-argument everywhere, so every
     step is explicit (used by the monotone successive scheme).
-    ``_msolution`` (set by :func:`solve_bsvie_msolution`) attaches the
-    martingale representation of each finished row Y(t_i) as the slices
-    Z(t_i, s_j), j < i, which later rows read as their ``zeta``; a spec that
-    uses ``zeta`` is solved only that way.
+    ``_msolution`` (set by :func:`solve_bsvie_msolution`) hands the martingale
+    representation of each finished row Y(t_i), as returned, to ``z.set_below``
+    as the slices Z(t_i, s_j), j < i, which later rows read as their ``zeta``;
+    a spec that uses ``zeta`` is solved only that way.
 
     The rows are swept in descending blocks of at most
     ``_ROW_BLOCK_ELEMS // (2**N * dim)`` rows (at least one).  Inside a block
@@ -456,8 +456,7 @@ def solve_bsvie_family(
         y_levels[i] = y_i
         if _msolution and i > 0:
             mean, zs = martingale_representation(lattice, y_i, i)
-            for j in range(i):
-                z.set(i, j, zs[j])
+            z.set_below(i, zs)
             recon = reconstruct_from_representation(lattice, mean, zs, i)
             residuals.append(float(np.max(np.abs(recon - y_i))))
 
@@ -807,20 +806,29 @@ class StepFnBsvieData:
                 return k
         raise ValueError("grid index outside the partition")
 
-    def validate(self, lattice: BinaryLattice) -> None:
+    def validate(self, lattice: BinaryLattice) -> list[np.ndarray]:
+        """The free-term pieces as ``(2**N, dim)`` leaf fields (given so, or ``(2**N,)`` for dim 1).
+
+        ValueError when the partition, the piece counts or a piece's shape do not fit ``lattice``.
+        """
         p = self.partition
         if p[0] != 0 or p[-1] != lattice.depth or any(b <= a for a, b in zip(p, p[1:])):
             raise ValueError("partition must be increasing grid indices from 0 to N")
         if len(self.a_pieces) != self.n_pieces() or len(self.psi_pieces) != self.n_pieces():
             raise ValueError("need one kernel and one free-term slice per interval")
+        leaves = 2**lattice.depth
+        accepted = [(leaves, self.dim)] + ([(leaves,)] if self.dim == 1 else [])
+        for k, piece in enumerate(self.psi_pieces):
+            if np.shape(piece) not in accepted:
+                raise ValueError(f"free-term piece {k} of shape {np.shape(piece)} is not "
+                                 + " or ".join(map(str, accepted)))
+        return [np.asarray(p, dtype=float).reshape(leaves, self.dim) for p in self.psi_pieces]
 
     def hypotheses(self, lattice: BinaryLattice) -> StepFnHypotheses:
-        """The structural hypotheses of the step-function comparison, checked on ``lattice``."""
+        """The structural hypotheses of the comparison, on data that :meth:`validate` passes."""
+        psis = self.validate(lattice)
         h, sq = lattice.h, lattice.sqrt_h
-        metzler = True
-        monotone = True
-        diag = True
-        bound_ok = True
+        metzler = monotone = diag = bound_ok = True
         for j in range(lattice.depth):
             s = lattice.times[j]
             mats = [np.asarray(fn(s), dtype=float) for fn in self.a_pieces]
@@ -831,14 +839,7 @@ class StepFnBsvieData:
                 bm = np.asarray(self.b(s), dtype=float)
                 diag &= cones.is_diagonal(bm)
                 bound_ok &= sq * np.abs(np.diag(bm)).max() <= 1.0
-        psi_mono = True
-        prev = None
-        for piece in self.psi_pieces:
-            arr = np.asarray(piece, dtype=float)
-            if prev is not None:
-                psi_mono &= bool(np.all(prev >= arr))
-            prev = arr
-        psi_mono &= bool(np.all(np.asarray(self.psi_pieces[-1]) >= 0.0))
+        psi_mono = all(bool(np.all(a >= b)) for a, b in zip(psis, psis[1:] + [0.0]))
         return StepFnHypotheses(metzler, monotone, psi_mono, diag, bound_ok)
 
 
@@ -875,16 +876,13 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
     tolerance.  The hypotheses are not checked here
     (:meth:`StepFnBsvieData.hypotheses` does that): counterexample data must run.
     """
-    data.validate(lattice)
+    psis = data.validate(lattice)
     n = data.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
     times = lattice.times
     M = data.n_pieces()
     b = data.b if data.b is not None else (lambda s: np.zeros((n, n)))
-
-    def psi_leaves(k: int) -> np.ndarray:
-        return np.asarray(data.psi_pieces[k], dtype=float).reshape(2**N, n)
 
     y_levels: list[np.ndarray | None] = [None] * (N + 1)
     z = TwoParamProcess(lattice, n)
@@ -896,12 +894,12 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
         hi = data.partition[k + 1]
         lo = data.partition[k] + 1 if k > 0 else 0
         if k == M - 1:
-            lam[N] = np.array(psi_leaves(k), order="F")
+            lam[N] = np.array(psis[k], order="F")
             sweep_from = N - 1
         else:
             # correction sweep above the right endpoint: the previous
             # interval's values are defined on levels hi+1..N only
-            d_cur = np.subtract(psi_leaves(k), psi_leaves(k + 1), out=node_empty((2**N, n)))
+            d_cur = np.subtract(psis[k], psis[k + 1], out=node_empty((2**N, n)))
             new_lam: list[np.ndarray | None] = [None] * (N + 1)
             new_lam[N] = lam[N] + d_cur
             new_rows: list[np.ndarray | None] = [None] * N

@@ -48,7 +48,6 @@ import numpy as np
 from .errors import DivergenceError
 
 DEFAULT_MAX_DEPTH = 16
-_FLOAT = np.dtype(float)
 
 
 def _first_non_finite(y: np.ndarray) -> int | None:
@@ -427,30 +426,20 @@ class TwoParamProcess:
     integral (diagonal included); the strict triangle ``j < i`` carries the
     martingale-representation part pinned down for M-solutions.
 
-    Storage is by inner time.  Level j keeps two node-contiguous arrays (see
-    :func:`node_empty`): an upper ``(j + 1, 2**j, dim)`` one for the slices
-    i <= j and a lower ``(N - j, 2**j, dim)`` one for the slices i > j
-    (M-solutions).  Each is allocated at the first write into it, and a
-    flag per row records the slices that are set.  A slice (:meth:`get`)
-    and a range of set upper slices (:meth:`rows`) are views, so a sweep
-    writes a level's rows in place however it blocks them.
+    Upper arrays by inner time: level j keeps a node-contiguous ``(j + 1,
+    2**j, dim)`` array (see :func:`node_empty`) for the slices i <= j,
+    allocated at the first write, and a flag per set slice; a slice and a
+    set range (:meth:`rows`) are views, written in place however a sweep
+    blocks its rows.  Lower lists by outer time: row i keeps its slices
+    j < i as the list given to :meth:`set_below`, kept as given.
     """
 
     def __init__(self, lattice: BinaryLattice, dim: int):
         self.lattice = lattice
         self.dim = int(dim)
-        depth = lattice.depth
-        self._upper: list[np.ndarray | None] = [None] * depth
-        self._lower: list[np.ndarray | None] = [None] * depth
-        self._is_set = [bytearray(depth + 1) for _ in range(depth)]
-
-    def _in_range(self, i: int, j: int) -> bool:
-        return 0 <= i <= self.lattice.depth and 0 <= j < self.lattice.depth
-
-    def _level(self, arrays: list[np.ndarray | None], j: int, rows: int) -> np.ndarray:
-        if arrays[j] is None:
-            arrays[j] = node_empty((rows, 2**j, self.dim))
-        return arrays[j]
+        self._upper: list[np.ndarray | None] = [None] * lattice.depth
+        self._is_set = [bytearray(j + 1) for j in range(lattice.depth)]
+        self._below: list[list[np.ndarray] | None] = [None] * (lattice.depth + 1)
 
     def write_rows(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, none of them set yet, to be written.
@@ -464,7 +453,9 @@ class TwoParamProcess:
         if 1 in self._is_set[j][lo:hi]:
             raise ValueError(f"a slice of rows {lo}..{hi - 1} of level {j} is already set")
         self._is_set[j][lo:hi] = b"\x01" * (hi - lo)
-        return self._level(self._upper, j, j + 1)[lo:hi]
+        if self._upper[j] is None:
+            self._upper[j] = node_empty((j + 1, 2**j, self.dim))
+        return self._upper[j][lo:hi]
 
     def rows(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, as a ``(hi - lo, 2**j, dim)`` view; each must be set."""
@@ -472,48 +463,52 @@ class TwoParamProcess:
             raise IncompleteProcessError(f"Z({lo}..{hi - 1},{j}) slices not populated")
         return self._upper[j][lo:hi]
 
-    def set(self, i: int, j: int, values: np.ndarray) -> None:
-        """Store a copy of slice (i, j); anything but a float64 ``(2**j, dim)`` ndarray is converted.
+    def set_below(self, i: int, zs: list[np.ndarray]) -> None:
+        """Keep ``zs`` as row i's slices (i, 0)..(i, i - 1), uncopied and unconverted.
 
-        ValueError when (i, j) is outside ``0 <= i <= N``, ``0 <= j < N`` or
-        the values do not reshape to ``(2**j, dim)``.
+        ValueError for a row outside 1..N, a row already set, or unless each
+        ``zs[j]``, j < i, is a float64 ``(2**j, dim)`` ndarray.
         """
-        if not self._in_range(i, j):
-            raise ValueError(f"slice ({i}, {j}) is outside 0 <= i <= N, 0 <= j < N")
-        shape = (2**j, self.dim)
-        if type(values) is not np.ndarray or values.dtype != _FLOAT or values.shape != shape:
-            values = np.asarray(values, dtype=float).reshape(shape)
-        if i <= j:
-            self._level(self._upper, j, j + 1)[i] = values
-        else:
-            self._level(self._lower, j, self.lattice.depth - j)[i - j - 1] = values
-        self._is_set[j][i] = 1
+        if not 1 <= i <= self.lattice.depth:
+            raise ValueError(f"row {i} is outside 1 <= i <= N")
+        if self._below[i] is not None:
+            raise ValueError(f"the slices below the diagonal of row {i} are already set")
+        if len(zs) != i or any(type(v) is not np.ndarray or v.dtype != np.float64
+                               or v.shape != (2**j, self.dim) for j, v in enumerate(zs)):
+            raise ValueError(
+                f"row {i} takes {i} float64 slices, slice j of shape (2**j, {self.dim})")
+        self._below[i] = zs
 
     def get(self, i: int, j: int) -> np.ndarray:
         if not self.has(i, j):
             raise IncompleteProcessError(f"Z({i},{j}) slice not populated")
-        return self._upper[j][i] if i <= j else self._lower[j][i - j - 1]
+        return self._upper[j][i] if i <= j else self._below[i][j]
 
     def has(self, i: int, j: int) -> bool:
-        return self._in_range(i, j) and bool(self._is_set[j][i])
+        if not (0 <= i <= self.lattice.depth and 0 <= j < self.lattice.depth):
+            return False
+        return bool(self._is_set[j][i]) if i <= j else self._below[i] is not None
 
     def pairs(self) -> list[tuple[int, int]]:
         depth = self.lattice.depth
-        return [(i, j) for i in range(depth + 1) for j in range(depth) if self._is_set[j][i]]
+        return [(i, j) for i in range(depth + 1) for j in range(depth) if self.has(i, j)]
 
     def lifted(self, i: int, lo: int, hi: int, level: int) -> np.ndarray:
-        """Slices (i, lo)..(i, hi - 1), ``lo < hi``, each lifted to ``level``, as one ``(hi - lo, 2**level, dim)`` stack.
+        """Slices (i, lo)..(i, hi - 1), ``lo < hi <= i``, each lifted to ``level``, as one ``(hi - lo, 2**level, dim)`` stack.
 
-        Every slice must be set (IncompleteProcessError otherwise).  Lifting
-        copies each level-j value to its ``2**(level - j)`` descendants, as
+        Row i must be set (IncompleteProcessError otherwise).  Lifting copies
+        each level-j value to its ``2**(level - j)`` descendants, as
         ``BinaryLattice.lift``.  The stack is node-contiguous.
         """
+        if not 0 <= lo < hi <= i <= self.lattice.depth or self._below[i] is None:
+            raise IncompleteProcessError(f"Z({i},{lo}..{hi - 1}) slices not populated")
+        zs = self._below[i]
         if hi - lo == 1:
             # one slice is one repeat, without the stacking copies
-            return _repeat_nodes(self.get(i, lo), 2 ** (level - lo))[None]
+            return _repeat_nodes(zs[lo], 2 ** (level - lo))[None]
         # each slice's components, node runs in (slice, component) order: views of the
         # node-contiguous slices, so the concatenation is the only copy before the repeat
-        parts = [self.get(i, j).T.ravel() for j in range(lo, hi)]
+        parts = [zs[j].T.ravel() for j in range(lo, hi)]
         levels = np.arange(lo, hi)
         copies = np.repeat(2 ** (level - levels), self.dim * 2**levels)  # one count per node
         return np.concatenate(parts).repeat(copies).reshape(
@@ -533,11 +528,19 @@ def ito_integral(integrand: AdaptedProcess) -> AdaptedProcess:
     """
     lat = integrand.lattice
     n = integrand.dim
-    levels = [np.zeros((1, n))]
-    for k in range(lat.depth):
-        levels.append(branch(levels[k], integrand.levels[k] * lat.sqrt_h))
-        _check_finite(levels[-1], "ito_integral")
+    levels = []
+    for acc in _branch_walk(np.zeros((1, n)), integrand.levels, lat.sqrt_h, lat.depth):
+        _check_finite(acc, "ito_integral")
+        levels.append(acc)
     return AdaptedProcess(lat, n, levels)
+
+
+def _branch_walk(acc: np.ndarray, z: Sequence[np.ndarray], sqrt_h: float, level: int):
+    """Yield ``acc + sum_{k<j} z[k] dW_k`` for j = 0..level, each ``branch``-ed from the last."""
+    yield acc
+    for j in range(level):
+        acc = branch(acc, z[j] * sqrt_h)
+        yield acc
 
 
 def volterra_sum(
@@ -634,9 +637,8 @@ def reconstruct_from_representation(
     lattice: BinaryLattice, mean: np.ndarray, z: list[np.ndarray], level: int
 ) -> np.ndarray:
     """Evaluate mean + sum_j z[j] dW_j at every level-``level`` node."""
-    acc = np.array(mean, dtype=float).reshape(1, -1)
-    for j in range(level):
-        acc = branch(acc, z[j] * lattice.sqrt_h)
+    for acc in _branch_walk(np.array(mean, dtype=float).reshape(1, -1), z, lattice.sqrt_h, level):
+        pass  # only the last level is kept
     return acc
 
 

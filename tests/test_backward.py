@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from typing import Sequence
 from unittest import mock
 
@@ -607,7 +608,7 @@ def _random_two_param(rng, lat, n):
     z = TwoParamProcess(lat, n)
     for i in range(lat.depth + 1):
         for j in range(i, lat.depth):
-            z.set(i, j, rng.standard_normal((2**j, n)) * rng.uniform(0.0, 3.0))
+            z.write_rows(j, i, i + 1)[0] = rng.standard_normal((2**j, n)) * rng.uniform(0.0, 3.0)
     return z
 
 
@@ -741,8 +742,7 @@ def msolution_by_alternation(spec, lat):
         for i in range(1, N + 1):
             yi = sol.y.at(i)
             mean, zs = martingale_representation(lat, yi, i)
-            for j in range(i):
-                sol.z.set(i, j, zs[j])
+            sol.z.set_below(i, zs)
             recon = reconstruct_from_representation(lat, mean, zs, i)
             residual = max(residual, float(np.max(np.abs(recon - yi))))
         zeta = sol.z
@@ -1103,6 +1103,33 @@ def test_stepfn_refuses_data_that_does_not_fit_the_lattice(partition, pieces, me
         backward.solve_linear_bsvie_stepfn(data, lat)
 
 
+@pytest.mark.parametrize("dim, shape, accepted", [
+    (2, (2, 8), "(8, 2)"),            # transposed: a reshape would scramble it
+    (2, (4, 2), "(8, 2)"),            # too few leaves
+    (1, (1, 8), "(8, 1) or (8,)"),    # transposed, dim 1
+])
+def test_stepfn_refuses_a_free_term_piece_of_another_shape(dim, shape, accepted):
+    lat = BinaryLattice(1.0, 3)
+    data = backward.StepFnBsvieData(
+        dim, [0, 1, 3], [lambda s: np.zeros((dim, dim))] * 2, [np.ones((8, dim)), np.ones(shape)]
+    )
+    message = "^" + re.escape(f"free-term piece 1 of shape {shape} is not {accepted}") + "$"
+    with pytest.raises(ValueError, match=message):
+        backward.solve_linear_bsvie_stepfn(data, lat)
+    with pytest.raises(ValueError, match=message):
+        data.hypotheses(lat)
+
+
+def test_stepfn_hypotheses_read_flat_and_column_pieces_alike():
+    lat = BinaryLattice(1.0, 3)
+    psi2 = np.linspace(0.0, 1.0, 8)
+    data = backward.StepFnBsvieData(
+        1, [0, 1, 3], [lambda s: np.zeros((1, 1))] * 2, [(psi2 + 0.5).reshape(8, 1), psi2]
+    )
+    # leaf by leaf psi_1 >= psi_2, though not every psi_1 leaf is above every psi_2 leaf
+    assert data.hypotheses(lat).free_term_monotone
+
+
 def test_stepfn_two_intervals_zero_kernel_closed_form():
     # with A = 0 and B = 0 the solution is the conditional expectation of the
     # active free-term slice: exactly nonnegative for ordered nonnegative data
@@ -1240,7 +1267,8 @@ def _reference_solve_bsvie_family(
             up, down = split_children(lam)
             e = 0.5 * (up + down)
             mu = (up - down) / (2.0 * sq)
-            z.set(i, j, mu)
+            if not checked:  # the replay of a failed row stores nothing
+                z.write_rows(j, i, i + 1)[0] = mu
             t_j = lattice.times[j]
             nodes = level_nodes[j]
             zeta_ij = _reference_zeta_slice(zeta, lattice, i, j, n) if spec.uses_zeta else None
@@ -1283,8 +1311,7 @@ def _reference_solve_bsvie_family(
         y_levels[i] = lam
         if _msolution and i > 0:
             mean, zs = martingale_representation(lattice, lam, i)
-            for j in range(i):
-                z.set(i, j, zs[j])
+            z.set_below(i, zs)
             recon = reconstruct_from_representation(lattice, mean, zs, i)
             residuals.append(float(np.max(np.abs(recon - lam))))
     y = AdaptedProcess(lattice, n, y_levels)
@@ -1398,10 +1425,24 @@ def test_z_levels_are_one_array_each_when_the_sweep_goes_row_by_row(msolution):
     for j in range(N):
         rows = sol.z.rows(j, 0, j + 1)
         assert all(np.shares_memory(rows, sol.z.get(i, j)) for i in range(j + 1))
-        if msolution:
-            # the slices below the diagonal are views of one more array
-            lower = {id(sol.z.get(i, j).base) for i in range(j + 1, N + 1)}
-            assert len(lower) == 1 and not np.shares_memory(rows, sol.z.get(N, j))
+    if msolution:
+        # below the diagonal each row keeps its own representation: no buffer is
+        # shared between rows i != i', nor with the upper arrays
+        buffers = {}
+        for i in range(1, N + 1):
+            _, zs = martingale_representation(lat, sol.y.at(i), i)
+            assert [sol.z.get(i, j).tobytes() for j in range(i)] == [v.tobytes() for v in zs]
+            buffers[i] = {id(_buffer(sol.z.get(i, j))) for j in range(i)}
+        assert all(not buffers[i] & buffers[i2] for i in buffers for i2 in buffers if i != i2)
+        upper = {id(_buffer(sol.z.rows(j, 0, j + 1))) for j in range(N)}
+        assert not upper & set().union(*buffers.values())
+
+
+def _buffer(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``a``."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 def test_msolution_sweep_takes_no_frozen_y():

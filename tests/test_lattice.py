@@ -245,46 +245,71 @@ def test_node_paths():
 # -- two-parameter slices ----------------------------------------------------------
 
 
+def _below(rng, i, dim):
+    """Row i's slices j < i, shaped as a martingale representation gives them."""
+    return [rng.standard_normal((2**j, dim)) for j in range(i)]
+
+
 def test_two_param_slice_reads_back_bit_for_bit(lat):
     z = TwoParamProcess(lat, 2)
     vals = np.array([[-0.0, np.nan], [np.inf, 1e-310], [-1.5, 0.0], [3.0, -np.inf]])
-    z.set(4, 2, vals)
-    got = z.get(4, 2)
-    assert got.dtype == np.float64 and got.shape == (4, 2)
-    assert got.tobytes() == vals.tobytes()
+    z.write_rows(2, 1, 2)[0] = vals
+    zs = [np.zeros((1, 2)), np.zeros((2, 2)), vals]
+    z.set_below(3, zs)
+    for i in (1, 3):
+        got = z.get(i, 2)
+        assert got.dtype == np.float64 and got.shape == (4, 2)
+        assert got.tobytes() == vals.tobytes()
+    assert all(z.get(3, j) is zs[j] for j in range(3))  # kept as given, no copy
 
 
 @pytest.mark.parametrize("values", [
-    np.arange(8.0),                      # flat (2**j * dim,)
-    np.arange(8, dtype=np.int64),        # integer dtype
-    np.arange(8.0, dtype=np.float32),    # narrower float
-    list(range(8)),                      # not an ndarray
+    np.zeros(6),
+    np.zeros((4, 3)),
+    np.zeros((2, 2)),
+    np.zeros(8),                          # flat: set_below converts nothing
+    np.zeros((2, 4)),                     # transposed
+    np.zeros((4, 2), dtype=np.float32),   # narrower float
+    np.zeros((4, 2), dtype=np.int64),     # integer dtype
+    [[0.0, 0.0]] * 4,                     # not an ndarray
 ])
-def test_two_param_converts_other_inputs(lat, values):
-    z = TwoParamProcess(lat, 2)
-    z.set(0, 2, values)
-    got = z.get(0, 2)
-    assert got.dtype == np.float64
-    assert np.array_equal(got, np.arange(8.0).reshape(4, 2))
-
-
-@pytest.mark.parametrize("values", [np.zeros(6), np.zeros((4, 3)), np.zeros((2, 2))])
 def test_two_param_rejects_a_wrongly_sized_slice(lat, values):
     z = TwoParamProcess(lat, 2)
-    with pytest.raises(ValueError):
-        z.set(0, 2, values)
-    assert not z.has(0, 2)
+    with pytest.raises(ValueError, match=r"row 3 takes 3 float64 slices"):
+        z.set_below(3, [np.zeros((1, 2)), np.zeros((2, 2)), values])
+    assert not z.has(3, 2) and z.pairs() == []
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_two_param_set_below_takes_one_slice_per_level_below_the_row(lat, count):
+    z = TwoParamProcess(lat, 2)
+    with pytest.raises(ValueError, match=r"row 3 takes 3 float64 slices"):
+        z.set_below(3, [np.zeros((2**j, 2)) for j in range(count)])
+    assert not z.has(3, 0) and z.pairs() == []
+
+
+def test_two_param_set_below_refuses_a_row_already_set(lat):
+    rng = np.random.default_rng(5)
+    z = TwoParamProcess(lat, 1)
+    first = _below(rng, 2, 1)
+    z.set_below(2, first)
+    with pytest.raises(ValueError, match="row 2 are already set"):
+        z.set_below(2, _below(rng, 2, 1))
+    assert z.get(2, 1) is first[1]
 
 
 def test_two_param_missing_slice_has_and_pairs(lat):
     z = TwoParamProcess(lat, 1)
     with pytest.raises(IncompleteProcessError, match=r"Z\(1,3\)"):
         z.get(1, 3)
-    z.set(2, 3, np.ones((8, 1)))
-    z.set(0, 1, np.ones((2, 1)))
-    z.set(2, 0, np.ones((1, 1)))
-    assert z.has(2, 3) and z.has(0, 1) and not z.has(3, 2)
-    assert z.pairs() == [(0, 1), (2, 0), (2, 3)]
+    z.write_rows(3, 2, 3)[...] = 1.0
+    z.write_rows(1, 0, 1)[...] = 1.0
+    z.set_below(2, [np.ones((1, 1)), np.ones((2, 1))])
+    assert z.has(2, 3) and z.has(0, 1) and z.has(2, 0) and z.has(2, 1)
+    assert not z.has(3, 2) and not z.has(2, 2)
+    with pytest.raises(IncompleteProcessError, match=r"Z\(3,2\)"):
+        z.get(3, 2)
+    assert z.pairs() == [(0, 1), (2, 0), (2, 1), (2, 3)]
 
 
 @pytest.mark.parametrize("i, j", [(-1, 2), (7, 2), (0, 6), (0, -1)])
@@ -292,8 +317,16 @@ def test_two_param_rejects_a_slice_outside_the_triangle(lat, i, j):
     # lat has depth 6: rows 0..6, levels 0..5
     z = TwoParamProcess(lat, 1)
     with pytest.raises(ValueError, match="outside"):
-        z.set(i, j, np.ones((2 ** max(j, 0), 1)))
+        z.write_rows(j, i, i + 1)
     assert not z.has(i, j) and z.pairs() == []
+
+
+@pytest.mark.parametrize("i", [-1, 0, 7])
+def test_two_param_set_below_refuses_a_row_outside_1_to_n(lat, i):
+    z = TwoParamProcess(lat, 1)
+    with pytest.raises(ValueError, match="outside"):
+        z.set_below(i, [np.ones((2**j, 1)) for j in range(max(i, 0))])
+    assert not z.has(i, 0) and z.pairs() == []
 
 
 def test_two_param_level_rows_are_the_slices(lat):
@@ -301,39 +334,32 @@ def test_two_param_level_rows_are_the_slices(lat):
     z = TwoParamProcess(lat, 2)
     block = z.write_rows(4, 1, 4)
     block[...] = rng.standard_normal(block.shape)
-    z.set(0, 4, rng.standard_normal((16, 2)))
+    z.write_rows(4, 0, 1)[0] = rng.standard_normal((16, 2))
     assert z.pairs() == [(0, 4), (1, 4), (2, 4), (3, 4)]
     rows = z.rows(4, 0, 4)
     assert rows.shape == (4, 16, 2)
-    for i in range(4):  # a set slice and the rows written by write_rows: one view
+    for i in range(4):  # the rows of separate write_rows calls: one view
         assert rows[i].tobytes() == z.get(i, 4).tobytes()
         assert np.shares_memory(rows, z.get(i, 4))
     with pytest.raises(IncompleteProcessError, match=r"Z\(0..4,4\)"):
         z.rows(4, 0, 5)
     with pytest.raises(ValueError, match="already set"):
         z.write_rows(4, 3, 5)
-    # a slice set again is overwritten in place
-    again = rng.standard_normal((16, 2))
-    z.set(2, 4, again)
-    assert z.get(2, 4).tobytes() == again.tobytes()
-    assert z.rows(4, 1, 4)[1].tobytes() == again.tobytes()
-    assert z.rows(4, 0, 4)[2].tobytes() == again.tobytes()
-    assert z.pairs() == [(0, 4), (1, 4), (2, 4), (3, 4)]
 
 
 def test_two_param_lifted_is_the_lift_of_each_slice_and_raises_where_unset(lat):
     rng = np.random.default_rng(4)
     z = TwoParamProcess(lat, 2)
-    for j in (0, 1, 3, 4):
-        z.set(5, j, rng.standard_normal((2**j, 2)))
-    for lo, hi in ((0, 2), (3, 5), (1, 2), (4, 5)):  # stacks and single slices
+    z.set_below(5, _below(rng, 5, 2))
+    for lo, hi in ((0, 2), (3, 5), (1, 2), (4, 5), (0, 5)):  # stacks and single slices
         got = z.lifted(5, lo, hi, 4)
         assert got.shape == (hi - lo, 16, 2)
         for r, j in enumerate(range(lo, hi)):
             assert got[r].tobytes() == lat.lift(z.get(5, j), j, 4).tobytes()
-    for lo, hi in ((0, 5), (2, 4), (2, 3)):  # slice (5, 2) is not set
-        with pytest.raises(IncompleteProcessError, match=r"Z\(5,2\) slice not populated"):
-            z.lifted(5, lo, hi, 4)
+    with pytest.raises(IncompleteProcessError, match=r"Z\(4,0..1\) slices not populated"):
+        z.lifted(4, 0, 2, 4)  # row 4 is not set
+    with pytest.raises(IncompleteProcessError, match=r"Z\(5,4..5\) slices not populated"):
+        z.lifted(5, 4, 6, 5)  # slice (5, 5) is not below the diagonal
 
 
 # -- one level to the next: split_children and branch --------------------------------
@@ -483,15 +509,19 @@ def _assert_lattice_recursions_match_the_reference(depth, n, seed):
     ref_mean, ref_zs = _reference_representation(lat, xi, depth)
     assert mean.tobytes() == ref_mean.tobytes()
     assert [z.tobytes() for z in zs] == [z.tobytes() for z in ref_zs]
+    # one more input of signed zeros: -0.0 entries and a -0.0 mean
+    signed = [np.where(rng.random((2**k, n)) < 0.5, -0.0, 0.0) for k in range(depth + 1)]
     for level in (0, depth // 2, depth):
-        m, zl = martingale_representation(lat, condition_to(xi, depth, level), level)
-        got = reconstruct_from_representation(lat, m, zl, level)
-        assert got.tobytes() == _reference_reconstruct(lat, m, zl, level).tobytes(), level
-    integrand = AdaptedProcess(lat, n, [rng.standard_normal((2**k, n)) for k in range(depth + 1)])
-    got = ito_integral(integrand)
-    assert [lv.tobytes() for lv in got.levels] == [
-        lv.tobytes() for lv in _reference_ito_integral(integrand)
-    ]
+        rep = martingale_representation(lat, condition_to(xi, depth, level), level)
+        for m, zl in (rep, (np.full(n, -0.0), signed)):
+            got = reconstruct_from_representation(lat, m, zl, level)
+            assert got.tobytes() == _reference_reconstruct(lat, m, zl, level).tobytes(), level
+    for levels in ([rng.standard_normal((2**k, n)) for k in range(depth + 1)], signed):
+        got = ito_integral(AdaptedProcess(lat, n, levels))
+        assert [lv.tobytes() for lv in got.levels] == [
+            lv.tobytes() for lv in _reference_ito_integral(AdaptedProcess(lat, n, levels))
+        ]
+    assert not any(np.signbit(lv).any() for lv in got.levels)  # 0.0 + -0.0 is +0.0
 
 
 @settings(max_examples=40, deadline=None)
