@@ -2,14 +2,25 @@
 
 Every comparison scenario carries a fixed slate of conditions; each is
 reported as satisfied, violated (with a witness), or not applicable -- never
-silently skipped.  Matrix conditions are evaluated on all grid time pairs;
-conditions on nonlinear drifts are probed by finite differences at a batch of
-sampled state points.
+silently skipped.
+
+One scan evaluates each kernel once per grid pair (t_i, s_j), s ascending and
+then t (t >= s forward, t <= s backward): ``a0``, ``a1_full`` and a y-linear
+``a_kernel`` as given, a nonlinear drift as finite-difference Jacobians at
+sampled y points, in y and, for a generator, in z and zeta.  Coefficients of
+one time and free terms are read at the grid times.  Each condition asks
+whether these values, or their steps from t_i to t_{i+1}, lie in one cone:
+nonnegative, Metzler, diagonal or zero.  The witness is the first value
+outside it, at its entry furthest outside: the most negative for the
+nonnegative and Metzler cones, the largest in absolute value, signed, for the
+diagonal and zero cones (off the diagonal for Metzler and diagonal).  A
+non-finite value raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -54,9 +65,10 @@ class HypothesisReport:
 
     conditions: dict[str, ConditionReport] = field(default_factory=dict)
 
-    def set(self, name: str, ok: bool, witness: str | None = None) -> None:
+    def set(self, name: str, witness: str | None) -> None:
+        """Record ``name`` as violated with ``witness``, or as satisfied when it is None."""
         self.conditions[name] = ConditionReport(
-            SATISFIED if ok else VIOLATED, None if ok else witness
+            SATISFIED if witness is None else VIOLATED, witness
         )
 
     def finalize(self) -> "HypothesisReport":
@@ -77,43 +89,75 @@ class HypothesisReport:
         """Conditions guaranteed by the sampling construction of a random family."""
         rep = cls()
         for n in names:
-            rep.set(n, True)
+            rep.set(n, None)
         return rep.finalize()
 
 
-def _fmt_pair(t: float, s: float, entry, value: float) -> str:
-    return f"t={t:g},s={s:g},entry={entry},value={value:g}"
+def _outside(cone: str, items, tol: float = 0.0):
+    """(key, entry, value) of the first ``(key, matrix)`` item outside ``cone`` by more
+    than ``tol``, at its entry furthest outside (module docstring); None if every item is in.
 
-
-def _worst_entry(m: np.ndarray, mask_diag: bool = False):
-    mm = m.copy()
-    if mask_diag and mm.shape[0] == mm.shape[1]:
-        np.fill_diagonal(mm, np.inf)
-    r, c = np.unravel_index(int(np.argmin(mm)), mm.shape)
-    return (int(r), int(c)), float(m[r, c])
-
-
-def _first_non_diagonal(coef: Callable | None, times) -> str | None:
-    """Witness at the first grid time where ``coef(t)`` is not diagonal; None if none is."""
-    if coef is None:
-        return None
-    for t in times:
-        m = np.asarray(coef(t), dtype=float)
-        if not cones.is_diagonal(m):
-            e, v = _worst_entry(np.abs(m), mask_diag=True)
-            return _fmt_pair(t, t, e, v)
+    The diagonal and zero cones are the Metzler and nonnegative cones
+    intersected with their negatives.
+    """
+    for key, m in items:
+        if cone in ("nonneg", "zero"):
+            inside = cones.is_nonneg(m, tol) and (cone == "nonneg" or cones.is_nonneg(-m, tol))
+        else:
+            inside = cones.is_metzler(m, tol) and (cone == "metzler" or cones.is_metzler(-m, tol))
+        if not inside:
+            score = m if cone in ("nonneg", "metzler") else -np.abs(m)
+            if cone in ("metzler", "diagonal"):
+                score = np.where(np.eye(*m.shape, dtype=bool), np.inf, score)
+            e = np.unravel_index(int(np.argmin(score)), m.shape)
+            return key, tuple(int(i) for i in e), float(m[e])
     return None
 
 
-def _fd_jacobian(f: Callable[[np.ndarray], np.ndarray], y: np.ndarray,
+def _pair_witness(cone: str, items, tol: float = 0.0) -> str | None:
+    """The witness of the first ``((t, s), matrix)`` item outside ``cone``; None if none is."""
+    hit = _outside(cone, items, tol)
+    if hit is None:
+        return None
+    (t, s), e, v = hit
+    return f"t={t:g},s={s:g},entry={e},value={v:g}"
+
+
+def _grid(fn: Callable | None, times, pairs) -> dict:
+    """``[fn(t_i, s_j)]`` at each grid pair (i, j), in scan order; empty when fn is None."""
+    if fn is None:
+        return {}
+    return {(i, j): [np.asarray(fn(times[i], times[j]), dtype=float)] for i, j in pairs}
+
+
+def _values(kernel: dict, times):
+    """((t, s), value) for every scanned value of ``kernel``, in scan order."""
+    return (((times[i], times[j]), m) for (i, j), ms in kernel.items() for m in ms)
+
+
+def _t_steps(kernel: dict, times, rising: bool):
+    """((t_i, s), step) from each value at t_i to the one at t_{i+1}, same s and sample:
+    later minus earlier if ``rising``, earlier minus later otherwise."""
+    for (i, j), ms in kernel.items():
+        for m, m1 in zip(ms, kernel.get((i + 1, j), ())):
+            yield (times[i], times[j]), (m1 - m if rising else m - m1)
+
+
+def _on_times(coef: Callable | None, times):
+    """((t, t), coef(t)) at each grid time, evaluated as the items are read."""
+    return () if coef is None else (((t, t), np.asarray(coef(t), dtype=float)) for t in times)
+
+
+def _fd_jacobian(f: Callable, args: tuple, arg: int, base: np.ndarray,
                  eps: float = 1e-6) -> np.ndarray:
-    n = y.size
-    jac = np.empty((n, n))
-    base = np.asarray(f(y), dtype=float).reshape(n)
-    for j in range(n):
-        yp = y.copy()
-        yp[j] += eps
-        jac[:, j] = (np.asarray(f(yp), dtype=float).reshape(n) - base) / eps
+    """Columns ``(f(*args) with args[arg] bumped by eps in one coordinate - base) / eps``."""
+    x = args[arg]
+    jac = np.empty((base.size, x.size))
+    for c in range(x.size):
+        xp = x.copy()
+        xp.flat[c] += eps
+        bumped = f(*args[:arg], xp, *args[arg + 1:])
+        jac[:, c] = (np.asarray(bumped, dtype=float).reshape(base.size) - base) / eps
     return jac
 
 
@@ -130,162 +174,107 @@ def check_hypotheses(spec, lattice: BinaryLattice) -> HypothesisReport:
 
 def _check_fsvie(spec: FsvieSpec, lattice: BinaryLattice) -> HypothesisReport:
     rep = HypothesisReport()
-    times = lattice.times
-    N = lattice.depth
-    if spec.a0 is not None:
-        ok_nn, ok_mz, wit_nn, wit_mz = True, True, None, None
-        ok_mono, wit_mono = True, None
-        for j in range(N + 1):
-            for i in range(j, N + 1):
-                m = np.asarray(spec.a0(times[i], times[j]), dtype=float)
-                if ok_nn and not cones.is_nonneg(m):
-                    ok_nn = False
-                    e, v = _worst_entry(m)
-                    wit_nn = _fmt_pair(times[i], times[j], e, v)
-                if ok_mz and not cones.is_metzler(m):
-                    ok_mz = False
-                    e, v = _worst_entry(m, mask_diag=True)
-                    wit_mz = _fmt_pair(times[i], times[j], e, v)
-                if ok_mono and i + 1 <= N:
-                    d = np.asarray(spec.a0(times[i + 1], times[j]), dtype=float) - m
-                    if not cones.is_nonneg(d):
-                        ok_mono = False
-                        e, v = _worst_entry(d)
-                        wit_mono = _fmt_pair(times[i], times[j], e, v)
-        rep.set("drift_kernel_nonneg", ok_nn, wit_nn)
-        rep.set("metzler_y", ok_mz, wit_mz)
-        rep.set("kernel_t_monotone", ok_mono, wit_mono)
-    else:
-        rep.set("drift_kernel_nonneg", True)
-        rep.set("metzler_y", True)
-        rep.set("kernel_t_monotone", True)
+    times, N = lattice.times, lattice.depth
+    pairs = [(i, j) for j in range(N + 1) for i in range(j, N + 1)]
+    a0 = _grid(spec.a0, times, pairs)
+    rep.set("drift_kernel_nonneg", _pair_witness("nonneg", _values(a0, times)))
+    rep.set("metzler_y", _pair_witness("metzler", _values(a0, times)))
+    rep.set("kernel_t_monotone", _pair_witness("nonneg", _t_steps(a0, times, rising=True)))
     # diffusion: diagonal, and independent of the outer time
-    if spec.a1 is not None:
-        wit_d = _first_non_diagonal(spec.a1, times)
-        rep.set("diagonal_z", wit_d is None, wit_d)
-        rep.set("diffusion_t_free", True)
-    elif spec.a1_full is not None:
-        ok_d, wit_d = True, None
-        ok_f, wit_f = True, None
-        for j in range(N + 1):
-            for i in range(j, N + 1):
-                m = np.asarray(spec.a1_full(times[i], times[j]), dtype=float)
-                if ok_d and not cones.is_diagonal(m):
-                    e, v = _worst_entry(np.abs(m), mask_diag=True)
-                    ok_d, wit_d = False, _fmt_pair(times[i], times[j], e, v)
-                if ok_f and i + 1 <= N:
-                    d = np.asarray(spec.a1_full(times[i + 1], times[j]), dtype=float) - m
-                    if np.max(np.abs(d)) > 0.0:
-                        e, v = _worst_entry(-np.abs(d))
-                        ok_f, wit_f = False, _fmt_pair(times[i], times[j], e, float(d[e]))
-        rep.set("diagonal_z", ok_d, wit_d)
-        rep.set("diffusion_t_free", ok_f, wit_f)
-    else:
-        rep.set("diagonal_z", True)
-        rep.set("diffusion_t_free", True)
-    _check_free_term_fsvie(rep, spec, lattice)
+    a1_full = _grid(spec.a1_full, times, pairs)
+    rep.set("diagonal_z", _pair_witness(
+        "diagonal", chain(_on_times(spec.a1, times), _values(a1_full, times))
+    ))
+    rep.set("diffusion_t_free", _pair_witness("zero", _t_steps(a1_full, times, rising=True)))
+    rep.set("free_term_monotone", _free_term_witness(spec.phi, lattice))
     return rep
 
 
-def _check_free_term_fsvie(rep: HypothesisReport, spec: FsvieSpec, lattice: BinaryLattice) -> None:
+def _free_term_witness(phi, lattice: BinaryLattice) -> str | None:
     # nondecreasing in t and nonnegative, pathwise
-    ok, wit = True, None
-    if isinstance(spec.phi, AdaptedProcess):
-        levels = [spec.phi.at(k) for k in range(lattice.depth + 1)]
-        if any(np.min(lv) < 0.0 for lv in levels):
-            ok, wit = False, "negative free-term value"
-        else:
-            for k in range(lattice.depth):
-                if np.min(levels[k + 1] - lattice.lift(levels[k], k, k + 1)) < -0.0:
-                    ok, wit = False, f"decrease across t={lattice.times[k]:g}"
-                    break
-    else:
-        vals = [np.atleast_1d(np.asarray(spec.phi(t), dtype=float)) for t in lattice.times]
+    times = lattice.times
+    if isinstance(phi, AdaptedProcess):
+        levels = [phi.at(k) for k in range(lattice.depth + 1)]
+        if _outside("nonneg", enumerate(levels)):
+            return "negative free-term value"
+        hit = _outside("nonneg", (
+            (times[k], levels[k + 1] - lattice.lift(levels[k], k, k + 1))
+            for k in range(lattice.depth)
+        ))
+        return None if hit is None else f"decrease across t={hit[0]:g}"
+    vals = [np.asarray(phi(t), dtype=float).reshape(1, -1) for t in times]
+
+    def steps():
         for k, v in enumerate(vals):
-            if np.min(v) < 0.0:
-                ok, wit = False, f"t={lattice.times[k]:g},value={float(np.min(v)):g}"
-                break
-            if k > 0 and np.min(v - vals[k - 1]) < 0.0:
-                ok, wit = False, (
-                    f"t={lattice.times[k - 1]:g},decrease={float(np.min(v - vals[k - 1])):g}"
-                )
-                break
-    rep.set("free_term_monotone", ok, wit)
+            yield ("value", times[k]), v
+            if k:
+                yield ("decrease", times[k - 1]), v - vals[k - 1]
+
+    hit = _outside("nonneg", steps())
+    return None if hit is None else f"t={hit[0][1]:g},{hit[0][0]}={hit[2]:g}"
 
 
-def _psi_monotone(psi: TerminalField, lattice: BinaryLattice) -> tuple[bool, str | None]:
+def _psi_witness(psi: TerminalField, lattice: BinaryLattice) -> str | None:
     # nonincreasing in t and nonnegative, pathwise over leaves
-    for i in range(lattice.depth):
-        d = psi.slice(i) - psi.slice(i + 1)
-        if np.min(d) < 0.0:
-            return False, f"t={lattice.times[i]:g},increase={-float(np.min(d)):g}"
-    if np.min(psi.slice(lattice.depth)) < 0.0:
-        return False, f"t=T,value={float(np.min(psi.slice(lattice.depth))):g}"
-    return True, None
+    N, times = lattice.depth, lattice.times
+    hit = _outside("nonneg", ((times[i], psi.slice(i) - psi.slice(i + 1)) for i in range(N)))
+    if hit is not None:
+        return f"t={hit[0]:g},increase={-hit[2]:g}"
+    hit = _outside("nonneg", [("T", psi.slice(N))])
+    return None if hit is None else f"t=T,value={hit[2]:g}"
+
+
+def _probe_drift(spec: BsvieSpec, times, pairs):
+    """Finite-difference Jacobians of the drift at the sampled y points of each pair:
+    in y, and for a generator of dimension > 1 in z and zeta (a 1x1 coupling is
+    diagonal); plus, at the first point of each pair with t < T when no ``c_coef``
+    gives it, the response to a unit bump of each zeta component."""
+    n = spec.dim
+    ys = np.random.default_rng(SEED).uniform(-2.0, 2.0, (SAMPLE_COUNT, n))
+    zero = np.zeros((1, n))
+    coupled = spec.generator is not None and n > 1
+    bumped = [0] + [a for a, uses in ((1, spec.uses_z), (2, spec.uses_zeta)) if uses and coupled]
+    probe_zeta = spec.uses_zeta and spec.c_coef is None
+    jacs, unit_zeta = ({}, {}, {}), {}
+    for i, j in pairs:
+        t, s = times[i], times[j]
+        f = lambda y, z, zeta: spec.drift(t, s, y, z, zeta, None)
+        for k, y in enumerate(ys):
+            args = (y.reshape(1, n), zero if spec.uses_z else None,
+                    zero if spec.uses_zeta else None)
+            base = np.asarray(f(*args), dtype=float).reshape(n)
+            for a in bumped:
+                jacs[a].setdefault((i, j), []).append(_fd_jacobian(f, args, a, base))
+            if probe_zeta and k == 0 and i + 1 < len(times):
+                unit_zeta[i, j] = _fd_jacobian(f, args, 2, base, eps=1.0)
+    return (*jacs, unit_zeta)
 
 
 def _check_bsvie(spec: BsvieSpec, lattice: BinaryLattice) -> HypothesisReport:
     rep = HypothesisReport()
-    rng = np.random.default_rng(SEED)
-    times = lattice.times
-    N = lattice.depth
-    n = spec.dim
-    ys = rng.uniform(-2.0, 2.0, (SAMPLE_COUNT, n))
-
-    def y_jacobian(t, s, y):
-        if spec.a_kernel is not None and spec.h_fn is None and spec.generator is None:
-            return np.asarray(spec.a_kernel(t, s), dtype=float)
-        fn = lambda yy: spec.drift(
-            t, s, yy.reshape(1, n),
-            np.zeros((1, n)) if spec.uses_z else None,
-            np.zeros((1, n)) if spec.uses_zeta else None, None,
-        )
-        return _fd_jacobian(fn, y)
-
-    ok_mz, wit_mz, ok_mono, wit_mono = True, None, True, None
-    for j in range(N + 1):
-        for i in range(0, j + 1):
-            for y in ys:
-                jac = y_jacobian(times[i], times[j], y)
-                if ok_mz and not cones.is_metzler(jac, tol=FD_TOL):
-                    e, v = _worst_entry(jac, mask_diag=True)
-                    ok_mz, wit_mz = False, _fmt_pair(times[i], times[j], e, v)
-                if ok_mono and i + 1 <= j:
-                    d = jac - y_jacobian(times[i + 1], times[j], y)
-                    if not cones.is_nonneg(d, tol=FD_TOL):
-                        e, v = _worst_entry(d)
-                        ok_mono, wit_mono = False, _fmt_pair(times[i], times[j], e, v)
-                if spec.a_kernel is not None and spec.h_fn is None and spec.generator is None:
-                    break  # kernel is y-independent; one probe suffices
-    rep.set("metzler_y", ok_mz, wit_mz)
-    rep.set("kernel_t_monotone", ok_mono, wit_mono)
-
-    wit_d = _first_non_diagonal(spec.b_coef, times) or _first_non_diagonal(spec.c_coef, times)
-    rep.set("diagonal_z", wit_d is None, wit_d)
-
+    times, N = lattice.times, lattice.depth
+    pairs = [(i, j) for j in range(N + 1) for i in range(j + 1)]
+    if spec.is_linear_y and spec.a_kernel is not None:  # y-independent: one probe suffices
+        jac_y, jac_z, jac_zeta, unit_zeta = _grid(spec.a_kernel, times, pairs), {}, {}, {}
+    else:
+        jac_y, jac_z, jac_zeta, unit_zeta = _probe_drift(spec, times, pairs)
+    rep.set("metzler_y", _pair_witness("metzler", _values(jac_y, times), FD_TOL))
+    rep.set("kernel_t_monotone", _pair_witness(
+        "nonneg", _t_steps(jac_y, times, rising=False), FD_TOL
+    ))
+    rep.set("diagonal_z", _pair_witness(
+        "diagonal", chain(_on_times(spec.b_coef, times), _on_times(spec.c_coef, times))
+    ) or _pair_witness(
+        "diagonal", chain(_values(jac_z, times), _values(jac_zeta, times)), FD_TOL
+    ))
     if spec.uses_zeta:
-        if spec.c_coef is not None:
-            rep.set("zeta_coeff_s_free", True)
-        else:
-            ok_s, wit_s = True, None
-            zeta0 = np.zeros((1, n))
-            for i in range(N):
-                probes = []
-                for j in range(i, N + 1):
-                    col = np.zeros((1, n))
-                    col[0, 0] = 1.0
-                    base = spec.drift(times[i], times[j], ys[:1], None, zeta0, None)
-                    bump = spec.drift(times[i], times[j], ys[:1], None, col, None)
-                    probes.append(np.asarray(bump - base, dtype=float).ravel())
-                for j0, p in enumerate(probes[1:], start=1):
-                    if np.max(np.abs(p - probes[0])) > FD_TOL:
-                        ok_s, wit_s = False, (
-                            f"t={times[i]:g},s={times[i + j0]:g} vs s={times[i]:g}"
-                        )
-                        break
-                if not ok_s:
-                    break
-            rep.set("zeta_coeff_s_free", ok_s, wit_s)
-    ok_p, wit_p = _psi_monotone(spec.psi, lattice)
-    rep.set("free_term_monotone", ok_p, wit_p)
+        # the zeta response at (t, s) against the one at (t, t), t ascending, then s
+        hit = _outside("zero", (
+            ((times[i], times[j]), unit_zeta[i, j] - unit_zeta[i, i])
+            for i, j in sorted(unit_zeta) if j > i
+        ), FD_TOL)
+        rep.set("zeta_coeff_s_free", None if hit is None else (
+            f"t={hit[0][0]:g},s={hit[0][1]:g} vs s={hit[0][0]:g}"
+        ))
+    rep.set("free_term_monotone", _psi_witness(spec.psi, lattice))
     return rep
