@@ -41,7 +41,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import cones
 from .errors import DivergenceError, NonConvergenceError
 from .lattice import (
     AdaptedProcess,
@@ -779,110 +778,62 @@ def bsvie_duality_check(
 # -- step-function linear backward Volterra ----------------------------------------
 
 
-@dataclass
-class StepFnBsvieData:
-    """Piecewise-constant-in-t linear backward Volterra data.
+def _step_pieces(spec: BsvieSpec, lattice: BinaryLattice) -> list[tuple[int, int, list]]:
+    """The maximal runs lo..hi of grid times on which the data are constant in t.
 
-    The kernel A(t, s) equals ``a_pieces[k](s)`` for t in the k-th partition
-    interval (half-open to the left, so t = 0 belongs to the first piece), the
-    free term equals the leaf field ``psi_pieces[k]`` there, and B(s) is the
-    shared z-coefficient.  ``partition`` lists grid indices 0 = p_0 < ... <
-    p_M = N.
+    Row i joins the run of row lo when psi(t_i) and A(t_i, s_j) for every
+    j >= i equal row lo's exactly: row i's equation reads no other data.
+    Returns ``(lo, hi, kernel)`` per run, ascending, where ``kernel[j]`` is
+    A(t_lo, s_j) for j >= lo (None below); a missing kernel is the zero matrix.
+    Any data has runs, if only of one row each.
     """
-
-    dim: int
-    partition: list[int]
-    a_pieces: list[Callable]
-    psi_pieces: list[np.ndarray]
-    b: Callable | None = None
-
-    def n_pieces(self) -> int:
-        return len(self.partition) - 1
-
-    def piece_of(self, i: int) -> int:
-        """0-based piece index of grid time i (i = 0 joins the first piece)."""
-        for k in range(self.n_pieces()):
-            if i <= self.partition[k + 1]:
-                return k
-        raise ValueError("grid index outside the partition")
-
-    def validate(self, lattice: BinaryLattice) -> list[np.ndarray]:
-        """The free-term pieces as ``(2**N, dim)`` leaf fields (given so, or ``(2**N,)`` for dim 1).
-
-        ValueError when the partition, the piece counts or a piece's shape do not fit ``lattice``.
-        """
-        p = self.partition
-        if p[0] != 0 or p[-1] != lattice.depth or any(b <= a for a, b in zip(p, p[1:])):
-            raise ValueError("partition must be increasing grid indices from 0 to N")
-        if len(self.a_pieces) != self.n_pieces() or len(self.psi_pieces) != self.n_pieces():
-            raise ValueError("need one kernel and one free-term slice per interval")
-        leaves = 2**lattice.depth
-        accepted = [(leaves, self.dim)] + ([(leaves,)] if self.dim == 1 else [])
-        for k, piece in enumerate(self.psi_pieces):
-            if np.shape(piece) not in accepted:
-                raise ValueError(f"free-term piece {k} of shape {np.shape(piece)} is not "
-                                 + " or ".join(map(str, accepted)))
-        return [np.asarray(p, dtype=float).reshape(leaves, self.dim) for p in self.psi_pieces]
-
-    def hypotheses(self, lattice: BinaryLattice) -> StepFnHypotheses:
-        """The structural hypotheses of the comparison, on data that :meth:`validate` passes."""
-        psis = self.validate(lattice)
-        h, sq = lattice.h, lattice.sqrt_h
-        metzler = monotone = diag = bound_ok = True
-        for j in range(lattice.depth):
-            s = lattice.times[j]
-            mats = [np.asarray(fn(s), dtype=float) for fn in self.a_pieces]
-            metzler &= all(cones.is_metzler(m) for m in mats)
-            monotone &= all(cones.is_nonneg(a - bmat) for a, bmat in zip(mats, mats[1:]))
-            bound_ok &= all(h * np.abs(m).sum(axis=1).max() < 1.0 for m in mats)
-            if self.b is not None:
-                bm = np.asarray(self.b(s), dtype=float)
-                diag &= cones.is_diagonal(bm)
-                bound_ok &= sq * np.abs(np.diag(bm)).max() <= 1.0
-        psi_mono = all(bool(np.all(a >= b)) for a, b in zip(psis, psis[1:] + [0.0]))
-        return StepFnHypotheses(metzler, monotone, psi_mono, diag, bound_ok)
+    n, N, times = spec.dim, lattice.depth, lattice.times
+    zero = np.zeros((n, n))
+    pieces: list[tuple[int, int, list]] = []
+    for i in range(N + 1):
+        kernel = [None] * i + [
+            zero if spec.a_kernel is None
+            else np.asarray(spec.a_kernel(times[i], times[j]), dtype=float)
+            for j in range(i, N + 1)
+        ]
+        if pieces:
+            lo, _, head = pieces[-1]
+            if np.array_equal(spec.psi.slice(i), spec.psi.slice(lo)) and all(
+                np.array_equal(kernel[j], head[j]) for j in range(i, N + 1)
+            ):
+                pieces[-1] = (lo, i, head)
+                continue
+        pieces.append((i, i, kernel))
+    return pieces
 
 
-@dataclass
-class StepFnHypotheses:
-    """Structural hypotheses of the step-function comparison, checked not assumed."""
+def solve_linear_bsvie_stepfn(spec: BsvieSpec, lattice: BinaryLattice) -> BsvieSolution:
+    """Interval-by-interval nested backward induction for the linear drift
+    A(t,s) y + B(s) z with a kernel and free term piecewise constant in t.
 
-    kernel_metzler: bool
-    kernel_monotone: bool  # pieces nonincreasing along the partition
-    free_term_monotone: bool  # psi_1 >= ... >= psi_M >= 0 pathwise
-    z_coef_diagonal: bool
-    step_bound_ok: bool  # h*||A||_inf < 1 and sqrt(h)*|B| <= 1
-
-    def all_met(self) -> bool:
-        return (
-            self.kernel_metzler
-            and self.kernel_monotone
-            and self.free_term_monotone
-            and self.z_coef_diagonal
-            and self.step_bound_ok
-        )
-
-
-def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> BsvieSolution:
-    """Interval-by-interval nested backward induction for step-function data.
-
+    The intervals are the runs of :func:`_step_pieces`, read off the data.
     The last interval is a plain linear backward recursion.  Each earlier
     interval k reuses the interval-(k+1) sweep: above its right endpoint the
     two sweeps differ by a correction D driven by the kernel increment
     (A_k - A_{k+1}) Y and the free-term increment psi_k - psi_{k+1}, computed
     by its own explicit recursion; below the endpoint the sweep continues with
     implicit steps.  Every operation preserves exact nonnegativity when the
-    hypotheses hold, so hypothesis-satisfying data yields Y >= 0 with no
-    tolerance.  The hypotheses are not checked here
-    (:meth:`StepFnBsvieData.hypotheses` does that): counterexample data must run.
+    hypotheses hold (Metzler, t-nonincreasing kernel; diagonal B;
+    nonincreasing, nonnegative free term), so such data yields Y >= 0 with no
+    tolerance.  The hypotheses are not checked here (``check_hypotheses`` does
+    that): counterexample data must run.  ValueError for a spec with a
+    generator, ``h_fn``, ``c_coef`` or ``uses_zeta``.
     """
-    psis = data.validate(lattice)
-    n = data.dim
+    if (spec.generator is not None or spec.h_fn is not None or spec.c_coef is not None
+            or spec.uses_zeta):
+        raise ValueError("the step-function solver needs the linear form A(t,s) y + B(s) z")
+    pieces = _step_pieces(spec, lattice)
+    n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
     times = lattice.times
-    M = data.n_pieces()
-    b = data.b if data.b is not None else (lambda s: np.zeros((n, n)))
+    M = len(pieces)
+    b = spec.b_coef if spec.b_coef is not None else (lambda s: np.zeros((n, n)))
 
     y_levels: list[np.ndarray | None] = [None] * (N + 1)
     z = TwoParamProcess(lattice, n)
@@ -891,26 +842,24 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
     z_rows: list[np.ndarray | None] = [None] * N
 
     for k in range(M - 1, -1, -1):
-        hi = data.partition[k + 1]
-        lo = data.partition[k] + 1 if k > 0 else 0
+        lo, hi, a_k = pieces[k]
         if k == M - 1:
-            lam[N] = np.array(psis[k], order="F")
+            lam[N] = np.array(spec.psi.slice(lo), order="F")
             sweep_from = N - 1
         else:
             # correction sweep above the right endpoint: the previous
             # interval's values are defined on levels hi+1..N only
-            d_cur = np.subtract(psis[k], psis[k + 1], out=node_empty((2**N, n)))
+            lo_next, _, a_next = pieces[k + 1]
+            d_cur = np.subtract(spec.psi.slice(lo), spec.psi.slice(lo_next),
+                                out=node_empty((2**N, n)))
             new_lam: list[np.ndarray | None] = [None] * (N + 1)
             new_lam[N] = lam[N] + d_cur
             new_rows: list[np.ndarray | None] = [None] * N
             for j in range(N - 1, hi, -1):
                 up, down = split_children(d_cur)
                 dz = children_slope(up, down, sq)
-                da = np.asarray(data.a_pieces[k](times[j]), dtype=float) - np.asarray(
-                    data.a_pieces[k + 1](times[j]), dtype=float
-                )
                 d_cur = _blend(up, down, np.asarray(b(times[j]), dtype=float), sq)
-                d_cur = d_cur + h * (da @ y_levels[j].mT).mT
+                d_cur = d_cur + h * ((a_k[j] - a_next[j]) @ y_levels[j].mT).mT
                 new_lam[j] = lam[j] + d_cur
                 new_rows[j] = z_rows[j] + dz
             lam, z_rows = new_lam, new_rows
@@ -918,10 +867,7 @@ def solve_linear_bsvie_stepfn(data: StepFnBsvieData, lattice: BinaryLattice) -> 
         for j in range(sweep_from, lo - 1, -1):
             up, down = split_children(lam[j + 1])
             z_rows[j] = children_slope(up, down, sq)
-            lam[j] = _linear_step(
-                up, down, np.asarray(data.a_pieces[k](times[j]), dtype=float),
-                np.asarray(b(times[j]), dtype=float), h, sq,
-            )
+            lam[j] = _linear_step(up, down, a_k[j], np.asarray(b(times[j]), dtype=float), h, sq)
         y_levels[lo:hi + 1] = lam[lo:hi + 1]
         for j in range(lo, N):
             # Z(t_i, s_j) is the same for every row i of the interval

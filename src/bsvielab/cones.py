@@ -7,9 +7,10 @@ statement in one of three cones of real matrices:
 * Metzler          -- all off-diagonal entries >= 0 (diagonal unconstrained),
 * diagonal         -- all off-diagonal entries == 0.
 
-The Metzler cone decomposes as (nonnegative) + (diagonal).  For 1x1 matrices
-the Metzler and diagonal cones are all of R.  Membership is structural, so
-the default tolerance is 0; the nonnegative and Metzler tests take a
+The Metzler cone decomposes as (nonnegative) + (diagonal), and the diagonal
+cone is the Metzler cone intersected with its negative, so it has no test of
+its own.  For 1x1 matrices the Metzler and diagonal cones are all of R.
+Membership is structural, so the default tolerance is 0; the tests take a
 tolerance for matrices that come out of floating-point arithmetic.
 """
 
@@ -51,14 +52,6 @@ def is_metzler(a, tol: float = 0.0) -> bool:
     _require_square(m)
     off = m[~np.eye(m.shape[0], dtype=bool)]
     return bool(off.size == 0 or np.all(off >= -tol))
-
-
-def is_diagonal(a) -> bool:
-    """True iff every off-diagonal entry of the square matrix ``a`` is 0."""
-    m = _as_matrix(a)
-    _require_square(m)
-    off = m[~np.eye(m.shape[0], dtype=bool)]
-    return bool(off.size == 0 or np.all(off == 0.0))
 
 
 def cone_preservation_check(a, sample_count: int, rng_seed: int) -> bool:

@@ -31,7 +31,7 @@ from ..lattice import (
     TerminalField,
     sign_violation,
 )
-from .hypotheses import HypothesisReport, check_hypotheses
+from .hypotheses import SATISFIED, HypothesisReport, check_hypotheses
 
 
 # -- outcome plumbing -----------------------------------------------------------
@@ -86,7 +86,9 @@ class RegistryEntry:
     ``depths`` are the depths the builder runs at.  A random family that
     draws a sub-lattice depth of at least 4 or 5 needs that depth, the BSDE
     duality family draws its pairing level up to 3, and ``ex2.10`` needs
-    its cutoff tau = 0.5 on the grid, so an even depth.
+    its cutoff tau = 0.5 on the grid, so an even depth.  ``ex3.8`` needs
+    depth 3: at depths 1 and 2 its forward solution is never negative, so
+    the indicator free term is empty and the counterexample cannot show.
     """
 
     name: str
@@ -400,12 +402,17 @@ def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutco
 
 
 def _stepfn_trial(rng, lat: BinaryLattice):
+    """A linear BSVIE that is a step function in t, drawn to meet Theorem 3.6's hypotheses.
+
+    A random partition of the grid (t = 0 joins the first piece) carries
+    Metzler kernel pieces and nonnegative free-term pieces, both decreasing
+    along it, and a diagonal B.  Returns the spec, the kernel pieces and B.
+    """
     n = int(rng.integers(1, 4))
     N = lat.depth
     leaves = 2**N
     n_pieces = int(rng.integers(2, 5))
     cuts = sorted(rng.choice(np.arange(1, N), size=n_pieces - 1, replace=False).tolist())
-    partition = [0] + cuts + [N]
     last = _scaled(_random_metzler(rng, n, 0.5), 0.4, lat.h)
     mats = [last]
     for _ in range(n_pieces - 1):
@@ -414,50 +421,43 @@ def _stepfn_trial(rng, lat: BinaryLattice):
     psis = [rng.uniform(0.0, 1.0, (leaves, n))]
     for _ in range(n_pieces - 1):
         psis.insert(0, psis[0] + rng.uniform(0.0, 1.0, (leaves, n)))
-    data = backward.StepFnBsvieData(
-        n, partition, [lambda s, m=m: m for m in mats], psis, b=lambda s, m=b: m
-    )
-    return data, mats, psis, b
-
-
-def _stepfn_family_reference(data, mats, psis, b, lat: BinaryLattice):
-    n = data.dim
-    N = lat.depth
-
-    def a_kernel(t, s):
-        i = min(int(round(t / lat.h)), N)
-        return mats[data.piece_of(i)]
-
-    vals = np.empty((N + 1, 2**N, n))
-    for i in range(N + 1):
-        vals[i] = psis[data.piece_of(i)]
+    piece = np.searchsorted(cuts, np.arange(N + 1))  # of grid time i: the cuts below i
     spec = backward.BsvieSpec(
-        n, TerminalField(lat, n, vals), a_kernel=a_kernel,
+        n, TerminalField(lat, n, np.stack([psis[k] for k in piece])),
+        a_kernel=lambda t, s: mats[piece[min(int(round(t / lat.h)), N)]],
         b_coef=lambda s, m=b: m, uses_z=True, lip_y=1.0, lip_z=1.0,
     )
-    return backward.solve_bsvie_family(spec, lat)
+    return spec, mats, b
 
 
 def _build_stepfn_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcome:
+    """Theorem 3.6 on random step-function data: the step-function solver's Y is
+    exactly nonnegative, equals the family sweep of the same spec, and every
+    draw meets the hypotheses: the slate's four conditions hold and the
+    pieces keep the step bound h*||A_k||_inf < 1, sqrt(h)*|diag B| <= 1."""
     rng = np.random.default_rng(seed)
+    conditions = ("metzler_y", "diagonal_z", "kernel_t_monotone", "free_term_monotone")
 
     def trial(k):
         N = int(rng.integers(5, min(depth, 10) + 1))
         lat = BinaryLattice(1.0, N)
-        data, mats, psis, b = _stepfn_trial(rng, lat)
-        y = backward.solve_linear_bsvie_stepfn(data, lat).y
-        fam = _stepfn_family_reference(data, mats, psis, b, lat)
+        spec, mats, b = _stepfn_trial(rng, lat)
+        y = backward.solve_linear_bsvie_stepfn(spec, lat).y
+        fam = backward.solve_bsvie_family(spec, lat)
         agree = np.max([np.max(np.abs(f - r)) for f, r in zip(fam.y.levels, y.levels)])
-        return y.min(), agree, data.hypotheses(lat).all_met()
+        slate = check_hypotheses(spec, lat).conditions
+        met = (
+            all(slate[c].status == SATISFIED for c in conditions)
+            and all(lat.h * np.abs(m).sum(axis=1).max() < 1.0 for m in mats)
+            and lat.sqrt_h * np.abs(np.diag(b)).max() <= 1.0
+        )
+        return y.min(), agree, met
 
     worst, witness, results = _worst_trial(trials, trial)
     worst_agree = float(np.max([0.0, *(r[1] for r in results)]))
     hyp_all = all(r[2] for r in results)
-    hyp = HypothesisReport.by_construction(
-        "metzler_y", "diagonal_z", "kernel_t_monotone", "free_term_monotone"
-    )
     return ScenarioOutcome(
-        hypotheses=hyp,
+        hypotheses=HypothesisReport.by_construction(*conditions),
         checks=[
             Check("min_y_below_zero", -worst, 0.0),
             Check("family_disagreement", worst_agree, 1e-10),
@@ -1098,7 +1098,7 @@ _register(RegistryEntry(
     "ex3.8", "bsvie-weak-positivity",
     "two-time sub-diagonal coupling with an indicator free term makes the expected time"
     " integral negative",
-    False, 12, 0, _build_ex38,
+    False, 12, 0, _build_ex38, depths=_depths_from(3),
 ))
 
 

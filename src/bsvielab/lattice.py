@@ -352,11 +352,19 @@ class AdaptedProcess:
     ) -> "AdaptedProcess":
         """Build from ``fn(t, w) -> (m, n)`` evaluated on every level (w is the path value).
 
-        A non-finite value raises ValueError naming its level and node.
+        ``fn`` returns ``(2**k, dim)`` at level k, or ``(2**k,)`` when dim is 1;
+        any other shape (a transposed ``(dim, 2**k)`` value, say) raises
+        ValueError naming the level and the shape.  A non-finite value raises
+        ValueError naming its level and node.
         """
         levels = []
         for k in range(lattice.depth + 1):
             vals = np.asarray(fn(lattice.times[k], lattice.brownian_level(k)), dtype=float)
+            if vals.shape != (2**k, dim) and not (dim == 1 and vals.shape == (2**k,)):
+                raise ValueError(
+                    f"value of shape {vals.shape} at level {k} is not ({2**k}, {dim})"
+                    + (f" or ({2**k},)" if dim == 1 else "")
+                )
             vals = vals.reshape(2**k, dim)
             node = _first_non_finite(vals)
             if node is not None:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bsvielab import cones
+from bsvielab.harness.hypotheses import _outside
 
 
 def test_identity_is_nonneg():
@@ -28,19 +29,21 @@ def test_negative_offdiagonal_is_not_metzler():
 @given(st.floats(-1e6, 1e6))
 def test_every_1x1_matrix_is_metzler_and_diagonal(v):
     assert cones.is_metzler([[v]], 0.0)
-    assert cones.is_diagonal([[v]])
+    assert cones.is_metzler([[-v]], 0.0)  # so in the diagonal cone
 
 
 def test_is_diagonal():
-    assert cones.is_diagonal([[3.0, 0.0], [0.0, -2.0]])
-    assert not cones.is_diagonal([[3.0, 1e-3], [0.0, -2.0]])
+    # the diagonal cone is the Metzler cone intersected with its negative,
+    # which is how the hypothesis slate tests diagonal_z
+    assert _outside("diagonal", [("key", np.array([[3.0, 0.0], [0.0, -2.0]]))]) is None
+    assert _outside("diagonal", [("key", np.array([[3.0, 1e-3], [0.0, -2.0]]))]) == (
+        "key", (0, 1), 1e-3
+    )
 
 
 def test_non_square_raises():
     with pytest.raises(ValueError):
         cones.is_metzler(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        cones.is_diagonal(np.ones((2, 3)))
 
 
 def test_preservation_check_examples():
@@ -71,7 +74,7 @@ def test_metzler_decomposes_into_nonneg_plus_diagonal(n, seed):
     assert cones.is_metzler(a, 0.0)
     off = a - np.diag(np.diag(a))
     assert cones.is_nonneg(off, 0.0)
-    assert cones.is_diagonal(np.diag(np.diag(a)))
+    assert cones.is_metzler(np.diag(np.diag(a))) and cones.is_metzler(-np.diag(np.diag(a)))
 
 
 @settings(max_examples=300)
@@ -83,8 +86,6 @@ def test_membership_implications(n, seed):
         a = np.abs(a)
     metzler = cones.is_metzler(a)
     if cones.is_nonneg(a):
-        assert metzler
-    if cones.is_diagonal(a):
         assert metzler
     # Metzler is nonnegative off the diagonal
     assert metzler == cones.is_nonneg(a - np.diag(np.diag(a)))

@@ -220,6 +220,19 @@ def test_each_scenario_runs_at_its_depths_and_refuses_others(name):
             resolve(ScenarioConfig(scenario=name, depth=depth))
 
 
+def test_ex38_agrees_with_its_verdict_at_every_depth_it_accepts():
+    # at depths 1 and 2 the forward solution is never negative, so the
+    # indicator free term is empty and the expected time integral is exactly 0
+    depths = REGISTRY["ex3.8"].depths
+    assert list(depths) == list(range(3, 17))
+    for depth in depths:
+        assert run_experiment(ScenarioConfig(scenario="ex3.8", depth=depth)).agrees_with_expectation
+    for depth in (1, 2):
+        message = rf"^depth of ex3.8 must be in \[3, 16\], got {depth}$"
+        with pytest.raises(ValueError, match=message):
+            resolve(ScenarioConfig(scenario="ex3.8", depth=depth))
+
+
 @pytest.mark.parametrize("name, depth, message", [
     ("thm3.2-random", 1, "depth of thm3.2-random must be in [4, 16], got 1"),
     ("picard-contraction", 4, "depth of picard-contraction must be in [5, 16], got 4"),

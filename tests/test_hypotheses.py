@@ -136,6 +136,56 @@ def test_a_non_finite_kernel_value_decides_no_condition():
         check_hypotheses(spec, LAT)
 
 
+# -- step-function specs ---------------------------------------------------------------
+#
+# A linear spec whose kernel and free term are constant in t on the rows 0..2
+# and 3..4 of a depth-4 grid, the data of the step-function comparison.
+
+STEP_LAT = BinaryLattice(1.0, 4)
+STEP_A = (np.array([[0.4, 0.2], [0.1, 0.3]]), np.array([[0.2, 0.1], [0.0, 0.3]]))
+STEP_PSI = (np.full((16, 2), 2.0), np.full((16, 2), 1.0))
+STEP_CONDITIONS = ("metzler_y", "diagonal_z", "kernel_t_monotone", "free_term_monotone")
+
+
+def _step_slate(a=STEP_A, psi=STEP_PSI, b=np.diag([0.5, -0.5])):
+    spec = BsvieSpec(
+        2, TerminalField(STEP_LAT, 2, np.stack([psi[0]] * 3 + [psi[1]] * 2)),
+        a_kernel=lambda t, s: a[0] if t <= 0.5 else a[1], b_coef=lambda s: b,
+    )
+    return check_hypotheses(spec, STEP_LAT).conditions
+
+
+@pytest.mark.parametrize("broken, kw, witness", [
+    (None, {}, None),  # the ordered step data meet every condition
+    # the second piece leaves the Metzler cone, still below the first
+    ("metzler_y", {"a": (STEP_A[0], STEP_A[1] - [[0.0, 0.2], [0.0, 0.0]])},
+     "t=0.75,s=0.75,entry=(0, 1),value=-0.1"),
+    ("diagonal_z", {"b": np.array([[0.5, 0.0], [0.2, -0.5]])}, "t=0,s=0,entry=(1, 0),value=0.2"),
+    # the second piece rises above the first in one diagonal entry
+    ("kernel_t_monotone", {"a": (STEP_A[0], STEP_A[1] + [[0.0, 0.0], [0.0, 0.2]])},
+     "t=0.5,s=0.75,entry=(1, 1),value=-0.2"),
+    # one leaf of the second piece rises above the first
+    ("free_term_monotone",
+     {"psi": (STEP_PSI[0], np.where(np.eye(16, 2, -5, dtype=bool), 2.5, 1.0))},
+     "t=0.5,increase=0.5"),
+], ids=("none",) + STEP_CONDITIONS)
+def test_step_spec_breaking_one_condition_reports_that_condition(broken, kw, witness):
+    slate = _step_slate(**kw)
+    assert {c: (slate[c].status, slate[c].witness) for c in STEP_CONDITIONS} == {
+        c: (VIOLATED, witness) if c == broken else (SATISFIED, None) for c in STEP_CONDITIONS
+    }
+
+
+def test_slate_reads_a_free_term_ordered_leaf_by_leaf_as_monotone():
+    # leaf by leaf psi(t) >= psi(t') for t <= t', though not every earlier leaf
+    # is above every later one
+    lat = BinaryLattice(1.0, 3)
+    psi2 = np.linspace(0.0, 1.0, 8).reshape(8, 1)
+    spec = BsvieSpec(1, TerminalField(lat, 1, np.stack([psi2 + 0.5] * 2 + [psi2] * 2)),
+                     a_kernel=lambda t, s: np.zeros((1, 1)), uses_z=False)
+    assert check_hypotheses(spec, lat).conditions["free_term_monotone"].status == SATISFIED
+
+
 # -- Reference: the slate with a flag pair per condition, kept verbatim apart from
 # its names and its report class.  It evaluated most kernels a second time as the
 # t-neighbour of the next pair; the equivalence test below checks the one-scan slate
@@ -159,6 +209,11 @@ class _ReferenceReport:
         return self
 
 
+def _is_diagonal(m) -> bool:
+    """Every off-diagonal entry is 0: in the Metzler cone and its negative."""
+    return cones.is_metzler(m) and cones.is_metzler(-np.asarray(m, dtype=float))
+
+
 def _reference_fmt_pair(t, s, entry, value):
     return f"t={t:g},s={s:g},entry={entry},value={value:g}"
 
@@ -176,7 +231,7 @@ def _reference_first_non_diagonal(coef, times):
         return None
     for t in times:
         m = np.asarray(coef(t), dtype=float)
-        if not cones.is_diagonal(m):
+        if not _is_diagonal(m):
             e, v = _reference_worst_entry(np.abs(m), mask_diag=True)
             return _reference_fmt_pair(t, t, e, v)
     return None
@@ -242,7 +297,7 @@ def _reference_check_fsvie(spec, lattice):
         for j in range(N + 1):
             for i in range(j, N + 1):
                 m = np.asarray(spec.a1_full(times[i], times[j]), dtype=float)
-                if ok_d and not cones.is_diagonal(m):
+                if ok_d and not _is_diagonal(m):
                     e, v = _reference_worst_entry(np.abs(m), mask_diag=True)
                     ok_d, wit_d = False, _reference_fmt_pair(times[i], times[j], e, v)
                 if ok_f and i + 1 <= N:
@@ -469,7 +524,7 @@ def _random_bsvie(rng, lat):
 
     spec = BsvieSpec(n, psi, generator=generator, uses_z=uses_z, uses_zeta=uses_zeta)
     coupling = [m for m, used in ((b0, uses_z), (c0, uses_zeta))
-                if used and not cones.is_diagonal(m)]
+                if used and not _is_diagonal(m)]
     fixes = {"hidden_zeta": hidden and uses_zeta and bool(np.any(d)),
              "coupling": coupling[0] if coupling else None}
     return spec, fixes
@@ -494,7 +549,7 @@ def _expected(ref, spec, lat, fixes, applied):
             m = spec.a1_at(t, s)
         else:
             b = None if spec.b_coef is None else np.asarray(spec.b_coef(t), dtype=float)
-            m = b if b is not None and not cones.is_diagonal(b) else spec.c_coef(t)
+            m = b if b is not None and not _is_diagonal(b) else spec.c_coef(t)
         want["diagonal_z"] = ConditionReport(VIOLATED, f"{where},{_largest_off_diagonal(m)}")
         applied["fix 1"] += 1
     if fixes.get("hidden_zeta"):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -561,6 +562,18 @@ def test_from_function_rejects_a_non_finite_value(bad):
 
     with pytest.raises(ValueError, match=r"level 3, node 5$"):
         AdaptedProcess.from_function(lat, 2, fn)
+
+
+@pytest.mark.parametrize("dim, fn, message", [
+    # transposed (dim, 2**k): a reshape would interleave nodes and components
+    (2, lambda t, w: np.stack([w, 10.0 + w]), "value of shape (2, 1) at level 0 is not (1, 2)"),
+    (2, lambda t, w: w, "value of shape (1,) at level 0 is not (1, 2)"),
+    (1, lambda t, w: w[None, :], "value of shape (1, 2) at level 1 is not (2, 1) or (2,)"),
+])
+def test_from_function_refuses_a_value_of_another_shape(dim, fn, message):
+    lat = BinaryLattice(1.0, 3)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        AdaptedProcess.from_function(lat, dim, fn)
 
 
 # -- short-axis reductions ----------------------------------------------------------------
