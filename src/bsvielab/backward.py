@@ -109,33 +109,32 @@ def _linear_step(up: np.ndarray, down: np.ndarray, a: np.ndarray, b: np.ndarray 
         raise NonConvergenceError("implicit step requires h*|diag coefficient| < 1")
     p = h * a
     np.fill_diagonal(p, 0.0)
-    return _fixed_point(
-        lambda y: (rhs + (p @ y.mT).mT) / d, np.zeros_like(rhs), "Jacobi inner solve",
-        lambda: h * float(np.abs(a).sum(axis=1).max()),
-    )
+    return _fixed_point(lambda y: (rhs + (p @ y.mT).mT) / d, np.zeros_like(rhs),
+                        "Jacobi inner solve")
 
 
-def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray, what: str,
-                 h_lip: Callable[[], float]) -> np.ndarray:
+def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
+                 what: str) -> np.ndarray:
     """Iterate y <- step(y) from ``start``; return the first iterate within FP_TOL of the last.
 
     The stopping rule is ``max |new - cur| < FP_TOL`` over every entry, tested
     after each of at most FP_MAX_ITER steps.  A NaN anywhere in the difference
     makes the maximum NaN, and NaN < FP_TOL is false, so a NaN never converges:
     the cap is reached and a non-finite iterate raises DivergenceError naming
-    its node.  Otherwise NonConvergenceError quotes ``h_lip()``, the step times
-    the Lipschitz constant in y, which is evaluated only on that failure path.
+    its node.  Otherwise NonConvergenceError quotes the measured contraction,
+    the last change over the one before it, computed only on that failure path.
     """
-    cur = start
+    cur, change = start, math.inf
     for _ in range(FP_MAX_ITER):
         new = step(cur)
-        if np.maximum.reduce(np.abs(new - cur), axis=None) < FP_TOL:
+        last, change = change, np.maximum.reduce(np.abs(new - cur), axis=None)
+        if change < FP_TOL:
             return new
         cur = new
     _check_finite(cur, what)
     raise NonConvergenceError(
         f"{what} not below {FP_TOL} in {FP_MAX_ITER} iterations; "
-        f"h*L_y = {h_lip():.3g} -- reduce the step"
+        f"last change / previous change = {float(change) / float(last):.3g} -- reduce the step"
     )
 
 
@@ -168,7 +167,6 @@ class BsdeSpec:
     a: Callable | None = None
     b: Callable | None = None
     forcing: Callable | None = None
-    lip_y: float = 0.0
 
     def __post_init__(self):
         linear = self.a is not None or self.b is not None or self.forcing is not None
@@ -230,7 +228,7 @@ def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice) -> BsdeSolution:
             nodes = LevelNodes(lattice, k)
             y[k] = _fixed_point(
                 lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
-                e, "implicit y-step", lambda: h * spec.lip_y,
+                e, "implicit y-step",
             )
     return BsdeSolution(y, z)
 
@@ -479,7 +477,7 @@ def solve_bsvie_family(
         nodes = level_nodes[j]
         return _fixed_point(
             lambda cur: e + h * spec.drift(t_j, t_j, cur, z_arg, zeta_jj, nodes),
-            e, "diagonal y-step", lambda: h * spec.lip_y,
+            e, "diagonal y-step",
         )
 
     def explicit_update(lo: int, j: int, e: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -40,7 +40,12 @@ def _print_registry(stream=None) -> None:
     for name in scenario_names():
         e = REGISTRY[name]
         verdict = "holds" if e.expected_holds else "fails-as-predicted"
+        runs = "seed 0, trials 1"  # a gallery entry draws nothing
+        if e.default_seed:
+            runs = f"seed >= 0 (default {e.default_seed}), trials >= 1 (default {e.default_trials})"
+        default = f" (default {e.default_depth})" if len(e.depths) > 1 else ""
         print(f"{name:<{width}}  [{e.theorem}] expected={verdict}", file=stream)
+        print(f"{'':<{width}}  depth {e.accepted_depths()}{default}; {runs}", file=stream)
         print(f"{'':<{width}}  {e.description}", file=stream)
 
 

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .hypotheses import HypothesisReport
-from .scenarios import LATTICE_DEPTHS, REGISTRY, RegistryEntry, ScenarioOutcome
+from .scenarios import REGISTRY, RegistryEntry, ScenarioOutcome
 
 REPORT_FORMATS = ("csv", "json")
 
@@ -31,9 +31,9 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "ScenarioConfig":
-        """Read a config document; an unreadable file or a document that is
-        not a JSON object raises ValueError (field types are checked by
-        :func:`resolve`)."""
+        """Read a config document; an unreadable file, a document that is
+        not a JSON object or one with a field this class does not have
+        raises ValueError (field types are checked by :func:`resolve`)."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -41,11 +41,14 @@ class ScenarioConfig:
             raise ValueError(f"cannot read config document {path!r}: {exc.strerror}") from exc
         if not isinstance(doc, dict):
             raise ValueError(f"config document must be a JSON object, got {type(doc).__name__}")
-        known = {k: doc[k] for k in ("scenario", "depth", "seed", "trials", "out", "format")
-                 if k in doc}
-        if "scenario" not in known:
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(doc.keys() - set(known))
+        if unknown:
+            raise ValueError(f"config document has unknown fields {', '.join(unknown)}"
+                             f" (known: {', '.join(known)})")
+        if "scenario" not in doc:
             raise ValueError("config document needs a 'scenario' field")
-        return cls(**known)
+        return cls(**doc)
 
 
 @dataclass
@@ -81,22 +84,13 @@ def _check_field_types(config: ScenarioConfig) -> None:
             raise ValueError(f"{name} must be a string, got {val!r}")
 
 
-def _depth_error(entry: RegistryEntry, depth: int) -> str:
-    """The message for a depth outside ``entry.depths``: the range, and the
-    scenario with the depth asked for when the range is narrower than the lattice's."""
-    r = entry.depths
-    allowed = f"[{r.start}, {r[-1]}]" + (f" in steps of {r.step}" if r.step > 1 else "")
-    if r == LATTICE_DEPTHS:
-        return f"depth must be in {allowed}"
-    return f"depth of {entry.name} must be in {allowed}, got {depth}"
-
-
 def resolve(config: ScenarioConfig) -> tuple[RegistryEntry, int, int, int]:
     """The entry and the depth, seed and trials of ``config``, defaults filled in.
 
     ValueError for a field of the wrong type, a depth outside the entry's
-    ``depths``, a negative seed, fewer than one trial or an unknown report
-    format; KeyError for an unknown scenario.
+    ``depths``, a negative seed, fewer than one trial, a seed or trials other
+    than 0 and 1 for a gallery entry (``default_seed`` 0, which draws
+    nothing) or an unknown report format; KeyError for an unknown scenario.
     """
     _check_field_types(config)
     if config.scenario not in REGISTRY:
@@ -105,12 +99,17 @@ def resolve(config: ScenarioConfig) -> tuple[RegistryEntry, int, int, int]:
     depth = config.depth if config.depth is not None else entry.default_depth
     seed = config.seed if config.seed is not None else entry.default_seed
     trials = config.trials if config.trials is not None else entry.default_trials
+    gallery = entry.default_seed == 0
     if depth not in entry.depths:
-        raise ValueError(_depth_error(entry, depth))
+        raise ValueError(f"depth of {entry.name} must be {entry.accepted_depths()}, got {depth}")
+    if gallery and seed != 0:
+        raise ValueError(f"seed of {entry.name} must be 0, got {seed}")
     if seed < 0:
         raise ValueError(f"seed of {entry.name} must be nonnegative, got {seed}")
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    if gallery and trials != 1:
+        raise ValueError(f"trials of {entry.name} must be 1, got {trials}")
     if config.format not in REPORT_FORMATS:
         formats = ", ".join(REPORT_FORMATS)
         raise ValueError(f"format must be one of {formats}, got {config.format!r}")

@@ -70,25 +70,19 @@ class ScenarioOutcome:
         return self.worst_violation <= 0.0
 
 
-# every depth a lattice takes; most scenarios run at each of them
-LATTICE_DEPTHS = range(1, DEFAULT_MAX_DEPTH + 1)
-
-
-def _depths_from(low: int, step: int = 1) -> range:
-    """The lattice depths from ``low`` up, every ``step``-th."""
-    return range(low, DEFAULT_MAX_DEPTH + 1, step)
-
-
 @dataclass(frozen=True)
 class RegistryEntry:
     """A scenario: its statement, expected verdict, defaults and builder.
 
-    ``depths`` are the depths the builder runs at.  A random family that
-    draws a sub-lattice depth of at least 4 or 5 needs that depth, the BSDE
-    duality family draws its pairing level up to 3, and ``ex2.10`` needs
-    its cutoff tau = 0.5 on the grid, so an even depth.  ``ex3.8`` needs
-    depth 3: at depths 1 and 2 its forward solution is never negative, so
-    the indicator free term is empty and the counterexample cannot show.
+    ``depths`` are the depths the builder accepts, ``default_depth`` among
+    them; each is a distinct run.  A random family draws sub-lattice depths
+    up to the one asked for, from the 3, 4 or 5 its draw needs up to its
+    default depth.  ``prop2.1-random``, ``ex2.6`` and ``ex3.3``-``ex3.5``
+    never read the depth and accept only 8.  ``ex2.10`` needs its cutoff
+    tau = 0.5 on the grid, so an even depth, and a negative bracket, from
+    depth 6.  ``ex3.8`` shows its counterexample from depth 3: below, its
+    forward solution is never negative and the indicator free term empty.
+    A gallery entry (``default_seed`` 0) draws nothing: seed 0, one trial.
     """
 
     name: str
@@ -98,8 +92,14 @@ class RegistryEntry:
     default_depth: int
     default_seed: int
     build: Callable[[int, int, int], ScenarioOutcome]  # (depth, seed, trials)
+    depths: range
     default_trials: int = 1
-    depths: range = LATTICE_DEPTHS
+
+    def accepted_depths(self) -> str:
+        """The depths it accepts, as refusals and ``bsvielab list`` print them."""
+        r = self.depths
+        step = f" in steps of {r.step}" if r.step > 1 else ""
+        return str(r[0]) if len(r) == 1 else f"in [{r.start}, {r[-1]}]{step}"
 
 
 class ScenarioValidityError(RuntimeError):
@@ -210,7 +210,7 @@ def _build_forward_positivity(depth: int, seed: int, trials: int) -> ScenarioOut
 
     def trial(k):
         n = int(rng.integers(1, 4))
-        N = int(rng.integers(4, min(depth, 12) + 1))
+        N = int(rng.integers(4, depth + 1))
         a0b = float(rng.uniform(0.2, 2.0))
         a1b = float(rng.uniform(0.0, 2.0))
         h = 0.95 * forward.worst_case_step_bound(a0b, a1b)
@@ -241,7 +241,7 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
 
     def trial(k):
         n = int(rng.integers(1, 4))
-        N = int(rng.integers(4, min(depth, 10) + 1))
+        N = int(rng.integers(4, depth + 1))
         L = _random_metzler(rng, n, 0.6)
         kappa = rng.uniform(0.0, 0.3, n)
         c_sig = rng.uniform(-0.8, 0.8, n)
@@ -282,7 +282,7 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
 def _build_bsde_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
     n = 2
-    lat = BinaryLattice(1.0, min(depth, 8))
+    lat = BinaryLattice(1.0, depth)
 
     def trial(k):
         kind = k % 3
@@ -328,12 +328,8 @@ def _comparison_pair_bsde(rng, n: int, lat: BinaryLattice):
     leaves = 2**lat.depth
     xi0 = rng.standard_normal((leaves, n))
     xi1 = xi0 + rng.uniform(0.0, 1.0, (leaves, n))
-    lo = backward.BsdeSpec(
-        n, xi0, generator=lambda t, y, z, nd: gbar(t, y, z, nd) - eps, lip_y=1.0
-    )
-    hi = backward.BsdeSpec(
-        n, xi1, generator=lambda t, y, z, nd: gbar(t, y, z, nd) + eps, lip_y=1.0
-    )
+    lo = backward.BsdeSpec(n, xi0, generator=lambda t, y, z, nd: gbar(t, y, z, nd) - eps)
+    hi = backward.BsdeSpec(n, xi1, generator=lambda t, y, z, nd: gbar(t, y, z, nd) + eps)
     return lo, hi
 
 
@@ -342,7 +338,7 @@ def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
 
     def trial(k):
         n = int(rng.integers(1, 4))
-        N = int(rng.integers(4, min(depth, 10) + 1))
+        N = int(rng.integers(4, depth + 1))
         lat = BinaryLattice(1.0, N)
         lo_spec, hi_spec = _comparison_pair_bsde(rng, n, lat)
         lo = backward.solve_bsde(lo_spec, lat)
@@ -365,7 +361,7 @@ def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutco
 
     def trial(k):
         n = int(rng.integers(1, 4))
-        N = int(rng.integers(4, min(depth, 9) + 1))
+        N = int(rng.integers(4, depth + 1))
         lat = BinaryLattice(1.0, N)
         leaves = 2**N
         p = _scaled(rng.uniform(0.0, 0.4, (n, n)), 0.45, lat.h)  # entrywise nonneg
@@ -439,7 +435,7 @@ def _build_stepfn_positivity(depth: int, seed: int, trials: int) -> ScenarioOutc
     conditions = ("metzler_y", "diagonal_z", "kernel_t_monotone", "free_term_monotone")
 
     def trial(k):
-        N = int(rng.integers(5, min(depth, 10) + 1))
+        N = int(rng.integers(5, depth + 1))
         lat = BinaryLattice(1.0, N)
         spec, mats, b = _stepfn_trial(rng, lat)
         y = backward.solve_linear_bsvie_stepfn(spec, lat).y
@@ -541,7 +537,7 @@ def _build_structured_comparison(depth: int, seed: int, trials: int) -> Scenario
 
     def trial(k):
         n = int(rng.integers(1, 3))
-        N = int(rng.integers(4, min(depth, 9) + 1))
+        N = int(rng.integers(4, depth + 1))
         lat = BinaryLattice(1.0, N)
         lo, hi = _structured_pair(rng, n, lat, coupling="z")
         f_lo = backward.solve_bsvie_family(lo, lat)
@@ -564,7 +560,7 @@ def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcom
 
     def trial(k):
         n = int(rng.integers(1, 3))
-        N = int(rng.integers(4, min(depth, 8) + 1))
+        N = int(rng.integers(4, depth + 1))
         lat = BinaryLattice(1.0, N)
         leaves = 2**N
         m0 = _scaled(_random_metzler(rng, n, 0.4), 0.4, lat.h)
@@ -599,7 +595,7 @@ def _build_weak_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
     rng = np.random.default_rng(seed)
 
     def trial(k):
-        N = int(rng.integers(5, min(depth, 9) + 1))
+        N = int(rng.integers(5, depth + 1))
         lat = BinaryLattice(1.0, N)
         lo, hi = _structured_pair(rng, 1, lat, coupling="zeta")
         m_lo = backward.solve_bsvie_msolution(lo, lat)
@@ -639,7 +635,7 @@ def _build_weak_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
 def _build_bsvie_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     rng = np.random.default_rng(seed)
     n = 2
-    lat = BinaryLattice(1.0, min(depth, 8))
+    lat = BinaryLattice(1.0, depth)
 
     def trial(k):
         m0 = _scaled(_random_diagonal(rng, n, 0.6), 0.4, lat.h)
@@ -669,7 +665,7 @@ def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOut
 
     def trial(k):
         n = int(rng.integers(1, 3))
-        N = int(rng.integers(5, min(depth, 8) + 1))
+        N = int(rng.integers(5, depth + 1))
         lat = BinaryLattice(1.0, N)
         leaves = 2**N
         b = _scaled(_random_diagonal(rng, n, 0.6), 0.45, lat.sqrt_h)
@@ -710,7 +706,7 @@ def _build_msolution_structural(depth: int, seed: int, trials: int) -> ScenarioO
 
     def trial(k):
         n = int(rng.integers(1, 3))
-        N = int(rng.integers(4, min(depth, 8) + 1))
+        N = int(rng.integers(4, depth + 1))
         lat = BinaryLattice(1.0, N)
         leaves = 2**N
         psi = rng.standard_normal((N + 1, leaves, n))
@@ -989,116 +985,116 @@ def _register(entry: RegistryEntry) -> None:
 _register(RegistryEntry(
     "prop2.1-random", "cone-preservation-equivalence",
     "vertex test for x>=0 => Ax>=0 agrees with entrywise nonnegativity on random matrices",
-    True, 8, 20240, _build_cone_equivalence, default_trials=1000,
+    True, 8, 20240, _build_cone_equivalence, range(8, 9), default_trials=1000,
 ))
 _register(RegistryEntry(
     "prop2.2-random", "forward-positivity",
     "Metzler drift + diagonal diffusion + nonnegative data keep the forward flow nonnegative;"
     " an injected off-diagonal violation breaks it within two levels",
-    True, 12, 20241, _build_forward_positivity, default_trials=200, depths=_depths_from(4),
+    True, 12, 20241, _build_forward_positivity, range(4, 13), default_trials=200,
 ))
 _register(RegistryEntry(
     "thm2.3-random", "forward-comparison",
     "ordered drifts around a Metzler-Jacobian midpoint with shared diagonal-Jacobian"
     " diffusion propagate ordered initial states",
-    True, 10, 20242, _build_forward_comparison, default_trials=100, depths=_depths_from(4),
+    True, 10, 20242, _build_forward_comparison, range(4, 11), default_trials=100,
 ))
 _register(RegistryEntry(
     "bsde-duality-random", "bsde-duality",
     "backward solution pairs exactly with the adjoint forward flow",
-    True, 8, 20243, _build_bsde_duality, default_trials=50, depths=_depths_from(3),
+    True, 8, 20243, _build_bsde_duality, range(3, 9), default_trials=50,
 ))
 _register(RegistryEntry(
     "thm2.5-random", "bsde-comparison",
     "ordered terminal data and generators around a Metzler/diagonal midpoint order the"
     " backward solutions at every node",
-    True, 10, 20244, _build_bsde_comparison, default_trials=200, depths=_depths_from(4),
+    True, 10, 20244, _build_bsde_comparison, range(4, 11), default_trials=200,
 ))
 _register(RegistryEntry(
     "thm3.2-random", "bsvie-comparison",
     "ordered free terms and generators with a y-nondecreasing selection order the"
     " backward Volterra solutions at every node",
-    True, 9, 20245, _build_bsvie_comparison, default_trials=200, depths=_depths_from(4),
+    True, 9, 20245, _build_bsvie_comparison, range(4, 10), default_trials=200,
 ))
 _register(RegistryEntry(
     "thm3.6-random", "bsvie-stepfn-positivity",
     "step-function kernel data under Metzler/monotone/diagonal hypotheses yield an exactly"
     " nonnegative solution, cross-validated against the per-time sweep",
-    True, 10, 20246, _build_stepfn_positivity, default_trials=50, depths=_depths_from(5),
+    True, 10, 20246, _build_stepfn_positivity, range(5, 11), default_trials=50,
 ))
 _register(RegistryEntry(
     "thm3.7-random", "bsvie-structured-comparison",
     "structured drifts with an ordered, t-nonincreasing difference order the solutions"
     " pointwise",
-    True, 9, 20247, _build_structured_comparison, default_trials=100, depths=_depths_from(4),
+    True, 9, 20247, _build_structured_comparison, range(4, 10), default_trials=100,
 ))
 _register(RegistryEntry(
     "thm3.9-random", "bsvie-weak-positivity",
     "nonnegative free term with Metzler kernel and diagonal sub-diagonal coupling makes the"
     " conditional time-average of Y nonnegative",
-    True, 8, 20248, _build_weak_positivity, default_trials=50, depths=_depths_from(4),
+    True, 8, 20248, _build_weak_positivity, range(4, 9), default_trials=50,
 ))
 _register(RegistryEntry(
     "thm3.10-random", "bsvie-weak-comparison",
     "ordered structured data with sub-diagonal coupling order the conditional time-averages;"
     " pointwise ordering genuinely fails in some draws",
-    True, 9, 20249, _build_weak_comparison, default_trials=100, depths=_depths_from(5),
+    True, 9, 20249, _build_weak_comparison, range(5, 10), default_trials=100,
 ))
 _register(RegistryEntry(
     "bsvie-duality-random", "bsvie-duality",
     "M-solution pairs with the adjoint forward Volterra flow",
-    True, 8, 20250, _build_bsvie_duality, default_trials=25,
+    True, 8, 20250, _build_bsvie_duality, range(1, 9), default_trials=25,
 ))
 _register(RegistryEntry(
     "picard-contraction", "picard-contraction",
     "frozen-y successive scheme: nodewise decreasing iterates, weighted-norm contraction",
-    True, 8, 20251, _build_picard_contraction, default_trials=50, depths=_depths_from(5),
+    True, 8, 20251, _build_picard_contraction, range(5, 9), default_trials=50,
 ))
 _register(RegistryEntry(
     "msolution-structural", "msolution-structural",
     "martingale-representation identity of every M-solution holds to 1e-12",
-    True, 8, 20252, _build_msolution_structural, default_trials=30, depths=_depths_from(4),
+    True, 8, 20252, _build_msolution_structural, range(4, 9), default_trials=30,
 ))
 _register(RegistryEntry(
     "ex2.6", "forward-volterra-positivity",
     "negative, t-decreasing drift kernel drives a positive free term negative",
-    False, 8, 0, _build_ex26,
+    False, 8, 0, _build_ex26, range(8, 9),
 ))
 _register(RegistryEntry(
     "ex2.7", "forward-volterra-positivity",
     "decreasing free term with unit diffusion kernel goes negative with positive probability",
-    False, 14, 0, _build_ex27,
+    False, 14, 0, _build_ex27, range(1, DEFAULT_MAX_DEPTH + 1),
 ))
 _register(RegistryEntry(
     "ex2.8", "forward-volterra-positivity",
     "t-dependent diffusion kernel defeats positivity even with a constant free term",
-    False, 14, 0, _build_ex28,
+    False, 14, 0, _build_ex28, range(1, DEFAULT_MAX_DEPTH + 1),
 ))
 _register(RegistryEntry(
     "ex2.10", "forward-volterra-positivity",
     "indicator drift kernel (not nondecreasing in t) goes negative past the cutoff",
-    False, 12, 0, _build_ex210, depths=_depths_from(2, step=2),
+    False, 12, 0, _build_ex210, range(6, DEFAULT_MAX_DEPTH + 1, 2),
 ))
 _register(RegistryEntry(
     "ex3.3", "bsvie-comparison",
     "increasing free term defeats the pointwise comparison near zero",
-    False, 8, 0, _build_ex33,
+    False, 8, 0, _build_ex33, range(8, 9),
 ))
 _register(RegistryEntry(
     "ex3.4", "bsvie-comparison",
     "t-increasing drift kernel defeats the pointwise comparison for long horizons",
-    False, 8, 0, _build_ex34,
+    False, 8, 0, _build_ex34, range(8, 9),
 ))
 _register(RegistryEntry(
     "ex3.5", "bsvie-stepfn-positivity",
     "nonincreasing rewriting of a benign equation: positivity holds",
-    True, 8, 0, _build_ex35,
+    True, 8, 0, _build_ex35, range(8, 9),
 ))
 _register(RegistryEntry(
     "ex3.8", "bsvie-weak-positivity",
     "two-time sub-diagonal coupling with an indicator free term makes the expected time"
     " integral negative",
-    False, 12, 0, _build_ex38, depths=_depths_from(3),
+    False, 12, 0, _build_ex38, range(3, DEFAULT_MAX_DEPTH + 1),
 ))
 
 

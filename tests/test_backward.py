@@ -87,7 +87,7 @@ def test_bsde_terminal_field_refuses_other_shapes(dim, terminal):
 def test_bsde_scalar_exponential_decay():
     lat = BinaryLattice(1.0, 10)
     sol = backward.solve_bsde(
-        backward.BsdeSpec(1, np.ones((1024, 1)), generator=lambda t, y, z, nd: -y, lip_y=1.0),
+        backward.BsdeSpec(1, np.ones((1024, 1)), generator=lambda t, y, z, nd: -y),
         lat,
     )
     assert abs(sol.y[0][0, 0] - math.exp(-1.0)) <= 0.5 * lat.h  # measured 0.18 h
@@ -115,11 +115,9 @@ def test_bsde_linear_positivity_is_exact():
 
 
 def test_bsde_nonconvergence_reports_step_hint():
-    lat = BinaryLattice(1.0, 2)  # h = 0.5, L_y * h = 5
-    spec = backward.BsdeSpec(
-        1, np.ones((4, 1)), generator=lambda t, y, z, nd: -10.0 * y, lip_y=10.0
-    )
-    with pytest.raises(NonConvergenceError, match="h\\*L_y"):
+    lat = BinaryLattice(1.0, 2)  # h = 0.5: y <- e - 5y changes by a factor -5 a step
+    spec = backward.BsdeSpec(1, np.ones((4, 1)), generator=lambda t, y, z, nd: -10.0 * y)
+    with pytest.raises(NonConvergenceError, match="previous change = 5 -- reduce the step$"):
         backward.solve_bsde(spec, lat)
 
 
@@ -128,9 +126,29 @@ def test_jacobi_nonconvergence_is_named():
     a, ones = np.array([[0.0, 10.0], [10.0, 0.0]]), np.ones((2, 2))
     with pytest.raises(NonConvergenceError, match="Jacobi inner solve"):
         backward._linear_step(ones, ones, a, None, 0.5, math.sqrt(0.5))
-    # the h*L_y figure, computed only on this failure path, is h * max row sum of |A|
-    with pytest.raises(NonConvergenceError, match=r"h\*L_y = 5 "):
+    # the right-hand side (1, 1) is an eigenvector of h*A: each change is 5 times the last
+    with pytest.raises(NonConvergenceError, match=r"last change / previous change = 5 "):
         backward._linear_step(ones, ones, a, None, 0.5, math.sqrt(0.5))
+
+
+def test_nonconvergence_quotes_the_measured_contraction_of_an_undeclared_generator():
+    # no Lipschitz constant is declared: the message measures the map, h * 1.5 at h = 1
+    lat = BinaryLattice(1.0, 1)
+    bsde = backward.BsdeSpec(1, np.ones((2, 1)), generator=lambda t, y, z, nd: -1.5 * y)
+    with pytest.raises(NonConvergenceError,
+                       match=r"^implicit y-step .* previous change = 1\.5 -- reduce the step$"):
+        backward.solve_bsde(bsde, lat)
+    bsvie = backward.BsvieSpec(
+        1, TerminalField(lat, 1, np.ones((2, 2, 1))),
+        generator=lambda t, s, y, z, zeta, nd: -1.5 * y, uses_z=False,
+    )
+    with pytest.raises(NonConvergenceError,
+                       match=r"^diagonal y-step .* previous change = 1\.5 -- reduce the step$"):
+        backward.solve_bsvie_family(bsvie, lat)
+    # a map that contracts too slowly for FP_MAX_ITER steps reads below 1
+    slow = backward.BsdeSpec(1, np.ones((2, 1)), generator=lambda t, y, z, nd: -0.95 * y)
+    with pytest.raises(NonConvergenceError, match=r"previous change = 0\.95 "):
+        backward.solve_bsde(slow, lat)
 
 
 def test_implicit_step_refuses_a_nonpositive_jacobi_diagonal():
@@ -270,8 +288,7 @@ def _reference_linear_step(up, down, a, b, h, sq, sign, extra=None):
     p = sign * h * a
     np.fill_diagonal(p, 0.0)
     return backward._fixed_point(
-        lambda y: (rhs + y @ p.T) / d, np.zeros_like(rhs), "Jacobi inner solve",
-        lambda: h * float(np.abs(a).sum(axis=1).max()),
+        lambda y: (rhs + y @ p.T) / d, np.zeros_like(rhs), "Jacobi inner solve"
     )
 
 
@@ -298,7 +315,7 @@ def _reference_solve_bsde(spec, lattice, from_index=0):
             nodes = LevelNodes(lattice, k)
             y[k] = backward._fixed_point(
                 lambda cur: e + h * np.asarray(spec.generator(t, cur, zk, nodes), dtype=float),
-                e, "implicit y-step", lambda: h * spec.lip_y,
+                e, "implicit y-step",
             )
     return y, z
 
@@ -364,7 +381,7 @@ def _assert_bsde_matches_the_reference(depth, n, seed, linear, absent=""):
     else:
         c = rng.uniform(-1.0, 1.0, n)
         spec = backward.BsdeSpec(
-            n, xi, lip_y=0.5,
+            n, xi,
             generator=lambda t, y, z, nd: 0.5 * np.tanh(y) * c + 0.5 * np.sin(z)
             + t * nd.w[:, None],
         )
@@ -411,7 +428,7 @@ def test_family_reduces_to_single_bsde_for_t_free_data():
         lat,
     )
     bsde = backward.solve_bsde(
-        backward.BsdeSpec(1, xi, generator=gen2, lip_y=1.0), lat
+        backward.BsdeSpec(1, xi, generator=gen2), lat
     )
     worst = max(np.max(np.abs(fam.y.at(k) - bsde.y[k])) for k in range(10))
     assert worst <= 1e-12
@@ -1516,7 +1533,7 @@ def _reference_solve_bsvie_family(
             else:
                 lam = backward._fixed_point(
                     lambda cur: e + h * spec.drift(t_i, t_j, cur, z_arg, zeta_ij, nodes),
-                    e, "diagonal y-step", lambda: h * spec.lip_y,
+                    e, "diagonal y-step",
                 )
         return lam
 

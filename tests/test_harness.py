@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -205,18 +206,57 @@ def test_ex27_oracle_gate_trips_on_a_nonnegative_oracle_from_depth_2(monkeypatch
     assert "not negative" in _ex27_gate_error(monkeypatch, depth, abs)
 
 
+# the depths each entry accepts: a random family's range tops out at its default
+# depth, and an entry that never reads the depth accepts only its default
+ACCEPTED_DEPTHS = {
+    "prop2.1-random": range(8, 9),
+    "prop2.2-random": range(4, 13),
+    "thm2.3-random": range(4, 11),
+    "bsde-duality-random": range(3, 9),
+    "thm2.5-random": range(4, 11),
+    "thm3.2-random": range(4, 10),
+    "thm3.6-random": range(5, 11),
+    "thm3.7-random": range(4, 10),
+    "thm3.9-random": range(4, 9),
+    "thm3.10-random": range(5, 10),
+    "bsvie-duality-random": range(1, 9),
+    "picard-contraction": range(5, 9),
+    "msolution-structural": range(4, 9),
+    "ex2.6": range(8, 9),
+    "ex2.7": range(1, 17),
+    "ex2.8": range(1, 17),
+    "ex2.10": range(6, 17, 2),
+    "ex3.3": range(8, 9),
+    "ex3.4": range(8, 9),
+    "ex3.5": range(8, 9),
+    "ex3.8": range(3, 17),
+}
+GALLERY = ("ex2.6", "ex2.7", "ex2.8", "ex2.10", "ex3.3", "ex3.4", "ex3.5", "ex3.8")
+
+
+def test_registry_accepts_the_pinned_depths_up_to_each_random_familys_default():
+    assert {name: entry.depths for name, entry in REGISTRY.items()} == ACCEPTED_DEPTHS
+    assert sum(len(r) for r in ACCEPTED_DEPTHS.values()) == 131
+    for name, entry in REGISTRY.items():
+        assert entry.default_depth in entry.depths
+        if name not in GALLERY:
+            assert entry.depths[-1] == entry.default_depth
+    assert sorted(n for n, e in REGISTRY.items() if e.default_seed == 0) == sorted(GALLERY)
+
+
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_each_scenario_runs_at_its_depths_and_refuses_others(name):
     entry = REGISTRY[name]
     depths = entry.depths
-    assert entry.default_depth in depths
-    assert depths[-1] == 16  # the lattice's cap
-    for depth in (depths[0], depths[1]):  # the smallest depths run
-        run_experiment(ScenarioConfig(scenario=name, depth=depth, trials=2))
+    trials = 1 if name in GALLERY else 2
+    for depth in depths[:2]:  # the smallest depths run
+        run_experiment(ScenarioConfig(scenario=name, depth=depth, trials=trials))
     refused = [d for d in range(-1, 19) if d not in depths]
     assert refused[:2] == [-1, 0] and refused[-2:] == [17, 18]
+    accepted = re.escape(entry.accepted_depths())
     for depth in refused:
-        with pytest.raises(ValueError, match=r"depth (of \S+ )?must be in \[\d+, 16\]"):
+        with pytest.raises(ValueError, match=rf"^depth of {re.escape(name)} must be {accepted}, "
+                                             rf"got {depth}$"):
             resolve(ScenarioConfig(scenario=name, depth=depth))
 
 
@@ -233,17 +273,77 @@ def test_ex38_agrees_with_its_verdict_at_every_depth_it_accepts():
             resolve(ScenarioConfig(scenario="ex3.8", depth=depth))
 
 
+def test_ex210_agrees_with_its_verdict_at_every_depth_it_accepts_up_to_12():
+    # at depths 2 and 4 no leaf's bracket is negative, so the counterexample
+    # cannot show; from depth 6 it does (checked up to 16)
+    depths = REGISTRY["ex2.10"].depths
+    assert list(depths) == [6, 8, 10, 12, 14, 16]
+    for depth in (6, 8, 10, 12):
+        verdict = run_experiment(ScenarioConfig(scenario="ex2.10", depth=depth))
+        assert verdict.agrees_with_expectation and verdict.details["criterion_leaves"] > 0
+    for depth in (2, 4):
+        message = rf"^depth of ex2.10 must be in \[6, 16\] in steps of 2, got {depth}$"
+        with pytest.raises(ValueError, match=message):
+            resolve(ScenarioConfig(scenario="ex2.10", depth=depth))
+
+
 @pytest.mark.parametrize("name, depth, message", [
-    ("thm3.2-random", 1, "depth of thm3.2-random must be in [4, 16], got 1"),
-    ("picard-contraction", 4, "depth of picard-contraction must be in [5, 16], got 4"),
-    ("bsde-duality-random", 2, "depth of bsde-duality-random must be in [3, 16], got 2"),
-    ("ex2.10", 3, "depth of ex2.10 must be in [2, 16] in steps of 2, got 3"),
+    ("thm3.2-random", 1, "depth of thm3.2-random must be in [4, 9], got 1"),
+    ("picard-contraction", 4, "depth of picard-contraction must be in [5, 8], got 4"),
+    ("bsde-duality-random", 2, "depth of bsde-duality-random must be in [3, 8], got 2"),
+    ("ex2.10", 3, "depth of ex2.10 must be in [6, 16] in steps of 2, got 3"),
 ])
 def test_cli_refuses_a_depth_below_a_scenario_minimum_with_exit_2(name, depth, message, capsys):
     assert cli.main(["run", "--scenario", name, "--depth", str(depth)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def _refuses_before_running(monkeypatch, argv, capsys) -> str:
+    """The stderr of ``argv``, after checking that it exits 2 and runs no scenario."""
+    ran = []
+    for name, entry in list(REGISTRY.items()):
+        monkeypatch.setitem(REGISTRY, name, dataclasses.replace(
+            entry, build=lambda *a, name=name: ran.append(name)))
+    assert cli.main(argv) == 2
+    assert ran == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--scenario", "thm3.2-random", "--depth", "10"],
+     "depth of thm3.2-random must be in [4, 9], got 10"),
+    (["run", "--scenario", "ex2.6", "--seed", "7"], "seed of ex2.6 must be 0, got 7"),
+    (["run", "--scenario", "ex3.4", "--trials", "5"], "trials of ex3.4 must be 1, got 5"),
+])
+def test_cli_refuses_a_setting_that_would_not_change_the_run(argv, message, monkeypatch, capsys):
+    assert _refuses_before_running(monkeypatch, argv, capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("name", GALLERY)
+def test_gallery_entries_accept_only_seed_0_and_one_trial(name):
+    assert resolve(ScenarioConfig(scenario=name))[2:] == (0, 1)
+    assert resolve(ScenarioConfig(scenario=name, seed=0, trials=1))[2:] == (0, 1)
+    for seed in (1, 20240, -1):
+        with pytest.raises(ValueError, match=rf"^seed of {re.escape(name)} must be 0, got {seed}$"):
+            resolve(ScenarioConfig(scenario=name, seed=seed))
+    with pytest.raises(ValueError, match=rf"^trials of {re.escape(name)} must be 1, got 2$"):
+        resolve(ScenarioConfig(scenario=name, trials=2))
+
+
+def test_cli_list_prints_the_depths_seeds_and_trials_each_entry_accepts(capsys):
+    assert cli.main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    width = max(len(n) for n in REGISTRY) + 2
+    settings = {lines[k].split()[0]: lines[k + 1][width:] for k in range(0, len(lines), 3)}
+    assert settings["thm2.5-random"] == (
+        "depth in [4, 10] (default 10); seed >= 0 (default 20244), trials >= 1 (default 200)")
+    assert settings["prop2.1-random"].startswith("depth 8; seed >= 0 (default 20240)")
+    assert settings["ex2.6"] == "depth 8; seed 0, trials 1"
+    assert settings["ex2.10"] == "depth in [6, 16] in steps of 2 (default 12); seed 0, trials 1"
 
 
 def test_run_experiment_is_deterministic():
@@ -360,8 +460,8 @@ def test_resolve_rejects_fewer_than_one_trial(name, trials):
 @pytest.mark.parametrize("argv, message", [
     (["run", "--scenario", "thm2.5-random", "--trials", "0"], "trials must be at least 1, got 0"),
     (["run", "--scenario", "thm3.10-random", "--trials", "-3"], "trials must be at least 1, got -3"),
-    (["run", "--scenario", "ex2.6", "--depth", "0"], "depth must be in [1, 16]"),
-    (["hypotheses", "--scenario", "ex3.4", "--depth", "17"], "depth must be in [1, 16]"),
+    (["run", "--scenario", "ex2.6", "--depth", "0"], "depth of ex2.6 must be 8, got 0"),
+    (["hypotheses", "--scenario", "ex3.4", "--depth", "17"], "depth of ex3.4 must be 8, got 17"),
 ])
 def test_cli_usage_errors_exit_2_with_one_line(argv, message, capsys):
     assert cli.main(argv) == 2
@@ -375,6 +475,16 @@ def test_cli_rejects_a_config_document_without_a_scenario_with_exit_2(tmp_path, 
     cfg.write_text('{"depth": 3}')
     assert cli.main(["run", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: config document needs a 'scenario' field\n"
+
+
+def test_cli_rejects_a_config_document_with_unknown_fields_before_running(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "thm2.5-random", "trails": 3, "dept": 5}))
+    err = _refuses_before_running(monkeypatch, ["run", "--config", str(cfg)], capsys)
+    assert err == ("error: config document has unknown fields dept, trails"
+                   " (known: scenario, depth, seed, trials, out, format)\n")
 
 
 def test_cli_rejects_an_invalid_json_config_document_with_exit_2(tmp_path, capsys):

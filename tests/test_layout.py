@@ -96,14 +96,14 @@ def test_solver_levels_and_z_blocks_are_node_contiguous(lat, rng):
     }
     linear = backward.solve_bsde(BsdeSpec(N, xi, a=lambda t: -np.abs(a0(t)), b=a1), lat)
     general = backward.solve_bsde(
-        BsdeSpec(N, xi, generator=lambda t, y, z, nd: np.tanh(y) + z, lip_y=1.0), lat)
+        BsdeSpec(N, xi, generator=lambda t, y, z, nd: np.tanh(y) + z), lat)
     for name, sol in (("solve_bsde", linear), ("solve_bsde (generator)", general)):
         # y[N] is the caller's terminal field itself, in the caller's order
         levels[name] = sol.y[:DEPTH] + sol.z
     # a C-ordered generator value gives its y-levels that order; Z is read along the nodes
     c_valued = backward.solve_bsde(
-        BsdeSpec(N, xi, generator=lambda t, y, z, nd: np.ascontiguousarray(np.tanh(y) + z),
-                 lip_y=1.0), lat)
+        BsdeSpec(N, xi, generator=lambda t, y, z, nd: np.ascontiguousarray(np.tanh(y) + z)),
+        lat)
     levels["solve_bsde (C-valued generator) z"] = c_valued.z
     family = backward.solve_bsvie_family(_bsvie_spec(rng, lat, psi), lat)
     msol = backward.solve_bsvie_msolution(_msolution_spec(rng, lat, psi), lat)
@@ -153,8 +153,7 @@ def test_a_callback_value_in_c_order_gives_the_same_bits(lat, rng):
     bsvie_seed = int(rng.integers(2**31))
 
     def outputs(wrap):
-        bsde = BsdeSpec(N, xi, generator=lambda t, y, z, nd: wrap(0.5 * np.tanh(y) + z @ a(t).T),
-                        lip_y=0.5)
+        bsde = BsdeSpec(N, xi, generator=lambda t, y, z, nd: wrap(0.5 * np.tanh(y) + z @ a(t).T))
         sol = backward.solve_bsde(bsde, lat)
         fam = backward.solve_bsvie_family(
             _bsvie_spec(np.random.default_rng(bsvie_seed), lat, psi, wrap), lat)
