@@ -67,8 +67,9 @@ FP_TOL = 1e-13
 FP_MAX_ITER = 50
 PICARD_TOL = 1e-10  # frozen-y scheme: weighted difference norm that ends it
 PICARD_MAX_ITER = 50
-# cap on the float entries (2**N * dim per row) of a family sweep block's stacked
-# rows: a depth <= 10, dim <= 3 solve is one block, a depth-16 one goes row by row
+# cap on the float entries (2**N * dim per row and trial) of a family sweep block's
+# stacked rows: a depth <= 10, dim <= 3 solve is one block, a depth-16 one goes row
+# by row; the comparison families cap their trial stacks' free terms by it too
 _ROW_BLOCK_ELEMS = 2**16
 
 
@@ -123,19 +124,52 @@ def _fixed_point(step: Callable[[np.ndarray], np.ndarray], start: np.ndarray,
     the cap is reached and a non-finite iterate raises DivergenceError naming
     its node.  Otherwise NonConvergenceError quotes the measured contraction,
     the last change over the one before it, computed only on that failure path.
+
+    Axes before the last two (node, component) are trial axes: each trial,
+    numbered in C order, is an independent problem.  ``step`` must map every
+    trial's slice as it maps that slice alone, bit for bit.  Each trial
+    stops by the rule above on its own entries and keeps its first iterate
+    within FP_TOL; the stack iterates until every trial has stopped, and a
+    trial's later iterates are discarded.  When the cap is reached, the
+    lowest trial still open raises the error it raises alone, plus
+    ``trial=k``.  A start with no trial axis runs the loop of one problem.
     """
-    cur, change = start, math.inf
+    lead = start.shape[:-2]
+    if not lead:
+        cur, change = start, math.inf
+        for _ in range(FP_MAX_ITER):
+            new = step(cur)
+            last, change = change, np.maximum.reduce(np.abs(new - cur), axis=None)
+            if change < FP_TOL:
+                return new
+            cur = new
+        _check_finite(cur, what)
+        raise NonConvergenceError(_non_convergence(what, change, last))
+    out = np.empty_like(start)
+    open_ = np.ones(lead, dtype=bool)
+    cur, change = start, np.full(lead, math.inf)
     for _ in range(FP_MAX_ITER):
         new = step(cur)
-        last, change = change, np.maximum.reduce(np.abs(new - cur), axis=None)
-        if change < FP_TOL:
-            return new
+        last, change = change, np.max(np.abs(new - cur), axis=(-2, -1))
+        done = open_ & (change < FP_TOL)
+        if done.any():
+            out[done] = new[done]
+            open_ &= ~done
+            if not open_.any():
+                return out
         cur = new
-    _check_finite(cur, what)
+    # the loop over trials would have raised for the lowest open trial first
+    k = int(np.flatnonzero(open_)[0])
+    # trials below k hold their first iterate within FP_TOL, which is finite
+    held = np.where(open_[..., None, None], cur, out).reshape((-1,) + start.shape[-2:])
+    _check_finite(held[:k + 1], what)
     raise NonConvergenceError(
-        f"{what} not below {FP_TOL} in {FP_MAX_ITER} iterations; "
-        f"last change / previous change = {float(change) / float(last):.3g} -- reduce the step"
-    )
+        f"{_non_convergence(what, change.flat[k], last.flat[k])}, trial={k}")
+
+
+def _non_convergence(what: str, change, last) -> str:
+    return (f"{what} not below {FP_TOL} in {FP_MAX_ITER} iterations; "
+            f"last change / previous change = {float(change) / float(last):.3g} -- reduce the step")
 
 
 # -- BSDEs ---------------------------------------------------------------------
@@ -177,22 +211,32 @@ class BsdeSpec:
         self.is_linear = linear
 
     def terminal_field(self, lattice: BinaryLattice) -> np.ndarray:
-        """The terminal value on the leaves, ``(2**N, dim)``.
+        """The terminal value on the leaves, ``(2**N, dim)``, or ``(trials, 2**N, dim)``.
 
         ``terminal`` is a scalar or a ``(dim,)`` vector, the same at every
         leaf, or a ``(2**N, dim)`` field, also ``(2**N,)`` when dim is 1;
         any other shape (a transposed ``(dim, 2**N)`` field, say) raises
         ValueError.
+
+        A ``(trials, 2**N, dim)`` field is a stack of independent BSDEs, one
+        per trial along the leading axis, which :func:`solve_bsde` solves
+        together.  The callables then get ``(trials, 2**k, dim)`` arrays
+        and must return the stack of their per-trial values, bit for bit:
+        a generator broadcasts per-trial coefficients, ``(trials, dim, dim)``
+        matrices and ``(trials, 1, dim)`` vectors, against them.  The linear
+        form's ``a``, ``b`` and ``forcing`` are shared by every trial.
         """
         xi = np.asarray(self.terminal, dtype=float)
         leaves = 2**lattice.depth
         if xi.ndim == 0 or xi.shape == (self.dim,):
             return np.full((leaves, self.dim), xi)
-        if xi.shape == (leaves, self.dim) or (self.dim == 1 and xi.shape == (leaves,)):
+        if xi.shape[-2:] == (leaves, self.dim) and xi.ndim <= 3:
+            return xi
+        if self.dim == 1 and xi.shape == (leaves,):
             return xi.reshape(leaves, self.dim)
         raise ValueError(
             f"terminal of shape {xi.shape} is none of (), ({self.dim},), ({leaves}, {self.dim})"
-            + (f" or ({leaves},)" if self.dim == 1 else "")
+            + (f", ({leaves},)" if self.dim == 1 else "") + f" or (trials, {leaves}, {self.dim})"
         )
 
 
@@ -205,15 +249,21 @@ class BsdeSolution:
 
 
 def solve_bsde(spec: BsdeSpec, lattice: BinaryLattice) -> BsdeSolution:
-    """Backward induction with the implicit-in-y, explicit-in-z one-step scheme."""
+    """Backward induction with the implicit-in-y, explicit-in-z one-step scheme.
+
+    A stack of terminal fields (see :meth:`BsdeSpec.terminal_field`) is
+    solved as independent BSDEs: every level carries the leading trial
+    axis, and each trial's levels are, bit for bit, those of its own solve.
+    """
     n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
     y = [None] * N + [spec.terminal_field(lattice)]
     z = [None] * N
+    nodes_axis = y[N].ndim - 2
     for k in range(N - 1, -1, -1):
         # y[N] is the caller's terminal field: every level below it is node-contiguous
-        up, down = split_children(y[k + 1])
+        up, down = split_children(y[k + 1], axis=nodes_axis)
         zk = children_slope(up, down, sq)
         z[k] = zk
         t = lattice.times[k]
@@ -316,6 +366,16 @@ class BsvieSpec:
     sums slower; ufuncs and ``(A @ y.mT).mT`` keep the order of their
     arguments.  The structured pieces' products are taken as
     ``(A @ y.mT).mT``, the same bits as ``y @ A.mT``.
+
+    A ``psi`` with a leading trial axis, ``(trials, N + 1, 2**N, n)``, makes
+    the spec a stack of independent equations, which ``solve_bsvie_family``
+    solves in one sweep; it needs ``stacked_t``.  The trial axis then leads
+    every array handed to the callables, before the row axis: ``y`` is
+    ``(trials, 1, 2**j, n)`` and ``z`` ``(trials, rows, 2**j, n)``.  A
+    generator broadcasts its per-trial coefficients against them, as
+    ``(trials, 1, n, n)`` matrices and ``(trials, 1, 1, n)`` vectors, and
+    must return each trial's values bit for bit; the structured pieces are
+    shared by every trial.
     """
 
     dim: int
@@ -431,13 +491,31 @@ def solve_bsvie_family(
     explicit update is checked as it is made: the first level with a
     non-finite value is named with its highest such row and the node.  A
     diagonal step names its level and node.
+
+    A free term with a leading trial axis (see :class:`TerminalField`) is a
+    stack of independent equations, solved in one sweep; the trial axis sits
+    outside the row axis.  The callables get ``z`` as ``(trials, rows, 2**j,
+    n)`` (one row in a diagonal step) and ``y`` as ``(trials, 1, 2**j, n)``,
+    and must return the stack of their per-trial values, bit for bit: a
+    generator broadcasts per-trial coefficients, ``(trials, 1, n, n)``
+    matrices and ``(trials, 1, 1, n)`` vectors, against them, while
+    structured pieces are shared by every trial.  The row blocks then hold
+    at most ``_ROW_BLOCK_ELEMS // (trials * 2**N * dim)`` rows: one element
+    budget for the whole stack.  The returned Y levels and Z slices carry
+    the trial axis, and every trial's values are those of its own solve.  A
+    stack needs ``stacked_t``; it takes no ``frozen_y`` and is no
+    M-solution (ValueError).  A failing step raises for the lowest trial
+    that fails there, with the message that trial raises alone plus
+    ``trial=k``.
     """
     n = spec.dim
     N = lattice.depth
     h, sq = lattice.h, lattice.sqrt_h
     times = lattice.times
+    psi = spec.psi.values
+    trials = psi.shape[0] if psi.ndim == 4 else None
     y_levels: list[np.ndarray | None] = [None] * (N + 1)
-    z = TwoParamProcess(lattice, n)
+    z = TwoParamProcess(lattice, n, trials)
     residuals: list[float] = []
     frozen = frozen_y is not None
     if _msolution and frozen:
@@ -445,6 +523,11 @@ def solve_bsvie_family(
         raise ValueError("an M-solution sweep takes no frozen y-argument")
     if spec.uses_zeta and not _msolution:
         raise ValueError("generator depends on Z(s,t): solve as an M-solution")
+    if trials is not None and (frozen or _msolution or not spec.stacked_t):
+        raise ValueError("a stack of trials is solved only with stacked_t, "
+                         "without frozen_y and not as an M-solution")
+    # row j of a block: a stack keeps its row axis, so the callables see one layout
+    last = -1 if trials is None else np.s_[:, -1:]
     level_nodes = [LevelNodes(lattice, j) for j in range(N)]
     y_args = frozen_y if frozen else y_levels
     what = "frozen-y sweep" if frozen else "explicit step"
@@ -482,10 +565,10 @@ def solve_bsvie_family(
 
     def explicit_update(lo: int, j: int, e: np.ndarray, mu: np.ndarray) -> np.ndarray:
         # rows i = lo..lo+k-1 at level j: e + h * drift(t_i, t_j, Y(t_j), Z(t_i,t_j), Z(t_j,t_i))
-        k = e.shape[0]
+        k = e.shape[-3]
         t_j = times[j]
         nodes = level_nodes[j]
-        y_j = y_args[j]
+        y_j = y_args[j] if trials is None else y_args[j][:, None]
         z_arg = mu if spec.uses_z else None
         # Z(t_j, t_i) lifted to level j; an M-solution sweep has finished row j
         zeta_arg = z.lifted(j, lo, lo + k, j) if spec.uses_zeta else None
@@ -501,20 +584,24 @@ def solve_bsvie_family(
             # a node-contiguous stack: the rows' transposes stacked, turned back
             lam = rows[0][None] if k == 1 else np.stack([row.T for row in rows]).swapaxes(1, 2)
         if not np.isfinite(lam).all():
+            if trials is not None:
+                # up to the lowest trial with a non-finite value: it raises, as it would alone
+                lam = lam[:int(np.argmax(~np.isfinite(lam).all(axis=(1, 2, 3)))) + 1]
             for r in range(k - 1, -1, -1):
-                _check_finite(lam[r], f"{what} of row {lo + r}")
+                _check_finite(lam[..., r, :, :], f"{what} of row {lo + r}")
         return lam
 
-    finish(N, np.array(spec.psi.slice(N), order="F"))
-    block = max(1, _ROW_BLOCK_ELEMS // (2**N * n))
+    # a node-contiguous copy of psi(T): the components' node runs, turned back
+    finish(N, np.array(spec.psi.slice(N).mT, order="C").mT)
+    block = max(1, _ROW_BLOCK_ELEMS // ((trials or 1) * 2**N * n))
     for hi in range(N - 1, -1, -block):
         lo = max(0, hi - block + 1)
         # the caller's psi rows: the first step reads them, every later lam is node-contiguous
-        lam = spec.psi.values[lo:hi + 1]
+        lam = psi[..., lo:hi + 1, :, :]
         for j in range(N - 1, lo - 1, -1):
             top = min(hi, j)  # rows lo..top are open at level j
-            lam = lam[:top - lo + 1]
-            up, down = split_children(lam, axis=1)
+            lam = lam[..., :top - lo + 1, :, :]
+            up, down = split_children(lam, axis=lam.ndim - 2)
             e = children_mean(up, down)
             mu = children_slope(up, down, sq, out=z.write_rows(j, lo, top + 1))
             if frozen:
@@ -522,9 +609,10 @@ def solve_bsvie_family(
                 if top == j:
                     finish(j, lam[-1].copy(order="F"))
             elif top == j:
-                finish(j, diagonal_step(j, up[-1], down[-1], e[-1], mu[-1]))
+                y_j = diagonal_step(j, up[last], down[last], e[last], mu[last])
+                finish(j, y_j if trials is None else y_j[:, 0])
                 if j > lo:
-                    lam = explicit_update(lo, j, e[:-1], mu[:-1])
+                    lam = explicit_update(lo, j, e[..., :-1, :, :], mu[..., :-1, :, :])
             else:
                 lam = explicit_update(lo, j, e, mu)
     y = AdaptedProcess(lattice, n, y_levels)

@@ -24,34 +24,43 @@ class ConeLogicError(RuntimeError):
 
 
 def _as_matrix(a) -> np.ndarray:
+    """``a`` as a float matrix, or a stack ``(..., m, n)`` of matrices; finite."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {m.shape}")
+    if m.ndim < 2:
+        raise ValueError(f"expected a 2-d matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m
 
 
 def _require_square(m: np.ndarray) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"square matrix required, got shape {m.shape}")
+    if m.shape[-2] != m.shape[-1]:
+        raise ValueError(f"square matrix required, got shape {m.shape[-2:]}")
 
 
-def is_nonneg(a, tol: float = 0.0) -> bool:
-    """True iff every entry of ``a`` is >= -tol."""
+def _verdict(inside: np.ndarray):
+    """A bool for one matrix, the boolean array of the leading axes for a stack."""
+    return bool(inside) if inside.ndim == 0 else inside
+
+
+def is_nonneg(a, tol: float = 0.0):
+    """True iff every entry of ``a`` is >= -tol.
+
+    A stack ``(..., m, n)`` gets one answer per matrix, as a boolean array.
+    """
     m = _as_matrix(a)
-    return bool(np.all(m >= -tol))
+    return _verdict(np.all(m >= -tol, axis=(-2, -1)))
 
 
-def is_metzler(a, tol: float = 0.0) -> bool:
+def is_metzler(a, tol: float = 0.0):
     """True iff every off-diagonal entry of the square matrix ``a`` is >= -tol.
 
-    Diagonal entries are unconstrained; any 1x1 matrix is Metzler.
+    Diagonal entries are unconstrained; any 1x1 matrix is Metzler.  A stack
+    ``(..., n, n)`` gets one answer per matrix, as a boolean array.
     """
     m = _as_matrix(a)
     _require_square(m)
-    off = m[~np.eye(m.shape[0], dtype=bool)]
-    return bool(off.size == 0 or np.all(off >= -tol))
+    return _verdict(np.all((m >= -tol) | np.eye(m.shape[-1], dtype=bool), axis=(-2, -1)))
 
 
 def cone_preservation_check(a, sample_count: int, rng_seed: int) -> bool:

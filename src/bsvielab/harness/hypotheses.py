@@ -98,20 +98,36 @@ def _outside(cone: str, items, tol: float = 0.0):
     than ``tol``, at its entry furthest outside (module docstring); None if every item is in.
 
     The diagonal and zero cones are the Metzler and nonnegative cones
-    intersected with their negatives.
+    intersected with their negatives.  Every item is read, then all are
+    tested in one stacked cone call: the Metzler and diagonal cones take the
+    items as a stack of square matrices of one size; the entrywise cones take
+    every entry as a 1x1 matrix, so items of any shapes stack.  A non-finite
+    entry in any item raises ValueError.
     """
+    keys, ms = [], []
     for key, m in items:
-        if cone in ("nonneg", "zero"):
-            inside = cones.is_nonneg(m, tol) and (cone == "nonneg" or cones.is_nonneg(-m, tol))
-        else:
-            inside = cones.is_metzler(m, tol) and (cone == "metzler" or cones.is_metzler(-m, tol))
-        if not inside:
-            score = m if cone in ("nonneg", "metzler") else -np.abs(m)
-            if cone in ("metzler", "diagonal"):
-                score = np.where(np.eye(*m.shape, dtype=bool), np.inf, score)
-            e = np.unravel_index(int(np.argmin(score)), m.shape)
-            return key, tuple(int(i) for i in e), float(m[e])
-    return None
+        keys.append(key)
+        ms.append(np.asarray(m, dtype=float))
+    if not ms:
+        return None
+    if cone in ("nonneg", "zero"):
+        stack = np.concatenate([m.ravel() for m in ms]).reshape(-1, 1, 1)
+        inside = cones.is_nonneg(stack, tol) & (cone == "nonneg" or cones.is_nonneg(-stack, tol))
+    else:
+        stack = np.stack(ms)
+        inside = cones.is_metzler(stack, tol) & (cone == "metzler" or cones.is_metzler(-stack, tol))
+    if inside.all():
+        return None
+    # the item of the first stacked matrix outside: itself, or the item its entry is in
+    first = int(np.argmin(inside))
+    if stack.shape[0] != len(ms):
+        first = int(np.searchsorted(np.cumsum([m.size for m in ms]), first, side="right"))
+    m = ms[first]
+    score = m if cone in ("nonneg", "metzler") else -np.abs(m)
+    if cone in ("metzler", "diagonal"):
+        score = np.where(np.eye(*m.shape, dtype=bool), np.inf, score)
+    e = np.unravel_index(int(np.argmin(score)), m.shape)
+    return keys[first], tuple(int(i) for i in e), float(m[e])
 
 
 def _pair_witness(cone: str, items, tol: float = 0.0) -> str | None:

@@ -130,9 +130,13 @@ def _worst_trial(
     return worst, witness, results
 
 
-def _ordering_slack(hi_levels, lo_levels) -> float:
-    """Smallest entry of ``hi - lo`` over all levels; NaN if any difference is NaN."""
-    return float(np.min([np.min(hi - lo) for hi, lo in zip(hi_levels, lo_levels)]))
+def _ordering_slack(hi_levels, lo_levels):
+    """Smallest entry of ``hi - lo`` over all levels; NaN if any difference is NaN.
+
+    Levels with a leading trial axis give the list of every trial's slack.
+    """
+    return np.min([np.min(hi - lo, axis=(-2, -1)) for hi, lo in zip(hi_levels, lo_levels)],
+                  axis=0).tolist()
 
 
 # -- samplers ---------------------------------------------------------------------
@@ -276,6 +280,66 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
     )
 
 
+# -- lower/upper comparison families, solved in trial stacks --------------------------
+
+
+def _side_by_side(parts: list[tuple]) -> tuple:
+    """The stacked parts of the trials' lower and upper equations, side by side.
+
+    ``parts`` holds one draw per trial, ``(a, b, kappa, lo_shift, hi_shift,
+    lo_end, hi_end)``; returns ``(a, b, kappa, shift, end)``, each stacked
+    along a new leading axis as trial 0 lower, trial 0 upper, trial 1 lower,
+    ..., the order a loop over the trials solves them in.
+    """
+    a, b, kappa, lo_shift, hi_shift, lo_end, hi_end = (np.stack(v) for v in zip(*parts))
+    pair = lambda lo, hi: np.stack([lo, hi], axis=1).reshape(-1, *lo.shape[1:])
+    return pair(a, a), pair(b, b), pair(kappa, kappa), pair(lo_shift, hi_shift), pair(lo_end, hi_end)
+
+
+def _comparison_slacks(depth: int, seed: int, trials: int, draw, solve, rows) -> list[float]:
+    """The ordering slack of each trial of a lower/upper comparison family, in trial order.
+
+    Trial k draws its dimension n in 1..3, its depth N in 4..``depth`` and
+    then its data, ``draw(rng, n, lattice)``, from one generator, in trial
+    order.  Pass 1 makes every draw and keeps, per trial, only (n, N) and
+    the generator state before its data.  Pass 2 takes the trials of each
+    (n, N) in stacks, replays their draws and solves the lower and upper
+    equation of every trial of a stack at once, side by side along the
+    leading axis (:func:`_side_by_side`): ``solve(lattice, n, a, b, kappa,
+    shift, end)`` returns the Y levels.  A stack holds at most
+    ``_ROW_BLOCK_ELEMS`` float entries of free terms, ``rows(N) * 2**N * n``
+    per equation, and at least one trial.  Each trial's slack is the one
+    its own two solves give.
+    """
+    rng = np.random.default_rng(seed)
+    lattices: dict[int, BinaryLattice] = {}
+    plan = []
+    for _ in range(trials):
+        n = int(rng.integers(1, 4))
+        N = int(rng.integers(4, depth + 1))
+        if N not in lattices:
+            lattices[N] = BinaryLattice(1.0, N)
+        plan.append((n, N, rng.bit_generator.state))
+        draw(rng, n, lattices[N])  # advances past the data, which are drawn again per stack
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (n, N, _) in enumerate(plan):
+        groups.setdefault((n, N), []).append(k)
+    slacks = [0.0] * trials
+    for (n, N), ks in groups.items():
+        per = max(1, backward._ROW_BLOCK_ELEMS // (2 * rows(N) * 2**N * n))
+        for c in range(0, len(ks), per):
+            stack = ks[c:c + per]
+            parts = []
+            for k in stack:
+                rng.bit_generator.state = plan[k][2]
+                parts.append(draw(rng, n, lattices[N]))
+            levels = solve(lattices[N], n, *_side_by_side(parts))
+            hi_levels, lo_levels = [lv[1::2] for lv in levels], [lv[0::2] for lv in levels]
+            for k, slack in zip(stack, _ordering_slack(hi_levels, lo_levels)):
+                slacks[k] = slack
+    return slacks
+
+
 # -- BSDE scenarios -------------------------------------------------------------------
 
 
@@ -314,38 +378,37 @@ def _build_bsde_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
 
 
-def _comparison_pair_bsde(rng, n: int, lat: BinaryLattice):
-    """Metzler-linear-in-y + diagonal-linear-in-z + nondecreasing bounded part."""
+def _draw_bsde_pair(rng, n: int, lat: BinaryLattice):
+    """Metzler-linear-in-y + diagonal-linear-in-z + nondecreasing bounded part.
+
+    The pair's generators are ``(a @ y.mT).mT + (b @ z.mT).mT + kappa *
+    np.tanh(y) + shift``, the lower one with ``shift = -eps``, the upper
+    one with ``+eps``.  Returns a, b, kappa, the two shifts and the two
+    terminal fields, lower first.
+    """
     h = lat.h
     a = _scaled(_random_metzler(rng, n, 0.6), 0.45, h)
     b = _scaled(_random_diagonal(rng, n, 0.8), 0.45, lat.sqrt_h)
     kappa = rng.uniform(0.0, 0.3, n)
     eps = rng.uniform(0.0, 0.5, n)
-
-    def gbar(t, y, z, nodes):
-        return (a @ y.mT).mT + (b @ z.mT).mT + kappa * np.tanh(y)
-
     leaves = 2**lat.depth
     xi0 = rng.standard_normal((leaves, n))
     xi1 = xi0 + rng.uniform(0.0, 1.0, (leaves, n))
-    lo = backward.BsdeSpec(n, xi0, generator=lambda t, y, z, nd: gbar(t, y, z, nd) - eps)
-    hi = backward.BsdeSpec(n, xi1, generator=lambda t, y, z, nd: gbar(t, y, z, nd) + eps)
-    return lo, hi
+    return a, b, kappa, -eps, eps, xi0, xi1
+
+
+def _solve_bsde_stack(lat: BinaryLattice, n: int, a, b, kappa, shift, terminal) -> list:
+    """Y levels of the stack of BSDEs with the pair generators of :func:`_draw_bsde_pair`."""
+    kappa, shift = kappa[:, None], shift[:, None]
+    spec = backward.BsdeSpec(n, terminal, generator=lambda t, y, z, nd: (
+        (a @ y.mT).mT + (b @ z.mT).mT + kappa * np.tanh(y) + shift))
+    return backward.solve_bsde(spec, lat).y
 
 
 def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    rng = np.random.default_rng(seed)
-
-    def trial(k):
-        n = int(rng.integers(1, 4))
-        N = int(rng.integers(4, depth + 1))
-        lat = BinaryLattice(1.0, N)
-        lo_spec, hi_spec = _comparison_pair_bsde(rng, n, lat)
-        lo = backward.solve_bsde(lo_spec, lat)
-        hi = backward.solve_bsde(hi_spec, lat)
-        return (_ordering_slack(hi.y, lo.y),)
-
-    worst, witness, _ = _worst_trial(trials, trial)
+    slacks = _comparison_slacks(depth, seed, trials, _draw_bsde_pair, _solve_bsde_stack,
+                                rows=lambda N: 1)
+    worst, witness, _ = _worst_trial(trials, lambda k: (slacks[k],))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
@@ -356,40 +419,42 @@ def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcom
 # -- BSVIE scenarios -------------------------------------------------------------------
 
 
+def _draw_bsvie_pair(rng, n: int, lat: BinaryLattice):
+    """Entrywise nonnegative y-coefficient, diagonal z-coefficient, y-nondecreasing part.
+
+    The generators are those of :func:`_draw_bsde_pair`, constant in (t, s),
+    with independent shifts ``-eps_lo`` and ``+eps_hi``; the free terms are
+    ``(N + 1, 2**N, n)`` fields.  Returns the same seven parts.
+    """
+    N = lat.depth
+    leaves = 2**N
+    p = _scaled(rng.uniform(0.0, 0.4, (n, n)), 0.45, lat.h)  # entrywise nonneg
+    b = _scaled(_random_diagonal(rng, n, 0.8), 0.45, lat.sqrt_h)
+    kappa = rng.uniform(0.0, 0.3, n)
+    eps_lo = rng.uniform(0.0, 0.4, n)
+    eps_hi = rng.uniform(0.0, 0.4, n)
+    psi0 = rng.standard_normal((N + 1, leaves, n))
+    psi1 = psi0 + rng.uniform(0.0, 1.0, (N + 1, leaves, n))
+    return p, b, kappa, -eps_lo, eps_hi, psi0, psi1
+
+
+def _solve_bsvie_stack(lat: BinaryLattice, n: int, p, b, kappa, shift, psi) -> list:
+    """Y levels of the stack of BSVIE families with the generators of :func:`_draw_bsvie_pair`."""
+    # the trial axis outside the row axis
+    p, b, kappa, shift = p[:, None], b[:, None], kappa[:, None, None], shift[:, None, None]
+    spec = backward.BsvieSpec(
+        n, TerminalField(lat, n, psi),
+        generator=lambda t, s, y, z, zeta, nd: (
+            (p @ y.mT).mT + (b @ z.mT).mT + kappa * np.tanh(y) + shift),
+        lip_y=1.0, lip_z=1.0, stacked_t=True,
+    )
+    return backward.solve_bsvie_family(spec, lat).y.levels
+
+
 def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    rng = np.random.default_rng(seed)
-
-    def trial(k):
-        n = int(rng.integers(1, 4))
-        N = int(rng.integers(4, depth + 1))
-        lat = BinaryLattice(1.0, N)
-        leaves = 2**N
-        p = _scaled(rng.uniform(0.0, 0.4, (n, n)), 0.45, lat.h)  # entrywise nonneg
-        b = _scaled(_random_diagonal(rng, n, 0.8), 0.45, lat.sqrt_h)
-        kappa = rng.uniform(0.0, 0.3, n)
-        eps_lo = rng.uniform(0.0, 0.4, n)
-        eps_hi = rng.uniform(0.0, 0.4, n)
-
-        def gbar(t, s, y, z, zeta, nodes):
-            return (p @ y.mT).mT + (b @ z.mT).mT + kappa * np.tanh(y)
-
-        psi0 = rng.standard_normal((N + 1, leaves, n))
-        psi1 = psi0 + rng.uniform(0.0, 1.0, (N + 1, leaves, n))
-        lo = backward.BsvieSpec(
-            n, TerminalField(lat, n, psi0),
-            generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) - eps_lo,
-            lip_y=1.0, lip_z=1.0, stacked_t=True,
-        )
-        hi = backward.BsvieSpec(
-            n, TerminalField(lat, n, psi1),
-            generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps_hi,
-            lip_y=1.0, lip_z=1.0, stacked_t=True,
-        )
-        f_lo = backward.solve_bsvie_family(lo, lat)
-        f_hi = backward.solve_bsvie_family(hi, lat)
-        return (_ordering_slack(f_hi.y.levels, f_lo.y.levels),)
-
-    worst, witness, _ = _worst_trial(trials, trial)
+    slacks = _comparison_slacks(depth, seed, trials, _draw_bsvie_pair, _solve_bsvie_stack,
+                                rows=lambda N: N + 1)
+    worst, witness, _ = _worst_trial(trials, lambda k: (slacks[k],))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],

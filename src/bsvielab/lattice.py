@@ -50,19 +50,30 @@ from .errors import DivergenceError
 DEFAULT_MAX_DEPTH = 16
 
 
-def _first_non_finite(y: np.ndarray) -> int | None:
-    """The first row of ``y`` with a NaN or +/-inf entry, or None when all are finite."""
+def _first_non_finite(y: np.ndarray) -> int | tuple[int, int] | None:
+    """The first row of ``y`` with a NaN or +/-inf entry, or None when all are finite.
+
+    For a stack ``(trials, m, n)`` it is ``(trial, row)``: the first trial
+    with such an entry and that trial's first such row.
+    """
     if np.isfinite(y).all():  # the per-row reduction below is ~30x slower on two columns
         return None
-    return int(np.argmax(~np.isfinite(y).all(axis=1)))
+    first = int(np.argmax(~np.isfinite(y).all(axis=-1)))  # C order: trial by trial
+    return first if y.ndim == 2 else divmod(first, y.shape[-2])
 
 
 def _check_finite(y: np.ndarray, what: str) -> None:
-    """Raise DivergenceError naming the level (from the 2**level rows) and node."""
-    node = _first_non_finite(y)
-    if node is not None:
-        level = y.shape[0].bit_length() - 1
-        raise DivergenceError(f"{what}: non-finite value at level {level}, node {node}")
+    """Raise DivergenceError naming the level (from the 2**level nodes, ``shape[-2]``) and node.
+
+    For a stack ``(trials, 2**level, n)`` the message is the one the first
+    trial with a non-finite entry raises alone, plus ``trial=k``.
+    """
+    where = _first_non_finite(y)
+    if where is not None:
+        level = y.shape[-2].bit_length() - 1
+        trial, node = (None, where) if y.ndim == 2 else where
+        msg = f"{what}: non-finite value at level {level}, node {node}"
+        raise DivergenceError(msg if trial is None else f"{msg}, trial={trial}")
 
 
 def row_sums(q: np.ndarray) -> np.ndarray:
@@ -325,7 +336,10 @@ class AdaptedProcess:
     """An R^n-valued process with one value per tree node, levels 0..N.
 
     ``levels[k]`` has shape ``(2**k, n)``.  Adaptedness holds by construction:
-    the storage shape cannot express a dependence on the future.
+    the storage shape cannot express a dependence on the future.  A stack of
+    independent processes, one per trial, has ``(trials, 2**k, n)`` levels
+    (a trial-stacked solve returns one); the methods then reduce over the
+    whole stack.
     """
 
     def __init__(self, lattice: BinaryLattice, dim: int, levels: Sequence[np.ndarray]):
@@ -336,13 +350,15 @@ class AdaptedProcess:
         self.lattice = lattice
         self.dim = int(dim)
         self.levels: list[np.ndarray] = []
+        lead = None
         for k, lv in enumerate(levels):
             arr = np.asarray(lv, dtype=float)
             if arr.ndim == 1:
                 arr = arr.reshape(-1, 1)
-            if arr.shape != (2**k, self.dim):
+            lead = arr.shape[:-2] if lead is None else lead
+            if arr.shape != lead + (2**k, self.dim) or len(lead) > 1:
                 raise IncompleteProcessError(
-                    f"level {k} slice has shape {arr.shape}, expected {(2**k, self.dim)}"
+                    f"level {k} slice has shape {arr.shape}, expected {lead + (2**k, self.dim)}"
                 )
             self.levels.append(arr)
 
@@ -398,7 +414,10 @@ class TerminalField:
     """Time-indexed field of leaf-measurable vectors: psi(t_i) known at the horizon.
 
     ``values`` has shape ``(N + 1, 2**N, n)``; slice ``i`` is psi(t_i) as a
-    function of the full path, with no adaptedness requirement.
+    function of the full path, with no adaptedness requirement.  A stack of
+    fields, one per trial, has shape ``(trials, N + 1, 2**N, n)``: a leading
+    trial axis, which :meth:`slice` keeps.  ``solve_bsvie_family`` solves
+    such a stack as independent equations, one per trial.
     """
 
     def __init__(self, lattice: BinaryLattice, dim: int, values: np.ndarray):
@@ -406,8 +425,9 @@ class TerminalField:
         self.dim = int(dim)
         arr = np.asarray(values, dtype=float)
         want = (lattice.depth + 1, 2**lattice.depth, self.dim)
-        if arr.shape != want:
-            raise IncompleteProcessError(f"terminal field has shape {arr.shape}, expected {want}")
+        if arr.shape[-3:] != want or arr.ndim > 4:
+            raise IncompleteProcessError(f"terminal field has shape {arr.shape}, expected {want}"
+                                         f" or (trials, *{want})")
         if not np.all(np.isfinite(arr)):
             raise ValueError("terminal field has non-finite entries")
         self.values = arr
@@ -424,7 +444,8 @@ class TerminalField:
         return cls(lattice, dim, vals)
 
     def slice(self, i: int) -> np.ndarray:
-        return self.values[i]
+        """psi(t_i): ``(2**N, n)``, or ``(trials, 2**N, n)`` for a stack."""
+        return self.values[..., i, :, :]
 
 
 class TwoParamProcess:
@@ -440,11 +461,16 @@ class TwoParamProcess:
     set range (:meth:`rows`) are views, written in place however a sweep
     blocks its rows.  Lower lists by outer time: row i keeps its slices
     j < i as the list given to :meth:`set_below`, kept as given.
+
+    With ``trials`` every upper array has a leading trial axis, ``(trials,
+    j + 1, 2**j, dim)``, and so has each slice and range; such a stack has
+    no lower lists.
     """
 
-    def __init__(self, lattice: BinaryLattice, dim: int):
+    def __init__(self, lattice: BinaryLattice, dim: int, trials: int | None = None):
         self.lattice = lattice
         self.dim = int(dim)
+        self._lead = () if trials is None else (trials,)
         self._upper: list[np.ndarray | None] = [None] * lattice.depth
         self._is_set = [bytearray(j + 1) for j in range(lattice.depth)]
         self._below: list[list[np.ndarray] | None] = [None] * (lattice.depth + 1)
@@ -462,14 +488,14 @@ class TwoParamProcess:
             raise ValueError(f"a slice of rows {lo}..{hi - 1} of level {j} is already set")
         self._is_set[j][lo:hi] = b"\x01" * (hi - lo)
         if self._upper[j] is None:
-            self._upper[j] = node_empty((j + 1, 2**j, self.dim))
-        return self._upper[j][lo:hi]
+            self._upper[j] = node_empty(self._lead + (j + 1, 2**j, self.dim))
+        return self._upper[j][..., lo:hi, :, :]
 
     def rows(self, j: int, lo: int, hi: int) -> np.ndarray:
         """Slices (lo, j)..(hi - 1, j), ``hi <= j + 1``, as a ``(hi - lo, 2**j, dim)`` view; each must be set."""
         if not 0 <= lo < hi <= j + 1 <= self.lattice.depth or 0 in self._is_set[j][lo:hi]:
             raise IncompleteProcessError(f"Z({lo}..{hi - 1},{j}) slices not populated")
-        return self._upper[j][lo:hi]
+        return self._upper[j][..., lo:hi, :, :]
 
     def set_below(self, i: int, zs: list[np.ndarray]) -> None:
         """Keep ``zs`` as row i's slices (i, 0)..(i, i - 1), uncopied and unconverted.
@@ -490,7 +516,7 @@ class TwoParamProcess:
     def get(self, i: int, j: int) -> np.ndarray:
         if not self.has(i, j):
             raise IncompleteProcessError(f"Z({i},{j}) slice not populated")
-        return self._upper[j][i] if i <= j else self._below[i][j]
+        return self._upper[j][..., i, :, :] if i <= j else self._below[i][j]
 
     def has(self, i: int, j: int) -> bool:
         if not (0 <= i <= self.lattice.depth and 0 <= j < self.lattice.depth):

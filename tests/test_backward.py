@@ -1762,8 +1762,10 @@ def _specs_built_by(name):
     return seen
 
 
-def _assert_stack_of_rows(stacked, row_value, rows):
-    want = np.stack([np.asarray(row_value(r), dtype=float) for r in range(rows)])
+def _assert_stack_of_rows(stacked, row_value, rows, trials=False):
+    # a trial stack's row values carry a row axis of one, after the trial axis
+    want = np.stack([np.asarray(row_value(r), dtype=float)[(slice(None), 0) if trials else ()]
+                     for r in range(rows)], axis=int(trials))
     got = np.asarray(stacked, dtype=float)
     _assert_same_bytes(np.ascontiguousarray(np.broadcast_to(got, want.shape)), want)
 
@@ -1776,14 +1778,19 @@ def test_stacked_t_callables_return_the_stack_of_their_scalar_t_results(name):
     for spec in specs:
         lat, n = spec.psi.lattice, spec.dim
         times = lat.times
+        # a stack of trials (a free term with a leading axis): y is (trials, 1, 2**j, n), the
+        # matrices of the structured pieces are shared by the trials
+        trials = spec.psi.values.shape[:-3]
+        rows_of = (lambda v, r: v[:, r:r + 1]) if trials else (lambda v, r: v[r])
         for j in range(lat.depth):
             rows, s, nodes = j + 1, times[j], LevelNodes(lat, j)
             t = times[:rows, None, None]
-            for y in (np.zeros((2**j, n)), -np.zeros((2**j, n)), rng.standard_normal((2**j, n))):
-                z = rng.standard_normal((rows, 2**j, n)) if spec.uses_z else None
-                zeta = rng.standard_normal((rows, 2**j, n)) if spec.uses_zeta else None
-                z_r = lambda r: None if z is None else z[r]
-                zeta_r = lambda r: None if zeta is None else zeta[r]
+            y_shape = trials + (1,) * len(trials) + (2**j, n)
+            for y in (np.zeros(y_shape), -np.zeros(y_shape), rng.standard_normal(y_shape)):
+                z = rng.standard_normal(trials + (rows, 2**j, n)) if spec.uses_z else None
+                zeta = rng.standard_normal(trials + (rows, 2**j, n)) if spec.uses_zeta else None
+                z_r = lambda r: None if z is None else rows_of(z, r)
+                zeta_r = lambda r: None if zeta is None else rows_of(zeta, r)
                 if spec.a_kernel is not None:
                     _assert_stack_of_rows(spec.a_kernel(t, s),
                                           lambda r: spec.a_kernel(times[r], s), rows)
@@ -1791,13 +1798,16 @@ def test_stacked_t_callables_return_the_stack_of_their_scalar_t_results(name):
                     _assert_stack_of_rows(spec.c_coef(t), lambda r: spec.c_coef(times[r]), rows)
                 if spec.h_fn is not None:
                     _assert_stack_of_rows(spec.h_fn(t, s, y, nodes),
-                                          lambda r: spec.h_fn(times[r], s, y, nodes), rows)
+                                          lambda r: spec.h_fn(times[r], s, y, nodes), rows,
+                                          bool(trials))
                 if spec.generator is not None:
                     _assert_stack_of_rows(
                         spec.generator(t, s, y, z, zeta, nodes),
                         lambda r: spec.generator(times[r], s, y, z_r(r), zeta_r(r), nodes), rows,
+                        bool(trials),
                     )
                 _assert_stack_of_rows(
                     spec.drift(t, s, y, z, zeta, nodes),
                     lambda r: spec.drift(times[r], s, y, z_r(r), zeta_r(r), nodes), rows,
+                    bool(trials),
                 )

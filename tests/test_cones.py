@@ -103,3 +103,29 @@ def test_worst_offender_is_most_negative_offdiagonal():
     cond = check_hypotheses(spec, BinaryLattice(1.0, 2)).conditions["metzler_y"]
     assert cond.status == "violated"
     assert cond.witness == "t=0,s=0,entry=(1, 0),value=-2"
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_a_stack_gets_the_answer_of_each_matrix(n, count, seed):
+    rng = np.random.default_rng(seed)
+    stack = rng.uniform(-0.2, 1.0, (count, n, n))
+    for test in (cones.is_nonneg, cones.is_metzler):
+        got = test(stack, 0.1)
+        assert got.dtype == bool and got.shape == (count,)
+        assert got.tolist() == [test(m, 0.1) for m in stack]
+
+
+def test_the_first_item_outside_is_named_whatever_the_item_shapes():
+    items = [("a", np.ones((1, 2))), ("b", np.array([[1.0], [-0.5], [-2.0]])), ("c", -np.ones((4, 2)))]
+    assert _outside("nonneg", items) == ("b", (2, 0), -2.0)
+    assert _outside("zero", [("a", np.zeros((2, 2))), ("b", np.full((1, 3), 1e-3))]) == (
+        "b", (0, 0), 1e-3)
+    assert _outside("nonneg", items[:1]) is None
+
+
+def test_a_nan_after_the_first_item_outside_still_raises():
+    items = [("a", -np.ones((2, 2))), ("b", np.full((2, 2), np.nan))]
+    for cone in ("nonneg", "metzler", "diagonal", "zero"):
+        with pytest.raises(ValueError, match="non-finite"):
+            _outside(cone, items)

@@ -94,7 +94,8 @@ def test_nan_trial_fails_its_family(monkeypatch):
 
 @pytest.mark.parametrize("family", ["bsde", "bsvie"])
 def test_nan_below_the_root_fails_the_ordering_slack(monkeypatch, family):
-    # NaN at level 1 of the upper solution of trial 0; level 0 stays finite
+    # NaN at level 1 of the upper solution of trial 0; level 0 stays finite.  The first
+    # solve is the stack that holds trial 0, lower and upper side by side (positions 0, 1)
     name = "solve_bsde" if family == "bsde" else "solve_bsvie_family"
     real = getattr(backward, name)
     calls = []
@@ -102,10 +103,10 @@ def test_nan_below_the_root_fails_the_ordering_slack(monkeypatch, family):
     def nan_in_first_upper_solution(*args, **kwargs):
         calls.append(None)
         sol = real(*args, **kwargs)
-        if len(calls) == 2:
+        if len(calls) == 1:
             levels = sol.y if family == "bsde" else sol.y.levels
             levels[1] = levels[1].copy()
-            levels[1][0, 0] = math.nan
+            levels[1][1, 0, 0] = math.nan
         return sol
 
     monkeypatch.setattr(backward, name, nan_in_first_upper_solution)
