@@ -296,20 +296,20 @@ def _side_by_side(parts: list[tuple]) -> tuple:
     return pair(a, a), pair(b, b), pair(kappa, kappa), pair(lo_shift, hi_shift), pair(lo_end, hi_end)
 
 
-def _comparison_slacks(depth: int, seed: int, trials: int, draw, solve, rows) -> list[float]:
+def _comparison_slacks(depth: int, seed: int, trials: int, draw, solve) -> list[float]:
     """The ordering slack of each trial of a lower/upper comparison family, in trial order.
 
     Trial k draws its dimension n in 1..3, its depth N in 4..``depth`` and
     then its data, ``draw(rng, n, lattice)``, from one generator, in trial
-    order.  Pass 1 makes every draw and keeps, per trial, only (n, N) and
-    the generator state before its data.  Pass 2 takes the trials of each
-    (n, N) in stacks, replays their draws and solves the lower and upper
-    equation of every trial of a stack at once, side by side along the
-    leading axis (:func:`_side_by_side`): ``solve(lattice, n, a, b, kappa,
-    shift, end)`` returns the Y levels.  A stack holds at most
-    ``_ROW_BLOCK_ELEMS`` float entries of free terms, ``rows(N) * 2**N * n``
-    per equation, and at least one trial.  Each trial's slack is the one
-    its own two solves give.
+    order.  Pass 1 makes every draw and keeps, per trial, only (n, N), the
+    generator state before its data and the size of its free term.  Pass 2
+    takes the trials of each (n, N) in stacks, replays their draws and
+    solves the lower and upper equation of every trial of a stack at once,
+    side by side along the leading axis (:func:`_side_by_side`):
+    ``solve(lattice, n, a, b, kappa, shift, end)`` returns the Y levels.  A
+    stack holds at most ``_ROW_BLOCK_ELEMS`` float entries of free terms,
+    and at least one trial.  Each trial's slack is the one its own two
+    solves give.
     """
     rng = np.random.default_rng(seed)
     lattices: dict[int, BinaryLattice] = {}
@@ -319,14 +319,15 @@ def _comparison_slacks(depth: int, seed: int, trials: int, draw, solve, rows) ->
         N = int(rng.integers(4, depth + 1))
         if N not in lattices:
             lattices[N] = BinaryLattice(1.0, N)
-        plan.append((n, N, rng.bit_generator.state))
-        draw(rng, n, lattices[N])  # advances past the data, which are drawn again per stack
+        state = rng.bit_generator.state
+        # advances past the data, which are drawn again per stack
+        plan.append((n, N, state, draw(rng, n, lattices[N])[-1].size))
     groups: dict[tuple[int, int], list[int]] = {}
-    for k, (n, N, _) in enumerate(plan):
+    for k, (n, N, _, _) in enumerate(plan):
         groups.setdefault((n, N), []).append(k)
     slacks = [0.0] * trials
     for (n, N), ks in groups.items():
-        per = max(1, backward._ROW_BLOCK_ELEMS // (2 * rows(N) * 2**N * n))
+        per = max(1, backward._ROW_BLOCK_ELEMS // (2 * plan[ks[0]][3]))
         for c in range(0, len(ks), per):
             stack = ks[c:c + per]
             parts = []
@@ -406,8 +407,7 @@ def _solve_bsde_stack(lat: BinaryLattice, n: int, a, b, kappa, shift, terminal) 
 
 
 def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    slacks = _comparison_slacks(depth, seed, trials, _draw_bsde_pair, _solve_bsde_stack,
-                                rows=lambda N: 1)
+    slacks = _comparison_slacks(depth, seed, trials, _draw_bsde_pair, _solve_bsde_stack)
     worst, witness, _ = _worst_trial(trials, lambda k: (slacks[k],))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
@@ -452,8 +452,7 @@ def _solve_bsvie_stack(lat: BinaryLattice, n: int, p, b, kappa, shift, psi) -> l
 
 
 def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    slacks = _comparison_slacks(depth, seed, trials, _draw_bsvie_pair, _solve_bsvie_stack,
-                                rows=lambda N: N + 1)
+    slacks = _comparison_slacks(depth, seed, trials, _draw_bsvie_pair, _solve_bsvie_stack)
     worst, witness, _ = _worst_trial(trials, lambda k: (slacks[k],))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),

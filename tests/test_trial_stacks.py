@@ -112,8 +112,7 @@ def test_stacked_family_slacks_are_the_trial_loops(family, seed):
         lo, hi = alone(n, lat, draw(rng, n, lat))
         want.append(scenarios._ordering_slack(hi, lo))
     solve = dict(bsde=scenarios._solve_bsde_stack, bsvie=scenarios._solve_bsvie_stack)[family]
-    rows = (lambda N: 1) if family == "bsde" else (lambda N: N + 1)
-    got = scenarios._comparison_slacks(6, seed, 12, draw, solve, rows)
+    got = scenarios._comparison_slacks(6, seed, 12, draw, solve)
     _assert_bit_equal(np.array(got), np.array(want))
 
 
@@ -241,3 +240,17 @@ def test_a_trial_stack_refuses_the_sweeps_it_does_not_run():
     spec = backward.BsvieSpec(1, psi, generator=gen, stacked_t=True)
     with pytest.raises(ValueError, match="frozen_y"):
         backward.solve_bsvie_family(spec, lat, frozen_y=[np.ones((2, 2**k, 1)) for k in range(4)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_stack_names_its_first_trial_with_a_non_finite_row(bad):
+    from bsvielab.lattice import _check_finite, _first_non_finite
+
+    y = np.ones((3, 8, 2))
+    assert _first_non_finite(y) is None
+    y[2, 1, 0] = y[1, 6, 1] = y[1, 7, 0] = bad
+    assert _first_non_finite(y) == (1, 6)
+    assert _first_non_finite(y[2]) == 1
+    with pytest.raises(DivergenceError, match=r"^what: non-finite value at level 3, node 6, "
+                                              r"trial=1$"):
+        _check_finite(y, "what")
