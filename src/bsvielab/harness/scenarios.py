@@ -23,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .. import backward, cones, forward, oracles
+from ..errors import DivergenceError, NonConvergenceError
 from ..lattice import (
     DEFAULT_MAX_DEPTH,
     AdaptedProcess,
@@ -309,7 +310,9 @@ def _comparison_slacks(depth: int, seed: int, trials: int, draw, solve) -> list[
     ``solve(lattice, n, a, b, kappa, shift, end)`` returns the Y levels.  A
     stack holds at most ``_ROW_BLOCK_ELEMS`` float entries of free terms,
     and at least one trial.  Each trial's slack is the one its own two
-    solves give.
+    solves give.  A solver error names the stack's trials after its
+    ``trial=k``, the stack position: k // 2 indexes them, k % 2 is 0 for
+    the lower equation.
     """
     rng = np.random.default_rng(seed)
     lattices: dict[int, BinaryLattice] = {}
@@ -334,7 +337,12 @@ def _comparison_slacks(depth: int, seed: int, trials: int, draw, solve) -> list[
             for k in stack:
                 rng.bit_generator.state = plan[k][2]
                 parts.append(draw(rng, n, lattices[N]))
-            levels = solve(lattices[N], n, *_side_by_side(parts))
+            try:
+                levels = solve(lattices[N], n, *_side_by_side(parts))
+            except (DivergenceError, NonConvergenceError) as exc:
+                # the solver numbers the stack's equations: say which trials they are
+                raise type(exc)(f"{exc}; the stack holds the lower and upper equations of"
+                                f" trials {stack}, side by side") from exc
             hi_levels, lo_levels = [lv[1::2] for lv in levels], [lv[0::2] for lv in levels]
             for k, slack in zip(stack, _ordering_slack(hi_levels, lo_levels)):
                 slacks[k] = slack

@@ -15,7 +15,7 @@ import pytest
 from bsvielab import backward
 from bsvielab.errors import DivergenceError, NonConvergenceError
 from bsvielab.harness import scenarios
-from bsvielab.lattice import BinaryLattice, TerminalField
+from bsvielab.lattice import BinaryLattice, TerminalField, _check_finite, _first_non_finite
 
 
 def _assert_bit_equal(got, want):
@@ -244,8 +244,6 @@ def test_a_trial_stack_refuses_the_sweeps_it_does_not_run():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_stack_names_its_first_trial_with_a_non_finite_row(bad):
-    from bsvielab.lattice import _check_finite, _first_non_finite
-
     y = np.ones((3, 8, 2))
     assert _first_non_finite(y) is None
     y[2, 1, 0] = y[1, 6, 1] = y[1, 7, 0] = bad
@@ -254,3 +252,30 @@ def test_a_stack_names_its_first_trial_with_a_non_finite_row(bad):
     with pytest.raises(DivergenceError, match=r"^what: non-finite value at level 3, node 6, "
                                               r"trial=1$"):
         _check_finite(y, "what")
+
+
+def test_a_failing_stack_names_the_family_trials_it_holds(monkeypatch):
+    # at depth 4 the trials of one dimension share a stack; the upper equation of the
+    # second trial of the first stack gets a NaN terminal value: stack position 3
+    rng, lat, dims = np.random.default_rng(20244), BinaryLattice(1.0, 4), []
+    for _ in range(6):
+        dims.append(int(rng.integers(1, 4)))
+        rng.integers(4, 5)
+        scenarios._draw_bsde_pair(rng, dims[-1], lat)
+    first_stack = [k for k in range(6) if dims[k] == dims[0]]
+    assert len(first_stack) > 1
+    calls, draw = [], scenarios._draw_bsde_pair
+
+    def nan_terminal(rng, n, lat):
+        parts = draw(rng, n, lat)
+        calls.append(None)
+        if len(calls) == 6 + 2:  # pass 1 draws 6 trials, then the first stack's replays
+            parts[6][0, 0] = math.nan
+        return parts
+
+    monkeypatch.setattr(scenarios, "_draw_bsde_pair", nan_terminal)
+    with pytest.raises(DivergenceError, match=(
+            r"^implicit y-step: non-finite value at level 3, node 0, trial=3; the stack holds "
+            rf"the lower and upper equations of trials \[{', '.join(map(str, first_stack))}\], "
+            r"side by side$")):
+        scenarios._build_bsde_comparison(4, 20244, 6)
