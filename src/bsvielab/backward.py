@@ -450,12 +450,13 @@ class BsvieSolution:
 
     M-solutions additionally carry the ``j < i`` slices produced by the exact
     martingale representation of Y, and ``msolution_residual`` is the largest
-    pathwise error of  Y(t_i) = E Y(t_i) + sum_{j<i} Z(t_i,s_j) dW_j.
+    pathwise error of  Y(t_i) = E Y(t_i) + sum_{j<i} Z(t_i,s_j) dW_j; for a
+    stack of trials it is the list of every trial's error.
     """
 
     y: AdaptedProcess
     z: TwoParamProcess
-    msolution_residual: float | None = None
+    msolution_residual: float | list[float] | None = None
 
 
 def solve_bsvie_family(
@@ -503,10 +504,13 @@ def solve_bsvie_family(
     at most ``_ROW_BLOCK_ELEMS // (trials * 2**N * dim)`` rows: one element
     budget for the whole stack.  The returned Y levels and Z slices carry
     the trial axis, and every trial's values are those of its own solve.  A
-    stack needs ``stacked_t``; it takes no ``frozen_y`` and is no
-    M-solution (ValueError).  A failing step raises for the lowest trial
-    that fails there, with the message that trial raises alone plus
-    ``trial=k``.
+    stack needs ``stacked_t`` and takes no ``frozen_y`` (ValueError).  As
+    an M-solution, each finished row of the stack is represented trial by
+    trial, ``zeta`` reaches the explicit updates as ``(trials, rows, 2**j,
+    n)`` and the diagonal steps as the shared ``(2**j, n)`` zeros, and
+    ``msolution_residual`` is the list of every trial's residual.  A
+    failing step raises for the lowest trial that fails there, with the
+    message that trial raises alone plus ``trial=k``.
     """
     n = spec.dim
     N = lattice.depth
@@ -523,9 +527,8 @@ def solve_bsvie_family(
         raise ValueError("an M-solution sweep takes no frozen y-argument")
     if spec.uses_zeta and not _msolution:
         raise ValueError("generator depends on Z(s,t): solve as an M-solution")
-    if trials is not None and (frozen or _msolution or not spec.stacked_t):
-        raise ValueError("a stack of trials is solved only with stacked_t, "
-                         "without frozen_y and not as an M-solution")
+    if trials is not None and (frozen or not spec.stacked_t):
+        raise ValueError("a stack of trials is solved only with stacked_t and without frozen_y")
     # row j of a block: a stack keeps its row axis, so the callables see one layout
     last = -1 if trials is None else np.s_[:, -1:]
     level_nodes = [LevelNodes(lattice, j) for j in range(N)]
@@ -538,7 +541,7 @@ def solve_bsvie_family(
             mean, zs = martingale_representation(lattice, y_i, i)
             z.set_below(i, zs)
             recon = reconstruct_from_representation(lattice, mean, zs, i)
-            residuals.append(float(np.max(np.abs(recon - y_i))))
+            residuals.append(np.max(np.abs(recon - y_i), axis=(-2, -1)))
 
     def diagonal_step(j: int, up: np.ndarray, down: np.ndarray, e: np.ndarray,
                       mu: np.ndarray) -> np.ndarray:
@@ -616,8 +619,11 @@ def solve_bsvie_family(
             else:
                 lam = explicit_update(lo, j, e, mu)
     y = AdaptedProcess(lattice, n, y_levels)
+    if not _msolution:
+        return BsvieSolution(y, z, None)
     # np.max, unlike the builtin, propagates a NaN residual
-    return BsvieSolution(y, z, float(np.max(residuals)) if _msolution else None)
+    residual = np.max(residuals, axis=0)
+    return BsvieSolution(y, z, float(residual) if trials is None else residual.tolist())
 
 
 def solve_bsvie_msolution(spec: BsvieSpec, lattice: BinaryLattice) -> BsvieSolution:
@@ -630,6 +636,12 @@ def solve_bsvie_msolution(spec: BsvieSpec, lattice: BinaryLattice) -> BsvieSolut
     row's representation as soon as the row is solved is the exact fixed
     point.  ``msolution_residual`` is the largest pathwise error
     of the reconstruction  Y(t_i) = E Y(t_i) + sum_{j<i} Z(t_i,s_j) dW_j.
+
+    A free term with a leading trial axis is a stack of independent
+    M-solutions, solved in one sweep as :func:`solve_bsvie_family` solves
+    a stack: every trial's Y levels, Z slices on both sides of the diagonal
+    and residual (``msolution_residual`` is then the list of them) are
+    those of its own solve, bit for bit.
     """
     if spec.uses_z:
         raise ValueError("M-solution form must not depend on Z(t,s) in the drift")
@@ -797,7 +809,10 @@ def weak_comparison_functional(y: AdaptedProcess, lattice: BinaryLattice) -> Ada
 
     The left Riemann sum of the remaining time integral of Y: the constant
     process 1 gives exactly T - t at every level-t node, and the horizon slice
-    itself contributes nothing (it carries no time mass).
+    itself contributes nothing (it carries no time mass).  A process with
+    ``(trials, 2**k, n)`` levels gives the stack of every trial's
+    functional; a non-finite value names the lowest trial with one at the
+    first level where one appears.
     """
     h = lattice.h
     levels: list[np.ndarray | None] = [None] * (lattice.depth + 1)

@@ -285,68 +285,109 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
 
 
 def _side_by_side(parts: list[tuple]) -> tuple:
-    """The stacked parts of the trials' lower and upper equations, side by side.
+    """The stacked data of the trials' lower and upper equations, side by side.
 
-    ``parts`` holds one draw per trial, ``(a, b, kappa, lo_shift, hi_shift,
-    lo_end, hi_end)``; returns ``(a, b, kappa, shift, end)``, each stacked
-    along a new leading axis as trial 0 lower, trial 0 upper, trial 1 lower,
-    ..., the order a loop over the trials solves them in.
+    ``parts`` holds one draw per trial, ``(shared, lower, upper)``: the
+    arrays both equations read, then each equation's own, lower and upper
+    alike in number and shape.  Returns the shared arrays, then the
+    equations' own, each stacked along a new leading axis as trial 0 lower,
+    trial 0 upper, trial 1 lower, ..., the order a loop over the trials
+    solves them in.
     """
-    a, b, kappa, lo_shift, hi_shift, lo_end, hi_end = (np.stack(v) for v in zip(*parts))
+    shared, lower, upper = ([np.stack(v) for v in zip(*side)] for side in zip(*parts))
     pair = lambda lo, hi: np.stack([lo, hi], axis=1).reshape(-1, *lo.shape[1:])
-    return pair(a, a), pair(b, b), pair(kappa, kappa), pair(lo_shift, hi_shift), pair(lo_end, hi_end)
+    return (*(pair(v, v) for v in shared), *(pair(lo, hi) for lo, hi in zip(lower, upper)))
 
 
-def _comparison_slacks(depth: int, seed: int, trials: int, draw, solve) -> list[float]:
-    """The ordering slack of each trial of a lower/upper comparison family, in trial order.
+def _pair_slacks(levels) -> list[float]:
+    """Each trial's ordering slack, upper minus lower, of levels stacked side by side."""
+    return _ordering_slack([lv[1::2] for lv in levels], [lv[0::2] for lv in levels])
 
-    Trial k draws its dimension n in 1..3, its depth N in 4..``depth`` and
-    then its data, ``draw(rng, n, lattice)``, from one generator, in trial
+
+def _slack_tuples(levels) -> list[tuple]:
+    """Each trial's tuple of a family that reports its ordering slack alone."""
+    return [(slack,) for slack in _pair_slacks(levels)]
+
+
+def _comparison_trials(seed: int, trials: int, size, draw, solve, measure) -> list[tuple]:
+    """Each trial's tuple of a lower/upper comparison family, in trial order.
+
+    Trial k draws its dimension and depth, ``n, N = size(rng)``, and then
+    its data, ``draw(rng, n, lattice)``, from one generator, in trial
     order.  Pass 1 makes every draw and keeps, per trial, only (n, N), the
-    generator state before its data and the size of its free term.  Pass 2
-    takes the trials of each (n, N) in stacks, replays their draws and
-    solves the lower and upper equation of every trial of a stack at once,
-    side by side along the leading axis (:func:`_side_by_side`):
-    ``solve(lattice, n, a, b, kappa, shift, end)`` returns the Y levels.  A
-    stack holds at most ``_ROW_BLOCK_ELEMS`` float entries of free terms,
-    and at least one trial.  Each trial's slack is the one its own two
-    solves give.  A solver error names the stack's trials after its
-    ``trial=k``, the stack position: k // 2 indexes them, k % 2 is 0 for
-    the lower equation.
+    generator state before its data and the size of its free term (the last
+    array of each equation's own).  Pass 2 takes the trials of each (n, N)
+    in stacks, replays their draws and solves the lower and upper equation
+    of every trial of a stack at once, side by side along the leading axis
+    (:func:`_side_by_side`): ``solve(lattice, n, *stacked)`` returns the
+    stack's solution and ``measure(solution)`` the list of its trials'
+    tuples.  A stack holds at most ``_ROW_BLOCK_ELEMS`` float entries of
+    free terms, and at least one trial.  Each trial's tuple is the one its
+    own two solves give.
+
+    A stack that fails raises what the loop over the trials raises first
+    (see :func:`_raise_as_the_loop`).
     """
     rng = np.random.default_rng(seed)
     lattices: dict[int, BinaryLattice] = {}
     plan = []
     for _ in range(trials):
-        n = int(rng.integers(1, 4))
-        N = int(rng.integers(4, depth + 1))
+        n, N = size(rng)
         if N not in lattices:
             lattices[N] = BinaryLattice(1.0, N)
         state = rng.bit_generator.state
         # advances past the data, which are drawn again per stack
-        plan.append((n, N, state, draw(rng, n, lattices[N])[-1].size))
+        plan.append((n, N, state, draw(rng, n, lattices[N])[2][-1].size))
+
+    def replay(k: int) -> tuple[int, BinaryLattice, tuple]:
+        n, N, state, _ = plan[k]
+        rng.bit_generator.state = state
+        return n, lattices[N], draw(rng, n, lattices[N])
+
     groups: dict[tuple[int, int], list[int]] = {}
     for k, (n, N, _, _) in enumerate(plan):
         groups.setdefault((n, N), []).append(k)
-    slacks = [0.0] * trials
+    results: list[tuple] = [()] * trials
     for (n, N), ks in groups.items():
         per = max(1, backward._ROW_BLOCK_ELEMS // (2 * plan[ks[0]][3]))
         for c in range(0, len(ks), per):
             stack = ks[c:c + per]
-            parts = []
-            for k in stack:
-                rng.bit_generator.state = plan[k][2]
-                parts.append(draw(rng, n, lattices[N]))
+            stacked = _side_by_side([replay(k)[2] for k in stack])
             try:
-                levels = solve(lattices[N], n, *_side_by_side(parts))
+                measured = measure(solve(lattices[N], n, *stacked))
+            except (DivergenceError, NonConvergenceError):
+                _raise_as_the_loop(max(stack), replay, solve, measure)
+                raise  # not reached: each trial fails alone as it fails in the stack
+            for k, res in zip(stack, measured):
+                results[k] = res
+    return results
+
+
+def _raise_as_the_loop(last: int, replay, solve, measure) -> None:
+    """Raise the first error of the loop over trials 0..``last``, which solves them one by one.
+
+    Each trial is drawn again and solved as the loop solves it: its lower
+    equation alone, its upper equation alone, then both together for
+    ``measure``.  Each is a stack of one or two, whose solver error ends in
+    ``trial=p``, the stack position; the error is raised again with the
+    message before that, followed by the family trial and the side.  Only a
+    stack that fails runs this, so it costs time only on the failure path.
+    """
+    for k in range(last + 1):
+        n, lat, parts = replay(k)
+        stacked = _side_by_side([parts])
+        runs = (
+            (0, lambda: solve(lat, n, *(v[:1] for v in stacked))),
+            (1, lambda: solve(lat, n, *(v[1:] for v in stacked))),
+            (0, lambda: measure(solve(lat, n, *stacked))),
+        )
+        for first, run in runs:
+            try:
+                run()
             except (DivergenceError, NonConvergenceError) as exc:
-                # the solver numbers the stack's equations: say which trials they are
-                raise type(exc)(f"{exc}; the stack holds the lower and upper equations of"
-                                f" trials {stack}, side by side") from exc
-            hi_levels, lo_levels = [lv[1::2] for lv in levels], [lv[0::2] for lv in levels]
-            for k, slack in zip(stack, _ordering_slack(hi_levels, lo_levels)):
-                slacks[k] = slack
-    return slacks
+                msg, position = str(exc).rsplit(", trial=", 1)
+                side = ("lower", "upper")[first + int(position)]
+                raise type(exc)(f"{msg}; family trial {k}, {side} equation") from exc
 
 
 # -- BSDE scenarios -------------------------------------------------------------------
@@ -392,8 +433,8 @@ def _draw_bsde_pair(rng, n: int, lat: BinaryLattice):
 
     The pair's generators are ``(a @ y.mT).mT + (b @ z.mT).mT + kappa *
     np.tanh(y) + shift``, the lower one with ``shift = -eps``, the upper
-    one with ``+eps``.  Returns a, b, kappa, the two shifts and the two
-    terminal fields, lower first.
+    one with ``+eps``.  Returns ``(a, b, kappa)``, then each equation's
+    shift and terminal field, lower first (see :func:`_side_by_side`).
     """
     h = lat.h
     a = _scaled(_random_metzler(rng, n, 0.6), 0.45, h)
@@ -403,7 +444,7 @@ def _draw_bsde_pair(rng, n: int, lat: BinaryLattice):
     leaves = 2**lat.depth
     xi0 = rng.standard_normal((leaves, n))
     xi1 = xi0 + rng.uniform(0.0, 1.0, (leaves, n))
-    return a, b, kappa, -eps, eps, xi0, xi1
+    return (a, b, kappa), (-eps, xi0), (eps, xi1)
 
 
 def _solve_bsde_stack(lat: BinaryLattice, n: int, a, b, kappa, shift, terminal) -> list:
@@ -415,8 +456,10 @@ def _solve_bsde_stack(lat: BinaryLattice, n: int, a, b, kappa, shift, terminal) 
 
 
 def _build_bsde_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    slacks = _comparison_slacks(depth, seed, trials, _draw_bsde_pair, _solve_bsde_stack)
-    worst, witness, _ = _worst_trial(trials, lambda k: (slacks[k],))
+    size = lambda rng: (int(rng.integers(1, 4)), int(rng.integers(4, depth + 1)))
+    results = _comparison_trials(seed, trials, size, _draw_bsde_pair, _solve_bsde_stack,
+                                 _slack_tuples)
+    worst, witness, _ = _worst_trial(trials, results.__getitem__)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
@@ -432,7 +475,7 @@ def _draw_bsvie_pair(rng, n: int, lat: BinaryLattice):
 
     The generators are those of :func:`_draw_bsde_pair`, constant in (t, s),
     with independent shifts ``-eps_lo`` and ``+eps_hi``; the free terms are
-    ``(N + 1, 2**N, n)`` fields.  Returns the same seven parts.
+    ``(N + 1, 2**N, n)`` fields.  Returns the same three tuples.
     """
     N = lat.depth
     leaves = 2**N
@@ -443,7 +486,7 @@ def _draw_bsvie_pair(rng, n: int, lat: BinaryLattice):
     eps_hi = rng.uniform(0.0, 0.4, n)
     psi0 = rng.standard_normal((N + 1, leaves, n))
     psi1 = psi0 + rng.uniform(0.0, 1.0, (N + 1, leaves, n))
-    return p, b, kappa, -eps_lo, eps_hi, psi0, psi1
+    return (p, b, kappa), (-eps_lo, psi0), (eps_hi, psi1)
 
 
 def _solve_bsvie_stack(lat: BinaryLattice, n: int, p, b, kappa, shift, psi) -> list:
@@ -460,8 +503,10 @@ def _solve_bsvie_stack(lat: BinaryLattice, n: int, p, b, kappa, shift, psi) -> l
 
 
 def _build_bsvie_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    slacks = _comparison_slacks(depth, seed, trials, _draw_bsvie_pair, _solve_bsvie_stack)
-    worst, witness, _ = _worst_trial(trials, lambda k: (slacks[k],))
+    size = lambda rng: (int(rng.integers(1, 4)), int(rng.integers(4, depth + 1)))
+    results = _comparison_trials(seed, trials, size, _draw_bsvie_pair, _solve_bsvie_stack,
+                                 _slack_tuples)
+    worst, witness, _ = _worst_trial(trials, results.__getitem__)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),
         checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
@@ -536,7 +581,7 @@ def _build_stepfn_positivity(depth: int, seed: int, trials: int) -> ScenarioOutc
 
 
 def _stacked_diag(d: np.ndarray) -> np.ndarray:
-    """``np.diag(d)`` of an (n,) d, or the (rows, n, n) stack of them for a (rows, 1, n) d.
+    """``np.diag(d)`` of an (n,) d, or the (..., n, n) stack of them for a (..., 1, n) d.
 
     The off-diagonal entries are +0.0 either way, so a stacked product has
     the bits of the per-row ones.
@@ -544,14 +589,20 @@ def _stacked_diag(d: np.ndarray) -> np.ndarray:
     if d.ndim == 1:
         return np.diag(d)
     n = d.shape[-1]
-    out = np.zeros((d.shape[0], n, n))
-    out[:, range(n), range(n)] = d[:, 0, :]
+    out = np.zeros(d.shape[:-2] + (n, n))
+    out[..., range(n), range(n)] = d[..., 0, :]
     return out
 
 
-def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
+def _draw_structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
     """Drift pair h^i(t,s,y) (+ shared B(s) z or C(t) zeta) with ordered,
     t-nonincreasing difference and matching free-term difference ordering.
+
+    h^lo(t, s, y) = (m0 + (T - t) m1) y + kappa tanh(y) and h^hi = h^lo +
+    d0 + (T - t) d1; B is diagonal, C(t) = diag(c0 + c1 t).  Returns
+    ``(m0, m1, kappa, b)`` or ``(m0, m1, kappa, c0, c1)``, then each
+    equation's ``(d0, d1, psi)``, the lower one's shifts zero (see
+    :func:`_side_by_side`).
 
     The zeta-coupled variant keeps the data differences sparse and small and
     the coupling coefficient strongly time-varying: that is the regime where
@@ -570,13 +621,6 @@ def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
     diff_scale = 0.3 if coupling == "z" else 0.05
     d0 = rng.uniform(0.0, diff_scale, n)
     d1 = rng.uniform(0.0, diff_scale, n)
-
-    def h_lo(t, s, y, nodes):
-        return ((m0 + (T - t) * m1) @ y.mT).mT + kappa * np.tanh(y)
-
-    def h_hi(t, s, y, nodes):
-        return h_lo(t, s, y, nodes) + d0 + (T - t) * d1
-
     psi0 = rng.standard_normal((lat.depth + 1, leaves, n))
     if coupling == "z":
         xi0 = rng.uniform(0.0, 0.5, (leaves, n))
@@ -586,37 +630,62 @@ def _structured_pair(rng, n: int, lat: BinaryLattice, coupling: str):
         xi1 = rng.uniform(0.0, 0.3, (leaves, n)) * (rng.uniform(0, 1, (leaves, n)) < 0.3)
     psi1 = psi0 + xi0[None] + (T - lat.times)[:, None, None] * xi1[None]
     if coupling == "z":
-        b = _scaled(_random_diagonal(rng, n, 0.8), 0.45, lat.sqrt_h)
-        kw = dict(b_coef=lambda s, m=b: m, uses_z=True, lip_z=1.0)
+        coef = (_scaled(_random_diagonal(rng, n, 0.8), 0.45, lat.sqrt_h),)
     else:
-        c0 = rng.uniform(-1.5, 1.5, n)
-        c1 = rng.uniform(-3.0, 3.0, n)
-        kw = dict(
-            c_coef=lambda t, c0=c0, c1=c1: _stacked_diag(c0 + c1 * t),
-            uses_z=False, uses_zeta=True,
-        )
-    lo = backward.BsvieSpec(
-        n, TerminalField(lat, n, psi0), h_fn=h_lo, lip_y=1.0, stacked_t=True, **kw
+        coef = (rng.uniform(-1.5, 1.5, n), rng.uniform(-3.0, 3.0, n))
+    zero = np.zeros(n)
+    return (m0, m1, kappa, *coef), (zero, zero, psi0), (d0, d1, psi1)
+
+
+def _structured_drift(lat: BinaryLattice, m0, m1, kappa, d0, d1):
+    """``h(t, y)``: the stack's h^i(t, s, y) of :func:`_draw_structured_pair`, then ``+ 0.0``.
+
+    The trial axis leads the per-trial coefficients, broadcast as ``(trials,
+    1, n, n)`` matrices and ``(trials, 1, 1, n)`` vectors.  The terms are
+    summed in the order of the per-trial drift, h^lo then d0, then (T - t)
+    d1, and the closing ``+ 0.0`` is ``BsvieSpec.drift``'s on its first
+    piece.  A lower equation's zero shifts change no bit of it: x + 0.0 +
+    0.0 + 0.0 is x + 0.0 for every x.
+    """
+    T = lat.horizon
+    m0, m1 = m0[:, None], m1[:, None]
+    kappa, d0, d1 = kappa[:, None, None], d0[:, None, None], d1[:, None, None]
+    return lambda t, y: (((m0 + (T - t) * m1) @ y.mT).mT + kappa * np.tanh(y)
+                         + d0 + (T - t) * d1 + 0.0)
+
+
+def _solve_z_pair_stack(lat: BinaryLattice, n: int, m0, m1, kappa, b, d0, d1, psi
+                        ) -> backward.BsvieSolution:
+    """The stack of Z(t,s)-coupled families h^i(t, s, y) + B z (Theorem 3.7)."""
+    h_i, b = _structured_drift(lat, m0, m1, kappa, d0, d1), b[:, None]
+    spec = backward.BsvieSpec(
+        n, TerminalField(lat, n, psi),
+        generator=lambda t, s, y, z, zeta, nd: h_i(t, y) + (b @ z.mT).mT,
+        lip_y=1.0, lip_z=1.0, stacked_t=True,
     )
-    hi = backward.BsvieSpec(
-        n, TerminalField(lat, n, psi1), h_fn=h_hi, lip_y=1.0, stacked_t=True, **kw
+    return backward.solve_bsvie_family(spec, lat)
+
+
+def _solve_zeta_pair_stack(lat: BinaryLattice, n: int, m0, m1, kappa, c0, c1, d0, d1, psi
+                           ) -> backward.BsvieSolution:
+    """M-solution of the stack of Z(s,t)-coupled families h^i(t, s, y) + C(t) zeta (Thm 3.10)."""
+    h_i = _structured_drift(lat, m0, m1, kappa, d0, d1)
+    c0, c1 = c0[:, None, None], c1[:, None, None]
+    spec = backward.BsvieSpec(
+        n, TerminalField(lat, n, psi),
+        generator=lambda t, s, y, z, zeta, nd: h_i(t, y) + (_stacked_diag(c0 + c1 * t)
+                                                            @ zeta.mT).mT,
+        uses_z=False, uses_zeta=True, lip_y=1.0, stacked_t=True,
     )
-    return lo, hi
+    return backward.solve_bsvie_msolution(spec, lat)
 
 
 def _build_structured_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    rng = np.random.default_rng(seed)
-
-    def trial(k):
-        n = int(rng.integers(1, 3))
-        N = int(rng.integers(4, depth + 1))
-        lat = BinaryLattice(1.0, N)
-        lo, hi = _structured_pair(rng, n, lat, coupling="z")
-        f_lo = backward.solve_bsvie_family(lo, lat)
-        f_hi = backward.solve_bsvie_family(hi, lat)
-        return (_ordering_slack(f_hi.y.levels, f_lo.y.levels),)
-
-    worst, witness, _ = _worst_trial(trials, trial)
+    size = lambda rng: (int(rng.integers(1, 3)), int(rng.integers(4, depth + 1)))
+    draw = lambda rng, n, lat: _draw_structured_pair(rng, n, lat, coupling="z")
+    results = _comparison_trials(seed, trials, size, draw, _solve_z_pair_stack,
+                                 lambda sol: _slack_tuples(sol.y.levels))
+    worst, witness, _ = _worst_trial(trials, results.__getitem__)
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction(
             "metzler_y", "diagonal_z", "kernel_t_monotone",
@@ -663,24 +732,20 @@ def _build_weak_positivity(depth: int, seed: int, trials: int) -> ScenarioOutcom
     )
 
 
+def _weak_pair_tuples(sol: backward.BsvieSolution) -> list[tuple]:
+    """Each trial's weak and pointwise slacks and two residuals, of M-solutions side by side."""
+    weak = backward.weak_comparison_functional(sol.y, sol.y.lattice)
+    residuals = sol.msolution_residual
+    return list(zip(_pair_slacks(weak.levels), _pair_slacks(sol.y.levels),
+                    residuals[0::2], residuals[1::2]))
+
+
 def _build_weak_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    rng = np.random.default_rng(seed)
-
-    def trial(k):
-        N = int(rng.integers(5, depth + 1))
-        lat = BinaryLattice(1.0, N)
-        lo, hi = _structured_pair(rng, 1, lat, coupling="zeta")
-        m_lo = backward.solve_bsvie_msolution(lo, lat)
-        m_hi = backward.solve_bsvie_msolution(hi, lat)
-        w_lo = backward.weak_comparison_functional(m_lo.y, lat)
-        w_hi = backward.weak_comparison_functional(m_hi.y, lat)
-        return (
-            _ordering_slack(w_hi.levels, w_lo.levels),
-            _ordering_slack(m_hi.y.levels, m_lo.y.levels),
-            m_lo.msolution_residual, m_hi.msolution_residual,
-        )
-
-    worst_weak, witness, results = _worst_trial(trials, trial)
+    size = lambda rng: (1, int(rng.integers(5, depth + 1)))
+    draw = lambda rng, n, lat: _draw_structured_pair(rng, n, lat, coupling="zeta")
+    results = _comparison_trials(seed, trials, size, draw, _solve_zeta_pair_stack,
+                                 _weak_pair_tuples)
+    worst_weak, witness, results = _worst_trial(trials, results.__getitem__)
     worst_res = float(np.max([0.0, *(v for r in results for v in r[2:])]))
     # a NaN pointwise slack is no failure: it must not satisfy the check below
     pointwise = [r[1] for r in results if r[1] < -1e-9]

@@ -276,14 +276,14 @@ def children_slope(up: np.ndarray, down: np.ndarray, sqrt_h: float,
 
 
 def _repeat_nodes(values: np.ndarray, copies: int) -> np.ndarray:
-    """``np.repeat(values, copies, axis=0)`` of an ``(m, n)`` slice, node-contiguous.
+    """``np.repeat(values, copies, axis=-2)`` of an ``(m, n)`` slice or a stack, node-contiguous.
 
     One or two copies of a 2-D slice are written as one strided copy each,
     up to 2x faster than numpy's repeat of single entries along the nodes;
-    more copies, and a 1-D node array, go through that repeat.
+    more copies, a stack and a 1-D node array go through that repeat.
     """
     if copies > 2 or values.ndim != 2:
-        return values.T.repeat(copies, axis=-1).T
+        return values.mT.repeat(copies, axis=-1).mT if values.ndim > 1 else values.repeat(copies)
     out = np.empty((values.shape[1], copies * values.shape[0]))
     for q in range(copies):
         out[:, q::copies] = values.T
@@ -295,10 +295,12 @@ def branch(acc: np.ndarray, v: np.ndarray | float) -> np.ndarray:
 
     ``v`` is a scalar or has the shape of the level-k slice ``acc``; the
     halves are written in place into a node-contiguous array, so no
-    full-size temporary is kept.
+    full-size temporary is kept.  A stack ``(trials, 2**k, n)`` branches
+    each of its slices.
     """
-    out = np.empty((2 * acc.shape[0],) + acc.shape[1:], order="F")  # node_empty of a slice
-    up, down = split_children(out)
+    axis = max(acc.ndim - 2, 0)  # the node axis
+    out = node_empty(acc.shape[:axis] + (2 * acc.shape[axis],) + acc.shape[axis + 1:])
+    up, down = split_children(out, axis)
     np.add(acc, v, out=up)
     np.subtract(acc, v, out=down)
     return out
@@ -310,13 +312,15 @@ def branch(acc: np.ndarray, v: np.ndarray | float) -> np.ndarray:
 def conditional_expectation(child_values: np.ndarray) -> np.ndarray:
     """One-step conditional expectation: exact average of the two children.
 
-    ``child_values`` holds a level-(k+1) slice; the result is the level-k
-    slice ``(X_up + X_down) / 2``.
+    ``child_values`` holds a level-(k+1) slice, or a stack ``(trials,
+    2**(k+1), n)`` of them; the result is the level-k slice ``(X_up +
+    X_down) / 2``, or its stack.
     """
     v = np.asarray(child_values, dtype=float)
-    if v.shape[0] % 2 != 0:
+    axis = max(v.ndim - 2, 0)  # the node axis
+    if v.shape[axis] % 2 != 0:
         raise IncompleteProcessError("child slice must pair up/down values")
-    return children_mean(*split_children(v))
+    return children_mean(*split_children(v, axis))
 
 
 def condition_to(values: np.ndarray, from_level: int, to_level: int) -> np.ndarray:
@@ -462,9 +466,9 @@ class TwoParamProcess:
     blocks its rows.  Lower lists by outer time: row i keeps its slices
     j < i as the list given to :meth:`set_below`, kept as given.
 
-    With ``trials`` every upper array has a leading trial axis, ``(trials,
-    j + 1, 2**j, dim)``, and so has each slice and range; such a stack has
-    no lower lists.
+    With ``trials`` every array has a leading trial axis: an upper array is
+    ``(trials, j + 1, 2**j, dim)``, and so is each slice and range, and a
+    lower slice is ``(trials, 2**j, dim)``.
     """
 
     def __init__(self, lattice: BinaryLattice, dim: int, trials: int | None = None):
@@ -501,16 +505,19 @@ class TwoParamProcess:
         """Keep ``zs`` as row i's slices (i, 0)..(i, i - 1), uncopied and unconverted.
 
         ValueError for a row outside 1..N, a row already set, or unless each
-        ``zs[j]``, j < i, is a float64 ``(2**j, dim)`` ndarray.
+        ``zs[j]``, j < i, is a float64 ``(2**j, dim)`` ndarray, ``(trials,
+        2**j, dim)`` with ``trials``.
         """
         if not 1 <= i <= self.lattice.depth:
             raise ValueError(f"row {i} is outside 1 <= i <= N")
         if self._below[i] is not None:
             raise ValueError(f"the slices below the diagonal of row {i} are already set")
         if len(zs) != i or any(type(v) is not np.ndarray or v.dtype != np.float64
-                               or v.shape != (2**j, self.dim) for j, v in enumerate(zs)):
+                               or v.shape != self._lead + (2**j, self.dim)
+                               for j, v in enumerate(zs)):
+            lead = "".join(f"{t}, " for t in self._lead)
             raise ValueError(
-                f"row {i} takes {i} float64 slices, slice j of shape (2**j, {self.dim})")
+                f"row {i} takes {i} float64 slices, slice j of shape ({lead}2**j, {self.dim})")
         self._below[i] = zs
 
     def get(self, i: int, j: int) -> np.ndarray:
@@ -532,22 +539,23 @@ class TwoParamProcess:
 
         Row i must be set (IncompleteProcessError otherwise).  Lifting copies
         each level-j value to its ``2**(level - j)`` descendants, as
-        ``BinaryLattice.lift``.  The stack is node-contiguous.
+        ``BinaryLattice.lift``.  The stack is node-contiguous; with
+        ``trials`` it is ``(trials, hi - lo, 2**level, dim)``.
         """
         if not 0 <= lo < hi <= i <= self.lattice.depth or self._below[i] is None:
             raise IncompleteProcessError(f"Z({i},{lo}..{hi - 1}) slices not populated")
         zs = self._below[i]
         if hi - lo == 1:
             # one slice is one repeat, without the stacking copies
-            return _repeat_nodes(zs[lo], 2 ** (level - lo))[None]
+            return _repeat_nodes(zs[lo], 2 ** (level - lo))[..., None, :, :]
         # each slice's components, node runs in (slice, component) order: views of the
         # node-contiguous slices, so the concatenation is the only copy before the repeat
-        parts = [zs[j].T.ravel() for j in range(lo, hi)]
+        parts = [zs[j].mT.reshape(self._lead + (-1,)) for j in range(lo, hi)]
         levels = np.arange(lo, hi)
         copies = np.repeat(2 ** (level - levels), self.dim * 2**levels)  # one count per node
-        return np.concatenate(parts).repeat(copies).reshape(
-            hi - lo, self.dim, 2**level
-        ).swapaxes(1, 2)
+        return np.concatenate(parts, axis=-1).repeat(copies, axis=-1).reshape(
+            self._lead + (hi - lo, self.dim, 2**level)
+        ).swapaxes(-1, -2)
 
 
 # -- stochastic integral and martingale representation ----------------------
@@ -653,25 +661,36 @@ def martingale_representation(
     The construction is the backward filtration of conditional expectations:
     ``z[j] = (V_up - V_down) / (2 sqrt(h))`` where V is the conditional
     expectation of xi at level j+1.
+
+    A stack ``(trials, 2**level, n)`` of fields is represented trial by
+    trial: ``mean`` is ``(trials, n)`` and ``z[j]`` ``(trials, 2**j, n)``,
+    node-contiguous, each trial's values those of its own representation.
     """
     v = np.asarray(xi, dtype=float)
     if v.ndim == 1:
         v = v.reshape(-1, 1)
-    if v.shape[0] != 2**level:
-        raise IncompleteProcessError(f"field has {v.shape[0]} nodes, expected {2 ** level}")
+    axis = v.ndim - 2  # the node axis
+    if v.shape[axis] != 2**level:
+        raise IncompleteProcessError(f"field has {v.shape[axis]} nodes, expected {2 ** level}")
     z: list[np.ndarray] = [np.empty(0)] * level
     for j in range(level - 1, -1, -1):
-        up, down = split_children(v)
+        up, down = split_children(v, axis)
         z[j] = children_slope(up, down, lattice.sqrt_h)
         v = children_mean(up, down)
-    return v[0], z
+    return v[..., 0, :], z
 
 
 def reconstruct_from_representation(
     lattice: BinaryLattice, mean: np.ndarray, z: list[np.ndarray], level: int
 ) -> np.ndarray:
-    """Evaluate mean + sum_j z[j] dW_j at every level-``level`` node."""
-    for acc in _branch_walk(np.array(mean, dtype=float).reshape(1, -1), z, lattice.sqrt_h, level):
+    """Evaluate mean + sum_j z[j] dW_j at every level-``level`` node.
+
+    A stack, ``mean`` of shape ``(trials, n)`` and ``z[j]`` of shape
+    ``(trials, 2**j, n)``, gives the ``(trials, 2**level, n)`` stack of
+    every trial's reconstruction.
+    """
+    acc = np.atleast_1d(np.array(mean, dtype=float))[..., None, :]
+    for acc in _branch_walk(acc, z, lattice.sqrt_h, level):
         pass  # only the last level is kept
     return acc
 

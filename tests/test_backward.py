@@ -14,7 +14,7 @@ from bsvielab import backward, forward
 from bsvielab.errors import DivergenceError, NonConvergenceError
 from bsvielab.harness import scenarios
 from bsvielab.harness.hypotheses import SATISFIED, VIOLATED, check_hypotheses
-from bsvielab.harness.scenarios import REGISTRY, _stacked_diag, _structured_pair
+from bsvielab.harness.scenarios import REGISTRY, _stacked_diag
 from bsvielab.lattice import (
     AdaptedProcess,
     BinaryLattice,
@@ -29,6 +29,8 @@ from bsvielab.lattice import (
     reconstruct_from_representation,
     split_children,
 )
+
+from structured_pair_reference import structured_pair
 
 
 def random_metzler(rng, n, scale):
@@ -776,7 +778,7 @@ def zeta_coupled_spec(rng, form, N):
     n = int(rng.integers(1, 3))
     lat = BinaryLattice(1.0, N)
     if form == "structured":
-        lo, hi = _structured_pair(rng, n, lat, coupling="zeta")
+        lo, hi = structured_pair(rng, n, lat, coupling="zeta")
         return (lo if rng.integers(2) else hi), lat
     psi = TerminalField(lat, n, rng.standard_normal((N + 1, 2**N, n)))
     c0 = rng.uniform(-1.0, 1.0, n)
@@ -1611,7 +1613,7 @@ def _family_case(rng, kind, N, n, stacked):
             c_coef=lambda t: _stacked_diag(c0 + c1 * t), uses_z=False, uses_zeta=True,
         )
     else:
-        lo, hi = _structured_pair(rng, n, lat, coupling="zeta")
+        lo, hi = structured_pair(rng, n, lat, coupling="zeta")
         spec = lo if rng.integers(2) else hi
     if kind == "frozen-y":
         kw["frozen_y"] = [rng.standard_normal((2**k, n)) for k in range(N + 1)]

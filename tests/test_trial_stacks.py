@@ -2,12 +2,15 @@
 
 The reference is the one-at-a-time solve the comparison families made
 before they stacked their trials: per-trial specs whose generators close
-over one trial's data, ``gbar - eps`` below and ``gbar + eps`` above.
-Every level of every trial must equal it by ``np.array_equal`` and carry
-the same sign bits.
+over one trial's data, ``gbar - eps`` below and ``gbar + eps`` above, and
+the structured-piece specs of ``structured_pair_reference`` for Theorems
+3.7 and 3.10.  Every level of every trial must equal it by
+``np.array_equal`` and carry the same sign bits.
 """
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +18,16 @@ import pytest
 from bsvielab import backward
 from bsvielab.errors import DivergenceError, NonConvergenceError
 from bsvielab.harness import scenarios
+from bsvielab.harness.scenarios import (
+    Check,
+    HypothesisReport,
+    ScenarioOutcome,
+    _ordering_slack,
+    _worst_trial,
+)
 from bsvielab.lattice import BinaryLattice, TerminalField, _check_finite, _first_non_finite
+
+from structured_pair_reference import structured_pair as _structured_pair
 
 
 def _assert_bit_equal(got, want):
@@ -26,7 +38,7 @@ def _assert_bit_equal(got, want):
 
 def _bsde_pair_alone(n, parts):
     """The lower and upper BSDE specs of one trial, as the trial loop built them."""
-    a, b, kappa, lo_shift, hi_shift, xi0, xi1 = parts
+    (a, b, kappa), (lo_shift, xi0), (hi_shift, xi1) = parts
     eps = hi_shift
 
     def gbar(t, y, z, nodes):
@@ -39,7 +51,7 @@ def _bsde_pair_alone(n, parts):
 
 def _bsvie_pair_alone(n, lat, parts):
     """The lower and upper BSVIE specs of one trial, as the trial loop built them."""
-    p, b, kappa, lo_shift, hi_shift, psi0, psi1 = parts
+    (p, b, kappa), (lo_shift, psi0), (hi_shift, psi1) = parts
     eps_lo, eps_hi = -lo_shift, hi_shift
 
     def gbar(t, s, y, z, zeta, nodes):
@@ -92,8 +104,7 @@ def test_a_stack_of_one_is_the_solve_alone(family):
     lat = BinaryLattice(1.0, 5)
     parts = draw(rng, 2, lat)
     want = alone(2, lat, parts)[0]  # the lower equation
-    a, b, kappa, lo_shift, _, lo_end, _ = parts
-    got = solve_stack(lat, 2, a[None], b[None], kappa[None], lo_shift[None], lo_end[None])
+    got = solve_stack(lat, 2, *(v[:1] for v in scenarios._side_by_side([parts])))
     for got_level, want_level in zip(got, want):
         assert got_level.shape == (1,) + want_level.shape
         _assert_bit_equal(got_level[0], want_level)
@@ -112,8 +123,9 @@ def test_stacked_family_slacks_are_the_trial_loops(family, seed):
         lo, hi = alone(n, lat, draw(rng, n, lat))
         want.append(scenarios._ordering_slack(hi, lo))
     solve = dict(bsde=scenarios._solve_bsde_stack, bsvie=scenarios._solve_bsvie_stack)[family]
-    got = scenarios._comparison_slacks(6, seed, 12, draw, solve)
-    _assert_bit_equal(np.array(got), np.array(want))
+    size = lambda rng: (int(rng.integers(1, 4)), int(rng.integers(4, 7)))
+    got = scenarios._comparison_trials(seed, 12, size, draw, solve, scenarios._slack_tuples)
+    _assert_bit_equal(np.array(got), np.array(want)[:, None])
 
 
 # -- errors stay per trial -----------------------------------------------------------------
@@ -254,28 +266,277 @@ def test_a_stack_names_its_first_trial_with_a_non_finite_row(bad):
         _check_finite(y, "what")
 
 
+def _bsde_family_draws(seed, trials):
+    """Each trial's n and data as thm2.5-random draws them at depth 4, where every N is 4."""
+    rng, lat, draws = np.random.default_rng(seed), BinaryLattice(1.0, 4), []
+    for _ in range(trials):
+        n = int(rng.integers(1, 4))
+        rng.integers(4, 5)
+        draws.append((n, scenarios._draw_bsde_pair(rng, n, lat)))
+    return draws
+
+
 def test_a_failing_stack_names_the_family_trials_it_holds(monkeypatch):
     # at depth 4 the trials of one dimension share a stack; the upper equation of the
-    # second trial of the first stack gets a NaN terminal value: stack position 3
-    rng, lat, dims = np.random.default_rng(20244), BinaryLattice(1.0, 4), []
-    for _ in range(6):
-        dims.append(int(rng.integers(1, 4)))
-        rng.integers(4, 5)
-        scenarios._draw_bsde_pair(rng, dims[-1], lat)
-    first_stack = [k for k in range(6) if dims[k] == dims[0]]
+    # second trial of the first stack gets a NaN terminal value in every draw of it
+    draws = _bsde_family_draws(20244, 6)
+    first_stack = [k for k in range(6) if draws[k][0] == draws[0][0]]
     assert len(first_stack) > 1
-    calls, draw = [], scenarios._draw_bsde_pair
+    target = draws[first_stack[1]][1][2][1]  # its upper terminal field
+    draw = scenarios._draw_bsde_pair
 
     def nan_terminal(rng, n, lat):
-        parts = draw(rng, n, lat)
-        calls.append(None)
-        if len(calls) == 6 + 2:  # pass 1 draws 6 trials, then the first stack's replays
-            parts[6][0, 0] = math.nan
-        return parts
+        shared, lower, upper = draw(rng, n, lat)
+        if np.array_equal(upper[1], target):
+            upper[1][0, 0] = math.nan
+        return shared, lower, upper
 
     monkeypatch.setattr(scenarios, "_draw_bsde_pair", nan_terminal)
     with pytest.raises(DivergenceError, match=(
-            r"^implicit y-step: non-finite value at level 3, node 0, trial=3; the stack holds "
-            rf"the lower and upper equations of trials \[{', '.join(map(str, first_stack))}\], "
-            r"side by side$")):
+            r"^implicit y-step: non-finite value at level 3, node 0; "
+            rf"family trial {first_stack[1]}, upper equation$")):
         scenarios._build_bsde_comparison(4, 20244, 6)
+
+
+def test_a_failing_stack_raises_what_the_trial_loop_raises_first(monkeypatch):
+    # trials 0 and 1 share a stack; trial 0's lower equation turns NaN at level 1 and trial
+    # 1's upper one at level 3.  The sweep meets level 3 first, but the loop over the trials
+    # solves trial 0 first, so trial 0's error is the one raised
+    seed = next(s for s in range(100) if len({n for n, _ in _bsde_family_draws(s, 2)}) == 1)
+    draws = _bsde_family_draws(seed, 2)
+    nan_levels = [(draws[0][1][1][1], 1), (draws[1][1][2][1], 3)]  # (terminal field, level)
+    solve = backward.solve_bsde
+
+    def nan_at_level(spec, lat):
+        xi = spec.terminal_field(lat)
+        stack = xi.ndim == 3
+        levels = [next((level for field, level in nan_levels if np.array_equal(x, field)), None)
+                  for x in (xi if stack else [xi])]
+        generator = spec.generator
+
+        def gen(t, y, z, nodes):
+            out = generator(t, y, z, nodes)
+            for pos, level in enumerate(levels):
+                if level is not None and t == lat.times[level]:
+                    (out[pos] if stack else out)[0] = math.nan
+            return out
+
+        return solve(dataclasses.replace(spec, generator=gen), lat)
+
+    monkeypatch.setattr(backward, "solve_bsde", nan_at_level)
+    n, parts = draws[0]
+    lower = _bsde_pair_alone(n, parts)[0]
+    alone_msg = _message(lambda: backward.solve_bsde(lower, BinaryLattice(1.0, 4)))[1]
+    assert alone_msg == "implicit y-step: non-finite value at level 1, node 0"
+    kind, msg = _message(lambda: scenarios._build_bsde_comparison(4, seed, 2))
+    assert (kind, msg) == (DivergenceError, f"{alone_msg}; family trial 0, lower equation")
+
+
+# -- the structured-pair families: Theorems 3.7 and 3.10 ------------------------------------
+
+STRUCTURED = {
+    # coupling: the stacked solve and the solve of one reference spec
+    "z": (scenarios._solve_z_pair_stack, backward.solve_bsvie_family),
+    "zeta": (scenarios._solve_zeta_pair_stack, backward.solve_bsvie_msolution),
+}
+
+
+def _assert_trial_is_its_own_solve(got, pos, want):
+    """Stack position ``pos`` of ``got`` is ``want``: Y levels, Z on both sides, residual."""
+    for got_level, want_level in zip(got.y.levels, want.y.levels, strict=True):
+        _assert_bit_equal(got_level[pos], want_level)
+    assert got.z.pairs() == want.z.pairs()
+    for i, j in want.z.pairs():  # the upper slices j >= i and an M-solution's j < i
+        _assert_bit_equal(got.z.get(i, j)[pos], want.z.get(i, j))
+    if want.msolution_residual is None:
+        assert got.msolution_residual is None
+    else:
+        _assert_bit_equal(np.array(got.msolution_residual[pos]),
+                          np.array(want.msolution_residual))
+
+
+@pytest.mark.parametrize("seed", [20247, 7])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("coupling", sorted(STRUCTURED))
+def test_every_structured_trial_is_its_own_solve(coupling, n, seed):
+    solve_stack, solve_alone = STRUCTURED[coupling]
+    for depth in (5, 7):
+        lat = BinaryLattice(1.0, depth)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        parts = [scenarios._draw_structured_pair(rng, n, lat, coupling) for _ in range(3)]
+        specs = [_structured_pair(ref_rng, n, lat, coupling) for _ in range(3)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        got = solve_stack(lat, n, *scenarios._side_by_side(parts))
+        for k, pair in enumerate(specs):
+            for side, spec in enumerate(pair):
+                _assert_trial_is_its_own_solve(got, 2 * k + side, solve_alone(spec, lat))
+
+
+@pytest.mark.parametrize("coupling", sorted(STRUCTURED))
+def test_a_structured_stack_of_one_is_the_solve_alone(coupling):
+    solve_stack, solve_alone = STRUCTURED[coupling]
+    lat = BinaryLattice(1.0, 6)
+    stacked = scenarios._side_by_side(
+        [scenarios._draw_structured_pair(np.random.default_rng(11), 2, lat, coupling)])
+    pair = _structured_pair(np.random.default_rng(11), 2, lat, coupling)
+    for side, spec in enumerate(pair):
+        got = solve_stack(lat, 2, *(v[side:side + 1] for v in stacked))
+        assert got.y.levels[0].shape == (1, 1, 2)
+        _assert_trial_is_its_own_solve(got, 0, solve_alone(spec, lat))
+
+
+# The trial loops of Theorems 3.7 and 3.10 as they were before the families stacked their
+# trials, verbatim: the reference for every trial's tuple and for the outcome.
+
+
+def _build_structured_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
+    rng = np.random.default_rng(seed)
+
+    def trial(k):
+        n = int(rng.integers(1, 3))
+        N = int(rng.integers(4, depth + 1))
+        lat = BinaryLattice(1.0, N)
+        lo, hi = _structured_pair(rng, n, lat, coupling="z")
+        f_lo = backward.solve_bsvie_family(lo, lat)
+        f_hi = backward.solve_bsvie_family(hi, lat)
+        return (_ordering_slack(f_hi.y.levels, f_lo.y.levels),)
+
+    worst, witness, _ = _worst_trial(trials, trial)
+    return ScenarioOutcome(
+        hypotheses=HypothesisReport.by_construction(
+            "metzler_y", "diagonal_z", "kernel_t_monotone",
+            "difference_monotone", "free_term_monotone",
+        ),
+        checks=[Check("ordering_slack_below_zero", -worst, 1e-12)],
+        witness=witness,
+    )
+
+
+def _build_weak_comparison(depth: int, seed: int, trials: int) -> ScenarioOutcome:
+    rng = np.random.default_rng(seed)
+
+    def trial(k):
+        N = int(rng.integers(5, depth + 1))
+        lat = BinaryLattice(1.0, N)
+        lo, hi = _structured_pair(rng, 1, lat, coupling="zeta")
+        m_lo = backward.solve_bsvie_msolution(lo, lat)
+        m_hi = backward.solve_bsvie_msolution(hi, lat)
+        w_lo = backward.weak_comparison_functional(m_lo.y, lat)
+        w_hi = backward.weak_comparison_functional(m_hi.y, lat)
+        return (
+            _ordering_slack(w_hi.levels, w_lo.levels),
+            _ordering_slack(m_hi.y.levels, m_lo.y.levels),
+            m_lo.msolution_residual, m_hi.msolution_residual,
+        )
+
+    worst_weak, witness, results = _worst_trial(trials, trial)
+    worst_res = float(np.max([0.0, *(v for r in results for v in r[2:])]))
+    # a NaN pointwise slack is no failure: it must not satisfy the check below
+    pointwise = [r[1] for r in results if r[1] < -1e-9]
+    pointwise_failures = len(pointwise)
+    worst_pointwise = float(np.min([0.0, *pointwise]))
+    return ScenarioOutcome(
+        hypotheses=HypothesisReport.by_construction(
+            "metzler_y", "diagonal_z", "kernel_t_monotone",
+            "difference_monotone", "free_term_monotone", "zeta_coeff_s_free",
+        ),
+        checks=[
+            Check("weak_ordering_slack_below_zero", -worst_weak, 1e-10),
+            Check("pointwise_failure_missing", 1.0 if pointwise_failures == 0 else 0.0, 0.0),
+            Check("msolution_residual", worst_res, 1e-12),
+        ],
+        witness=witness,
+        details={
+            "pointwise_failures": pointwise_failures,
+            "worst_pointwise_slack": worst_pointwise,
+        },
+    )
+
+
+LOOPS = {
+    "thm3.7-random": (_build_structured_comparison, scenarios._build_structured_comparison),
+    "thm3.10-random": (_build_weak_comparison, scenarios._build_weak_comparison),
+}
+
+
+def _tuples_and_outcome(monkeypatch, module, build, *args):
+    """Each trial's tuple as ``build``'s ``_worst_trial`` in ``module`` sees it, and the outcome."""
+    seen, worst_trial = [], module._worst_trial
+
+    def recording(trials, trial, *label):
+        worst, witness, results = worst_trial(trials, trial, *label)
+        seen.extend(results)
+        return worst, witness, results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(module, "_worst_trial", recording)
+        outcome = build(*args)
+    return seen, outcome
+
+
+@pytest.mark.parametrize("offset", [0, 2361])
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_structured_family_tuples_are_the_trial_loops(monkeypatch, name, offset):
+    loop, stacked = LOOPS[name]
+    entry = scenarios.REGISTRY[name]
+    args = (entry.default_depth, entry.default_seed + offset, 30)
+    want, want_outcome = _tuples_and_outcome(monkeypatch, sys.modules[__name__], loop, *args)
+    got, got_outcome = _tuples_and_outcome(monkeypatch, scenarios, stacked, *args)
+    assert len(got) == 30
+    _assert_bit_equal(np.array(got), np.array(want))
+    assert got_outcome == want_outcome
+
+
+@pytest.mark.parametrize("where", ["explicit", "diagonal", "representation"])
+def test_an_msolution_stack_names_its_lowest_failing_trial(monkeypatch, where):
+    # trials 1 and 2 of three turn NaN at one step: trial 1 raises, its own message plus trial=1.
+    # "explicit" and "diagonal": the drift at level 3, node 0, in the explicit update of the
+    # rows below row 3 or in row 3's diagonal step; "representation": the slice Z(t_4, t_2)
+    # that row 4's martingale representation attaches, which row 2 reads at level 4
+    lat = BinaryLattice(1.0, 5)
+    psi = np.random.default_rng(8).standard_normal((3, 6, 32, 1))
+    coef = np.array([0.5, -0.4, 0.3])
+    solving = {"trial": None}  # the trial solved alone, None while the stack is solved
+
+    def nan_at_node_0(value, k):
+        if k in (1, 2):
+            value[..., 0, :] = math.nan
+
+    def generator(trial):
+        def gen(t, s, y, z, zeta, nd):
+            out = 0.2 * np.tanh(y) + (coef[:, None, None, None] if trial is None
+                                      else coef[trial]) * zeta
+            if s == lat.times[3] and where == ("diagonal" if np.ndim(t) == 0 else "explicit"):
+                for pos, k in enumerate(range(3) if trial is None else [trial]):
+                    nan_at_node_0(out[pos] if trial is None else out, k)
+            return out
+
+        return gen
+
+    represent = backward.martingale_representation
+
+    def representation(lattice, xi, level):
+        mean, zs = represent(lattice, xi, level)
+        if where == "representation" and level == 4:
+            for pos, k in enumerate(range(3) if solving["trial"] is None else [solving["trial"]]):
+                nan_at_node_0(zs[2][pos] if solving["trial"] is None else zs[2], k)
+        return mean, zs
+
+    monkeypatch.setattr(backward, "martingale_representation", representation)
+
+    def solve(trial):
+        solving["trial"] = trial
+        spec = backward.BsvieSpec(
+            1, TerminalField(lat, 1, psi if trial is None else psi[trial]),
+            generator=generator(trial), uses_z=False, uses_zeta=True, stacked_t=True)
+        return backward.solve_bsvie_msolution(spec, lat)
+
+    kind, msg = _message(lambda: solve(None))
+    alone_kind, alone_msg = _message(lambda: solve(1))
+    assert (kind, msg) == (alone_kind, f"{alone_msg}, trial=1")
+    assert alone_msg == {
+        "explicit": "explicit step of row 2: non-finite value at level 3, node 0",
+        "diagonal": "diagonal y-step: non-finite value at level 3, node 0",
+        "representation": "explicit step of row 2: non-finite value at level 4, node 0",
+    }[where]
+    assert solve(0).msolution_residual < 1e-12  # trial 0 solves alone
