@@ -520,7 +520,7 @@ def solve_bsvie_family(
     trials = psi.shape[0] if psi.ndim == 4 else None
     y_levels: list[np.ndarray | None] = [None] * (N + 1)
     z = TwoParamProcess(lattice, n, trials)
-    residuals: list[float] = []
+    residuals: list[np.ndarray] = []
     frozen = frozen_y is not None
     if _msolution and frozen:
         # row j's representation would be needed by the update that makes row j
