@@ -504,13 +504,15 @@ def solve_bsvie_family(
     at most ``_ROW_BLOCK_ELEMS // (trials * 2**N * dim)`` rows: one element
     budget for the whole stack.  The returned Y levels and Z slices carry
     the trial axis, and every trial's values are those of its own solve.  A
-    stack needs ``stacked_t`` and takes no ``frozen_y`` (ValueError).  As
-    an M-solution, each finished row of the stack is represented trial by
-    trial, ``zeta`` reaches the explicit updates as ``(trials, rows, 2**j,
-    n)`` and the diagonal steps as the shared ``(2**j, n)`` zeros, and
-    ``msolution_residual`` is the list of every trial's residual.  A
-    failing step raises for the lowest trial that fails there, with the
-    message that trial raises alone plus ``trial=k``.
+    stack needs ``stacked_t`` (ValueError).  Its ``frozen_y`` levels carry
+    the trial axis too, ``(trials, 2**j, n)``, and reach the callables as
+    ``(trials, 1, 2**j, n)``.  As an M-solution, each finished row of the
+    stack is represented trial by trial, ``zeta`` reaches the explicit
+    updates as ``(trials, rows, 2**j, n)`` and the diagonal steps as the
+    shared ``(2**j, n)`` zeros, and ``msolution_residual`` is the list of
+    every trial's residual.  A failing step raises for the lowest trial
+    that fails there, with the message that trial raises alone plus
+    ``trial=k``.
     """
     n = spec.dim
     N = lattice.depth
@@ -527,8 +529,8 @@ def solve_bsvie_family(
         raise ValueError("an M-solution sweep takes no frozen y-argument")
     if spec.uses_zeta and not _msolution:
         raise ValueError("generator depends on Z(s,t): solve as an M-solution")
-    if trials is not None and (frozen or not spec.stacked_t):
-        raise ValueError("a stack of trials is solved only with stacked_t and without frozen_y")
+    if trials is not None and not spec.stacked_t:
+        raise ValueError("a stack of trials is solved only with stacked_t")
     # row j of a block: a stack keeps its row axis, so the callables see one layout
     last = -1 if trials is None else np.s_[:, -1:]
     level_nodes = [LevelNodes(lattice, j) for j in range(N)]
@@ -610,7 +612,8 @@ def solve_bsvie_family(
             if frozen:
                 lam = explicit_update(lo, j, e, mu)
                 if top == j:
-                    finish(j, lam[-1].copy(order="F"))
+                    # row j of every trial, copied node-contiguous
+                    finish(j, np.array(lam[..., -1, :, :].mT, order="C").mT)
             elif top == j:
                 y_j = diagonal_step(j, up[last], down[last], e[last], mu[last])
                 finish(j, y_j if trials is None else y_j[:, 0])
@@ -711,7 +714,9 @@ class PicardHistory:
     (iterate 0 is the solution of the upper spec), ``ratios`` the successive
     quotients of those norms, ``max_increase[k]`` the largest nodewise increase
     from iterate k-1 to k (<= 0 up to roundoff when the comparator is
-    nondecreasing in y and dominated by the upper data).
+    nondecreasing in y and dominated by the upper data).  A scheme run on a
+    trial stack keeps one history per trial, each ending where its trial
+    stopped.
     """
 
     beta: float
@@ -733,15 +738,17 @@ def _weighted_diff_norm(
     z_new: TwoParamProcess,
     z_old: TwoParamProcess,
     beta: float,
-) -> float:
+) -> np.ndarray:
     """sqrt(sum_i w_i (E|dY_i|^2 + h sum_{j >= i} E|dZ_ij|^2)), w_i = h exp(beta t_i).
 
     Each expectation is the pairwise sum of q, the per-node squared norms,
     divided by the node count: the sum and the division of ``np.mean``, so
     the value is bitwise the one of ``np.mean`` without its wrapper.  The
-    dZ expectations of a level are made at once, ``np.add.reduce(q, axis=1)``
-    over its ``(j + 1, 2**j)`` stack being each row's pairwise sum; the total
-    is still accumulated in (i, j) order.
+    dZ expectations of a level are made at once, ``np.add.reduce(q,
+    axis=-1)`` over its ``(j + 1, 2**j)`` stack being each row's pairwise
+    sum; the total is still accumulated in (i, j) order.  Returns a 0-d
+    array, or for levels with a leading trial axis the array of every
+    trial's norm, each accumulated in that order.
     """
     N = lattice.depth
     h = lattice.h
@@ -749,21 +756,21 @@ def _weighted_diff_norm(
     for j in range(N):
         dz = z_new.rows(j, 0, j + 1) - z_old.rows(j, 0, j + 1)
         q = row_sums(dz * dz)
-        dz_means.append((np.add.reduce(q, axis=1) / q.shape[1]).tolist())
+        dz_means.append(np.add.reduce(q, axis=-1) / q.shape[-1])
     total = 0.0
     for i in range(N + 1):
         w = h * math.exp(beta * lattice.times[i])
         dy = y_new[i] - y_old[i]
         q = row_sums(dy * dy)
-        total += w * (float(np.add.reduce(q)) / q.shape[0])
+        total = total + w * (np.add.reduce(q, axis=-1) / q.shape[-1])
         for j in range(i, N):
-            total += w * h * dz_means[j][i]
-    return math.sqrt(total)
+            total = total + w * h * dz_means[j][..., i]
+    return np.sqrt(total)
 
 
 def picard_bsvie(
     upper: BsvieSpec, comparator: BsvieSpec, lattice: BinaryLattice
-) -> tuple[BsvieSolution, PicardHistory]:
+) -> tuple[BsvieSolution, PicardHistory | list[PicardHistory]]:
     """Frozen-y successive scheme started from the upper solution.
 
     Iterate 0 solves ``upper``; iterate k solves the comparator equation with
@@ -776,29 +783,77 @@ def picard_bsvie(
     the first self-consistent pair of map outputs (norm below PICARD_TOL), so
     a y-independent comparator converges after one effective iteration;
     PICARD_MAX_ITER iterations without it raise NonConvergenceError.
+
+    Free terms with a leading trial axis (both specs, the same trials; see
+    :func:`solve_bsvie_family`) make a stack of independent schemes, run as
+    one: each iterate is one stacked frozen-y sweep.  Each trial stops by the
+    rule above on its own norm, and the stack sweeps until its last trial
+    stops; a trial's sweeps after it stopped are discarded, though a
+    non-finite value in them raises too.  Returns the stack of every trial's
+    final iterate and the list of the trials' histories, each bit for bit
+    the one of its own scheme.  A failing sweep raises for the lowest trial
+    that fails there; at PICARD_MAX_ITER the lowest open trial raises its
+    own message plus ``trial=k``.
     """
+    lead = upper.psi.values.shape[:-3]
+    if comparator.psi.values.shape[:-3] != lead:
+        raise ValueError("the upper and comparator specs must be stacks of the same trials")
     beta = default_beta(max(comparator.lip_y, comparator.lip_z), lattice.horizon)
-    hist = PicardHistory(beta=beta)
+    hists = [PicardHistory(beta=beta) for _ in range(lead[0] if lead else 1)]
+    open_ = list(range(len(hists)))
+    held = None
     sol = solve_bsvie_family(upper, lattice)
     for k in range(1, PICARD_MAX_ITER + 1):
         # the frozen-y sweep only reads the previous levels, so they are not copied
         new_sol = solve_bsvie_family(comparator, lattice, frozen_y=sol.y.levels)
         new_y, prev_y = new_sol.y.levels, sol.y.levels
-        norm = _weighted_diff_norm(lattice, new_y, prev_y, new_sol.z, sol.z, beta)
-        hist.diff_norms.append(norm)
-        if len(hist.diff_norms) > 1 and hist.diff_norms[-2] > 0:
-            hist.ratios.append(norm / hist.diff_norms[-2])
-        hist.max_increase.append(
-            float(np.max([(n_lv - p_lv).max() for n_lv, p_lv in zip(new_y, prev_y)]))
-        )
+        norms = np.ravel(
+            _weighted_diff_norm(lattice, new_y, prev_y, new_sol.z, sol.z, beta)).tolist()
+        increases = np.ravel(np.max([np.max(n_lv - p_lv, axis=(-2, -1))
+                                     for n_lv, p_lv in zip(new_y, prev_y)], axis=0)).tolist()
+        stopped = []
+        for t in open_:
+            hist, norm = hists[t], norms[t]
+            hist.diff_norms.append(norm)
+            if len(hist.diff_norms) > 1 and hist.diff_norms[-2] > 0:
+                hist.ratios.append(norm / hist.diff_norms[-2])
+            hist.max_increase.append(increases[t])
+            if k >= 2 and norm < PICARD_TOL:
+                hist.iterations = k - 1
+                stopped.append(t)
         sol = new_sol
-        if k >= 2 and norm < PICARD_TOL:
-            hist.iterations = k - 1
-            return sol, hist
-    raise NonConvergenceError(
-        f"successive scheme not below {PICARD_TOL} after {PICARD_MAX_ITER} iterations "
-        f"(last ratio {hist.ratios[-1] if hist.ratios else float('nan'):.3g})"
-    )
+        if stopped:
+            if not lead:
+                return sol, hists[0]
+            held = _hold_trials(held, sol, stopped)
+            open_ = [t for t in open_ if t not in stopped]
+            if not open_:
+                return held, hists
+    ratios = hists[open_[0]].ratios
+    msg = (f"successive scheme not below {PICARD_TOL} after {PICARD_MAX_ITER} iterations "
+           f"(last ratio {ratios[-1] if ratios else float('nan'):.3g})")
+    raise NonConvergenceError(f"{msg}, trial={open_[0]}" if lead else msg)
+
+
+def _hold_trials(held: BsvieSolution | None, sol: BsvieSolution,
+                 trials: list[int]) -> BsvieSolution:
+    """Copy the Y levels and Z slices of ``trials`` of the stacked ``sol`` into ``held``.
+
+    ``held`` None: a stack of ``sol``'s shapes and layout is made first, and
+    is complete once every trial has been copied into it.
+    """
+    lat, N = sol.y.lattice, sol.y.lattice.depth
+    if held is None:
+        z = TwoParamProcess(lat, sol.y.dim, len(sol.y.levels[0]))
+        for j in range(N):
+            z.write_rows(j, 0, j + 1)
+        held = BsvieSolution(
+            AdaptedProcess(lat, sol.y.dim, [np.empty_like(lv) for lv in sol.y.levels]), z)
+    for lv, new in zip(held.y.levels, sol.y.levels):
+        lv[trials] = new[trials]
+    for j in range(N):
+        held.z.rows(j, 0, j + 1)[trials] = sol.z.rows(j, 0, j + 1)[trials]
+    return held
 
 
 # -- weak comparison functional --------------------------------------------------

@@ -281,7 +281,7 @@ def _build_forward_comparison(depth: int, seed: int, trials: int) -> ScenarioOut
     )
 
 
-# -- lower/upper comparison families, solved in trial stacks --------------------------
+# -- randomized families solved in trial stacks ---------------------------------------
 
 
 def _side_by_side(parts: list[tuple]) -> tuple:
@@ -309,24 +309,24 @@ def _slack_tuples(levels) -> list[tuple]:
     return [(slack,) for slack in _pair_slacks(levels)]
 
 
-def _comparison_trials(seed: int, trials: int, size, draw, solve, measure) -> list[tuple]:
-    """Each trial's tuple of a lower/upper comparison family, in trial order.
+def _stacked_trials(seed: int, trials: int, size, draw, entries, solve, alone) -> list[tuple]:
+    """Each trial's tuple of a randomized family solved in trial stacks, in trial order.
 
     Trial k draws its dimension and depth, ``n, N = size(rng)``, and then
     its data, ``draw(rng, n, lattice)``, from one generator, in trial
     order.  Pass 1 makes every draw and keeps, per trial, only (n, N), the
-    generator state before its data and the size of its free term (the last
-    array of each equation's own).  Pass 2 takes the trials of each (n, N)
-    in stacks, replays their draws and solves the lower and upper equation
-    of every trial of a stack at once, side by side along the leading axis
-    (:func:`_side_by_side`): ``solve(lattice, n, *stacked)`` returns the
-    stack's solution and ``measure(solution)`` the list of its trials'
-    tuples.  A stack holds at most ``_ROW_BLOCK_ELEMS`` float entries of
-    free terms, and at least one trial.  Each trial's tuple is the one its
-    own two solves give.
+    generator state before its data and ``entries(data)``, the float entries
+    of free terms the trial adds to a stack's sweeps.  Pass 2 takes the
+    trials of each (n, N) in stacks of at most ``_ROW_BLOCK_ELEMS`` such
+    entries, and at least one trial, replays their draws and hands them to
+    ``solve(lattice, n, draws)``, which returns the list of the stack's
+    tuples.  Each trial's tuple is the one its own solve gives.
 
-    A stack that fails raises what the loop over the trials raises first
-    (see :func:`_raise_as_the_loop`).
+    A stack that fails raises what the loop over the trials raises first:
+    for k = 0..the stack's last trial, in order, trial k is drawn again and
+    ``alone(k, n, lattice, data)`` solves it as the loop does, raising its
+    error with the family trial named.  Only a stack that fails runs this,
+    so it costs time only on the failure path.
     """
     rng = np.random.default_rng(seed)
     lattices: dict[int, BinaryLattice] = {}
@@ -337,7 +337,7 @@ def _comparison_trials(seed: int, trials: int, size, draw, solve, measure) -> li
             lattices[N] = BinaryLattice(1.0, N)
         state = rng.bit_generator.state
         # advances past the data, which are drawn again per stack
-        plan.append((n, N, state, draw(rng, n, lattices[N])[2][-1].size))
+        plan.append((n, N, state, entries(draw(rng, n, lattices[N]))))
 
     def replay(k: int) -> tuple[int, BinaryLattice, tuple]:
         n, N, state, _ = plan[k]
@@ -349,45 +349,60 @@ def _comparison_trials(seed: int, trials: int, size, draw, solve, measure) -> li
         groups.setdefault((n, N), []).append(k)
     results: list[tuple] = [()] * trials
     for (n, N), ks in groups.items():
-        per = max(1, backward._ROW_BLOCK_ELEMS // (2 * plan[ks[0]][3]))
+        per = max(1, backward._ROW_BLOCK_ELEMS // plan[ks[0]][3])
         for c in range(0, len(ks), per):
             stack = ks[c:c + per]
-            stacked = _side_by_side([replay(k)[2] for k in stack])
             try:
-                measured = measure(solve(lattices[N], n, *stacked))
+                measured = solve(lattices[N], n, [replay(k)[2] for k in stack])
             except (DivergenceError, NonConvergenceError):
-                _raise_as_the_loop(max(stack), replay, solve, measure)
-                raise  # not reached: each trial fails alone as it fails in the stack
+                for k in range(max(stack) + 1):
+                    alone(k, *replay(k))
+                raise  # the stack's own error, should every trial solve alone
             for k, res in zip(stack, measured):
                 results[k] = res
     return results
 
 
-def _raise_as_the_loop(last: int, replay, solve, measure) -> None:
-    """Raise the first error of the loop over trials 0..``last``, which solves them one by one.
+def _comparison_trials(seed: int, trials: int, size, draw, solve, measure) -> list[tuple]:
+    """Each trial's tuple of a lower/upper comparison family, in trial order.
 
-    Each trial is drawn again and solved as the loop solves it: its lower
-    equation alone, its upper equation alone, then both together for
-    ``measure``.  Each is a stack of one or two, whose solver error ends in
-    ``trial=p``, the stack position; the error is raised again with the
-    message before that, followed by the family trial and the side.  Only a
-    stack that fails runs this, so it costs time only on the failure path.
+    The trials are drawn, grouped and stacked by :func:`_stacked_trials`; a
+    trial's draw is ``(shared, lower, upper)`` and its free terms are the
+    last array of each equation's own.  The lower and upper equations of
+    every trial of a stack are solved at once, side by side along the
+    leading axis (:func:`_side_by_side`): ``solve(lattice, n, *stacked)``
+    returns the stack's solution and ``measure(solution)`` the list of its
+    trials' tuples, each the one its own two solves give.  A failing stack
+    raises what the loop raises first (:func:`_raise_as_the_loop`).
     """
-    for k in range(last + 1):
-        n, lat, parts = replay(k)
-        stacked = _side_by_side([parts])
-        runs = (
-            (0, lambda: solve(lat, n, *(v[:1] for v in stacked))),
-            (1, lambda: solve(lat, n, *(v[1:] for v in stacked))),
-            (0, lambda: measure(solve(lat, n, *stacked))),
-        )
-        for first, run in runs:
-            try:
-                run()
-            except (DivergenceError, NonConvergenceError) as exc:
-                msg, position = str(exc).rsplit(", trial=", 1)
-                side = ("lower", "upper")[first + int(position)]
-                raise type(exc)(f"{msg}; family trial {k}, {side} equation") from exc
+    return _stacked_trials(
+        seed, trials, size, draw, lambda parts: 2 * parts[2][-1].size,
+        lambda lat, n, draws: measure(solve(lat, n, *_side_by_side(draws))),
+        lambda k, n, lat, parts: _raise_as_the_loop(k, n, lat, parts, solve, measure),
+    )
+
+
+def _raise_as_the_loop(k: int, n: int, lat: BinaryLattice, parts, solve, measure) -> None:
+    """Solve comparison trial k as the loop over the trials does and raise its first error.
+
+    Its lower equation alone, its upper equation alone, then both together
+    for ``measure``.  Each is a stack of one or two, whose solver error ends
+    in ``trial=p``, the stack position; the error is raised again with the
+    message before that, followed by the family trial and the side.
+    """
+    stacked = _side_by_side([parts])
+    runs = (
+        (0, lambda: solve(lat, n, *(v[:1] for v in stacked))),
+        (1, lambda: solve(lat, n, *(v[1:] for v in stacked))),
+        (0, lambda: measure(solve(lat, n, *stacked))),
+    )
+    for first, run in runs:
+        try:
+            run()
+        except (DivergenceError, NonConvergenceError) as exc:
+            msg, position = str(exc).rsplit(", trial=", 1)
+            side = ("lower", "upper")[first + int(position)]
+            raise type(exc)(f"{msg}; family trial {k}, {side} equation") from exc
 
 
 # -- BSDE scenarios -------------------------------------------------------------------
@@ -797,36 +812,74 @@ def _build_bsvie_duality(depth: int, seed: int, trials: int) -> ScenarioOutcome:
     )
 
 
-def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOutcome:
-    rng = np.random.default_rng(seed)
+def _draw_picard_pair(rng, n: int, lat: BinaryLattice):
+    """The data of a comparator and an upper spec for the frozen-y scheme.
 
-    def trial(k):
-        n = int(rng.integers(1, 3))
-        N = int(rng.integers(5, depth + 1))
-        lat = BinaryLattice(1.0, N)
-        leaves = 2**N
-        b = _scaled(_random_diagonal(rng, n, 0.6), 0.45, lat.sqrt_h)
-        eps = rng.uniform(0.1, 0.5, n)
-        psibar = rng.standard_normal((N + 1, leaves, n))
-        psi1 = psibar + rng.uniform(0.0, 0.5, (N + 1, leaves, n))
+    The comparator's generator is ``arctan(y) + B z`` with a diagonal B and
+    its free term ``psibar``; the upper one adds ``eps > 0`` to the
+    generator and a nonnegative field to the free term.  Returns ``(b,
+    eps, psibar, psi1)``.
+    """
+    N = lat.depth
+    leaves = 2**N
+    b = _scaled(_random_diagonal(rng, n, 0.6), 0.45, lat.sqrt_h)
+    eps = rng.uniform(0.1, 0.5, n)
+    psibar = rng.standard_normal((N + 1, leaves, n))
+    psi1 = psibar + rng.uniform(0.0, 0.5, (N + 1, leaves, n))
+    return b, eps, psibar, psi1
 
-        def gbar(t, s, y, z, zeta, nd, b=b):
-            return np.arctan(y) + (b @ z.mT).mT
 
-        comp = backward.BsvieSpec(
-            n, TerminalField(lat, n, psibar), generator=gbar, lip_y=1.0, lip_z=0.6,
-            stacked_t=True,
-        )
-        upper = backward.BsvieSpec(
-            n, TerminalField(lat, n, psi1),
-            generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps,
-            lip_y=1.0, lip_z=0.6, stacked_t=True,
-        )
-        _, hist = backward.picard_bsvie(upper, comp, lat)
+def _solve_picard_stack(lat: BinaryLattice, n: int, b, eps, psibar, psi1):
+    """The frozen-y scheme of a stack of trials: its final iterates and the trials' histories.
+
+    The arrays are the trials' draws of :func:`_draw_picard_pair`, stacked;
+    the generators broadcast b as ``(trials, 1, n, n)`` matrices and eps as
+    ``(trials, 1, 1, n)`` vectors.
+    """
+    b, eps = b[:, None], eps[:, None, None]
+
+    def gbar(t, s, y, z, zeta, nd):
+        return np.arctan(y) + (b @ z.mT).mT
+
+    comp = backward.BsvieSpec(
+        n, TerminalField(lat, n, psibar), generator=gbar, lip_y=1.0, lip_z=0.6, stacked_t=True,
+    )
+    upper = backward.BsvieSpec(
+        n, TerminalField(lat, n, psi1),
+        generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps,
+        lip_y=1.0, lip_z=0.6, stacked_t=True,
+    )
+    return backward.picard_bsvie(upper, comp, lat)
+
+
+def _picard_tuples(hists: list[backward.PicardHistory]) -> list[tuple]:
+    """Each trial's (-largest norm ratio, largest iterate increase)."""
+    results = []
+    for hist in hists:
         ratio = float(np.max(hist.ratios)) if hist.ratios else 0.0
-        return -ratio, float(np.max(hist.max_increase))
+        results.append((-ratio, float(np.max(hist.max_increase))))
+    return results
 
-    worst, witness, results = _worst_trial(trials, trial)
+
+def _picard_as_the_loop(k: int, n: int, lat: BinaryLattice, parts) -> None:
+    """Solve trial k alone, as the loop over the trials does; raise its error naming the trial."""
+    try:
+        _solve_picard_stack(lat, n, *(v[None] for v in parts))
+    except (DivergenceError, NonConvergenceError) as exc:
+        msg = str(exc).rsplit(", trial=", 1)[0]  # a stack of one: position 0
+        raise type(exc)(f"{msg}; family trial {k}") from exc
+
+
+def _build_picard_contraction(depth: int, seed: int, trials: int) -> ScenarioOutcome:
+    size = lambda rng: (int(rng.integers(1, 3)), int(rng.integers(5, depth + 1)))
+    # one free term per trial in each sweep of the scheme
+    results = _stacked_trials(
+        seed, trials, size, _draw_picard_pair, lambda parts: parts[-1].size,
+        lambda lat, n, draws: _picard_tuples(
+            _solve_picard_stack(lat, n, *(np.stack(v) for v in zip(*draws)))[1]),
+        _picard_as_the_loop,
+    )
+    worst, witness, results = _worst_trial(trials, results.__getitem__)
     worst_increase = float(np.max([0.0, *(r[1] for r in results)]))
     return ScenarioOutcome(
         hypotheses=HypothesisReport.by_construction("metzler_y", "diagonal_z", "monotone_selection"),

@@ -274,6 +274,15 @@ def test_ex38_agrees_with_its_verdict_at_every_depth_it_accepts():
             resolve(ScenarioConfig(scenario="ex3.8", depth=depth))
 
 
+def test_picard_contraction_agrees_with_its_verdict_at_every_depth_and_trial_count():
+    depths = REGISTRY["picard-contraction"].depths
+    assert list(depths) == [5, 6, 7, 8]
+    for depth in depths:
+        for trials in (1, 3, 50):
+            config = ScenarioConfig(scenario="picard-contraction", depth=depth, trials=trials)
+            assert run_experiment(config).agrees_with_expectation, (depth, trials)
+
+
 def test_ex210_agrees_with_its_verdict_at_every_depth_it_accepts_up_to_12():
     # at depths 2 and 4 no leaf's bracket is negative, so the counterexample
     # cannot show; from depth 6 it does (checked up to 16)

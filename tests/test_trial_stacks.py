@@ -10,6 +10,7 @@ the structured-piece specs of ``structured_pair_reference`` for Theorems
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -27,6 +28,7 @@ from bsvielab.harness.scenarios import (
 )
 from bsvielab.lattice import BinaryLattice, TerminalField, _check_finite, _first_non_finite
 
+import picard_contraction_reference
 from structured_pair_reference import structured_pair as _structured_pair
 
 
@@ -250,8 +252,9 @@ def test_a_trial_stack_refuses_the_sweeps_it_does_not_run():
     with pytest.raises(ValueError, match="stacked_t"):
         backward.solve_bsvie_family(backward.BsvieSpec(1, psi, generator=gen), lat)
     spec = backward.BsvieSpec(1, psi, generator=gen, stacked_t=True)
-    with pytest.raises(ValueError, match="frozen_y"):
-        backward.solve_bsvie_family(spec, lat, frozen_y=[np.ones((2, 2**k, 1)) for k in range(4)])
+    frozen = [np.ones((2, 2**k, 1)) for k in range(4)]
+    with pytest.raises(ValueError, match="M-solution sweep takes no frozen y"):
+        backward.solve_bsvie_family(spec, lat, frozen_y=frozen, _msolution=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -540,3 +543,189 @@ def test_an_msolution_stack_names_its_lowest_failing_trial(monkeypatch, where):
         "representation": "explicit step of row 2: non-finite value at level 4, node 0",
     }[where]
     assert solve(0).msolution_residual < 1e-12  # trial 0 solves alone
+
+
+# -- the frozen-y successive scheme: picard-contraction -------------------------------------
+
+
+def _arctan_spec(lat, n, psi, b, **kw):
+    """A spec with generator ``arctan(y) + B z``: b one ``(n, n)`` matrix, or ``(trials, 1, n, n)``."""
+    return backward.BsvieSpec(
+        n, TerminalField(lat, n, psi), generator=lambda t, s, y, z, zeta, nd: (
+            np.arctan(y) + (b @ z.mT).mT), lip_y=1.0, lip_z=0.6, stacked_t=True, **kw)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("depth", [5, 7])
+def test_each_trial_of_a_stacked_frozen_sweep_is_its_own_frozen_sweep(depth, n, trials):
+    rng = np.random.default_rng(100 * depth + 10 * n + trials)
+    lat = BinaryLattice(1.0, depth)
+    psi = rng.standard_normal((trials, depth + 1, 2**depth, n))
+    b = np.stack([np.diag(rng.uniform(-0.4, 0.4, n)) for _ in range(trials)])
+    frozen = [rng.standard_normal((trials, 2**k, n)) for k in range(depth + 1)]
+    got = backward.solve_bsvie_family(_arctan_spec(lat, n, psi, b[:, None]), lat, frozen_y=frozen)
+    assert got.y.levels[0].shape == (trials, 1, n)
+    for k in range(trials):
+        want = backward.solve_bsvie_family(_arctan_spec(lat, n, psi[k], b[k]), lat,
+                                           frozen_y=[lv[k] for lv in frozen])
+        _assert_trial_is_its_own_solve(got, k, want)
+
+
+def _picard_pair_alone(n, lat, parts):
+    """The upper and comparator specs of one trial, as the trial loop built them."""
+    b, eps, psibar, psi1 = parts
+
+    def gbar(t, s, y, z, zeta, nd):
+        return np.arctan(y) + (b @ z.mT).mT
+
+    comp = backward.BsvieSpec(n, TerminalField(lat, n, psibar), generator=gbar,
+                              lip_y=1.0, lip_z=0.6, stacked_t=True)
+    upper = backward.BsvieSpec(
+        n, TerminalField(lat, n, psi1),
+        generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps,
+        lip_y=1.0, lip_z=0.6, stacked_t=True)
+    return upper, comp
+
+
+@pytest.mark.parametrize("seed, depth, n, trials", [
+    (24, 5, 1, 12), (22, 6, 2, 6), (27, 7, 1, 10), (23, 8, 2, 1),
+])
+def test_each_trial_of_a_stacked_scheme_is_its_own_scheme(seed, depth, n, trials):
+    rng = np.random.default_rng(seed)
+    lat = BinaryLattice(1.0, depth)
+    draws = [scenarios._draw_picard_pair(rng, n, lat) for _ in range(trials)]
+    sol, hists = scenarios._solve_picard_stack(lat, n, *(np.stack(v) for v in zip(*draws)))
+    assert len(hists) == trials
+    if trials > 1:  # the trials stop at different sweeps, so each final iterate is held apart
+        assert len({hist.iterations for hist in hists}) > 1
+    for k, parts in enumerate(draws):
+        want_sol, want = backward.picard_bsvie(*_picard_pair_alone(n, lat, parts), lat)
+        got = hists[k]
+        assert (got.beta, got.iterations) == (want.beta, want.iterations)
+        for name in ("diff_norms", "ratios", "max_increase"):
+            assert all(type(v) is float for v in getattr(got, name))
+            _assert_bit_equal(np.array(getattr(got, name)), np.array(getattr(want, name)))
+        _assert_trial_is_its_own_solve(sol, k, want_sol)
+
+
+def _linear_scheme(lat, psi, coef):
+    """Upper ``0.1 y`` above a comparator ``coef * y``; coef a float, or one per trial of psi."""
+    c = coef if np.ndim(coef) == 0 else np.asarray(coef)[:, None, None, None]
+    upper = backward.BsvieSpec(1, TerminalField(lat, 1, psi + 1.0), uses_z=False,
+                               generator=lambda t, s, y, z, zeta, nd: 0.1 * y, stacked_t=True)
+    comp = backward.BsvieSpec(1, TerminalField(lat, 1, psi), uses_z=False, lip_y=1.0,
+                              generator=lambda t, s, y, z, zeta, nd: c * y, stacked_t=True)
+    return upper, comp
+
+
+@pytest.mark.parametrize("bad, kind, alone", [
+    (math.nan, DivergenceError, "frozen-y sweep of row 4: non-finite value at level 4, node 0"),
+    # h * 9 = 1.8 on the diagonal: the iterates grow, finite, for all 50 sweeps
+    (9.0, NonConvergenceError, r"successive scheme not below 1e-10 after 50 iterations "
+                               r"\(last ratio [0-9.]+\)"),
+])
+def test_a_failing_scheme_trial_raises_its_own_message_with_its_index(bad, kind, alone):
+    # trial 0 contracts; trial 1 turns NaN in its first frozen sweep, or never contracts
+    lat = BinaryLattice(1.0, 5)
+    psi = np.random.default_rng(9).standard_normal((3, 6, 32, 1))
+    coef = [0.5, bad, 0.4]
+    got_kind, msg = _message(lambda: backward.picard_bsvie(*_linear_scheme(lat, psi, coef), lat))
+    alone_kind, alone_msg = _message(
+        lambda: backward.picard_bsvie(*_linear_scheme(lat, psi[1], coef[1]), lat))
+    assert (got_kind, msg) == (alone_kind, f"{alone_msg}, trial=1")
+    assert got_kind is kind and re.fullmatch(alone, alone_msg)
+    for k in (0, 2):  # the others run alone
+        backward.picard_bsvie(*_linear_scheme(lat, psi[k], coef[k]), lat)
+
+
+def test_a_scheme_takes_upper_and_comparator_stacks_of_the_same_trials():
+    lat = BinaryLattice(1.0, 3)
+    psi = np.ones((2, 4, 8, 1))
+    upper, _ = _linear_scheme(lat, psi, 0.5)
+    _, comp = _linear_scheme(lat, psi[0], 0.5)
+    with pytest.raises(ValueError, match="stacks of the same trials"):
+        backward.picard_bsvie(upper, comp, lat)
+
+
+def _picard_draws(seed, trials, depth):
+    """Each trial's n and data as picard-contraction draws them at ``depth``."""
+    rng, draws = np.random.default_rng(seed), []
+    for _ in range(trials):
+        n = int(rng.integers(1, 3))
+        lat = BinaryLattice(1.0, int(rng.integers(5, depth + 1)))
+        draws.append((n, lat, scenarios._draw_picard_pair(rng, n, lat)))
+    return draws
+
+
+@pytest.mark.parametrize("faults, kind, message", [
+    ({1: "nan"}, DivergenceError,
+     r"frozen-y sweep of row 4: non-finite value at level 4, node 0; family trial 1"),
+    # the stack meets trial 2's NaN first, the loop over the trials trial 1's non-convergence
+    ({1: "grow", 2: "nan"}, NonConvergenceError,
+     r"successive scheme not below 1e-10 after 50 iterations \(last ratio [0-9.]+\); "
+     r"family trial 1"),
+])
+def test_a_failing_picard_stack_raises_what_the_trial_loop_raises_first(
+        monkeypatch, faults, kind, message):
+    # at depth 5 every N is 5: three trials of one n share a stack.  Trial 0 contracts; the
+    # comparators of the faulty trials, found by their free terms, turn NaN in their frozen
+    # sweeps ("nan") or get 8 y added to their drift, which keeps them from contracting ("grow")
+    seed = next(s for s in range(100) if len({n for n, _, _ in _picard_draws(s, 3, 5)}) == 1)
+    draws = _picard_draws(seed, 3, 5)
+    faulty = [(draws[k][2][2], fault) for k, fault in faults.items()]  # (comparator psi, fault)
+    solve = backward.solve_bsvie_family
+
+    def with_faults(spec, lattice, frozen_y=None, **kw):
+        psi = spec.psi.values
+        stack = psi.ndim == 4
+        at = [(pos, fault) for pos, field in enumerate(psi if stack else [psi])
+              for target, fault in faulty if np.array_equal(field, target)]
+        generator = spec.generator
+
+        def gen(t, s, y, z, zeta, nd):
+            out = generator(t, s, y, z, zeta, nd)
+            for pos, fault in at:
+                row = (lambda v: v[pos]) if stack else (lambda v: v)
+                if fault == "nan":
+                    row(out)[...] = math.nan
+                else:
+                    row(out)[...] += 8.0 * row(y)
+            return out
+
+        if frozen_y is not None and at:
+            spec = dataclasses.replace(spec, generator=gen)
+        return solve(spec, lattice, frozen_y, **kw)
+
+    monkeypatch.setattr(backward, "solve_bsvie_family", with_faults)
+    with pytest.raises(kind, match=f"^{message}$"):
+        scenarios._build_picard_contraction(5, seed, 3)
+    if len(faults) == 2:  # the stack alone names trial 2, where it failed first
+        n, lat = draws[0][:2]
+        stacked = (np.stack(v) for v in zip(*(parts for _, _, parts in draws)))
+        with pytest.raises(DivergenceError, match=r", trial=2$"):
+            scenarios._solve_picard_stack(lat, n, *stacked)
+
+
+# The trial loop of picard-contraction as it was before the family stacked its trials,
+# verbatim, is picard_contraction_reference._build_picard_contraction.
+
+
+@pytest.mark.parametrize("depth, trials, offset", [
+    *((depth, trials, 0) for depth in range(5, 9) for trials in (1, 3, 50)),
+    (8, 50, 311), (8, 50, 2361),
+])
+def test_picard_contraction_tuples_are_the_trial_loops(monkeypatch, depth, trials, offset):
+    entry = scenarios.REGISTRY["picard-contraction"]
+    assert (entry.default_depth, entry.default_trials) == (8, 50)
+    args = (depth, entry.default_seed + offset, trials)
+    want, want_outcome = _tuples_and_outcome(
+        monkeypatch, picard_contraction_reference,
+        picard_contraction_reference._build_picard_contraction, *args)
+    got, got_outcome = _tuples_and_outcome(monkeypatch, scenarios,
+                                           scenarios._build_picard_contraction, *args)
+    assert len(got) == trials
+    _assert_bit_equal(np.array(got), np.array(want))
+    assert (got_outcome.worst_violation, got_outcome.witness) == (
+        want_outcome.worst_violation, want_outcome.witness)
+    assert got_outcome == want_outcome
