@@ -548,11 +548,11 @@ def test_an_msolution_stack_names_its_lowest_failing_trial(monkeypatch, where):
 # -- the frozen-y successive scheme: picard-contraction -------------------------------------
 
 
-def _arctan_spec(lat, n, psi, b, **kw):
+def _arctan_spec(lat, n, psi, b):
     """A spec with generator ``arctan(y) + B z``: b one ``(n, n)`` matrix, or ``(trials, 1, n, n)``."""
     return backward.BsvieSpec(
         n, TerminalField(lat, n, psi), generator=lambda t, s, y, z, zeta, nd: (
-            np.arctan(y) + (b @ z.mT).mT), lip_y=1.0, lip_z=0.6, stacked_t=True, **kw)
+            np.arctan(y) + (b @ z.mT).mT), lip_y=1.0, lip_z=0.6, stacked_t=True)
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -575,15 +575,10 @@ def test_each_trial_of_a_stacked_frozen_sweep_is_its_own_frozen_sweep(depth, n, 
 def _picard_pair_alone(n, lat, parts):
     """The upper and comparator specs of one trial, as the trial loop built them."""
     b, eps, psibar, psi1 = parts
-
-    def gbar(t, s, y, z, zeta, nd):
-        return np.arctan(y) + (b @ z.mT).mT
-
-    comp = backward.BsvieSpec(n, TerminalField(lat, n, psibar), generator=gbar,
-                              lip_y=1.0, lip_z=0.6, stacked_t=True)
+    comp = _arctan_spec(lat, n, psibar, b)
     upper = backward.BsvieSpec(
         n, TerminalField(lat, n, psi1),
-        generator=lambda t, s, y, z, zeta, nd: gbar(t, s, y, z, zeta, nd) + eps,
+        generator=lambda t, s, y, z, zeta, nd: comp.generator(t, s, y, z, zeta, nd) + eps,
         lip_y=1.0, lip_z=0.6, stacked_t=True)
     return upper, comp
 
